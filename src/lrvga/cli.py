@@ -19,6 +19,7 @@ from .experiments import (
     run_experiment,
 )
 from .factor import DivergenceError
+from .filters import NONLINEAR_SCHEMES
 
 
 def _int_list(text: str) -> list[int]:
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument(
         "--scheme",
-        choices=["explicit", "mirror-prox-full", "mirror-prox-skip-cov"],
+        choices=NONLINEAR_SCHEMES,
         help="nonlinear update scheme",
     )
     parser.add_argument("--dataset", help="libsvm-format file (covariance runs)")

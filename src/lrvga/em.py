@@ -87,27 +87,6 @@ class DenseSymmetric:
         return np.diag(self.S).copy()
 
 
-class LowRankPlusDiag:
-    """Implicit target F F^T + diag(q), touched only through products.
-
-    Used for the streaming target alpha (W W^T + Psi) + beta X X^T, which
-    collapses to this form with F = [sqrt(alpha) W, sqrt(beta) X] and
-    q = alpha psi.
-    """
-
-    def __init__(self, factors: np.ndarray, diag_part: np.ndarray):
-        self.factors = factors
-        self.diag_part = diag_part
-
-    def matmat(self, A: np.ndarray) -> np.ndarray:
-        out = self.factors @ (self.factors.T @ A)
-        out += self.diag_part[:, None] * A
-        return out
-
-    def diag(self) -> np.ndarray:
-        return star(self.factors, self.factors) + self.diag_part
-
-
 class _BlendTarget:
     """Implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T.
 

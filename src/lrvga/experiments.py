@@ -40,6 +40,7 @@ from .evaluation import (
 from .factor import init_isotropic_prior, trace_inverse, woodbury_apply
 from .filters import (
     BETA_PROBIT,
+    NONLINEAR_SCHEMES,
     GaussianBelief,
     LogisticModel,
     Observation,
@@ -157,7 +158,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("sigma0 values must be positive")
     if not 0.0 < cfg.eps_init < 1.0:
         raise ConfigError("eps_init must lie in (0, 1)")
-    if cfg.scheme not in ("explicit", "mirror-prox-full", "mirror-prox-skip-cov"):
+    if cfg.scheme not in NONLINEAR_SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.checkpoints < 0:
         raise ConfigError("checkpoints must be non-negative")
@@ -382,10 +383,10 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
 
     # Large-scale mode: single pass, no dense anything, optional metering.
     # Inputs are rescaled to unit mean squared norm; the raw spectrum has
-    # E||x||^2 = d, and a rank-one precision spike that large cannot be
-    # absorbed by a handful of fixed-point loops from a near-diagonal
-    # start (the filter diverges). The spectrum trace is known, so the
-    # scale is exact rather than estimated from a leading batch.
+    # E||x||^2 = d. The filter runs at either scale; the scaling sets the
+    # signal-to-noise ratio, and so the outputs, of large-scale runs. The
+    # spectrum trace is known, so the scale is exact rather than estimated
+    # from a leading batch.
     p = cfg.p[0]
     scale = 1.0 / np.sqrt(cfg.d)
     summary["input_scale"] = scale

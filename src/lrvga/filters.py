@@ -1,9 +1,11 @@
 """Streaming Gaussian filters over factored precisions.
 
-One observation in, one posterior out. The linear step is exact up to the
-factored-precision projection; the logistic step goes through an implicit
-two-scalar solve; general nonlinear likelihoods are handled by sampled
-expectations with an optional extragradient (mirror-prox) correction.
+One observation in, one posterior out. The linear and logistic filters
+share one implicit GLM update: the link turns a0 = x.mu_{t-1} and
+nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
+pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
+General nonlinear likelihoods are handled by sampled expectations with an
+optional extragradient (mirror-prox) correction.
 """
 
 from __future__ import annotations
@@ -139,6 +141,42 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
     return DenseGaussian(mu, cov)
 
 
+def _prior_scalars(
+    belief: GaussianBelief, obs: Observation, binary: bool = False
+) -> tuple[np.ndarray, float, np.ndarray, float, float]:
+    """Validate one observation and return (x, y, P_{t-1} x, nu0, a0),
+    with nu0 = x^T P_{t-1} x and a0 = x.mu_{t-1}."""
+    x = obs.dense_x(belief.d)
+    y = _require_label(obs)
+    if binary and y not in (0.0, 1.0):
+        raise ValueError("logistic labels must be 0 or 1")
+    gain = woodbury_apply(belief.prec, x)
+    return x, y, gain, max(float(x @ gain), 0.0), float(x @ belief.mu)
+
+
+def _glm_step(
+    belief: GaussianBelief,
+    obs: Observation,
+    inner_loops: int | None,
+    rule: Callable[[float, float, float], tuple[float, float]],
+    binary: bool = False,
+) -> GaussianBelief:
+    """One implicit GLM update; ``rule(a0, nu0, y)`` gives the link's (s, r).
+
+    The mean moves along the pre-update gain, mu_t = mu_{t-1} + P_{t-1} x r,
+    and the factored precision absorbs s x x^T through the recursion with
+    weights (1, s), so no reweighted copy of x is made.
+    """
+    x, y, gain, nu0, a0 = _prior_scalars(belief, obs, binary)
+    s, r = rule(a0, nu0, y)
+    # Built in the gain's buffer: the new mean is the only d-vector kept.
+    gain *= r
+    mu = np.add(belief.mu, gain, out=gain)
+    loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
+    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, s), loops)
+    return _checked(GaussianBelief(mu, prec))
+
+
 def lrvga_linear_step(
     belief: GaussianBelief,
     obs: Observation,
@@ -146,19 +184,17 @@ def lrvga_linear_step(
 ) -> GaussianBelief:
     """Limited-memory update for a linear-Gaussian observation.
 
-    The precision absorbs x x^T through the factored recursion
-    (alpha = beta = 1), and the mean moves by the posterior gain computed
-    at the refreshed precision:
+    The GLM step with s = 1 and the closed-form r = (y - a0) / (1 + nu0):
 
-        mu_t = mu_{t-1} + (W_t W_t^T + Psi_t)^-1 x (y - x.mu_{t-1})
+        mu_t  = mu_{t-1} + P_{t-1} x (y - x.mu_{t-1}) / (1 + x^T P_{t-1} x)
+        P_t^-1 ~ W_t W_t^T + Psi_t fitted to P_{t-1}^-1 + x x^T
+
+    The mean is the exact conjugate update at the carried precision; only
+    the precision goes through the factored projection.
     """
-    d = belief.d
-    x = obs.dense_x(d)
-    y = _require_label(obs)
-    loops = default_inner_loops(d) if inner_loops is None else inner_loops
-    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, 1.0), loops)
-    mu = belief.mu + woodbury_apply(prec, x) * (y - float(x @ belief.mu))
-    return _checked(GaussianBelief(mu, prec))
+    return _glm_step(
+        belief, obs, inner_loops, lambda a0, nu0, y: (1.0, (y - a0) / (1.0 + nu0))
+    )
 
 
 @dataclass(frozen=True)
@@ -282,12 +318,7 @@ def solve_glm_scalars(
     Solved by damped Newton; if the iteration cap is hit, one Picard
     sweep is applied and a warning raised.
     """
-    x = obs.dense_x(belief.d)
-    y = _require_label(obs)
-    if y not in (0.0, 1.0):
-        raise ValueError("logistic labels must be 0 or 1")
-    nu0 = max(float(x @ woodbury_apply(belief.prec, x)), 0.0)
-    a0 = float(x @ belief.mu)
+    _, y, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
     return _solve_scalar_system(a0, nu0, y, tol, max_iter)
 
 
@@ -299,30 +330,18 @@ def lrvga_logistic_step(
 ) -> GaussianBelief:
     """Limited-memory update for a Bernoulli observation with logistic link.
 
-    The implicit scalars give the effective weight s = k sigma'(k a); the
-    precision then absorbs the reweighted input sqrt(s) x, and the mean
-    moves along the pre-update gain:
+    The GLM step with the implicit scalars of ``solve_glm_scalars``:
+    s = k sigma'(k a) and r = y - sigma(k a), so
 
-        mu_t = mu_{t-1} + P_{t-1} x (y - sigma(k a))
+        mu_t  = mu_{t-1} + P_{t-1} x (y - sigma(k a))
+        P_t^-1 ~ W_t W_t^T + Psi_t fitted to P_{t-1}^-1 + s x x^T
     """
-    d = belief.d
-    x = obs.dense_x(d)
-    y = _require_label(obs)
-    if y not in (0.0, 1.0):
-        raise ValueError("logistic labels must be 0 or 1")
-    loops = default_inner_loops(d) if inner_loops is None else inner_loops
 
-    gain = woodbury_apply(belief.prec, x)
-    nu0 = max(float(x @ gain), 0.0)
-    a0 = float(x @ belief.mu)
-    sol = _solve_scalar_system(a0, nu0, y, tol, max_iter=50)
+    def rule(a0: float, nu0: float, y: float) -> tuple[float, float]:
+        sol = _solve_scalar_system(a0, nu0, y, tol, max_iter=50)
+        return _sigmoid_weight(sol.a, sol.nu), y - float(expit(sol.k * sol.a))
 
-    s = sol.k * float(expit(sol.k * sol.a)) * (1.0 - float(expit(sol.k * sol.a)))
-    prec = recursive_em_update(
-        belief.prec, np.sqrt(s) * x[:, None], RecursionWeights(1.0, 1.0), loops
-    )
-    mu = belief.mu + gain * (y - float(expit(sol.k * sol.a)))
-    return _checked(GaussianBelief(mu, prec))
+    return _glm_step(belief, obs, inner_loops, rule, binary=True)
 
 
 class NonlinearModel(Protocol):

@@ -20,11 +20,6 @@ def state_bytes(d: int, p: int) -> int:
     return 8 * d * (p + 2)
 
 
-def workspace_estimate_bytes(d: int, p: int, k: int = 1) -> int:
-    """Analytic per-step scratch estimate: the d x (p + K) blocks."""
-    return 8 * d * (p + k)
-
-
 def contract_budget_bytes(d: int, p: int) -> int:
     """Auxiliary allocation budget: 64 d (p + 2) bytes."""
     return 64 * d * (p + 2)

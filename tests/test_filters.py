@@ -104,14 +104,21 @@ def test_linear_single_step_hand_computation():
     B = 1.0 + float(W[:, 0] @ (V[:, 0] / psi)) / M
     W1 = V / B
     psi1 = np.diag(T) - (W1[:, 0] / M) * V[:, 0]
-    prec1 = W1 @ W1.T + np.diag(psi1)
-    gain = np.linalg.solve(prec1, x)
-    mu1 = mu + gain * (y - float(x @ mu))
+    # The mean moves along the pre-update gain: the exact conjugate update
+    # at the carried precision.
+    P0 = np.linalg.inv(W @ W.T + np.diag(psi))
+    gain = P0 @ x
+    mu1 = mu + gain * (y - float(x @ mu)) / (1.0 + float(x @ gain))
 
-    out = lrvga_linear_step(bel, Observation(x, y), inner_loops=1)
+    obs = Observation(x, y)
+    out = lrvga_linear_step(bel, obs, inner_loops=1)
     assert np.allclose(out.prec.W, W1, rtol=1e-12, atol=1e-14)
     assert np.allclose(out.prec.psi, psi1, rtol=1e-12, atol=1e-14)
-    assert np.allclose(out.mu, mu1, rtol=1e-12, atol=1e-14)
+    kalman = kalman_step_dense(DenseGaussian(mu, P0), obs)
+    assert np.allclose(mu1, kalman.mu, rtol=1e-12, atol=1e-14)
+    for loops in (1, 3):
+        out = lrvga_linear_step(bel, obs, inner_loops=loops)
+        assert np.allclose(out.mu, mu1, rtol=1e-12, atol=1e-14)
 
 
 def test_linear_full_rank_tracks_kalman():

@@ -16,7 +16,6 @@ from .em import (
     default_inner_loops,
     em_fixed_point_step,
     guess_s0_scale,
-    mle_fixed_point_step,
     online_em_gamma,
     online_em_update,
     polyak_ruppert_average,
@@ -120,7 +119,6 @@ __all__ = [
     "lrvga_nonlinear_step",
     "make_config",
     "mc_kl_to_posterior",
-    "mle_fixed_point_step",
     "online_em_gamma",
     "online_em_update",
     "polyak_ruppert_average",

@@ -101,10 +101,8 @@ def covariance_fit_kl(fa: FaPrecision, S: np.ndarray) -> float:
     if sign <= 0:
         raise np.linalg.LinAlgError("S is not positive definite")
     psi_inv_w = fa.W / fa.psi[:, None]
-    from .factor import latent_gram, spd_solve  # deferred to keep import surface flat
-
     inner = psi_inv_w.T @ (S @ psi_inv_w)
-    trace = float(np.sum(np.diag(S) / fa.psi) - np.trace(spd_solve(latent_gram(fa), inner)))
+    trace = float(np.sum(np.diag(S) / fa.psi) - np.trace(fa.latent_inverse @ inner))
     return 0.5 * (trace + log_det(fa) - float(ld_s) - d)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 # Floor applied to fitted diagonal entries. Keeps the factorization usable
 # when an update would push a psi entry to zero or below.
@@ -25,22 +26,29 @@ class DivergenceError(RuntimeError):
 
 
 def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric positive-definite A.
+    """Solve A X = B for a small symmetric positive-definite A.
 
-    Uses a Cholesky factorization; if that fails because A drifted away
-    from positive definiteness through rounding, falls back to the
-    pseudo-inverse and warns.
+    Uses a Cholesky factorization, called through LAPACK directly because
+    A is p x p and the wrappers of ``scipy.linalg.cho_solve`` cost several
+    times the arithmetic; if the factorization fails because A drifted
+    away from positive definiteness through rounding, falls back to the
+    pseudo-inverse and warns. Meant for few right-hand sides: to apply
+    A^-1 to a d x p block, solve against the identity once and multiply.
     """
     A = np.asarray(A, dtype=float)
-    try:
-        return cho_solve(cho_factor((A + A.T) / 2.0, lower=True), B)
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            "positive-definite solve failed, falling back to pseudo-inverse",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return np.linalg.pinv(A) @ B
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
+    factor, info = lapack.dpotrf((A + A.T) / 2.0, lower=True)
+    if info == 0:
+        X, info = lapack.dpotrs(factor, B, lower=True)
+        if info == 0:
+            return X
+    warnings.warn(
+        "positive-definite solve failed, falling back to pseudo-inverse",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return np.linalg.pinv(A) @ B
 
 
 def star(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -77,7 +85,15 @@ class FaPrecision:
     Instances are frozen and their arrays are treated as read-only by
     convention; updates build new instances. The represented matrix is
     symmetric positive definite whenever the invariants hold, which is
-    enforced at construction.
+    enforced at construction. The fitting recursions build their outputs
+    through ``_trusted_precision`` instead, since they check finiteness
+    and floor psi themselves.
+
+    ``latent_inverse``, the p x p matrix M^-1 = (I_p + W^T Psi^-1 W)^-1
+    behind every Woodbury product, is formed on first use and cached on
+    the instance; immutability keeps the cache valid. Only this p x p
+    matrix is cached, never a d x p block, so the memory per instance
+    stays the factors plus p^2 floats.
     """
 
     W: np.ndarray
@@ -115,6 +131,24 @@ class FaPrecision:
     def p(self) -> int:
         return self.W.shape[1]
 
+    @cached_property
+    def latent_inverse(self) -> np.ndarray:
+        """M^-1 = (I_p + W^T Psi^-1 W)^-1, read-only, formed once per
+        instance by one Cholesky solve against the identity."""
+        minv = spd_solve(latent_gram(self), np.eye(self.p))
+        minv.flags.writeable = False
+        return minv
+
+
+def _trusted_precision(W: np.ndarray, psi: np.ndarray) -> FaPrecision:
+    """FaPrecision over factors the caller has already checked: a (d, p)
+    float W with p <= d, and a finite (d,) psi floored above zero.
+    Skips the validation scans of the public constructor."""
+    fa = object.__new__(FaPrecision)
+    object.__setattr__(fa, "W", W)
+    object.__setattr__(fa, "psi", psi)
+    return fa
+
 
 def latent_gram(fa: FaPrecision) -> np.ndarray:
     """The p x p Gram matrix M = I_p + W^T diag(psi)^-1 W.
@@ -131,8 +165,9 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
 
     Implements the Woodbury identity
     (W W^T + Psi)^-1 v = Psi^-1 (v - W M^-1 (W^T Psi^-1 v)),
-    costing O(d p^2 + p^3) with no d x d intermediate. ``v`` may be a
-    (d,) vector or a (d, k) block of columns.
+    with M^-1 the cached ``latent_inverse``, costing O(d p k) for k
+    columns with no d x d intermediate. ``v`` may be a (d,) vector or a
+    (d, k) block of columns.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[0] != fa.d:
@@ -141,7 +176,7 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
         raise ValueError("input contains non-finite entries")
     psi = fa.psi if v.ndim == 1 else fa.psi[:, None]
     u = v / psi
-    z = spd_solve(latent_gram(fa), fa.W.T @ u)
+    z = fa.latent_inverse @ (fa.W.T @ u)
     return (v - fa.W @ z) / psi
 
 
@@ -168,8 +203,7 @@ def log_det(fa: FaPrecision) -> float:
 def inverse_diag(fa: FaPrecision) -> np.ndarray:
     """Diagonal of (W W^T + diag(psi))^-1 without forming the inverse."""
     psi_inv_w = fa.W / fa.psi[:, None]
-    L = spd_solve(latent_gram(fa), psi_inv_w.T).T
-    return 1.0 / fa.psi - star(L, psi_inv_w)
+    return 1.0 / fa.psi - star(psi_inv_w @ fa.latent_inverse, psi_inv_w)
 
 
 def trace_inverse(fa: FaPrecision) -> float:

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factor import FaPrecision, latent_gram, spd_solve
+from .factor import FaPrecision, latent_gram
+from .factor import spd_solve  # noqa: F401 - module attribute wrapped by perfbench/trace.py
 
 
 class EnsembleSampler:
     """Sampler bound to one factored precision.
 
-    The correction matrix L = Psi^-1 W M^-1 is computed once at
-    construction; because :class:`FaPrecision` instances are immutable,
-    the cache can never go stale. Build a new sampler after an update.
+    The d x p correction matrix L = Psi^-1 W M^-1 is computed once at
+    construction by one product with the precision's cached p x p
+    ``latent_inverse``, so building a sampler on a precision the filter
+    has already used costs no factorization. Because :class:`FaPrecision`
+    instances are immutable, neither cache can go stale. Build a new
+    sampler after an update.
 
     With x ~ N(0, Psi^-1) drawn componentwise and eps ~ N(0, I_p),
 
@@ -30,8 +34,7 @@ class EnsembleSampler:
     def __init__(self, fa: FaPrecision, rng: np.random.Generator | int | None = None):
         self.fa = fa
         self.rng = np.random.default_rng(rng)
-        psi_inv_w = fa.W / fa.psi[:, None]
-        self._L = spd_solve(latent_gram(fa), psi_inv_w.T).T
+        self._L = (fa.W / fa.psi[:, None]) @ fa.latent_inverse
 
     @property
     def L(self) -> np.ndarray:

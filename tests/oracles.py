@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 BETA = math.sqrt(8.0 / math.pi)
@@ -187,4 +188,50 @@ def em_reference_step(
     Exz = S @ G
     W_new = np.linalg.solve(Ezz.T, Exz.T).T
     psi_new = np.diag(S - W_new @ Exz.T).copy()
+    return W_new, np.maximum(psi_new, 1e-12)
+
+
+def mle_fixed_point_step(
+    W: np.ndarray, psi: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cycle of the direct likelihood fixed-point equations (dense).
+
+    W_new = S (W W^T + Psi)^-1 W, then psi_new = diag(S - W_new W_new^T).
+    This map and the EM map share their fixed points, but they are
+    different maps away from stationarity, so it cross-checks the EM
+    limit.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim == 1:
+        W = W[:, None]
+    S = np.asarray(S, dtype=float)
+    W_new = S @ np.linalg.solve(dense_precision(W, psi), W)
+    psi_new = np.diag(S - W_new @ W_new.T).copy()
+    return W_new, np.maximum(psi_new, 1e-12)
+
+
+def em_solve_step(W: np.ndarray, psi: np.ndarray, S) -> tuple[np.ndarray, np.ndarray]:
+    """The EM cycle in its solve-based form, the reference for the p-space
+    kernel.
+
+    With M = I_p + W^T Psi^-1 W, G = S Psi^-1 W and A = W^T Psi^-1 G,
+    W_new solves W_new B = G for B = I_p + M^-1 A, and
+    psi_new = diag(S) - diag(W_new M^-1 G^T). Every inverse is applied by
+    a Cholesky or LU solve, with the d x p blocks as right-hand sides.
+    ``S`` is a dense array or an object with ``matmat`` and ``diag``.
+    """
+    W = np.asarray(W, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    if not hasattr(S, "matmat"):
+        S_dense = np.asarray(S, dtype=float)
+        matmat, diag = (lambda A: S_dense @ A), np.diag(S_dense)
+    else:
+        matmat, diag = S.matmat, S.diag()
+    psi_inv_w = W / psi[:, None]
+    M = np.eye(W.shape[1]) + W.T @ psi_inv_w
+    chol = cho_factor((M + M.T) / 2.0, lower=True)
+    G = matmat(psi_inv_w)
+    B = np.eye(W.shape[1]) + cho_solve(chol, psi_inv_w.T @ G)
+    W_new = np.linalg.solve(B.T, G.T).T
+    psi_new = diag - np.einsum("ij,ij->i", cho_solve(chol, W_new.T).T, G)
     return W_new, np.maximum(psi_new, 1e-12)

@@ -13,11 +13,15 @@ from lrvga import (
     fa_dense_matrix,
     guess_s0_scale,
     init_isotropic_prior,
-    mle_fixed_point_step,
     recursive_em_update,
 )
+from lrvga.em import _BlendTarget
 
-from oracles import avg_loglik, em_reference_step
+from oracles import avg_loglik, em_reference_step, em_solve_step, mle_fixed_point_step
+
+
+def mle_step(fa, S):
+    return FaPrecision(*mle_fixed_point_step(fa.W, fa.psi, S))
 
 
 def random_instance(rng, d=None, p=None):
@@ -44,7 +48,7 @@ def test_exact_fit_is_stationary_for_both_maps(seed):
     rng = np.random.default_rng(50 + seed)
     fa, _ = random_instance(rng)
     S = fa_dense_matrix(fa)
-    for step in (em_fixed_point_step, mle_fixed_point_step):
+    for step in (em_fixed_point_step, mle_step):
         out = step(fa, S)
         assert np.allclose(out.W, fa.W, rtol=1e-10, atol=1e-12)
         assert np.allclose(out.psi, fa.psi, rtol=1e-10, atol=1e-12)
@@ -62,7 +66,7 @@ def test_maps_agree_at_fixed_points_but_not_elsewhere():
     fa = FaPrecision(np.array([[1.0], [0.0]]), np.ones(2))
     S = np.diag([3.0, 1.0])
     em = em_fixed_point_step(fa, S)
-    mle = mle_fixed_point_step(fa, S)
+    mle = mle_step(fa, S)
     assert np.allclose(mle.W.ravel(), [1.5, 0.0], atol=1e-12)
     assert np.allclose(em.W.ravel(), [1.2, 0.0], atol=1e-12)
     assert np.allclose(mle.psi, [0.75, 1.0], atol=1e-12)
@@ -84,7 +88,7 @@ def test_em_limit_is_stationary_for_the_likelihood_map(seed):
             fa = nxt
             break
         fa = nxt
-    out = mle_fixed_point_step(fa, S)
+    out = mle_step(fa, S)
     assert np.allclose(out.W, fa.W, rtol=1e-9, atol=1e-11)
     assert np.allclose(out.psi, fa.psi, rtol=1e-9, atol=1e-11)
 
@@ -111,7 +115,7 @@ def test_tiny_diagonal_limit_follows_the_power_method():
     fa = FaPrecision(w, np.full(d, 1e-8))
     direction = S @ w
     direction /= np.linalg.norm(direction)
-    for step in (em_fixed_point_step, mle_fixed_point_step):
+    for step in (em_fixed_point_step, mle_step):
         out = step(fa, S)
         got = out.W.ravel() / np.linalg.norm(out.W)
         cos = abs(got @ direction)
@@ -120,7 +124,7 @@ def test_tiny_diagonal_limit_follows_the_power_method():
     # loading update is power iteration and finds the dominant eigenvector.
     cur = fa
     for _ in range(200):
-        stepped = mle_fixed_point_step(cur, S)
+        stepped = mle_step(cur, S)
         cur = FaPrecision(stepped.W, fa.psi)
     lead = np.linalg.eigh(S)[1][:, -1]
     assert abs(cur.W.ravel() @ lead) / np.linalg.norm(cur.W) > 1.0 - 1e-8
@@ -145,6 +149,34 @@ def test_recursive_update_matches_explicit_dense_target():
         expected = em_fixed_point_step(expected, target)
     assert np.allclose(got.W, expected.W, rtol=1e-10, atol=1e-12)
     assert np.allclose(got.psi, expected.psi, rtol=1e-10, atol=1e-12)
+
+
+def _relerr(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [20, 500])
+@pytest.mark.parametrize("p", [1, 5])
+def test_p_space_kernel_matches_the_solve_based_cycle(d, p):
+    """Twenty cycles of the p-space kernel against the solve-based oracle,
+    on a well-conditioned dense target and on the blended recursion
+    target, both directly and through recursive_em_update."""
+    rng = np.random.default_rng(1000 * d + p)
+    L = rng.standard_normal((d, p)) / np.sqrt(d)
+    dense = L @ L.T + np.diag(rng.uniform(0.5, 1.5, d))
+    prev = FaPrecision(rng.standard_normal((d, p)) / np.sqrt(d), rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, 2)) / np.sqrt(d)
+    blend = _BlendTarget(prev, X, 0.8, 0.6)
+    for S in (dense, blend):
+        fa, W, psi = prev, prev.W, prev.psi
+        for _ in range(20):
+            fa = em_fixed_point_step(fa, S)
+            W, psi = em_solve_step(W, psi, S)
+        assert _relerr(fa.W, W) <= 1e-10
+        assert _relerr(fa.psi, psi) <= 1e-10
+    got = recursive_em_update(prev, X, RecursionWeights(0.8, 0.6), inner_loops=20)
+    assert _relerr(got.W, W) <= 1e-10
+    assert _relerr(got.psi, psi) <= 1e-10
 
 
 def test_recursive_update_single_column_equals_block_form():

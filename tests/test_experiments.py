@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import lrvga.experiments
+from lrvga import DivergenceError
 from lrvga.cli import main
 from lrvga.experiments import make_config, run_experiment
 
@@ -20,6 +22,20 @@ def test_default_linear_run_converges():
 def test_cli_rejects_unknown_scheme(tmp_path):
     argv = ["--experiment", "nonlinear", "--scheme", "bogus", "--out", str(tmp_path)]
     assert main(argv) == 1
+
+
+def test_cli_reports_divergence_with_exit_code_2(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("mean norm exceeds the limit")
+
+    monkeypatch.setattr(lrvga.experiments, "lrvga_linear_step", diverge)
+    out = tmp_path / "run"
+    argv = [
+        "--experiment", "linear", "--d", "5", "--p", "2", "--n", "5",
+        "--checkpoints", "2", "--out", str(out),
+    ]
+    assert main(argv) == 2
+    assert not (out / "results.csv").exists()
 
 
 def test_cli_reports_unwritable_output(tmp_path):

@@ -90,6 +90,49 @@ def test_latent_gram_value_and_definiteness():
     assert np.linalg.eigvalsh(M).min() >= 1.0 - 1e-12
 
 
+def test_latent_inverse_is_the_inverse_of_the_latent_gram():
+    rng = np.random.default_rng(11)
+    for d, p in [(6, 1), (12, 4), (40, 10)]:
+        fa = random_fa(rng, d=d, p=p)
+        expected = np.linalg.inv(latent_gram(fa))
+        assert np.allclose(fa.latent_inverse, expected, rtol=1e-12, atol=1e-12)
+        assert not fa.latent_inverse.flags.writeable
+
+
+def test_latent_inverse_is_formed_once_per_instance(monkeypatch):
+    import lrvga.factor
+
+    calls = []
+    original = lrvga.factor.spd_solve
+
+    def counting_solve(A, B):
+        calls.append(A)
+        return original(A, B)
+
+    monkeypatch.setattr(lrvga.factor, "spd_solve", counting_solve)
+    fa = random_fa(np.random.default_rng(12), d=9, p=3)
+    first = fa.latent_inverse
+    v = np.ones(9)
+    woodbury_apply(fa, v)
+    inverse_diag(fa)
+    assert fa.latent_inverse is first
+    assert len(calls) == 1
+    # A new instance, even over the same arrays, forms its own.
+    FaPrecision(fa.W, fa.psi).latent_inverse
+    assert len(calls) == 2
+
+
+def test_latent_inverse_falls_back_on_an_indefinite_gram(monkeypatch):
+    import lrvga.factor
+
+    gram = np.diag([2.0, -1.0])
+    monkeypatch.setattr(lrvga.factor, "latent_gram", lambda fa: gram)
+    fa = random_fa(np.random.default_rng(13), d=5, p=2)
+    with pytest.warns(RuntimeWarning, match="falling back to pseudo-inverse"):
+        minv = fa.latent_inverse
+    assert np.allclose(minv, np.linalg.pinv(gram))
+
+
 def test_spd_solve_plain_case():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((6, 6))

@@ -121,6 +121,37 @@ def test_linear_single_step_hand_computation():
         assert np.allclose(out.mu, mu1, rtol=1e-12, atol=1e-14)
 
 
+def test_default_linear_step_validates_once_and_forms_three_grams(monkeypatch):
+    """Structure of one default step (d=100, p=5, 3 loops), no timing: the
+    iterates skip the constructor's validation, and the latent Gram is
+    formed once for the gain and once per later cycle, the first cycle
+    reusing the gain's cached inverse."""
+    import lrvga.em
+    import lrvga.factor
+    import lrvga.sampler
+
+    belief = belief_from_prior(100, 5, eps=0.01, seed=4)
+    x = np.random.default_rng(4).standard_normal(100) / 10.0
+    counts = {"validate": 0, "gram": 0}
+    validate, gram = FaPrecision.__post_init__, lrvga.factor.latent_gram
+
+    def counting_validate(self):
+        counts["validate"] += 1
+        validate(self)
+
+    def counting_gram(fa):
+        counts["gram"] += 1
+        return gram(fa)
+
+    monkeypatch.setattr(FaPrecision, "__post_init__", counting_validate)
+    for module in (lrvga.factor, lrvga.em, lrvga.sampler):
+        monkeypatch.setattr(module, "latent_gram", counting_gram)
+    out = lrvga_linear_step(belief, Observation(x, 0.5))
+    assert counts["validate"] <= 1
+    assert counts["gram"] <= 3
+    assert np.all(np.isfinite(out.mu))
+
+
 def test_linear_full_rank_tracks_kalman():
     d, n = 10, 100
     rng = np.random.default_rng(42)

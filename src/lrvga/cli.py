@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-hess", type=_int_list, dest="k_hess",
         help="curvature sample count(s), comma separated",
     )
-    parser.add_argument("--k-grad", type=int, dest="k_grad", help="gradient sample count")
     parser.add_argument(
         "--inner-loops", type=int, dest="inner_loops",
         help="fixed-point iterations per observation",

@@ -17,7 +17,7 @@ from scipy.special import expit
 from .dense import DenseGaussian, fa_dense_inverse
 from .factor import FaPrecision, inverse_diag, log_det, star, woodbury_apply
 from .filters import GaussianBelief
-from .sampler import EnsembleSampler
+from .sampler import EnsembleSampler, draw_dense_reference
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -113,7 +113,7 @@ def gaussian_entropy(q) -> float:
 
 
 def mc_kl_to_posterior(
-    q: GaussianBelief,
+    q: GaussianBelief | DenseGaussian,
     logpost: Callable[[np.ndarray], np.ndarray],
     k: int = 1000,
     rng: np.random.Generator | int | None = None,
@@ -125,11 +125,16 @@ def mc_kl_to_posterior(
     The entropy term is closed-form, so all sampling noise comes from the
     log-posterior average; the reported standard error is the standard
     deviation of the log-posterior values over sqrt(K). ``logpost`` takes
-    a (d, K) matrix of column samples and returns K values.
+    a (d, K) matrix of column samples and returns K values. A factored
+    q is drawn by the ensemble sampler, a dense one by the Cholesky of
+    its covariance.
     """
     if k < 2:
         raise ValueError("need at least two draws for a standard error")
-    draws = EnsembleSampler(q.prec, rng).draw(q.mu, k)
+    if isinstance(q, DenseGaussian):
+        draws = draw_dense_reference(q.mu, q.cov, k, rng)
+    else:
+        draws = EnsembleSampler(q.prec, rng).draw(q.mu, k)
     values = np.asarray(logpost(draws), dtype=float).ravel()
     if values.shape[0] != k:
         raise ValueError("logpost must return one value per sample column")

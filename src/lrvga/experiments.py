@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +86,6 @@ class ExperimentConfig:
     p: list[int] = field(default_factory=lambda: [5])
     n: int = 1000
     k_hess: list[int] = field(default_factory=lambda: [10])
-    k_grad: int = 10
     inner_loops: int | None = None
     sigma0: list[float] = field(default_factory=lambda: [1.0])
     eps_init: float = 0.01
@@ -128,11 +128,9 @@ def make_config(kind: str, **overrides) -> ExperimentConfig:
     defaults.update({k: v for k, v in overrides.items() if v is not None})
 
     # Normalize the shapes of list-valued fields.
-    for key in ("p", "k_hess"):
+    for key, cast in (("p", int), ("k_hess", int), ("sigma0", float)):
         if key in defaults and np.isscalar(defaults[key]):
-            defaults[key] = [int(defaults[key])]
-    if "sigma0" in defaults and np.isscalar(defaults["sigma0"]):
-        defaults["sigma0"] = [float(defaults["sigma0"])]
+            defaults[key] = [cast(defaults[key])]
 
     valid = set(ExperimentConfig.__dataclass_fields__) - {"kind"}
     unknown = set(defaults) - valid
@@ -150,8 +148,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("each factor rank must satisfy 1 <= p <= d")
     if not cfg.k_hess or any(k < 1 for k in cfg.k_hess):
         raise ConfigError("sample counts must be positive")
-    if cfg.k_grad < 1:
-        raise ConfigError("k_grad must be positive")
     if cfg.inner_loops is not None and cfg.inner_loops < 1:
         raise ConfigError("inner_loops must be positive")
     if not cfg.sigma0 or any(s <= 0 for s in cfg.sigma0):
@@ -221,11 +217,59 @@ def _loops(cfg: ExperimentConfig) -> int:
     return cfg.inner_loops if cfg.inner_loops is not None else default_inner_loops(cfg.d)
 
 
+def _prior(cfg: ExperimentConfig, p: int, sigma0: float, rng) -> GaussianBelief:
+    """The N(0, sigma0^2 I) prior belief, its precision factored at rank p."""
+    return GaussianBelief(
+        np.zeros(cfg.d), init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, rng)
+    )
+
+
+def _fold(report: RunReport, marks, label, row, init, stream, step, score):
+    """Run ``state = step(state, t, item)`` over ``stream`` from t = 1,
+    starting from ``init()``, and return the final state.
+
+    At each checkpoint in ``marks`` the row ``(method, p, k) = row`` is
+    logged with ``score(state, t) -> (kl, stderr)``, or unscored when
+    ``score`` is None. ``final_kl[label]`` (scored runs) and
+    ``wall_seconds[label]`` go to the summary. The first state is built
+    here so that no caller keeps it alive while the stream runs.
+    """
+    t0 = time.perf_counter()
+    state = init()
+    pending = iter(marks)
+    mark = next(pending, None)
+    kl = None
+    for t, item in enumerate(stream, start=1):
+        state = step(state, t, item)
+        if t == mark:
+            kl, se = score(state, t) if score is not None else (None, None)
+            report.rows.append(_row(report.config, t, *row, kl, se, t0))
+            mark = next(pending, None)
+    if score is not None:
+        report.summary[f"final_kl[{label}]"] = kl
+    report.summary[f"wall_seconds[{label}]"] = round(time.perf_counter() - t0, 6)
+    return state
+
+
+def _mc_scorer(cfg: ExperimentConfig, X, y, sigma0: float, *key: int):
+    """Monte Carlo KL to the logistic posterior of (X, y); the draws at
+    checkpoint t come from the evaluation stream (key, t)."""
+
+    def logpost(thetas):
+        return logposterior_logistic(thetas, X, y, sigma0)
+
+    def score(q, t):
+        est = mc_kl_to_posterior(q, logpost, cfg.mc_samples, _rng(cfg, _SEED_EVAL, *key, t))
+        return est.value, est.std_error
+
+    return score
+
+
 # ---------------------------------------------------------------------------
 # covariance tracking
 
 
-def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float, dict]:
+def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     """Materialize the (normalized) sample matrix and the dense reference
     covariance the KL is measured against. Desk scale only."""
     info: dict = {}
@@ -249,11 +293,10 @@ def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float, dic
     scale = float(stream.scale)
     info["normalization_scale"] = scale
     if cfg.dataset is None:
-        spec = SyntheticCovSpec(d, cfg.p_true or cfg.p[0], cfg.seed)
         S_ref = scale**2 * spec.dense_matrix()
     else:
         S_ref = (V.T @ V) / V.shape[0]
-    return V, S_ref, scale, info
+    return V, S_ref, info
 
 
 def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -261,65 +304,56 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
     factored fit by the Gaussian KL against the reference covariance."""
     if cfg.kind != "cov":
         raise ConfigError("config kind must be 'cov'")
-    V, S_ref, scale, info = _cov_data(cfg)
+    V, S_ref, info = _cov_data(cfg)
     n, d = V.shape
     p = cfg.p[0]
     loops = cfg.inner_loops if cfg.inner_loops is not None else default_inner_loops(d)
     marks = log_spaced_checkpoints(n, cfg.checkpoints)
-    lead = V[: min(100, n)]
-    sigma0 = guess_s0_scale(lead, d)
+    sigma0 = guess_s0_scale(V[: min(100, n)], d)
     info["sigma0_guess"] = sigma0
+    report = RunReport(cfg, [], dict(info))
 
-    rows: list[CheckpointRow] = []
-    summary: dict = dict(info)
+    def prior(index):
+        return init_isotropic_prior(d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, index))
+
+    def score(fa, t):
+        return covariance_fit_kl(fa, S_ref), None
+
+    def online_step(state, t, v):
+        # (statistics, iterate, fit scored): the fit is the Polyak-Ruppert
+        # average over the second half of the stream, the iterate before.
+        stats, fa, _ = state
+        stats, fa = online_em_update(stats, fa, v, online_em_gamma(t))
+        return stats, fa, polyak_ruppert_average(stats, t, n) if t > n // 2 else fa
+
     for method in cfg.methods:
-        t0 = time.perf_counter()
         if method == "recursive-em":
-            fa = init_isotropic_prior(d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, 0))
-            mark_iter = iter(marks)
-            next_mark = next(mark_iter, None)
-            for t in range(1, n + 1):
-                fa = recursive_em_update(
-                    fa, V[t - 1][:, None], covariance_mode_weights(t), loops
-                )
-                if t == next_mark:
-                    rows.append(
-                        _row(cfg, t, method, p, 0, covariance_fit_kl(fa, S_ref), None, t0)
-                    )
-                    next_mark = next(mark_iter, None)
-            summary[f"final_kl[{method}]"] = rows[-1].kl if marks else None
+            _fold(
+                report, marks, method, (method, p, 0), lambda: prior(0), V,
+                lambda fa, t, v: recursive_em_update(
+                    fa, v[:, None], covariance_mode_weights(t), loops
+                ),
+                score,
+            )
         elif method == "online-em":
-            fa = init_isotropic_prior(d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, 1))
-            state = OnlineEmState.zeros(d, p)
-            averaged = None
-            mark_iter = iter(marks)
-            next_mark = next(mark_iter, None)
-            for t in range(1, n + 1):
-                state, fa = online_em_update(state, fa, V[t - 1], online_em_gamma(t))
-                if t > n // 2:
-                    averaged = polyak_ruppert_average(state, t, n)
-                if t == next_mark:
-                    current = averaged if averaged is not None else fa
-                    rows.append(
-                        _row(cfg, t, method, p, 0, covariance_fit_kl(current, S_ref), None, t0)
-                    )
-                    next_mark = next(mark_iter, None)
-            summary[f"final_kl[{method}]"] = rows[-1].kl if marks else None
+            _fold(
+                report, marks, method, (method, p, 0),
+                lambda: (OnlineEmState.zeros(d, p), prior(1), None), V,
+                online_step, lambda state, t: score(state[2], t),
+            )
         elif method == "batch-em":
+            # Checkpoints are whole passes over the data, at pass x n.
+            t0 = time.perf_counter()
             S_emp = (V.T @ V) / n
-            fa = init_isotropic_prior(d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, 2))
+            fa = prior(2)
             for pass_idx in range(1, cfg.batch_passes + 1):
                 fa = em_fixed_point_step(fa, S_emp)
-                rows.append(
-                    _row(
-                        cfg, pass_idx * n, method, p, 0,
-                        covariance_fit_kl(fa, S_ref), None, t0,
-                    )
+                report.rows.append(
+                    _row(cfg, pass_idx * n, method, p, 0, covariance_fit_kl(fa, S_ref), None, t0)
                 )
-            summary[f"final_kl[{method}]"] = rows[-1].kl
-        wall = time.perf_counter() - t0
-        summary[f"wall_seconds[{method}]"] = round(wall, 6)
-    return RunReport(cfg, rows, summary)
+            report.summary[f"final_kl[{method}]"] = report.rows[-1].kl
+            report.summary[f"wall_seconds[{method}]"] = round(time.perf_counter() - t0, 6)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -340,46 +374,34 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
     sigma0 = cfg.sigma0[0]
     spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
-    rows: list[CheckpointRow] = []
-    summary: dict = {}
+    report = RunReport(cfg, [], {})
+    loops = _loops(cfg)
+
+    def step(belief, t, o):
+        return lrvga_linear_step(belief, o, loops)
 
     if cfg.d <= DENSE_EVAL_LIMIT:
-        theta_star = spec.truth()
         X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))))
-        obs = list(gen_linear_labels(X, theta_star, _rng(cfg, _SEED_LABELS)))
+        obs = list(gen_linear_labels(X, spec.truth(), _rng(cfg, _SEED_LABELS)))
         y = np.array([o.y for o in obs])
-        prec_star = np.eye(cfg.d) / sigma0**2 + X.T @ X
-        cov_star = np.linalg.inv(prec_star)
+        cov_star = np.linalg.inv(np.eye(cfg.d) / sigma0**2 + X.T @ X)
         target = DenseGaussian(cov_star @ (X.T @ y), (cov_star + cov_star.T) / 2.0)
 
-        for p_idx, p in enumerate(cfg.p):
-            method = "lrvga"
-            t0 = time.perf_counter()
-            belief = GaussianBelief(
-                np.zeros(cfg.d),
-                init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, p_idx)),
-            )
-            mark_iter = iter(marks)
-            next_mark = next(mark_iter, None)
-            for t, o in enumerate(obs, start=1):
-                belief = lrvga_linear_step(belief, o, _loops(cfg))
-                if t == next_mark:
-                    rows.append(_row(cfg, t, method, p, 0, gaussian_kl(belief, target), None, t0))
-                    next_mark = next(mark_iter, None)
-            summary[f"final_kl[lrvga,p={p}]"] = rows[-1].kl if marks else None
-            summary[f"wall_seconds[lrvga,p={p}]"] = round(time.perf_counter() - t0, 6)
+        def score(q, t):
+            return gaussian_kl(q, target), None
 
-        t0 = time.perf_counter()
-        dense = DenseGaussian(np.zeros(cfg.d), sigma0**2 * np.eye(cfg.d))
-        mark_iter = iter(marks)
-        next_mark = next(mark_iter, None)
-        for t, o in enumerate(obs, start=1):
-            dense = kalman_step_dense(dense, o)
-            if t == next_mark:
-                rows.append(_row(cfg, t, "kalman", cfg.d, 0, gaussian_kl(dense, target), None, t0))
-                next_mark = next(mark_iter, None)
-        summary["wall_seconds[kalman]"] = round(time.perf_counter() - t0, 6)
-        return RunReport(cfg, rows, summary)
+        for p_idx, p in enumerate(cfg.p):
+            _fold(
+                report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
+                lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
+                obs, step, score,
+            )
+        _fold(
+            report, marks, "kalman", ("kalman", cfg.d, 0),
+            lambda: DenseGaussian(np.zeros(cfg.d), sigma0**2 * np.eye(cfg.d)),
+            obs, lambda dense, t, o: kalman_step_dense(dense, o), score,
+        )
+        return report
 
     # Large-scale mode: single pass, no dense anything, optional metering.
     # Inputs are rescaled to unit mean squared norm; the raw spectrum has
@@ -389,55 +411,40 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
     # from a leading batch.
     p = cfg.p[0]
     scale = 1.0 / np.sqrt(cfg.d)
-    summary["input_scale"] = scale
-    meter = MemoryMeter() if cfg.track_memory else None
-    t0 = time.perf_counter()
+    report.summary["input_scale"] = scale
 
-    def _run():
-        theta_star = spec.truth()
+    meter = MemoryMeter() if cfg.track_memory else nullcontext()
+    with meter:
         stream = gen_linear_labels(
             (x * scale for x in gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))),
-            theta_star,
+            spec.truth(),
             _rng(cfg, _SEED_LABELS),
         )
-        belief = GaussianBelief(
-            np.zeros(cfg.d),
-            init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, 0)),
+        belief = _fold(
+            report, marks, "lrvga", ("lrvga", p, 0),
+            lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, 0)),
+            stream, step, None,
         )
-        mark_iter = iter(marks)
-        next_mark = next(mark_iter, None)
-        for t, o in enumerate(stream, start=1):
-            belief = lrvga_linear_step(belief, o, _loops(cfg))
-            if t == next_mark:
-                rows.append(_row(cfg, t, "lrvga", p, 0, None, None, t0))
-                next_mark = next(mark_iter, None)
-        return belief
-
-    if meter is not None:
-        with meter:
-            belief = _run()
-        summary["peak_aux_bytes"] = meter.peak_bytes
-        summary["aux_budget_bytes"] = contract_budget_bytes(cfg.d, p)
-    else:
-        belief = _run()
-    wall = time.perf_counter() - t0
-    summary["wall_seconds[lrvga]"] = round(wall, 6)
-    summary["wall_ms_per_step[lrvga]"] = round(1000.0 * wall / cfg.n, 6)
-    summary["final_mu_norm"] = float(np.linalg.norm(belief.mu))
-    return RunReport(cfg, rows, summary)
+    if cfg.track_memory:
+        report.summary["peak_aux_bytes"] = meter.peak_bytes
+        report.summary["aux_budget_bytes"] = contract_budget_bytes(cfg.d, p)
+    wall = report.summary["wall_seconds[lrvga]"]
+    report.summary["wall_ms_per_step[lrvga]"] = round(1000.0 * wall / cfg.n, 6)
+    report.summary["final_mu_norm"] = float(np.linalg.norm(belief.mu))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # logistic regression
 
 
-def _mc_kl_dense(q: DenseGaussian, logpost, k: int, rng) -> tuple[float, float]:
-    """Monte Carlo KL for a dense Gaussian, mirroring mc_kl_to_posterior."""
-    draws = draw_dense_reference(q.mu, q.cov, k, rng)
-    values = np.asarray(logpost(draws), dtype=float).ravel()
-    sign, ld = np.linalg.slogdet(q.cov)
-    entropy = 0.5 * (q.d * (1.0 + np.log(2.0 * np.pi)) + float(ld))
-    return float(-entropy - np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(k))
+def _logistic_data(cfg: ExperimentConfig, sigma0: float, s_idx: int):
+    """Inputs X, labels y and the observation list of the logistic
+    problem at prior scale sigma0; s_idx keys its data and label streams."""
+    spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
+    X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))))
+    obs = list(gen_logistic_labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx)))
+    return X, np.array([o.y for o in obs]), obs
 
 
 def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -446,53 +453,31 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
     if cfg.kind != "logistic":
         raise ConfigError("config kind must be 'logistic'")
     sigma0 = cfg.sigma0[0]
-    spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
-    theta_star = spec.truth()
-    X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))))
-    obs = list(gen_logistic_labels(X, theta_star, _rng(cfg, _SEED_LABELS)))
-    y = np.array([o.y for o in obs])
+    X, y, obs = _logistic_data(cfg, sigma0, 0)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
-
-    def logpost(thetas):
-        return logposterior_logistic(thetas, X, y, sigma0)
-
-    rows: list[CheckpointRow] = []
-    summary: dict = {"label_balance": float(np.mean(y))}
+    loops = _loops(cfg)
+    report = RunReport(cfg, [], {"label_balance": float(np.mean(y))})
     final_beliefs: dict[int, GaussianBelief] = {}
     for p_idx, p in enumerate(cfg.p):
-        t0 = time.perf_counter()
-        belief = GaussianBelief(
-            np.zeros(cfg.d),
-            init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, p_idx)),
+        final_beliefs[p] = _fold(
+            report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
+            lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
+            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, loops),
+            _mc_scorer(cfg, X, y, sigma0, p_idx),
         )
-        mark_iter = iter(marks)
-        next_mark = next(mark_iter, None)
-        for t, o in enumerate(obs, start=1):
-            belief = lrvga_logistic_step(belief, o, _loops(cfg))
-            if t == next_mark:
-                est = mc_kl_to_posterior(
-                    belief, logpost, cfg.mc_samples, _rng(cfg, _SEED_EVAL, p_idx, t)
-                )
-                rows.append(_row(cfg, t, "lrvga", p, 0, est.value, est.std_error, t0))
-                next_mark = next(mark_iter, None)
-        final_beliefs[p] = belief
-        summary[f"final_kl[lrvga,p={p}]"] = rows[-1].kl if marks else None
-        summary[f"wall_seconds[lrvga,p={p}]"] = round(time.perf_counter() - t0, 6)
 
     t0 = time.perf_counter()
     lap = laplace_logistic(X, y, sigma0)
-    kl, se = _mc_kl_dense(
-        lap, logpost, cfg.mc_samples, _rng(cfg, _SEED_EVAL, len(cfg.p), cfg.n)
-    )
-    rows.append(_row(cfg, cfg.n, "laplace", cfg.d, 0, kl, se, t0))
-    summary["final_kl[laplace]"] = kl
-    summary["wall_seconds[laplace]"] = round(time.perf_counter() - t0, 6)
+    kl, se = _mc_scorer(cfg, X, y, sigma0, len(cfg.p))(lap, cfg.n)
+    report.rows.append(_row(cfg, cfg.n, "laplace", cfg.d, 0, kl, se, t0))
+    report.summary["final_kl[laplace]"] = kl
+    report.summary["wall_seconds[laplace]"] = round(time.perf_counter() - t0, 6)
     for p, belief in final_beliefs.items():
         cos = float(
             belief.mu @ lap.mu / (np.linalg.norm(belief.mu) * np.linalg.norm(lap.mu))
         )
-        summary[f"cosine_mean_vs_map[p={p}]"] = cos
-    return RunReport(cfg, rows, summary)
+        report.summary[f"cosine_mean_vs_map[p={p}]"] = cos
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -529,72 +514,37 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError("config kind must be 'nonlinear'")
     p = cfg.p[0]
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
-    rows: list[CheckpointRow] = []
-    summary: dict = {"scheme": cfg.scheme}
+    loops = _loops(cfg)
+    report = RunReport(cfg, [], {"scheme": cfg.scheme})
     model = LogisticModel()
 
     for s_idx, sigma0 in enumerate(cfg.sigma0):
-        spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
-        theta_star = spec.truth()
-        X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))))
-        obs = list(gen_logistic_labels(X, theta_star, _rng(cfg, _SEED_LABELS, s_idx)))
-        y = np.array([o.y for o in obs])
-
-        def logpost(thetas, X=X, y=y, sigma0=sigma0):
-            return logposterior_logistic(thetas, X, y, sigma0)
-
+        X, y, obs = _logistic_data(cfg, sigma0, s_idx)
         tag = f"s0={sigma0:g}"
-        t0 = time.perf_counter()
-        belief = GaussianBelief(
-            np.zeros(cfg.d),
-            init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, s_idx, 0)),
+        belief = _fold(
+            report, marks, f"closed-form,{tag}", (f"closed-form[{tag}]", p, 0),
+            lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, s_idx, 0)),
+            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, loops),
+            _mc_scorer(cfg, X, y, sigma0, s_idx, 0),
         )
-        mark_iter = iter(marks)
-        next_mark = next(mark_iter, None)
-        for t, o in enumerate(obs, start=1):
-            belief = lrvga_logistic_step(belief, o, _loops(cfg))
-            if t == next_mark:
-                est = mc_kl_to_posterior(
-                    belief, logpost, cfg.mc_samples, _rng(cfg, _SEED_EVAL, s_idx, 0, t)
-                )
-                rows.append(_row(cfg, t, f"closed-form[{tag}]", p, 0, est.value, est.std_error, t0))
-                next_mark = next(mark_iter, None)
-        summary[f"final_kl[closed-form,{tag}]"] = rows[-1].kl if marks else None
-        summary[f"wall_seconds[closed-form,{tag}]"] = round(time.perf_counter() - t0, 6)
         if s_idx == 0:
-            summary["sampling_check"] = _sampling_check(
+            report.summary["sampling_check"] = _sampling_check(
                 belief, X[0], 10, [cfg.seed, _SEED_EVAL, 7, 7]
             )
 
         for k_idx, k in enumerate(cfg.k_hess):
-            t0 = time.perf_counter()
-            filt_rng = _rng(cfg, _SEED_FILTER, s_idx, 1 + k_idx)
-            belief = GaussianBelief(
-                np.zeros(cfg.d),
-                init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, filt_rng),
+            # One generator draws the prior's factors, then the filter's samples.
+            rng = _rng(cfg, _SEED_FILTER, s_idx, 1 + k_idx)
+            _fold(
+                report, marks, f"sampled,{tag},K={k}", (f"sampled[{tag}]", p, k),
+                lambda: _prior(cfg, p, sigma0, rng), obs,
+                lambda belief, t, o: lrvga_nonlinear_step(
+                    belief, o, model, k_hess=k, k_grad=k,
+                    inner_loops=loops, scheme=cfg.scheme, rng=rng,
+                ),
+                _mc_scorer(cfg, X, y, sigma0, s_idx, 1 + k_idx),
             )
-            mark_iter = iter(marks)
-            next_mark = next(mark_iter, None)
-            for t, o in enumerate(obs, start=1):
-                belief = lrvga_nonlinear_step(
-                    belief, o, model,
-                    k_hess=k, k_grad=k,
-                    inner_loops=_loops(cfg),
-                    scheme=cfg.scheme,
-                    rng=filt_rng,
-                )
-                if t == next_mark:
-                    est = mc_kl_to_posterior(
-                        belief, logpost, cfg.mc_samples,
-                        _rng(cfg, _SEED_EVAL, s_idx, 1 + k_idx, t),
-                    )
-                    rows.append(
-                        _row(cfg, t, f"sampled[{tag}]", p, k, est.value, est.std_error, t0)
-                    )
-                    next_mark = next(mark_iter, None)
-            summary[f"final_kl[sampled,{tag},K={k}]"] = rows[-1].kl if marks else None
-            summary[f"wall_seconds[sampled,{tag},K={k}]"] = round(time.perf_counter() - t0, 6)
-    return RunReport(cfg, rows, summary)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -644,20 +594,7 @@ def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, str]:
     with open(results, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for r in report.rows:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.checkpoint),
-                        r.method,
-                        str(r.p),
-                        str(r.k),
-                        _fmt(r.kl),
-                        _fmt(r.stderr),
-                        _fmt(r.wall_ms),
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(_fmt, astuple(r))) + "\n")
     config_path = out / "config.json"
     with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(asdict(report.config), fh, sort_keys=True, indent=2)
@@ -687,12 +624,6 @@ def read_results_csv(path) -> list[CheckpointRow]:
             if not line:
                 continue
             ck, method, p, k, kl, stderr, wall = line.split(",")
-            rows.append(
-                CheckpointRow(
-                    int(ck), method, int(p), int(k),
-                    float(kl) if kl else None,
-                    float(stderr) if stderr else None,
-                    float(wall) if wall else None,
-                )
-            )
+            floats = (float(v) if v else None for v in (kl, stderr, wall))
+            rows.append(CheckpointRow(int(ck), method, int(p), int(k), *floats))
     return rows

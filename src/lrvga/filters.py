@@ -447,7 +447,6 @@ def lrvga_nonlinear_step(
     inner_loops: int | None = None,
     scheme: str = "mirror-prox-skip-cov",
     rng: np.random.Generator | int | None = None,
-    fresh_stage2: bool = True,
 ) -> GaussianBelief:
     """Sampled-expectation update for a general observation model.
 
@@ -464,11 +463,10 @@ def lrvga_nonlinear_step(
     * ``mirror-prox-skip-cov`` (default) keeps the stage-one precision
       and only re-evaluates the mean update at the extrapolated belief.
 
-    ``fresh_stage2`` controls whether stage two draws new samples at the
-    extrapolated belief (default) or reuses the stage-one ensemble.
-    Within a stage, the curvature and gradient share one sample set; the
-    first ``k_hess`` columns feed the curvature, the first ``k_grad``
-    the gradient.
+    Stage two draws new samples at the extrapolated belief. Within a
+    stage, the curvature and gradient share one sample set; the first
+    ``k_hess`` columns feed the curvature, the first ``k_grad`` the
+    gradient.
     """
     if scheme not in NONLINEAR_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {NONLINEAR_SCHEMES}")
@@ -491,10 +489,7 @@ def lrvga_nonlinear_step(
     if scheme == "explicit":
         return _checked(GaussianBelief(mu_hat, prec_hat))
 
-    if fresh_stage2:
-        thetas2 = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
-    else:
-        thetas2 = thetas
+    thetas2 = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
 
     if scheme == "mirror-prox-full":
         block2 = ggn_block(model, x, thetas2[:, :k_hess])

@@ -1,11 +1,22 @@
-"""Experiment drivers at their shipped defaults, and the CLI exit codes."""
+"""Experiment drivers, their reports and reproducibility, and the CLI exit codes."""
+
+import json
 
 import numpy as np
+import pytest
 
 import lrvga.experiments
 from lrvga import DivergenceError
 from lrvga.cli import main
-from lrvga.experiments import make_config, run_experiment
+from lrvga.experiments import (
+    CheckpointRow,
+    RunReport,
+    emit_report,
+    log_spaced_checkpoints,
+    make_config,
+    read_results_csv,
+    run_experiment,
+)
 
 
 def test_default_linear_run_converges():
@@ -58,3 +69,93 @@ def test_cli_small_nonlinear_run(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) > 1
     assert (out / "config.json").exists() and (out / "summary.txt").exists()
+
+
+# Tiny configs of every kind: a few seconds in all, several methods each.
+TINY = {
+    "cov": dict(d=8, p=2, n=40, checkpoints=5, batch_passes=2),
+    "linear": dict(d=6, p=[2, 3], n=30, checkpoints=4),
+    "logistic": dict(d=5, p=[2], n=30, checkpoints=4, mc_samples=50),
+    "nonlinear": dict(
+        d=5, p=2, n=20, sigma0=[1.0, 2.0], k_hess=[1, 3], checkpoints=3, mc_samples=30
+    ),
+}
+
+
+def _methods(report):
+    counts = {}
+    for r in report.rows:
+        counts[(r.method, r.k)] = counts.get((r.method, r.k), 0) + 1
+    return counts
+
+
+def test_cov_logistic_and_nonlinear_smoke_runs():
+    reports = {kind: run_experiment(make_config(kind, **TINY[kind]))
+               for kind in ("cov", "logistic", "nonlinear")}
+    for kind, report in reports.items():
+        assert all(np.isfinite(r.kl) for r in report.rows), kind
+        assert all(r.wall_ms is None for r in report.rows), kind
+
+    cov = reports["cov"]
+    marks = len(log_spaced_checkpoints(40, 5))
+    assert _methods(cov) == {("recursive-em", 0): marks, ("online-em", 0): marks,
+                             ("batch-em", 0): 2}
+    assert [r.checkpoint for r in cov.rows if r.method == "batch-em"] == [40, 80]
+    assert all(r.stderr is None for r in cov.rows)
+
+    logistic = reports["logistic"]
+    marks = len(log_spaced_checkpoints(30, 4))
+    assert _methods(logistic) == {("lrvga", 0): marks, ("laplace", 0): 1}
+    assert all(r.stderr > 0 for r in logistic.rows)
+    assert {"final_kl[lrvga,p=2]", "final_kl[laplace]"} <= set(logistic.summary)
+
+    nonlinear = reports["nonlinear"]
+    marks = len(log_spaced_checkpoints(20, 3))
+    assert _methods(nonlinear) == {
+        (f"{name}[s0={s}]", k): marks
+        for s in (1, 2) for name, k in (("closed-form", 0), ("sampled", 1), ("sampled", 3))
+    }
+    assert np.isfinite(nonlinear.summary["final_kl[sampled,s0=2,K=3]"])
+
+
+def _results_bytes(kind, out):
+    emit_report(run_experiment(make_config(kind, **TINY[kind])), out)
+    return (out / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_reruns_write_byte_identical_results(kind, tmp_path):
+    first = _results_bytes(kind, tmp_path / "a")
+    assert first.count(b"\n") > 3
+    assert _results_bytes(kind, tmp_path / "b") == first
+
+
+def test_report_round_trips_through_results_csv(tmp_path):
+    rows = [
+        CheckpointRow(1, "lrvga", 5, 0, 0.1 + 0.2, 1e-17, None),
+        CheckpointRow(7, "sampled[s0=2]", 5, 10, None, None, None),
+        CheckpointRow(9, "kalman", 20, 0, 5.684341886080802e-14, None, 12.5),
+    ]
+    report = RunReport(make_config("linear"), rows, {"final_kl[lrvga,p=5]": 0.3})
+    paths = emit_report(report, tmp_path)
+    assert read_results_csv(paths["results"]) == rows
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == "checkpoint,method,p,K,kl,stderr,wall_ms"
+    assert lines[2] == "7,sampled[s0=2],5,10,,,"
+
+
+def test_config_echo_reruns_and_rejects_the_removed_k_grad_key(tmp_path):
+    out = tmp_path / "run"
+    argv = ["--experiment", "cov", "--d", "6", "--p", "2", "--n", "20",
+            "--checkpoints", "3", "--methods", "recursive-em"]
+    assert main(argv + ["--out", str(out)]) == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert "k_grad" not in echo
+    rerun = tmp_path / "rerun"
+    assert main(["--config", str(out / "config.json"), "--out", str(rerun)]) == 0
+    assert (rerun / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps({**echo, "k_grad": 10}))
+    assert main(["--config", str(stale), "--out", str(tmp_path / "stale")]) == 1
+    assert main(argv + ["--k-grad", "10", "--out", str(tmp_path / "flag")]) == 1

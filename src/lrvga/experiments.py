@@ -1,7 +1,9 @@
 """Experiment drivers and reporting.
 
 Four run kinds: covariance tracking, linear regression, logistic
-regression, and the sampled-nonlinear ablation. Every run is seeded and
+regression, and the sampled-nonlinear ablation. Every streaming run goes
+through one checkpoint fold, ``_fold``; only the batch EM baseline, whose
+checkpoints are whole passes, has its own loop. Every run is seeded and
 reproducible; the emitted results.csv is byte-identical across reruns of
 the same config and seed. Wall-clock numbers always go to summary.txt,
 and are written into results.csv only when ``record_timing`` is set,
@@ -70,7 +72,10 @@ EXPERIMENT_KINDS = ("cov", "linear", "logistic", "nonlinear")
 COV_METHODS = ("recursive-em", "online-em", "batch-em")
 
 # Stable stream ids for seeding: data, labels, init/filter, evaluation.
-_SEED_DATA, _SEED_LABELS, _SEED_FILTER, _SEED_EVAL = 0, 1, 2, 3
+# No id is 0: SeedSequence zero-pads its entropy, so default_rng([seed, 0])
+# is default_rng(seed), the generator the problem specs draw their true
+# parameters from, and a data stream keyed 0 would replay them.
+_SEED_DATA, _SEED_LABELS, _SEED_FILTER, _SEED_EVAL = 1, 2, 3, 4
 
 
 class ConfigError(ValueError):

@@ -1,5 +1,6 @@
 """Experiment drivers, their reports and reproducibility, and the CLI exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import lrvga.experiments
 from lrvga import DivergenceError
 from lrvga.cli import main
+from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_regression_inputs
 from lrvga.experiments import (
     CheckpointRow,
     RunReport,
@@ -130,6 +132,22 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
     assert _results_bytes(kind, tmp_path / "b") == first
 
 
+# SHA-256 of results.csv for each TINY config. A change to any of them
+# is a change of output: explain it, then update the digest.
+GOLDEN = {
+    "cov": "49c364d6d0d78d30c85c85555aba921d8f1ad0c1e1be0bc1ea57f0fb8d555dd2",
+    "linear": "3cf30c9de4d406b57ec077f6f1e3c018ad63074ed2de92d1c876550c5efc2f81",
+    "logistic": "fae4b6d7a0b08bdbbf7a575bc6692d7c8e7d744f01ae0497b8b8d65248ea4343",
+    "nonlinear": "03efbac5b5065d9219741e9bc2644d64f54ef198ed3482a34f9d2405e642201d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_results_match_the_golden_digest(kind, tmp_path):
+    digest = hashlib.sha256(_results_bytes(kind, tmp_path)).hexdigest()
+    assert digest == GOLDEN[kind]
+
+
 def test_report_round_trips_through_results_csv(tmp_path):
     rows = [
         CheckpointRow(1, "lrvga", 5, 0, 0.1 + 0.2, 1e-17, None),
@@ -159,3 +177,26 @@ def test_config_echo_reruns_and_rejects_the_removed_k_grad_key(tmp_path):
     stale.write_text(json.dumps({**echo, "k_grad": 10}))
     assert main(["--config", str(stale), "--out", str(tmp_path / "stale")]) == 1
     assert main(argv + ["--k-grad", "10", "--out", str(tmp_path / "flag")]) == 1
+
+
+
+def test_data_streams_do_not_replay_the_true_parameters():
+    """The problem specs draw their parameters from default_rng(seed); no
+    stream key may reproduce that generator. When the data key did, the
+    first input at c = 0 was exactly theta*/sigma0, and the cov stream's
+    first latent draws were the entries of the true loadings."""
+    ex = lrvga.experiments
+    keys = (ex._SEED_DATA, ex._SEED_LABELS, ex._SEED_FILTER, ex._SEED_EVAL)
+    cfg = make_config("linear", d=20, c=0.0, seed=3)
+    for key in keys:
+        draws = ex._rng(cfg, key, 0).standard_normal(4)
+        assert not np.array_equal(draws, np.random.default_rng(3).standard_normal(4))
+
+    spec = RegressionSpec(20, 10, c=0.0, sigma0=1.0, seed=3)
+    x1 = next(iter(gen_regression_inputs(spec, ex._rng(cfg, ex._SEED_DATA))))
+    theta = spec.truth()
+    assert abs(x1 @ theta) / (np.linalg.norm(x1) * np.linalg.norm(theta)) < 0.9
+
+    W, _ = SyntheticCovSpec(20, 5, seed=3).factors()
+    latent = ex._rng(make_config("cov", d=20, seed=3), ex._SEED_DATA).standard_normal(W.size)
+    assert not np.allclose(latent, W.ravel())

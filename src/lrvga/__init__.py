@@ -38,7 +38,6 @@ from .factor import (
     inverse_diag,
     latent_gram,
     log_det,
-    precision_matvec,
     star,
     trace_inverse,
     woodbury_apply,
@@ -46,11 +45,9 @@ from .factor import (
 from .filters import (
     GaussianBelief,
     GlmScalarSolution,
-    LinearGaussianModel,
     LogisticModel,
     NonlinearModel,
     Observation,
-    expectation_by_sampling,
     ggn_block,
     kalman_step_dense,
     lrvga_linear_step,
@@ -69,7 +66,7 @@ from .experiments import (
     read_results_csv,
     run_experiment,
 )
-from .memory import MemoryMeter, contract_budget_bytes, state_bytes
+from .memory import MemoryMeter, contract_budget_bytes
 
 __version__ = "0.1.0"
 
@@ -83,7 +80,6 @@ __all__ = [
     "GaussianBelief",
     "GlmScalarSolution",
     "KlEstimate",
-    "LinearGaussianModel",
     "LogisticModel",
     "MemoryMeter",
     "NonlinearModel",
@@ -98,7 +94,6 @@ __all__ = [
     "draw_dense_reference",
     "em_fixed_point_step",
     "emit_report",
-    "expectation_by_sampling",
     "fa_dense_inverse",
     "fa_dense_matrix",
     "gaussian_entropy",
@@ -122,13 +117,11 @@ __all__ = [
     "online_em_gamma",
     "online_em_update",
     "polyak_ruppert_average",
-    "precision_matvec",
     "read_results_csv",
     "recursive_em_update",
     "run_experiment",
     "solve_glm_scalars",
     "star",
-    "state_bytes",
     "trace_inverse",
     "woodbury_apply",
 ]

@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="number of streamed observations")
     parser.add_argument(
         "--k-hess", type=_int_list, dest="k_hess",
-        help="curvature sample count(s), comma separated",
+        help="parameter draws per stage of the sampled filter, feeding both "
+        "the curvature and the gradient; comma separated",
     )
     parser.add_argument(
         "--inner-loops", type=int, dest="inner_loops",

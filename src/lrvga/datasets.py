@@ -17,11 +17,11 @@ from scipy.special import expit
 
 from .filters import Observation
 
-# Rows drawn per generator chunk; bounded so a chunk stays ~2 MB even in
-# very high dimension.
+
 def _chunk_rows(d: int) -> int:
-    # Cap generator scratch at ~0.5 MB so streaming stays well inside the
-    # d x (p + 2) working-set contract even when d itself is modest.
+    """Rows drawn per generator chunk: at most 256 and at most 65536 // d,
+    so one chunk array of float64 rows is at most 0.5 MB unless a single
+    row is larger, and streaming stays inside the d x (p + 2) contract."""
     return max(1, min(256, 65536 // max(d, 1)))
 
 
@@ -141,8 +141,8 @@ def gen_regression_inputs(
     remaining = n
     while remaining > 0:
         m = min(chunk, remaining)
-        G = rng.standard_normal((m, spec.d))
-        block = G * lam_root[None, :]
+        block = rng.standard_normal((m, spec.d))
+        block *= lam_root  # in place: one chunk array alive, not two
         if M is not None:
             block = block @ M  # rows become M^T Lambda^(1/2) g
         for j in range(m):
@@ -238,42 +238,6 @@ def parse_libsvm(path, map_binary_labels: bool = True) -> tuple[list[Observation
                 label = 1.0
         out.append(Observation((idx, vals), label))
     return out, d
-
-
-def write_libsvm(path, observations: Iterable[Observation], d: int | None = None) -> None:
-    """Write observations in LIBSVM format (1-based, ascending indices)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for obs in observations:
-            y = 0.0 if obs.y is None else obs.y
-            label = repr(int(y)) if float(y).is_integer() else repr(float(y))
-            if obs.is_sparse:
-                idx, vals = obs.x
-                order = np.argsort(idx, kind="stable")
-                idx, vals = idx[order], vals[order]
-            else:
-                idx = np.nonzero(obs.x)[0]
-                vals = obs.x[idx]
-            feats = " ".join(f"{int(i) + 1}:{repr(float(v))}" for i, v in zip(idx, vals))
-            fh.write(f"{label} {feats}".rstrip() + "\n")
-
-
-def write_metadata(path, mapping: dict) -> None:
-    """Key-value sidecar (``key=value`` per line, sorted keys)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(mapping):
-            fh.write(f"{key}={mapping[key]}\n")
-
-
-def read_metadata(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
 
 
 class NormalizedStream:

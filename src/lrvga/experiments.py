@@ -544,8 +544,7 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
                 report, marks, f"sampled,{tag},K={k}", (f"sampled[{tag}]", p, k),
                 lambda: _prior(cfg, p, sigma0, rng), obs,
                 lambda belief, t, o: lrvga_nonlinear_step(
-                    belief, o, model, k_hess=k, k_grad=k,
-                    inner_loops=loops, scheme=cfg.scheme, rng=rng,
+                    belief, o, model, k=k, inner_loops=loops, scheme=cfg.scheme, rng=rng,
                 ),
                 _mc_scorer(cfg, X, y, sigma0, s_idx, 1 + k_idx),
             )

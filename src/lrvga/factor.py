@@ -180,15 +180,6 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
     return (v - fa.W @ z) / psi
 
 
-def precision_matvec(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
-    """Multiply W W^T + diag(psi) against a vector or column block."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != fa.d:
-        raise ValueError(f"vector has length {v.shape[0]}, expected {fa.d}")
-    psi = fa.psi if v.ndim == 1 else fa.psi[:, None]
-    return fa.W @ (fa.W.T @ v) + psi * v
-
-
 def log_det(fa: FaPrecision) -> float:
     """log det(W W^T + diag(psi)) via the matrix determinant lemma.
 

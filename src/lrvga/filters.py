@@ -5,7 +5,9 @@ share one implicit GLM update: the link turns a0 = x.mu_{t-1} and
 nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
 pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
 General nonlinear likelihoods are handled by sampled expectations with an
-optional extragradient (mirror-prox) correction.
+optional extragradient (mirror-prox) correction: each stage draws one
+(d, K) block of parameters, and the model turns the whole block into a
+square-root curvature block and a mean gradient in one call.
 """
 
 from __future__ import annotations
@@ -345,94 +347,56 @@ def lrvga_logistic_step(
 
 
 class NonlinearModel(Protocol):
-    """Observation model h(theta, x) with enough structure for the
-    sampled filter: Jacobians, the conditional observation covariance and
-    its square root, and the log-likelihood gradient in theta."""
+    """Observation model for the sampled filter, evaluated once per stage
+    on the whole (d, K) block of parameter draws.
 
-    def predict(self, theta: np.ndarray, x: np.ndarray) -> float | np.ndarray: ...
+    ``ggn_root`` returns a (d, m) block B with
+    B B^T = (1/K) sum_k J_k R_k J_k^T, the sampled Gauss-Newton curvature,
+    where J_k is the Jacobian of the prediction and R_k the conditional
+    observation covariance at draw k. The model owns the root, so it
+    picks m: a scalar-link GLM folds every draw into one column, a model
+    with vector outputs or per-draw Jacobians returns more.
+    ``mean_loglik_grad`` returns the (d,) mean over the draws of the
+    log-likelihood gradient in theta.
+    """
 
-    def jacobian(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray: ...
+    def ggn_root(self, thetas: np.ndarray, x: np.ndarray) -> np.ndarray: ...
 
-    def observation_cov(self, theta: np.ndarray, x: np.ndarray) -> float | np.ndarray: ...
-
-    def observation_cov_sqrt(self, theta: np.ndarray, x: np.ndarray) -> float | np.ndarray: ...
-
-    def loglik_grad(self, theta: np.ndarray, x: np.ndarray, y: float) -> np.ndarray: ...
+    def mean_loglik_grad(self, thetas: np.ndarray, x: np.ndarray, y: float) -> np.ndarray: ...
 
 
 class LogisticModel:
-    """Bernoulli likelihood with log-odds x.theta."""
+    """Bernoulli likelihood with log-odds x.theta.
 
-    def predict(self, theta, x):
-        return float(x @ theta)
+    Every draw has Jacobian x, so with z_k = x.theta_k the sampled
+    curvature is mean(sigma'(z)) x x^T, one column
+    x sqrt(mean sigma(z) (1 - sigma(z))), and the mean gradient is
+    x (y - mean sigma(z)).
+    """
 
-    def jacobian(self, theta, x):
-        return x
+    def ggn_root(self, thetas, x):
+        s = expit(x @ thetas)
+        return (x * np.sqrt(np.mean(s * (1.0 - s))))[:, None]
 
-    def observation_cov(self, theta, x):
-        s = float(expit(x @ theta))
-        return s * (1.0 - s)
-
-    def observation_cov_sqrt(self, theta, x):
-        return float(np.sqrt(self.observation_cov(theta, x)))
-
-    def loglik_grad(self, theta, x, y):
-        return (y - float(expit(x @ theta))) * x
-
-
-class LinearGaussianModel:
-    """Gaussian likelihood y ~ N(x.theta, 1); Hessian independent of theta."""
-
-    def predict(self, theta, x):
-        return float(x @ theta)
-
-    def jacobian(self, theta, x):
-        return x
-
-    def observation_cov(self, theta, x):
-        return 1.0
-
-    def observation_cov_sqrt(self, theta, x):
-        return 1.0
-
-    def loglik_grad(self, theta, x, y):
-        return (y - float(x @ theta)) * x
+    def mean_loglik_grad(self, thetas, x, y):
+        return x * (y - np.mean(expit(x @ thetas)))
 
 
 def ggn_block(model: NonlinearModel, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:
     """Square-root Gauss-Newton block from an ensemble of parameter draws.
 
-    Column i is (dh/dtheta)(theta_i) Cov(y|theta_i)^{1/2} / sqrt(K), so
-    X X^T reproduces the sampled expected Gauss-Newton curvature. For a
-    model whose log-likelihood Hessian equals the Gauss-Newton term (any
-    natural-parameter GLM, e.g. logistic), the reconstruction is exact at
-    each sample. Scalar-output models give one column per draw;
-    m-output models give m columns per draw.
+    Checks the (d, K) draws (a (d,) draw is one column, K >= 1) and
+    returns ``model.ggn_root``: a (d, m) block B with B B^T the sampled
+    expected Gauss-Newton curvature. For a model whose log-likelihood
+    Hessian equals the Gauss-Newton term (any natural-parameter GLM, e.g.
+    logistic), the reconstruction is exact at each draw.
     """
     theta_samples = np.asarray(theta_samples, dtype=float)
     if theta_samples.ndim == 1:
         theta_samples = theta_samples[:, None]
-    k = theta_samples.shape[1]
-    if k < 1:
+    if theta_samples.shape[1] < 1:
         raise ValueError("need at least one parameter draw")
-    cols = []
-    for i in range(k):
-        theta = theta_samples[:, i]
-        jac = np.asarray(model.jacobian(theta, x), dtype=float)
-        root = model.observation_cov_sqrt(theta, x)
-        if jac.ndim == 1:
-            block = jac[:, None] * float(root)
-        else:
-            block = jac @ np.atleast_2d(root)
-        cols.append(block)
-    return np.concatenate(cols, axis=1) / np.sqrt(k)
-
-
-def _mean_grad(model, x, y, thetas: np.ndarray) -> np.ndarray:
-    g = np.zeros(thetas.shape[0])
-    for i in range(thetas.shape[1]):
-        g += np.asarray(model.loglik_grad(thetas[:, i], x, y), dtype=float)
-    return g / thetas.shape[1]
+    return model.ggn_root(theta_samples, x)
 
 
 NONLINEAR_SCHEMES = ("explicit", "mirror-prox-full", "mirror-prox-skip-cov")
@@ -442,17 +406,17 @@ def lrvga_nonlinear_step(
     belief: GaussianBelief,
     obs: Observation,
     model: NonlinearModel,
-    k_hess: int = 10,
-    k_grad: int = 10,
+    k: int = 10,
     inner_loops: int | None = None,
     scheme: str = "mirror-prox-skip-cov",
     rng: np.random.Generator | int | None = None,
 ) -> GaussianBelief:
     """Sampled-expectation update for a general observation model.
 
-    Stage one evaluates curvature and gradient at the current belief:
-    the precision absorbs the Gauss-Newton block, and the mean moves by
-    the averaged log-likelihood gradient through the refreshed gain.
+    Stage one draws k parameters from the current belief and evaluates
+    the model once on the block: the precision absorbs the Gauss-Newton
+    block, and the mean moves by the mean log-likelihood gradient through
+    the refreshed gain.
 
     Schemes:
 
@@ -463,59 +427,29 @@ def lrvga_nonlinear_step(
     * ``mirror-prox-skip-cov`` (default) keeps the stage-one precision
       and only re-evaluates the mean update at the extrapolated belief.
 
-    Stage two draws new samples at the extrapolated belief. Within a
-    stage, the curvature and gradient share one sample set; the first
-    ``k_hess`` columns feed the curvature, the first ``k_grad`` the
-    gradient.
+    Stage two draws k fresh samples at the extrapolated belief. Within a
+    stage, the curvature and the gradient share the one block of draws.
     """
     if scheme not in NONLINEAR_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {NONLINEAR_SCHEMES}")
-    if min(k_hess, k_grad) < 1:
-        raise ValueError("sample counts must be at least 1")
-    d = belief.d
-    x = obs.dense_x(d)
+    if k < 1:
+        raise ValueError("sample count must be at least 1")
+    x = obs.dense_x(belief.d)
     y = _require_label(obs)
-    loops = default_inner_loops(d) if inner_loops is None else inner_loops
+    loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
     rng = np.random.default_rng(rng)
     weights = RecursionWeights(1.0, 1.0)
-    k = max(k_hess, k_grad)
 
     thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
-    block = ggn_block(model, x, thetas[:, :k_hess])
-    prec_hat = recursive_em_update(belief.prec, block, weights, loops)
-    grad = _mean_grad(model, x, y, thetas[:, :k_grad])
-    mu_hat = belief.mu + woodbury_apply(prec_hat, grad)
-
+    prec_hat = recursive_em_update(belief.prec, ggn_block(model, x, thetas), weights, loops)
+    mu_hat = belief.mu + woodbury_apply(prec_hat, model.mean_loglik_grad(thetas, x, y))
     if scheme == "explicit":
         return _checked(GaussianBelief(mu_hat, prec_hat))
 
-    thetas2 = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
-
+    # Stage two: mirror-prox-skip-cov keeps prec_hat and redoes only the mean.
+    thetas = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
+    prec = prec_hat
     if scheme == "mirror-prox-full":
-        block2 = ggn_block(model, x, thetas2[:, :k_hess])
-        prec = recursive_em_update(belief.prec, block2, weights, loops)
-        grad2 = _mean_grad(model, x, y, thetas2[:, :k_grad])
-        mu = belief.mu + woodbury_apply(prec, grad2)
-        return _checked(GaussianBelief(mu, prec))
-
-    # mirror-prox-skip-cov: keep prec_hat, redo only the mean update.
-    grad2 = _mean_grad(model, x, y, thetas2[:, :k_grad])
-    mu = belief.mu + woodbury_apply(prec_hat, grad2)
-    return _checked(GaussianBelief(mu, prec_hat))
-
-
-def expectation_by_sampling(
-    f: Callable[[np.ndarray], float],
-    belief: GaussianBelief,
-    k: int,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """Monte Carlo estimate of E[f(theta)] under the belief.
-
-    ``f`` is applied per draw; K draws come from the ensemble sampler, so
-    the whole estimate costs O(K d p) plus K evaluations of f.
-    """
-    if k < 1:
-        raise ValueError("need at least one draw")
-    thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
-    return float(np.mean([f(thetas[:, i]) for i in range(k)]))
+        prec = recursive_em_update(belief.prec, ggn_block(model, x, thetas), weights, loops)
+    mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
+    return _checked(GaussianBelief(mu, prec))

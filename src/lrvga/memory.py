@@ -15,11 +15,6 @@ from __future__ import annotations
 import tracemalloc
 
 
-def state_bytes(d: int, p: int) -> int:
-    """Float64 footprint of the carried state (W, psi, mu)."""
-    return 8 * d * (p + 2)
-
-
 def contract_budget_bytes(d: int, p: int) -> int:
     """Auxiliary allocation budget: 64 d (p + 2) bytes."""
     return 64 * d * (p + 2)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factor import FaPrecision, latent_gram
-from .factor import spd_solve  # noqa: F401 - module attribute wrapped by perfbench/trace.py
+from .factor import FaPrecision
+# Module attributes that perfbench/trace.py wraps by name.
+from .factor import latent_gram, spd_solve  # noqa: F401
 
 
 class EnsembleSampler:
@@ -39,11 +40,6 @@ class EnsembleSampler:
     @property
     def L(self) -> np.ndarray:
         return self._L
-
-    def consistency_error(self) -> float:
-        """Max abs residual of Psi L M = W; near zero for a valid cache."""
-        lhs = self.fa.psi[:, None] * (self._L @ latent_gram(self.fa))
-        return float(np.max(np.abs(lhs - self.fa.W)))
 
     def draw(self, mu: np.ndarray, k: int) -> np.ndarray:
         """Return a d x k matrix of draws from N(mu, (W W^T + Psi)^-1)."""

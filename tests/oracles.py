@@ -5,6 +5,10 @@ dense linear algebra (and brute-force root bracketing for the scalar
 systems), deliberately sharing no code paths with the package. Tests
 compare package output against these, so keep this module boring and
 obviously correct rather than fast.
+
+The last section holds helpers only the tests use: observation models
+for the sampled filter, a Monte Carlo expectation over the ensemble
+sampler, and LIBSVM and metadata writers.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
+
+from lrvga import EnsembleSampler
 
 BETA = math.sqrt(8.0 / math.pi)
 
@@ -235,3 +241,103 @@ def em_solve_step(W: np.ndarray, psi: np.ndarray, S) -> tuple[np.ndarray, np.nda
     W_new = np.linalg.solve(B.T, G.T).T
     psi_new = diag - np.einsum("ij,ij->i", cho_solve(chol, W_new.T).T, G)
     return W_new, np.maximum(psi_new, 1e-12)
+
+
+# ------------------------------------------------------ test-only helpers
+
+
+def precision_matvec(fa, v: np.ndarray) -> np.ndarray:
+    """Multiply W W^T + diag(psi) against a vector or column block."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != fa.d:
+        raise ValueError(f"vector has length {v.shape[0]}, expected {fa.d}")
+    psi = fa.psi if v.ndim == 1 else fa.psi[:, None]
+    return fa.W @ (fa.W.T @ v) + psi * v
+
+
+def sampler_consistency_error(sampler: EnsembleSampler) -> float:
+    """Max abs residual of Psi L M = W, with M = I + W^T Psi^-1 W formed
+    densely; near zero for a valid correction matrix L."""
+    W, psi = sampler.fa.W, sampler.fa.psi
+    M = np.eye(W.shape[1]) + W.T @ (W / psi[:, None])
+    return float(np.max(np.abs(psi[:, None] * (sampler.L @ M) - W)))
+
+
+def expectation_by_sampling(f, belief, k: int, rng=None) -> float:
+    """Monte Carlo estimate of E[f(theta)] under the belief: K draws from
+    the ensemble sampler, ``f`` applied per draw."""
+    if k < 1:
+        raise ValueError("need at least one draw")
+    thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
+    return float(np.mean([f(thetas[:, i]) for i in range(k)]))
+
+
+class LinearGaussianModel:
+    """Gaussian likelihood y ~ N(x.theta, 1): the curvature x x^T does not
+    depend on the draws."""
+
+    def ggn_root(self, thetas, x):
+        return x[:, None]
+
+    def mean_loglik_grad(self, thetas, x, y):
+        return x * (y - np.mean(x @ thetas))
+
+
+class PerDrawLogisticModel:
+    """Bernoulli likelihood with log-odds x.theta, evaluated draw by draw.
+
+    The curvature root has one column per draw,
+    x sqrt(s_k (1 - s_k)) / sqrt(K) with s_k = sigma(x.theta_k), and the
+    gradient is the loop mean of (y - s_k) x: the general path, against
+    which the one-column root of the package's model is checked.
+    """
+
+    def ggn_root(self, thetas, x):
+        k = thetas.shape[1]
+        cols = []
+        for i in range(k):
+            s = sigmoid(float(x @ thetas[:, i]))
+            cols.append(x * math.sqrt(s * (1.0 - s)) / math.sqrt(k))
+        return np.stack(cols, axis=1)
+
+    def mean_loglik_grad(self, thetas, x, y):
+        g = np.zeros(thetas.shape[0])
+        for i in range(thetas.shape[1]):
+            g += (y - sigmoid(float(x @ thetas[:, i]))) * x
+        return g / thetas.shape[1]
+
+
+def write_libsvm(path, observations) -> None:
+    """Write observations in LIBSVM format (1-based, ascending indices)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obs in observations:
+            y = 0.0 if obs.y is None else obs.y
+            label = repr(int(y)) if float(y).is_integer() else repr(float(y))
+            if obs.is_sparse:
+                idx, vals = obs.x
+                order = np.argsort(idx, kind="stable")
+                idx, vals = idx[order], vals[order]
+            else:
+                idx = np.nonzero(obs.x)[0]
+                vals = obs.x[idx]
+            feats = " ".join(f"{int(i) + 1}:{repr(float(v))}" for i, v in zip(idx, vals))
+            fh.write(f"{label} {feats}".rstrip() + "\n")
+
+
+def write_metadata(path, mapping: dict) -> None:
+    """Key-value sidecar (``key=value`` per line, sorted keys)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(mapping):
+            fh.write(f"{key}={mapping[key]}\n")
+
+
+def read_metadata(path) -> dict[str, str]:
+    out: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            out[key] = value
+    return out

@@ -14,10 +14,9 @@ from lrvga.datasets import (
     gen_regression_inputs,
     normalize_stream,
     parse_libsvm,
-    read_metadata,
-    write_libsvm,
-    write_metadata,
 )
+
+from oracles import read_metadata, write_libsvm, write_metadata
 
 
 def test_cov_spec_is_deterministic_and_positive_definite():
@@ -118,7 +117,7 @@ def test_libsvm_round_trip(tmp_path):
         Observation((np.array([1]), np.array([0.25])), 0.0),
         Observation(np.array([0.0, 0.0, 0.0, 3.0]), 1.0),
     ]
-    write_libsvm(path, obs, d=4)
+    write_libsvm(path, obs)
     parsed, d = parse_libsvm(path)
     assert d == 4
     assert len(parsed) == 3

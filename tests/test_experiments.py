@@ -138,7 +138,7 @@ GOLDEN = {
     "cov": "49c364d6d0d78d30c85c85555aba921d8f1ad0c1e1be0bc1ea57f0fb8d555dd2",
     "linear": "3cf30c9de4d406b57ec077f6f1e3c018ad63074ed2de92d1c876550c5efc2f81",
     "logistic": "fae4b6d7a0b08bdbbf7a575bc6692d7c8e7d744f01ae0497b8b8d65248ea4343",
-    "nonlinear": "03efbac5b5065d9219741e9bc2644d64f54ef198ed3482a34f9d2405e642201d",
+    "nonlinear": "09545e8e9bdd6b857cc421038ef777477d57e5cc95ea94083200428d5cc31009",
 }
 
 

@@ -9,14 +9,13 @@ from lrvga import (
     inverse_diag,
     latent_gram,
     log_det,
-    precision_matvec,
     star,
     trace_inverse,
     woodbury_apply,
 )
 from lrvga.factor import spd_solve
 
-from oracles import dense_covariance, dense_precision
+from oracles import dense_covariance, dense_precision, precision_matvec
 
 
 def random_fa(rng, d=None, p=None):

@@ -9,10 +9,8 @@ from lrvga import (
     DivergenceError,
     FaPrecision,
     GaussianBelief,
-    LinearGaussianModel,
     LogisticModel,
     Observation,
-    expectation_by_sampling,
     fa_dense_inverse,
     fa_dense_matrix,
     ggn_block,
@@ -26,9 +24,12 @@ from lrvga import (
 from lrvga.filters import NONLINEAR_SCHEMES, _checked
 
 from oracles import (
+    LinearGaussianModel,
+    PerDrawLogisticModel,
     dense_implicit_logistic_vga,
     dense_logistic_step,
     exact_linear_posterior,
+    expectation_by_sampling,
     solve_scalars_bisect,
 )
 
@@ -393,19 +394,6 @@ def test_psi_floor_guard_raises():
 # ----------------------------------------------------------------- GGN
 
 
-def test_ggn_block_logistic_columns():
-    rng = np.random.default_rng(21)
-    d, k = 6, 3
-    x = rng.standard_normal(d)
-    thetas = rng.standard_normal((d, k))
-    block = ggn_block(LogisticModel(), x, thetas)
-    assert block.shape == (d, k)
-    for i in range(k):
-        s = expit(float(x @ thetas[:, i]))
-        expected = x * np.sqrt(s * (1.0 - s)) / np.sqrt(k)
-        assert np.allclose(block[:, i], expected, rtol=1e-12)
-
-
 def test_ggn_outer_product_is_sampled_fisher():
     rng = np.random.default_rng(22)
     d, k = 6, 40
@@ -442,6 +430,24 @@ def test_ggn_linear_model_ignores_samples():
         ggn_block(LinearGaussianModel(), x, np.empty((d, 0)))
 
 
+@pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
+@pytest.mark.parametrize("k", [1, 10])
+def test_one_column_logistic_root_matches_the_per_draw_path(scheme, k):
+    """The logistic model folds the K draws into one curvature column; a
+    model with one column per draw and a per-draw gradient loop gives the
+    same step to rounding."""
+    d = 8
+    rng = np.random.default_rng(25)
+    bel = belief_from_prior(d, 3, seed=12, mu=0.3 * rng.standard_normal(d))
+    obs = Observation(rng.standard_normal(d), 1.0)
+    a, b = (
+        lrvga_nonlinear_step(bel, obs, model, k=k, inner_loops=3, scheme=scheme, rng=4)
+        for model in (LogisticModel(), PerDrawLogisticModel())
+    )
+    for u, v in ((a.mu, b.mu), (a.prec.W, b.prec.W), (a.prec.psi, b.prec.psi)):
+        assert np.linalg.norm(u - v) <= 1e-12 * np.linalg.norm(v)
+
+
 # ------------------------------------------------------- nonlinear filter
 
 
@@ -449,11 +455,11 @@ def test_nonlinear_constant_hessian_makes_extra_pass_idempotent():
     bel = belief_from_prior(5, 2, seed=6, mu=np.full(5, 0.1))
     obs = Observation(np.array([1.0, -0.5, 0.2, 0.0, 0.7]), 0.4)
     full = lrvga_nonlinear_step(
-        bel, obs, LinearGaussianModel(), k_hess=4, k_grad=4,
+        bel, obs, LinearGaussianModel(), k=4,
         inner_loops=3, scheme="mirror-prox-full", rng=5,
     )
     explicit = lrvga_nonlinear_step(
-        bel, obs, LinearGaussianModel(), k_hess=4, k_grad=4,
+        bel, obs, LinearGaussianModel(), k=4,
         inner_loops=3, scheme="explicit", rng=5,
     )
     # Same curvature block both times, so the precision passes coincide.
@@ -466,7 +472,7 @@ def test_nonlinear_schemes_run_and_differ_in_means():
     obs = Observation(np.array([1.0, 0.5, -0.3, 0.8]), 1.0)
     outs = {
         scheme: lrvga_nonlinear_step(
-            bel, obs, LogisticModel(), k_hess=6, k_grad=6,
+            bel, obs, LogisticModel(), k=6,
             inner_loops=3, scheme=scheme, rng=3,
         )
         for scheme in NONLINEAR_SCHEMES
@@ -482,9 +488,7 @@ def test_nonlinear_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lrvga_nonlinear_step(bel, obs, LogisticModel(), scheme="implicit")
     with pytest.raises(ValueError):
-        lrvga_nonlinear_step(bel, obs, LogisticModel(), k_hess=0)
-    with pytest.raises(ValueError):
-        lrvga_nonlinear_step(bel, obs, LogisticModel(), k_grad=0)
+        lrvga_nonlinear_step(bel, obs, LogisticModel(), k=0)
     with pytest.raises(ValueError):
         lrvga_nonlinear_step(bel, Observation(np.ones(3)), LogisticModel())
 
@@ -519,7 +523,7 @@ def test_nonlinear_large_ensemble_approaches_implicit_update():
     def gaps(scheme):
         out = lrvga_nonlinear_step(
             bel, Observation(x, y), LogisticModel(),
-            k_hess=50_000, k_grad=50_000, inner_loops=300,
+            k=50_000, inner_loops=300,
             scheme=scheme, rng=11,
         )
         dmu = np.linalg.norm(out.mu - mu_ref) / np.linalg.norm(mu_ref)

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from lrvga import GaussianBelief, Observation, init_isotropic_prior, lrvga_linear_step
+from lrvga import (
+    GaussianBelief,
+    Observation,
+    init_isotropic_prior,
+    lrvga_linear_step,
+    make_config,
+    run_experiment,
+)
 from lrvga.evaluation import mc_kl_to_posterior
 from lrvga.memory import MemoryMeter, contract_budget_bytes
 from lrvga.sampler import EnsembleSampler
@@ -38,3 +45,13 @@ def test_a_used_precision_caches_nothing_larger_than_p_squared():
               if isinstance(v, np.ndarray) and k not in ("W", "psi")}
     assert "latent_inverse" in cached
     assert all(v.size <= p * p for v in cached.values()), {k: v.shape for k, v in cached.items()}
+
+
+def test_large_scale_cli_run_stays_within_its_own_budget():
+    """The metered large-scale linear run, data generation included, stays
+    under the budget it reports (1.54 MB at d=2000, p=10). The input
+    generator's chunk is a third of that, so a second chunk-sized
+    array alive beside it breaks the budget."""
+    cfg = make_config("linear", d=2000, c=0.0, n=60, p=[10], track_memory=True)
+    summary = run_experiment(cfg).summary
+    assert 0 < summary["peak_aux_bytes"] <= summary["aux_budget_bytes"]

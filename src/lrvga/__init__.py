@@ -27,7 +27,6 @@ from .evaluation import (
     gaussian_entropy,
     gaussian_kl,
     laplace_logistic,
-    logposterior_linear,
     logposterior_logistic,
     mc_kl_to_posterior,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "latent_gram",
     "log_det",
     "log_spaced_checkpoints",
-    "logposterior_linear",
     "logposterior_logistic",
     "lrvga_linear_step",
     "lrvga_logistic_step",

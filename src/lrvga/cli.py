@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--normalize", choices=["mean-norm", "none"],
-        help="input normalization for covariance runs",
+        help="covariance runs: mean-norm (default) scales every sample by one "
+        "factor so the first 100 have mean squared norm d; none leaves them as read",
     )
     parser.add_argument(
         "--record-timing", action="store_true", default=None, dest="record_timing",

@@ -1,21 +1,26 @@
-"""Synthetic streams, LIBSVM-format files, and input normalization.
+"""Synthetic streams and LIBSVM-format files.
 
-Streams are plain single-pass iterators of vectors or Observations; every
-consumer in the package iterates them exactly once. Generation is chunked
-internally for speed but the chunk size shrinks with the dimension so no
-large buffers appear at scale.
+The generators are single-pass iterators: the input generators yield
+dense (d,) vectors, and the label generators turn a stream of inputs
+into a stream of Observations. Generation is chunked internally for
+speed, but the chunk size shrinks with the dimension so no large buffers
+appear at scale. ``parse_libsvm`` reads a whole file into a sparse row
+matrix and a label vector.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 from scipy.special import expit
 
 from .filters import Observation
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 def _chunk_rows(d: int) -> int:
@@ -67,9 +72,10 @@ def gen_fa_covariance_samples(
         m = min(chunk, remaining)
         Z = rng.standard_normal((spec.p_true, m))
         G = rng.standard_normal((spec.d, m))
-        block = W @ Z + root[:, None] * G
+        G *= root[:, None]  # in place: no second chunk-sized array
+        G += W @ Z
         for j in range(m):
-            yield block[:, j].copy()
+            yield G[:, j].copy()
         remaining -= m
 
 
@@ -118,14 +124,6 @@ class RegressionSpec:
             rng.standard_normal((self.d, self.d))  # skip past the rotation draw
         return self.sigma0 * rng.standard_normal(self.d)
 
-    def input_covariance(self) -> np.ndarray:
-        """Dense C, for oracle use at small d."""
-        lam = self.input_spectrum()
-        M = self.rotation()
-        if M is None:
-            return np.diag(lam)
-        return M.T @ (lam[:, None] * M)
-
 
 def gen_regression_inputs(
     spec: RegressionSpec, rng: np.random.Generator | int | None = None, n: int | None = None
@@ -154,20 +152,12 @@ def gen_linear_labels(
     xs: Iterable[np.ndarray],
     theta_star: np.ndarray,
     rng: np.random.Generator | int | None = None,
-    noise_sigma: float = 1.0,
 ) -> Iterator[Observation]:
-    """Attach y = x.theta_star + N(0, noise_sigma^2) labels to a stream.
-
-    ``noise_sigma = 0`` gives the noise-free stream used by exactness
-    tests.
-    """
+    """Attach y = x.theta_star + N(0, 1) labels to a stream."""
     rng = np.random.default_rng(rng)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     for x in xs:
-        y = float(x @ theta_star)
-        if noise_sigma > 0.0:
-            y += noise_sigma * rng.standard_normal()
-        yield Observation(x, y)
+        yield Observation(x, float(x @ theta_star) + rng.standard_normal())
 
 
 def gen_logistic_labels(
@@ -183,18 +173,22 @@ def gen_logistic_labels(
         yield Observation(x, float(rng.random() < prob))
 
 
-def parse_libsvm(path, map_binary_labels: bool = True) -> tuple[list[Observation], int]:
+def parse_libsvm(path) -> tuple[csr_matrix, np.ndarray]:
     """Read a sparse LIBSVM/SVMlight file.
 
     Lines look like ``label idx:val idx:val ...`` with 1-based indices.
-    Returns the observations (sparse inputs) and the inferred dimension,
-    which is the largest index seen. Labels in {-1, +1} are mapped to
-    {0, 1} when ``map_binary_labels`` is set; malformed lines raise
-    ValueError with their line number, and non-ascending indices are
-    tolerated with a warning.
+    Returns the rows as an (n, d) CSR matrix, d being the largest index
+    seen, and the n labels, with labels in {-1, +1} mapped to {0, 1}.
+    Malformed lines and repeated indices raise ValueError with their line
+    number; non-ascending indices are tolerated with a warning.
     """
-    observations: list[tuple[float, np.ndarray, np.ndarray]] = []
-    d = 0
+    # Imported here: scipy.sparse would add to every import of the package.
+    from scipy.sparse import csr_matrix
+
+    labels: list[float] = []
+    indices: list[int] = []
+    values: list[float] = []
+    indptr = [0]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -205,8 +199,7 @@ def parse_libsvm(path, map_binary_labels: bool = True) -> tuple[list[Observation
                 label = float(parts[0])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from exc
-            idx_list: list[int] = []
-            val_list: list[float] = []
+            seen: set[int] = set()
             prev = 0
             for token in parts[1:]:
                 try:
@@ -217,91 +210,19 @@ def parse_libsvm(path, map_binary_labels: bool = True) -> tuple[list[Observation
                     raise ValueError(f"line {lineno}: bad feature {token!r}") from exc
                 if idx < 1:
                     raise ValueError(f"line {lineno}: index {idx} is not 1-based")
-                if idx <= prev:
+                if idx in seen:
+                    raise ValueError(f"line {lineno}: index {idx} appears twice")
+                if idx < prev:
                     warnings.warn(
                         f"line {lineno}: feature indices are not ascending",
                         RuntimeWarning,
                     )
+                seen.add(idx)
                 prev = idx
-                idx_list.append(idx - 1)
-                val_list.append(val)
-                d = max(d, idx)
-            observations.append(
-                (label, np.asarray(idx_list, dtype=np.int64), np.asarray(val_list))
-            )
-    out = []
-    for label, idx, vals in observations:
-        if map_binary_labels:
-            if label == -1.0:
-                label = 0.0
-            elif label == +1.0:
-                label = 1.0
-        out.append(Observation((idx, vals), label))
-    return out, d
-
-
-class NormalizedStream:
-    """Rescale a stream so the mean squared norm is the dimension.
-
-    The scale is estimated from the leading batch (default 100 samples),
-    then applied to those samples and everything after them, so the
-    stream is still consumed exactly once. ``scale`` holds the applied
-    factor once iteration starts; with mode "none" the stream passes
-    through and the scale is 1.
-    """
-
-    def __init__(self, stream: Iterable, d: int, mode: str = "mean-norm", leading_batch: int = 100):
-        if mode not in ("mean-norm", "none"):
-            raise ValueError(f"unknown normalization mode {mode!r}")
-        if leading_batch < 1:
-            raise ValueError("leading batch must hold at least one sample")
-        self._stream = iter(stream)
-        self._d = d
-        self._mode = mode
-        self._leading = leading_batch
-        self.scale: float | None = 1.0 if mode == "none" else None
-
-    @staticmethod
-    def _squared_norm(item) -> float:
-        if isinstance(item, Observation):
-            return item.squared_norm()
-        return float(np.sum(np.asarray(item, dtype=float) ** 2))
-
-    def _scaled(self, item):
-        s = self.scale
-        if s == 1.0:
-            return item
-        if isinstance(item, Observation):
-            if item.is_sparse:
-                idx, vals = item.x
-                return Observation((idx, vals * s), item.y)
-            return Observation(item.x * s, item.y)
-        return np.asarray(item, dtype=float) * s
-
-    def __iter__(self):
-        if self._mode == "none":
-            for item in self._stream:
-                yield item
-            return
-        buffer = []
-        for item in self._stream:
-            buffer.append(item)
-            if len(buffer) >= self._leading:
-                break
-        if not buffer:
-            return
-        mean_sq = float(np.mean([self._squared_norm(b) for b in buffer]))
-        if mean_sq <= 0.0 or not np.isfinite(mean_sq):
-            raise ValueError("leading batch has no usable scale")
-        self.scale = float(np.sqrt(self._d / mean_sq))
-        for item in buffer:
-            yield self._scaled(item)
-        for item in self._stream:
-            yield self._scaled(item)
-
-
-def normalize_stream(
-    stream: Iterable, d: int, mode: str = "mean-norm", leading_batch: int = 100
-) -> NormalizedStream:
-    """Wrap a stream with mean-norm input scaling (or pass through)."""
-    return NormalizedStream(stream, d, mode=mode, leading_batch=leading_batch)
+                indices.append(idx - 1)
+                values.append(val)
+            labels.append(0.0 if label == -1.0 else label)
+            indptr.append(len(indices))
+    d = max(indices, default=-1) + 1
+    rows = csr_matrix((values, indices, indptr), shape=(len(labels), d), dtype=float)
+    return rows, np.asarray(labels, dtype=float)

@@ -26,16 +26,14 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 class KlEstimate:
     """Monte Carlo KL estimate with its sampling error.
 
-    When the target density is unnormalized the value is shifted by the
+    Against an unnormalized log density the value is shifted by the
     unknown log normalizer, so only differences between estimates against
-    the same target are meaningful; ``normalized`` records which case
-    applies.
+    the same target are meaningful.
     """
 
     value: float
     std_error: float
     n_samples: int
-    normalized: bool = False
 
 
 def _logdet_cov(g) -> float:
@@ -117,7 +115,6 @@ def mc_kl_to_posterior(
     logpost: Callable[[np.ndarray], np.ndarray],
     k: int = 1000,
     rng: np.random.Generator | int | None = None,
-    normalized: bool = False,
 ) -> KlEstimate:
     """Monte Carlo KL(q || posterior) from an unnormalized log density.
 
@@ -142,30 +139,7 @@ def mc_kl_to_posterior(
         raise ValueError("logpost returned non-finite values")
     estimate = -gaussian_entropy(q) - float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(k))
-    return KlEstimate(estimate, std_error, k, normalized)
-
-
-def logposterior_linear(
-    theta: np.ndarray, X: np.ndarray, y: np.ndarray, sigma0: float
-) -> np.ndarray | float:
-    """Log posterior (up to the evidence) of linear regression with unit
-    noise and an isotropic N(0, sigma0^2 I) prior.
-
-    ``theta`` may be a single (d,) vector or a (d, K) block of columns.
-    """
-    theta = np.asarray(theta, dtype=float)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    single = theta.ndim == 1
-    T = theta[:, None] if single else theta
-    d = T.shape[0]
-    resid = y[:, None] - X @ T
-    loglik = -0.5 * np.sum(resid * resid, axis=0) - 0.5 * X.shape[0] * _LOG_2PI
-    prior = -0.5 * np.sum(T * T, axis=0) / sigma0**2 - 0.5 * d * (
-        _LOG_2PI + 2.0 * np.log(sigma0)
-    )
-    out = loglik + prior
-    return float(out[0]) if single else out
+    return KlEstimate(estimate, std_error, k)
 
 
 def logposterior_logistic(

@@ -61,7 +61,6 @@ from .datasets import (
     gen_linear_labels,
     gen_logistic_labels,
     gen_regression_inputs,
-    normalize_stream,
     parse_libsvm,
 )
 
@@ -275,33 +274,49 @@ def _mc_scorer(cfg: ExperimentConfig, X, y, sigma0: float, *key: int):
 
 
 def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Materialize the (normalized) sample matrix and the dense reference
-    covariance the KL is measured against. Desk scale only."""
+    """Materialize the sample matrix, scaled to mean squared norm d under
+    "mean-norm" (the scale is estimated from the first 100 rows), and the
+    dense reference covariance the KL is measured against. Desk scale
+    only."""
     info: dict = {}
     if cfg.dataset is not None:
-        observations, d = parse_libsvm(cfg.dataset)
+        try:
+            rows, _ = parse_libsvm(cfg.dataset)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read dataset {cfg.dataset}: {exc}") from exc
+        d = rows.shape[1]
+        if rows.shape[0] == 0:
+            raise ConfigError("dataset is empty")
         if d > 2000:
             raise ConfigError("dataset dimension too large for dense evaluation")
-        raw = [obs.dense_x(d) for obs in observations[: cfg.n]]
-        if not raw:
-            raise ConfigError("dataset is empty")
+        if cfg.p[0] > d:
+            raise ConfigError(f"factor rank {cfg.p[0]} exceeds the dataset dimension {d}")
+        raw = rows[: cfg.n].toarray()
         info["source"] = f"libsvm:{cfg.dataset}"
     else:
         d = cfg.d
         if d > 2000:
             raise ConfigError("covariance runs need dense evaluation; keep d <= 2000")
         spec = SyntheticCovSpec(d, cfg.p_true or cfg.p[0], cfg.seed)
-        raw = list(gen_fa_covariance_samples(spec, cfg.n, _rng(cfg, _SEED_DATA)))
+        raw = np.array(list(gen_fa_covariance_samples(spec, cfg.n, _rng(cfg, _SEED_DATA))))
         info["source"] = f"synthetic(p_true={spec.p_true})"
-    stream = normalize_stream(raw, d, mode=cfg.normalize)
-    V = np.array(list(stream))
-    scale = float(stream.scale)
+    scale = _s0_guess(raw, d) if cfg.normalize == "mean-norm" else 1.0
+    V = raw * scale
     info["normalization_scale"] = scale
     if cfg.dataset is None:
         S_ref = scale**2 * spec.dense_matrix()
     else:
         S_ref = (V.T @ V) / V.shape[0]
     return V, S_ref, info
+
+
+def _s0_guess(V: np.ndarray, d: int) -> float:
+    """``guess_s0_scale`` of the first 100 rows; a leading batch without
+    a usable norm is a configuration error."""
+    try:
+        return guess_s0_scale(V[:100], d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -314,7 +329,7 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
     p = cfg.p[0]
     loops = cfg.inner_loops if cfg.inner_loops is not None else default_inner_loops(d)
     marks = log_spaced_checkpoints(n, cfg.checkpoints)
-    sigma0 = guess_s0_scale(V[: min(100, n)], d)
+    sigma0 = _s0_guess(V, d)
     info["sigma0_guess"] = sigma0
     report = RunReport(cfg, [], dict(info))
 

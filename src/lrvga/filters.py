@@ -34,56 +34,29 @@ PSI_FLOOR_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class Observation:
-    """One supervised sample. ``x`` is a dense (d,) vector or a sparse
-    (indices, values) pair; ``y`` may be None for unsupervised streams."""
+    """One labelled sample: a dense (d,) input ``x`` and a finite label
+    ``y``, both checked here once so the filters need only match the
+    input's length to the belief."""
 
-    x: np.ndarray | tuple[np.ndarray, np.ndarray]
-    y: float | None = None
+    x: np.ndarray
+    y: float
 
     def __post_init__(self):
-        if isinstance(self.x, tuple):
-            idx, vals = self.x
-            idx = np.asarray(idx, dtype=np.int64).ravel()
-            vals = np.asarray(vals, dtype=float).ravel()
-            if idx.shape != vals.shape:
-                raise ValueError("sparse indices and values disagree in length")
-            if idx.size and np.any(idx < 0):
-                raise ValueError("sparse indices must be non-negative")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite input entries")
-            object.__setattr__(self, "x", (idx, vals))
-        else:
-            x = np.asarray(self.x, dtype=float).ravel()
-            if not np.all(np.isfinite(x)):
-                raise ValueError("non-finite input entries")
-            object.__setattr__(self, "x", x)
-        if self.y is not None:
-            y = float(self.y)
-            if not np.isfinite(y):
-                raise ValueError("non-finite label")
-            object.__setattr__(self, "y", y)
+        x = np.asarray(self.x, dtype=float).ravel()
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite input entries")
+        y = float(self.y)
+        if not np.isfinite(y):
+            raise ValueError("non-finite label")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
-    @property
-    def is_sparse(self) -> bool:
-        return isinstance(self.x, tuple)
 
-    def dense_x(self, d: int) -> np.ndarray:
-        """Materialize the input as a length-d vector."""
-        if not self.is_sparse:
-            if self.x.shape[0] != d:
-                raise ValueError(f"input has length {self.x.shape[0]}, expected {d}")
-            return self.x
-        idx, vals = self.x
-        if idx.size and idx.max() >= d:
-            raise ValueError("sparse index out of range")
-        out = np.zeros(d)
-        out[idx] = vals
-        return out
-
-    def squared_norm(self) -> float:
-        if self.is_sparse:
-            return float(np.sum(self.x[1] ** 2))
-        return float(np.sum(self.x**2))
+def _input(obs: Observation, d: int) -> np.ndarray:
+    """The observation's input, checked against the belief's dimension."""
+    if obs.x.shape[0] != d:
+        raise ValueError(f"input has length {obs.x.shape[0]}, expected {d}")
+    return obs.x
 
 
 @dataclass(frozen=True)
@@ -119,20 +92,13 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
     return belief
 
 
-def _require_label(obs: Observation) -> float:
-    if obs.y is None:
-        raise ValueError("this filter needs labelled observations")
-    return obs.y
-
-
 def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
     """Exact conjugate update for y = x.theta + N(0, 1), dense O(d^2).
 
     Information form P_t^-1 = P_{t-1}^-1 + x x^T realized through a
     rank-one covariance downdate, then mu_t = mu_{t-1} + P_t x (y - x.mu).
     """
-    x = obs.dense_x(belief.d)
-    y = _require_label(obs)
+    x, y = _input(obs, belief.d), obs.y
     Px = belief.cov @ x
     denom = 1.0 + float(x @ Px)
     if denom <= 0.0 or not np.isfinite(denom):
@@ -148,8 +114,7 @@ def _prior_scalars(
 ) -> tuple[np.ndarray, float, np.ndarray, float, float]:
     """Validate one observation and return (x, y, P_{t-1} x, nu0, a0),
     with nu0 = x^T P_{t-1} x and a0 = x.mu_{t-1}."""
-    x = obs.dense_x(belief.d)
-    y = _require_label(obs)
+    x, y = _input(obs, belief.d), obs.y
     if binary and y not in (0.0, 1.0):
         raise ValueError("logistic labels must be 0 or 1")
     gain = woodbury_apply(belief.prec, x)
@@ -434,8 +399,7 @@ def lrvga_nonlinear_step(
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {NONLINEAR_SCHEMES}")
     if k < 1:
         raise ValueError("sample count must be at least 1")
-    x = obs.dense_x(belief.d)
-    y = _require_label(obs)
+    x, y = _input(obs, belief.d), obs.y
     loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
     rng = np.random.default_rng(rng)
     weights = RecursionWeights(1.0, 1.0)

@@ -8,7 +8,8 @@ obviously correct rather than fast.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble
-sampler, and LIBSVM and metadata writers.
+sampler, the linear-regression log posterior, the dense input covariance
+of a regression spec, and LIBSVM and metadata writers.
 """
 
 from __future__ import annotations
@@ -307,20 +308,43 @@ class PerDrawLogisticModel:
         return g / thetas.shape[1]
 
 
+def logposterior_linear(theta: np.ndarray, X: np.ndarray, y: np.ndarray, sigma0: float):
+    """Log posterior (up to the evidence) of linear regression with unit
+    noise and an isotropic N(0, sigma0^2 I) prior.
+
+    ``theta`` may be a single (d,) vector or a (d, K) block of columns.
+    """
+    theta = np.asarray(theta, dtype=float)
+    single = theta.ndim == 1
+    T = theta[:, None] if single else theta
+    d = T.shape[0]
+    log_2pi = math.log(2.0 * math.pi)
+    resid = np.asarray(y, dtype=float).ravel()[:, None] - np.asarray(X, dtype=float) @ T
+    loglik = -0.5 * np.sum(resid * resid, axis=0) - 0.5 * resid.shape[0] * log_2pi
+    prior = -0.5 * np.sum(T * T, axis=0) / sigma0**2 - 0.5 * d * (
+        log_2pi + 2.0 * math.log(sigma0)
+    )
+    out = loglik + prior
+    return float(out[0]) if single else out
+
+
+def regression_input_covariance(spec) -> np.ndarray:
+    """Dense input covariance C = M^T diag(lambda) M of a RegressionSpec."""
+    lam = spec.input_spectrum()
+    M = spec.rotation()
+    if M is None:
+        return np.diag(lam)
+    return M.T @ (lam[:, None] * M)
+
+
 def write_libsvm(path, observations) -> None:
-    """Write observations in LIBSVM format (1-based, ascending indices)."""
+    """Write observations in LIBSVM format (1-based, ascending indices,
+    zero entries left out)."""
     with open(path, "w", encoding="utf-8") as fh:
         for obs in observations:
-            y = 0.0 if obs.y is None else obs.y
-            label = repr(int(y)) if float(y).is_integer() else repr(float(y))
-            if obs.is_sparse:
-                idx, vals = obs.x
-                order = np.argsort(idx, kind="stable")
-                idx, vals = idx[order], vals[order]
-            else:
-                idx = np.nonzero(obs.x)[0]
-                vals = obs.x[idx]
-            feats = " ".join(f"{int(i) + 1}:{repr(float(v))}" for i, v in zip(idx, vals))
+            label = repr(int(obs.y)) if obs.y.is_integer() else repr(obs.y)
+            idx = np.flatnonzero(obs.x)
+            feats = " ".join(f"{int(i) + 1}:{float(obs.x[i])!r}" for i in idx)
             fh.write(f"{label} {feats}".rstrip() + "\n")
 
 

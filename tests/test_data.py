@@ -1,22 +1,26 @@
-"""Synthetic generators, sparse file I/O, stream normalization."""
+"""Synthetic generators and LIBSVM file I/O."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lrvga
 from lrvga import Observation
 from lrvga.datasets import (
-    NormalizedStream,
     RegressionSpec,
     SyntheticCovSpec,
     gen_fa_covariance_samples,
     gen_linear_labels,
     gen_logistic_labels,
     gen_regression_inputs,
-    normalize_stream,
     parse_libsvm,
 )
 
-from oracles import read_metadata, write_libsvm, write_metadata
+from oracles import read_metadata, regression_input_covariance, write_libsvm, write_metadata
 
 
 def test_cov_spec_is_deterministic_and_positive_definite():
@@ -58,7 +62,7 @@ def test_regression_spectrum_trace_and_conditioning():
     flat = RegressionSpec(d=6, n=1, c=0.0)
     assert np.allclose(flat.input_spectrum(), np.ones(6))
     assert flat.rotation() is None
-    assert np.allclose(flat.input_covariance(), np.eye(6))
+    assert np.allclose(regression_input_covariance(flat), np.eye(6))
 
 
 def test_regression_rotation_is_orthogonal_and_seeded():
@@ -66,7 +70,7 @@ def test_regression_rotation_is_orthogonal_and_seeded():
     M = spec.rotation()
     assert np.allclose(M @ M.T, np.eye(5), atol=1e-12)
     assert np.array_equal(M, RegressionSpec(d=5, n=1, c=2.0, seed=3).rotation())
-    cov = spec.input_covariance()
+    cov = regression_input_covariance(spec)
     assert np.trace(cov) == pytest.approx(5.0, rel=1e-12)
     assert np.allclose(cov, cov.T)
 
@@ -90,7 +94,7 @@ def test_regression_inputs_match_their_covariance():
     draws = np.stack(list(gen_regression_inputs(spec, rng=5, n=n)))
     assert draws.shape == (n, 4)
     emp = draws.T @ draws / n
-    cov = spec.input_covariance()
+    cov = regression_input_covariance(spec)
     assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
     assert np.mean(np.sum(draws**2, axis=1)) == pytest.approx(4.0, rel=0.05)
 
@@ -98,12 +102,11 @@ def test_regression_inputs_match_their_covariance():
 def test_label_generators():
     xs = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
     theta = np.array([3.0, -1.0])
-    noiseless = list(gen_linear_labels(iter(xs), theta, rng=0, noise_sigma=0.0))
-    assert [o.y for o in noiseless] == [3.0, -2.0]
-    noisy = list(gen_linear_labels(iter(xs), theta, rng=0, noise_sigma=1.0))
-    assert noisy[0].y != 3.0
-    again = list(gen_linear_labels(iter(xs), theta, rng=0, noise_sigma=1.0))
-    assert [o.y for o in noisy] == [o.y for o in again]
+    noisy = list(gen_linear_labels(iter(xs), theta, rng=0))
+    # The labels are x.theta plus unit normal draws from the given generator.
+    noise = np.random.default_rng(0).standard_normal(2)
+    assert [o.y for o in noisy] == [3.0 + noise[0], -2.0 + noise[1]]
+    assert np.array_equal(noisy[1].x, xs[1])
 
     labels = [o.y for o in gen_logistic_labels(iter(xs * 50), theta, rng=1)]
     assert set(labels) <= {0.0, 1.0}
@@ -113,17 +116,16 @@ def test_label_generators():
 def test_libsvm_round_trip(tmp_path):
     path = tmp_path / "data.txt"
     obs = [
-        Observation((np.array([0, 2]), np.array([1.5, -2.0])), 1.0),
-        Observation((np.array([1]), np.array([0.25])), 0.0),
+        Observation(np.array([1.5, 0.0, -2.0, 0.0]), 1.0),
+        Observation(np.array([0.0, 0.25, 0.0, 0.0]), 0.0),
         Observation(np.array([0.0, 0.0, 0.0, 3.0]), 1.0),
     ]
     write_libsvm(path, obs)
-    parsed, d = parse_libsvm(path)
-    assert d == 4
-    assert len(parsed) == 3
-    for orig, back in zip(obs, parsed):
-        assert np.allclose(back.dense_x(4), orig.dense_x(4))
-        assert back.y == orig.y
+    rows, y = parse_libsvm(path)
+    assert rows.format == "csr" and rows.shape == (3, 4)
+    assert rows.nnz == 4
+    assert np.array_equal(rows.toarray(), np.stack([o.x for o in obs]))
+    assert np.array_equal(y, [1.0, 0.0, 1.0])
 
 
 def test_libsvm_parsing_details(tmp_path):
@@ -133,14 +135,16 @@ def test_libsvm_parsing_details(tmp_path):
         "+1 1:0.5 3:1.25\n"
         "\n"
         "-1 2:-1.0   # trailing comment\n"
+        "2.5\n"
     )
-    parsed, d = parse_libsvm(path)
-    assert d == 3
-    assert parsed[0].y == 1.0
-    assert parsed[1].y == 0.0
-    assert np.allclose(parsed[0].dense_x(3), [0.5, 0.0, 1.25])
-    raw, _ = parse_libsvm(path, map_binary_labels=False)
-    assert raw[1].y == -1.0
+    rows, y = parse_libsvm(path)
+    assert rows.shape == (3, 3)
+    # -1 maps to 0; other labels pass through.
+    assert np.array_equal(y, [1.0, 0.0, 2.5])
+    assert np.array_equal(rows.toarray(), [[0.5, 0.0, 1.25], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    path.write_text("")
+    rows, y = parse_libsvm(path)
+    assert rows.shape == (0, 0) and y.shape == (0,)
 
 
 def test_libsvm_error_reporting(tmp_path):
@@ -154,9 +158,14 @@ def test_libsvm_error_reporting(tmp_path):
     path.write_text("1 1:0.5\n1 and:1.0\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_libsvm(path)
+    path.write_text("1 1:0.5\n1 3:1.0 2:2.0 3:0.5\n")
+    with pytest.raises(ValueError, match="line 2: index 3 appears twice"), \
+            pytest.warns(RuntimeWarning, match="not ascending"):
+        parse_libsvm(path)
     path.write_text("1 2:0.5 1:1.0\n")
     with pytest.warns(RuntimeWarning, match="not ascending"):
-        parse_libsvm(path)
+        rows, _ = parse_libsvm(path)
+    assert np.array_equal(rows.toarray(), [[1.0, 0.5]])
 
 
 def test_metadata_round_trip(tmp_path):
@@ -168,66 +177,16 @@ def test_metadata_round_trip(tmp_path):
     assert lines == sorted(lines)
 
 
-def test_normalized_stream_scales_to_mean_norm():
-    d = 4
-    vecs = [np.full(d, 2.0) for _ in range(10)]  # squared norm 16 = 4 d
-    ns = normalize_stream(iter(vecs), d, leading_batch=5)
-    out = list(ns)
-    assert ns.scale == pytest.approx(0.5)
-    assert all(np.allclose(v, np.ones(d)) for v in out)
-    assert np.mean([np.sum(v**2) for v in out]) == pytest.approx(d)
-
-
-def test_normalized_stream_handles_observations_and_sparse():
-    d = 3
-    obs = [
-        Observation(np.array([2.0, 0.0, 0.0]), 1.0),
-        Observation((np.array([1]), np.array([2.0])), 0.0),
-    ] * 3
-    out = list(normalize_stream(iter(obs), d, leading_batch=6))
-    # mean squared norm 4 -> scale sqrt(3) / 2
-    s = np.sqrt(3.0) / 2.0
-    assert np.allclose(out[0].x, [2.0 * s, 0.0, 0.0])
-    assert np.allclose(out[1].x[1], [2.0 * s])
-    assert out[0].y == 1.0
-
-
-def test_normalized_stream_none_mode_passes_through():
-    vecs = [np.array([5.0, 0.0])] * 4
-    ns = normalize_stream(iter(vecs), 2, mode="none")
-    out = list(ns)
-    assert ns.scale == 1.0
-    assert all(np.array_equal(v, vecs[0]) for v in out)
-
-
-def test_normalized_stream_short_and_empty_streams():
-    # Fewer samples than the leading batch: scale comes from what exists.
-    vecs = [np.array([2.0, 0.0])] * 3
-    ns = normalize_stream(iter(vecs), 2, leading_batch=100)
-    out = list(ns)
-    assert len(out) == 3
-    assert ns.scale == pytest.approx(np.sqrt(2.0) / 2.0)
-    assert list(normalize_stream(iter([]), 2)) == []
-
-
-def test_normalized_stream_rejects_bad_input():
-    with pytest.raises(ValueError):
-        normalize_stream(iter([]), 2, mode="zscore")
-    with pytest.raises(ValueError):
-        normalize_stream(iter([]), 2, leading_batch=0)
-    ns = normalize_stream(iter([np.zeros(2)] * 5), 2)
-    with pytest.raises(ValueError):
-        list(ns)
-
-
-def test_normalized_stream_consumes_the_stream_once():
-    seen = []
-
-    def gen():
-        for i in range(6):
-            seen.append(i)
-            yield np.array([1.0, float(i)])
-
-    out = list(normalize_stream(gen(), 2, leading_batch=3))
-    assert len(out) == 6
-    assert seen == list(range(6))
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    """Only parse_libsvm needs scipy.sparse, and it imports it when called:
+    loaded with the package, it would add to every start-up."""
+    code = (
+        "import sys, numpy, scipy.linalg, scipy.special\n"
+        "import lrvga, lrvga.cli\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    src = str(Path(lrvga.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -200,3 +200,68 @@ def test_data_streams_do_not_replay_the_true_parameters():
     W, _ = SyntheticCovSpec(20, 5, seed=3).factors()
     latent = ex._rng(make_config("cov", d=20, seed=3), ex._SEED_DATA).standard_normal(W.size)
     assert not np.allclose(latent, W.ravel())
+
+
+def _write_dataset(path):
+    """80 rows of d=30 LIBSVM data, about 30% of entries zero, labels +-1."""
+    rng = np.random.default_rng(2303)
+    X = rng.standard_normal((80, 30))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    labels = rng.choice([-1, 1], size=80)
+    with open(path, "w", encoding="utf-8") as fh:
+        for label, row in zip(labels, X):
+            feats = " ".join(f"{i + 1}:{float(row[i])!r}" for i in np.flatnonzero(row))
+            fh.write(f"{label:+d} {feats}\n")
+
+
+# SHA-256 of results.csv for a covariance run on the file above, under
+# each normalization mode.
+DATASET_GOLDEN = {
+    "mean-norm": "1e6ab9aa95a273746c1f72606759c7d99ca3fd92c0c314cffb8f1fb6958666c8",
+    "none": "5b1da0035453b578524ddcaafdbcffe9762e64eaa0d10718efb40f3cb546aabe",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DATASET_GOLDEN))
+def test_dataset_runs_match_the_golden_digest(mode, tmp_path):
+    data = tmp_path / "data.txt"
+    _write_dataset(data)
+    out = tmp_path / "run"
+    argv = ["--experiment", "cov", "--dataset", str(data), "--n", "60", "--p", "3",
+            "--checkpoints", "5", "--batch-passes", "2", "--normalize", mode,
+            "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == DATASET_GOLDEN[mode]
+
+
+@pytest.mark.parametrize("content, message", [
+    ("1 1:0.5 2:1.0\nabc 1:1\n", "line 2: bad label 'abc'"),
+    (None, "cannot read dataset"),
+    ("1 1:0.0 2:0.0\n-1 1:0.0\n1 2:0.0\n", "no usable scale"),
+    ("1 1:0.5\n-1 1:1.5\n", "factor rank 2 exceeds the dataset dimension 1"),
+])
+def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    if content is not None:
+        data.write_text(content)
+    argv = ["--experiment", "cov", "--dataset", str(data), "--p", "2",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cov_inputs_are_scaled_to_mean_squared_norm_d():
+    """Under "mean-norm" the first 100 samples have mean squared norm d,
+    and the reference covariance is scaled to match; "none" leaves both."""
+    base = dict(d=6, p=2, n=150, checkpoints=0, methods=["batch-em"])
+    V, S_ref, info = lrvga.experiments._cov_data(make_config("cov", **base))
+    raw, S_raw, info_raw = lrvga.experiments._cov_data(
+        make_config("cov", normalize="none", **base))
+    scale = info["normalization_scale"]
+    assert np.mean(np.sum(V[:100] ** 2, axis=1)) == pytest.approx(6.0, rel=1e-12)
+    assert info_raw["normalization_scale"] == 1.0
+    assert np.array_equal(V, raw * scale)
+    assert np.allclose(S_ref, scale**2 * S_raw, rtol=1e-14)

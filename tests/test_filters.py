@@ -71,9 +71,12 @@ def test_kalman_stream_matches_batch_posterior():
 
 
 def test_kalman_requires_label_and_positive_definiteness():
+    # The label is required when the observation is built.
+    with pytest.raises(TypeError):
+        Observation(np.ones(2))
     prior = DenseGaussian(np.zeros(2), np.eye(2))
-    with pytest.raises(ValueError):
-        kalman_step_dense(prior, Observation(np.ones(2)))
+    with pytest.raises(ValueError, match="length 3, expected 2"):
+        kalman_step_dense(prior, Observation(np.ones(3), 0.0))
     broken = DenseGaussian(np.zeros(1), -np.eye(1))
     with pytest.raises(np.linalg.LinAlgError):
         kalman_step_dense(broken, Observation(np.ones(1), 0.0))
@@ -178,56 +181,33 @@ def test_linear_full_rank_tracks_kalman():
     assert worst_prec < 1e-6
 
 
-def test_linear_sparse_input_matches_dense():
-    bel = belief_from_prior(8, 3, seed=5, mu=np.linspace(-1, 1, 8))
-    x = np.zeros(8)
-    x[[1, 4, 6]] = [0.5, -1.2, 2.0]
-    dense = lrvga_linear_step(bel, Observation(x, 0.3), inner_loops=3)
-    sparse = lrvga_linear_step(
-        bel,
-        Observation((np.array([1, 4, 6]), np.array([0.5, -1.2, 2.0])), 0.3),
-        inner_loops=3,
-    )
-    assert np.array_equal(dense.mu, sparse.mu)
-    assert np.array_equal(dense.prec.W, sparse.prec.W)
-    assert np.array_equal(dense.prec.psi, sparse.prec.psi)
-
-
 def test_linear_step_requires_label():
+    # An unlabelled observation cannot be built, so no step ever sees one.
+    with pytest.raises(TypeError):
+        Observation(np.ones(3))
+    with pytest.raises(TypeError):
+        Observation(np.ones(3), None)
     bel = belief_from_prior(3, 1)
-    with pytest.raises(ValueError):
-        lrvga_linear_step(bel, Observation(np.ones(3)))
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        lrvga_linear_step(bel, Observation(np.ones(2), 1.0))
 
 
 # ------------------------------------------------------------ observation
 
 
-def test_observation_sparse_validation():
-    Observation((np.array([0, 2]), np.array([1.0, -1.0])), 1.0)
-    with pytest.raises(ValueError):
-        Observation((np.array([0, 2]), np.array([1.0])), 1.0)
-    with pytest.raises(ValueError):
-        Observation((np.array([-1]), np.array([1.0])), 1.0)
-    with pytest.raises(ValueError):
-        Observation((np.array([0]), np.array([np.inf])), 1.0)
-    with pytest.raises(ValueError):
-        Observation(np.array([np.nan, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        Observation(np.ones(3), np.nan)
-
-
 def test_observation_dense_materialization():
-    obs = Observation((np.array([1, 3]), np.array([2.0, -1.0])), 0.0)
-    assert np.array_equal(obs.dense_x(5), [0.0, 2.0, 0.0, -1.0, 0.0])
-    assert obs.squared_norm() == pytest.approx(5.0)
-    assert obs.is_sparse
-    with pytest.raises(ValueError):
-        obs.dense_x(3)
-    dense = Observation(np.array([1.0, 2.0]), 0.0)
-    assert not dense.is_sparse
-    assert dense.squared_norm() == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        dense.dense_x(3)
+    obs = Observation([1, 2], 0)
+    assert obs.x.dtype == float and np.array_equal(obs.x, [1.0, 2.0])
+    assert isinstance(obs.y, float) and obs.y == 0.0
+    assert Observation(np.ones((1, 3)), 1.0).x.shape == (3,)
+    with pytest.raises(ValueError, match="non-finite input"):
+        Observation(np.array([np.nan, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="non-finite input"):
+        Observation(np.array([0.0, np.inf]), 1.0)
+    with pytest.raises(ValueError, match="non-finite label"):
+        Observation(np.ones(3), np.nan)
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        solve_glm_scalars(belief_from_prior(3, 1), obs)
 
 
 # --------------------------------------------------------- scalar system
@@ -275,8 +255,6 @@ def test_glm_scalars_label_validation():
     bel = belief_from_prior(3, 1)
     with pytest.raises(ValueError):
         solve_glm_scalars(bel, Observation(np.ones(3), 0.5))
-    with pytest.raises(ValueError):
-        solve_glm_scalars(bel, Observation(np.ones(3)))
 
 
 def test_glm_scalars_fallback_warns_but_stays_usable():
@@ -326,24 +304,10 @@ def test_logistic_full_rank_tracks_dense_oracle():
     assert worst_prec < 1e-4
 
 
-def test_logistic_sparse_input_matches_dense():
-    bel = belief_from_prior(6, 2, seed=9, mu=np.full(6, 0.3))
-    x = np.zeros(6)
-    x[[0, 5]] = [1.0, -2.0]
-    dense = lrvga_logistic_step(bel, Observation(x, 1.0), inner_loops=3)
-    sparse = lrvga_logistic_step(
-        bel, Observation((np.array([0, 5]), np.array([1.0, -2.0])), 1.0), inner_loops=3
-    )
-    assert np.array_equal(dense.mu, sparse.mu)
-    assert np.array_equal(dense.prec.psi, sparse.prec.psi)
-
-
 def test_logistic_label_validation():
     bel = belief_from_prior(3, 1)
     with pytest.raises(ValueError):
         lrvga_logistic_step(bel, Observation(np.ones(3), 2.0))
-    with pytest.raises(ValueError):
-        lrvga_logistic_step(bel, Observation(np.ones(3)))
 
 
 @pytest.mark.parametrize("step_kind", ["linear", "logistic"])
@@ -489,8 +453,8 @@ def test_nonlinear_rejects_bad_arguments():
         lrvga_nonlinear_step(bel, obs, LogisticModel(), scheme="implicit")
     with pytest.raises(ValueError):
         lrvga_nonlinear_step(bel, obs, LogisticModel(), k=0)
-    with pytest.raises(ValueError):
-        lrvga_nonlinear_step(bel, Observation(np.ones(3)), LogisticModel())
+    with pytest.raises(ValueError, match="length 4, expected 3"):
+        lrvga_nonlinear_step(bel, Observation(np.ones(4), 1.0), LogisticModel())
 
 
 def test_nonlinear_step_is_reproducible_under_a_seed():

@@ -10,6 +10,7 @@ from lrvga import (
     make_config,
     run_experiment,
 )
+from lrvga.datasets import SyntheticCovSpec, gen_fa_covariance_samples
 from lrvga.evaluation import mc_kl_to_posterior
 from lrvga.memory import MemoryMeter, contract_budget_bytes
 from lrvga.sampler import EnsembleSampler
@@ -55,3 +56,15 @@ def test_large_scale_cli_run_stays_within_its_own_budget():
     cfg = make_config("linear", d=2000, c=0.0, n=60, p=[10], track_memory=True)
     summary = run_experiment(cfg).summary
     assert 0 < summary["peak_aux_bytes"] <= summary["aux_budget_bytes"]
+
+
+def test_covariance_samples_are_built_in_one_chunk_array():
+    """64 draws at d=2000, p_true=5 come in two 512 KB chunks. The block
+    is built in the normal draws' buffer, so the peak is that buffer and
+    the W Z product (about 1.2 MB); the two further chunk-sized arrays
+    of an out-of-place sum would put it near 2.3 MB."""
+    spec = SyntheticCovSpec(2000, 5, seed=1)
+    with MemoryMeter() as meter:
+        for _ in gen_fa_covariance_samples(spec, 64, rng=2):
+            pass
+    assert 0 < meter.peak_bytes <= 1_600_000

@@ -200,14 +200,21 @@ def test_observation_dense_materialization():
     assert obs.x.dtype == float and np.array_equal(obs.x, [1.0, 2.0])
     assert isinstance(obs.y, float) and obs.y == 0.0
     assert Observation(np.ones((1, 3)), 1.0).x.shape == (3,)
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        solve_glm_scalars(belief_from_prior(3, 1), obs)
+
+
+def test_observation_sparse_validation():
+    # Inputs are dense only; the checks the sparse form used to share
+    # (finite entries, finite label) are made once at construction.
     with pytest.raises(ValueError, match="non-finite input"):
         Observation(np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(ValueError, match="non-finite input"):
         Observation(np.array([0.0, np.inf]), 1.0)
     with pytest.raises(ValueError, match="non-finite label"):
         Observation(np.ones(3), np.nan)
-    with pytest.raises(ValueError, match="length 2, expected 3"):
-        solve_glm_scalars(belief_from_prior(3, 1), obs)
+    with pytest.raises(ValueError, match="non-finite label"):
+        Observation(np.ones(3), -np.inf)
 
 
 # --------------------------------------------------------- scalar system

@@ -7,10 +7,11 @@ Three layers, all sharing one step kernel:
   products with d x p blocks and its diagonal.
 * ``recursive_em_update`` runs that cycle a fixed number of times against
   the implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T,
-  which is how a streaming filter absorbs a new observation block.
+  which is how a streaming filter absorbs a new observation block. It
+  alone decides the default cycle count, ``default_inner_loops(d)``.
 * ``online_em_update`` is the stochastic-approximation variant that keeps
-  running sufficient statistics instead of re-fitting per sample, with
-  Polyak-Ruppert averaging over the second half of the stream.
+  running sufficient statistics instead of re-fitting per sample;
+  ``polyak_ruppert_average`` is the running mean of its iterates.
 
 The EM cycle solves only in p-space: M^-1, formed once per precision and
 cached as ``FaPrecision.latent_inverse``, and B^-1, formed once per
@@ -142,7 +143,7 @@ def _as_target(S):
     return DenseSymmetric(S)
 
 
-def em_fixed_point_step(fa: FaPrecision, S, psi_floor: float = PSI_FLOOR) -> FaPrecision:
+def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     """One EM cycle toward the factored fit of a symmetric target S.
 
     With M = I_p + W^T Psi^-1 W, G = S Psi^-1 W and
@@ -157,7 +158,7 @@ def em_fixed_point_step(fa: FaPrecision, S, psi_floor: float = PSI_FLOOR) -> FaP
     is applied to a d x p block by one matrix product, so a cycle costs
     one product of S with a d x p block plus O(d p^2). S may be a dense
     array or any object with ``matmat`` (product with a d x p block) and
-    ``diag`` accessors. Fitted diagonal entries below ``psi_floor`` are
+    ``diag`` accessors. Fitted diagonal entries below ``PSI_FLOOR`` are
     clamped to it. The output is checked for finiteness here and then
     built without the public constructor's validation, so a recursion
     validates nothing else per cycle.
@@ -178,7 +179,7 @@ def em_fixed_point_step(fa: FaPrecision, S, psi_floor: float = PSI_FLOOR) -> FaP
     psi_new = S.diag() - star(W_new @ minv, G)
     if not (np.isfinite(W_new).all() and np.isfinite(psi_new).all()):
         raise DivergenceError("EM step produced non-finite factors")
-    np.maximum(psi_new, psi_floor, out=psi_new)
+    np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     return _trusted_precision(W_new, psi_new)
 
 
@@ -191,12 +192,12 @@ def recursive_em_update(
     prev: FaPrecision,
     X: np.ndarray,
     weights: RecursionWeights = RecursionWeights(1.0, 1.0),
-    inner_loops: int = 3,
-    psi_floor: float = PSI_FLOOR,
+    inner_loops: int | None = None,
 ) -> FaPrecision:
     """Absorb a d x K observation block into the factored state.
 
-    Runs ``inner_loops`` EM cycles against the implicit target
+    Runs ``inner_loops`` EM cycles, ``default_inner_loops(prev.d)`` when
+    it is None, against the implicit target
     alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, warm-started at the
     carried state. The target is held in product form, so nothing
     quadratic in d is allocated. The block is validated here, once; the
@@ -212,13 +213,15 @@ def recursive_em_update(
         raise ValueError(f"block has {X.shape[0]} rows, expected {prev.d}")
     if not np.all(np.isfinite(X)):
         raise ValueError("observation block contains non-finite entries")
-    if inner_loops < 1:
+    if inner_loops is None:
+        inner_loops = default_inner_loops(prev.d)
+    elif inner_loops < 1:
         raise ValueError("inner_loops must be at least 1")
 
     target = _BlendTarget(prev, X, weights.alpha, weights.beta)
     fa = prev
     for _ in range(inner_loops):
-        fa = em_fixed_point_step(fa, target, psi_floor=psi_floor)
+        fa = em_fixed_point_step(fa, target)
     return fa
 
 
@@ -229,26 +232,18 @@ def online_em_gamma(t: int) -> float:
     return float(t) ** -0.6
 
 
-@dataclass
+@dataclass(frozen=True)
 class OnlineEmState:
     """Running sufficient statistics for the online EM recursion.
 
     ``s1_diag`` tracks the diagonal of the second moment of the data,
     ``s2`` the latent-observed cross moment (p x d), ``s3`` the latent
-    second moment (p x p). The last M-step iterate is kept so the
-    Polyak-Ruppert accumulators (``averaged_W``, ``averaged_psi``) can
-    fold it in.
+    second moment (p x p).
     """
 
     s1_diag: np.ndarray
     s2: np.ndarray
     s3: np.ndarray
-    step_index: int = 0
-    last_W: np.ndarray | None = None
-    last_psi: np.ndarray | None = None
-    averaged_W: np.ndarray | None = None
-    averaged_psi: np.ndarray | None = None
-    averaged_count: int = 0
 
     @classmethod
     def zeros(cls, d: int, p: int) -> "OnlineEmState":
@@ -258,11 +253,7 @@ class OnlineEmState:
 
 
 def online_em_update(
-    state: OnlineEmState,
-    fa: FaPrecision,
-    v: np.ndarray,
-    gamma: float,
-    psi_floor: float = PSI_FLOOR,
+    state: OnlineEmState, fa: FaPrecision, v: np.ndarray, gamma: float
 ) -> tuple[OnlineEmState, FaPrecision]:
     """One stochastic EM step on a single observation v.
 
@@ -305,50 +296,24 @@ def online_em_update(
     psi = s1 - star(W, s2.T)
     if not (np.all(np.isfinite(W)) and np.all(np.isfinite(psi))):
         raise DivergenceError("online EM produced non-finite factors")
-    psi = np.maximum(psi, psi_floor)
-
-    new_state = OnlineEmState(
-        s1_diag=s1,
-        s2=s2,
-        s3=s3,
-        step_index=state.step_index + 1,
-        last_W=W,
-        last_psi=psi,
-        averaged_W=state.averaged_W,
-        averaged_psi=state.averaged_psi,
-        averaged_count=state.averaged_count,
-    )
-    return new_state, _trusted_precision(W, psi)
+    psi = np.maximum(psi, PSI_FLOOR)
+    return OnlineEmState(s1, s2, s3), _trusted_precision(W, psi)
 
 
-def polyak_ruppert_average(state: OnlineEmState, t: int, n_total: int) -> FaPrecision:
-    """Fold the latest iterate into the second-half running average.
+def polyak_ruppert_average(avg: FaPrecision | None, fa: FaPrecision, k: int) -> FaPrecision:
+    """Mean of k iterates, from the mean ``avg`` of the first k - 1 and
+    the k-th iterate ``fa``:
 
-    Averaging starts after the halfway point: with t_tilde = t - n_total // 2,
-    the accumulators follow
+        avg_k = (1 - 1/k) avg_{k-1} + fa / k
 
-        avg_t = ((t_tilde - 1) avg_{t-1} + iterate_t) / t_tilde
-
-    so after the stream they hold the plain mean of the second-half
-    iterates. Must be called once per step, in order, with t > n_total // 2.
+    ``avg`` is ignored at k = 1. There the mean is a copy of ``fa`` in C
+    order: an online EM iterate's W is the transpose of a solve, and the
+    layout of the averaged factors sets the rounding of every BLAS
+    product taken with them downstream.
     """
-    half = n_total // 2
-    if t <= half:
-        raise ValueError("averaging only starts after the first half of the stream")
-    if state.last_W is None or state.last_psi is None:
-        raise ValueError("no M-step iterate to average yet")
-    t_tilde = t - half
-    if t_tilde != state.averaged_count + 1:
-        raise ValueError(
-            f"averaging must fold each step exactly once in order; "
-            f"expected t_tilde={state.averaged_count + 1}, got {t_tilde}"
-        )
-    if t_tilde == 1:
-        state.averaged_W = state.last_W.copy()
-        state.averaged_psi = state.last_psi.copy()
-    else:
-        w = 1.0 / t_tilde
-        state.averaged_W = (1.0 - w) * state.averaged_W + w * state.last_W
-        state.averaged_psi = (1.0 - w) * state.averaged_psi + w * state.last_psi
-    state.averaged_count = t_tilde
-    return FaPrecision(state.averaged_W.copy(), state.averaged_psi.copy())
+    if k < 1:
+        raise ValueError("the average needs at least one iterate")
+    if k == 1:
+        return FaPrecision(fa.W.copy(), fa.psi.copy())
+    w = 1.0 / k
+    return FaPrecision((1.0 - w) * avg.W + w * fa.W, (1.0 - w) * avg.psi + w * fa.psi)

@@ -21,6 +21,10 @@ from .sampler import EnsembleSampler, draw_dense_reference
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Newton ascent of the Laplace baseline: gradient-norm tolerance and step cap.
+LAPLACE_TOL = 1e-8
+LAPLACE_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class KlEstimate:
@@ -73,7 +77,7 @@ def gaussian_kl(q, target) -> float:
         else:
             trace = float(np.sum(tpsi * np.diag(q.cov)) + np.einsum("ij,ij->", tw, q.cov @ tw))
     else:
-        factor = cho_factor((target.cov + target.cov.T) / 2.0, lower=True)
+        factor = cho_factor(target.cov, lower=True)
         quad = float(delta @ cho_solve(factor, delta))
         cov_q = fa_dense_inverse(q.prec) if isinstance(q, GaussianBelief) else q.cov
         trace = float(np.trace(cho_solve(factor, cov_q)))
@@ -163,17 +167,12 @@ def logposterior_logistic(
     return float(out[0]) if single else out
 
 
-def laplace_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    sigma0: float,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> DenseGaussian:
+def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussian:
     """Laplace approximation of the logistic posterior (dense, small d).
 
     Damped Newton ascent to the MAP of the l2-regularized logistic
-    objective, then the covariance is the inverse Hessian there:
+    objective, stopped at a gradient norm of ``LAPLACE_TOL`` or after
+    ``LAPLACE_MAX_ITER`` steps; the covariance is the inverse Hessian there:
     H = I / sigma0^2 + sum_i sigma'(x_i.theta) x_i x_i^T.
     """
     X = np.asarray(X, dtype=float)
@@ -190,11 +189,11 @@ def laplace_logistic(
         return float(np.sum(y * z - np.logaddexp(0.0, z)) - 0.5 * t @ t / sigma0**2)
 
     obj = objective(theta)
-    for _ in range(max_iter):
+    for _ in range(LAPLACE_MAX_ITER):
         z = X @ theta
         s = expit(z)
         grad = X.T @ (y - s) - theta / sigma0**2
-        if np.linalg.norm(grad) <= tol:
+        if np.linalg.norm(grad) <= LAPLACE_TOL:
             break
         H = X.T @ (X * (s * (1.0 - s))[:, None]) + np.eye(d) / sigma0**2
         direction = np.linalg.solve(H, grad)
@@ -211,5 +210,4 @@ def laplace_logistic(
     z = X @ theta
     s = expit(z)
     H = X.T @ (X * (s * (1.0 - s))[:, None]) + np.eye(d) / sigma0**2
-    cov = np.linalg.inv(H)
-    return DenseGaussian(theta, (cov + cov.T) / 2.0)
+    return DenseGaussian(theta, np.linalg.inv(H))

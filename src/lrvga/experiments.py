@@ -5,14 +5,19 @@ regression, and the sampled-nonlinear ablation. Every streaming run goes
 through one checkpoint fold, ``_fold``; only the batch EM baseline, whose
 checkpoints are whole passes, has its own loop. Every run is seeded and
 reproducible; the emitted results.csv is byte-identical across reruns of
-the same config and seed. Wall-clock numbers always go to summary.txt,
-and are written into results.csv only when ``record_timing`` is set,
-since timing jitter would break byte-level reproducibility.
+the same config and seed on the same BLAS build with the same BLAS thread
+count. The thread count changes how BLAS splits its sums, and so the
+rounding: pin it (``OPENBLAS_NUM_THREADS=1``) to compare runs across
+machines. Wall-clock numbers always go to summary.txt, and are written
+into results.csv only when ``record_timing`` is set, since timing jitter
+would break byte-level reproducibility.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field
@@ -21,11 +26,10 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .dense import DenseGaussian, fa_dense_matrix
+from .dense import DenseGaussian, fa_dense_inverse
 from .em import (
     OnlineEmState,
     covariance_mode_weights,
-    default_inner_loops,
     em_fixed_point_step,
     guess_s0_scale,
     online_em_gamma,
@@ -131,25 +135,49 @@ def make_config(kind: str, **overrides) -> ExperimentConfig:
         defaults["d"] = 20
     defaults.update({k: v for k, v in overrides.items() if v is not None})
 
-    # Normalize the shapes of list-valued fields.
-    for key, cast in (("p", int), ("k_hess", int), ("sigma0", float)):
-        if key in defaults and np.isscalar(defaults[key]):
-            defaults[key] = [cast(defaults[key])]
-
     valid = set(ExperimentConfig.__dataclass_fields__) - {"kind"}
     unknown = set(defaults) - valid
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ExperimentConfig(kind=kind, **defaults)
+    cfg = ExperimentConfig(kind=kind, **{k: _typed(k, v) for k, v in defaults.items()})
     _validate(cfg)
     return cfg
+
+
+def _typed(key: str, value):
+    """``value`` as the type the field ``key`` declares, or a ConfigError.
+
+    A count takes an int or an integral float, a real takes any finite
+    number, and a list field takes a list or one item; a bool is not a
+    number.
+    """
+    kind = ExperimentConfig.__dataclass_fields__[key].type.split(" | ")[0]
+    if kind.startswith("list["):
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return [_typed_item(key, kind[5:-1], v) for v in items]
+    return _typed_item(key, kind, value)
+
+
+def _typed_item(key: str, kind: str, value):
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind == "int" and number and float(value).is_integer():
+        return int(value)
+    if kind == "float" and number and math.isfinite(value):
+        return float(value)
+    if (kind == "str" and isinstance(value, str)) or (kind == "bool" and isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{key} takes {kind} values, got {value!r}")
 
 
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.d < 1 or cfg.n < 1:
         raise ConfigError("d and n must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if not cfg.p or any(not 1 <= p <= cfg.d for p in cfg.p):
         raise ConfigError("each factor rank must satisfy 1 <= p <= d")
+    if cfg.p_true is not None and not 1 <= cfg.p_true <= cfg.d:
+        raise ConfigError("the generator rank must satisfy 1 <= p_true <= d")
     if not cfg.k_hess or any(k < 1 for k in cfg.k_hess):
         raise ConfigError("sample counts must be positive")
     if cfg.inner_loops is not None and cfg.inner_loops < 1:
@@ -215,10 +243,6 @@ def log_spaced_checkpoints(n: int, count: int) -> list[int]:
 
 def _rng(cfg: ExperimentConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, *key])
-
-
-def _loops(cfg: ExperimentConfig) -> int:
-    return cfg.inner_loops if cfg.inner_loops is not None else default_inner_loops(cfg.d)
 
 
 def _prior(cfg: ExperimentConfig, p: int, sigma0: float, rng) -> GaussianBelief:
@@ -297,7 +321,7 @@ def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
         d = cfg.d
         if d > 2000:
             raise ConfigError("covariance runs need dense evaluation; keep d <= 2000")
-        spec = SyntheticCovSpec(d, cfg.p_true or cfg.p[0], cfg.seed)
+        spec = SyntheticCovSpec(d, cfg.p[0] if cfg.p_true is None else cfg.p_true, cfg.seed)
         raw = np.array(list(gen_fa_covariance_samples(spec, cfg.n, _rng(cfg, _SEED_DATA))))
         info["source"] = f"synthetic(p_true={spec.p_true})"
     scale = _s0_guess(raw, d) if cfg.normalize == "mean-norm" else 1.0
@@ -307,7 +331,29 @@ def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
         S_ref = scale**2 * spec.dense_matrix()
     else:
         S_ref = (V.T @ V) / V.shape[0]
+        _require_full_rank(V, S_ref)
     return V, S_ref, info
+
+
+def _require_full_rank(V: np.ndarray, S_ref: np.ndarray) -> None:
+    """The KL is measured against S_ref, the second moment of the rows
+    read, so they must span R^d; name the cause when they do not."""
+    n, d = V.shape
+    rank = np.linalg.matrix_rank(S_ref, hermitian=True)
+    if rank == d:
+        return
+    absent = np.flatnonzero(~V.any(axis=0)) + 1
+    if absent.size:
+        cause = "no row read has feature " + ", ".join(map(str, absent[:5]))
+        cause += ", ..." if absent.size > 5 else ""
+    elif n < d:
+        cause = f"{n} rows cannot span {d} dimensions"
+    else:
+        cause = "the rows read are linearly dependent"
+    raise ConfigError(
+        f"the covariance of the first {n} rows has rank {rank} < d = {d} ({cause}); "
+        "the KL against it is undefined"
+    )
 
 
 def _s0_guess(V: np.ndarray, d: int) -> float:
@@ -327,7 +373,6 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
     V, S_ref, info = _cov_data(cfg)
     n, d = V.shape
     p = cfg.p[0]
-    loops = cfg.inner_loops if cfg.inner_loops is not None else default_inner_loops(d)
     marks = log_spaced_checkpoints(n, cfg.checkpoints)
     sigma0 = _s0_guess(V, d)
     info["sigma0_guess"] = sigma0
@@ -342,16 +387,16 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
     def online_step(state, t, v):
         # (statistics, iterate, fit scored): the fit is the Polyak-Ruppert
         # average over the second half of the stream, the iterate before.
-        stats, fa, _ = state
+        stats, fa, fit = state
         stats, fa = online_em_update(stats, fa, v, online_em_gamma(t))
-        return stats, fa, polyak_ruppert_average(stats, t, n) if t > n // 2 else fa
+        return stats, fa, polyak_ruppert_average(fit, fa, t - n // 2) if t > n // 2 else fa
 
     for method in cfg.methods:
         if method == "recursive-em":
             _fold(
                 report, marks, method, (method, p, 0), lambda: prior(0), V,
                 lambda fa, t, v: recursive_em_update(
-                    fa, v[:, None], covariance_mode_weights(t), loops
+                    fa, v[:, None], covariance_mode_weights(t), cfg.inner_loops
                 ),
                 score,
             )
@@ -395,17 +440,16 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
     spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
     report = RunReport(cfg, [], {})
-    loops = _loops(cfg)
 
     def step(belief, t, o):
-        return lrvga_linear_step(belief, o, loops)
+        return lrvga_linear_step(belief, o, cfg.inner_loops)
 
     if cfg.d <= DENSE_EVAL_LIMIT:
         X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))))
         obs = list(gen_linear_labels(X, spec.truth(), _rng(cfg, _SEED_LABELS)))
         y = np.array([o.y for o in obs])
         cov_star = np.linalg.inv(np.eye(cfg.d) / sigma0**2 + X.T @ X)
-        target = DenseGaussian(cov_star @ (X.T @ y), (cov_star + cov_star.T) / 2.0)
+        target = DenseGaussian(cov_star @ (X.T @ y), cov_star)
 
         def score(q, t):
             return gaussian_kl(q, target), None
@@ -446,8 +490,10 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
             stream, step, None,
         )
     if cfg.track_memory:
+        budget = contract_budget_bytes(cfg.d, p)
         report.summary["peak_aux_bytes"] = meter.peak_bytes
-        report.summary["aux_budget_bytes"] = contract_budget_bytes(cfg.d, p)
+        report.summary["aux_budget_bytes"] = budget
+        report.summary["aux_within_budget"] = meter.peak_bytes <= budget
     wall = report.summary["wall_seconds[lrvga]"]
     report.summary["wall_ms_per_step[lrvga]"] = round(1000.0 * wall / cfg.n, 6)
     report.summary["final_mu_norm"] = float(np.linalg.norm(belief.mu))
@@ -475,14 +521,13 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
     sigma0 = cfg.sigma0[0]
     X, y, obs = _logistic_data(cfg, sigma0, 0)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
-    loops = _loops(cfg)
     report = RunReport(cfg, [], {"label_balance": float(np.mean(y))})
     final_beliefs: dict[int, GaussianBelief] = {}
     for p_idx, p in enumerate(cfg.p):
         final_beliefs[p] = _fold(
             report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
-            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, loops),
+            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             _mc_scorer(cfg, X, y, sigma0, p_idx),
         )
 
@@ -512,8 +557,7 @@ def _sampling_check(belief: GaussianBelief, x: np.ndarray, k: int, rng_seed) -> 
     nu = float(x @ woodbury_apply(belief.prec, x))
     closed = float(expit(BETA_PROBIT / np.sqrt(nu + BETA_PROBIT**2) * a))
     ens = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
-    dense_cov = np.linalg.inv(fa_dense_matrix(belief.prec))
-    ref = draw_dense_reference(belief.mu, (dense_cov + dense_cov.T) / 2.0, k, rng)
+    ref = draw_dense_reference(belief.mu, fa_dense_inverse(belief.prec), k, rng)
     ens_mean = float(np.mean(expit(x @ ens)))
     ref_mean = float(np.mean(expit(x @ ref)))
     return {
@@ -534,7 +578,6 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError("config kind must be 'nonlinear'")
     p = cfg.p[0]
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
-    loops = _loops(cfg)
     report = RunReport(cfg, [], {"scheme": cfg.scheme})
     model = LogisticModel()
 
@@ -544,7 +587,7 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
         belief = _fold(
             report, marks, f"closed-form,{tag}", (f"closed-form[{tag}]", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, s_idx, 0)),
-            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, loops),
+            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             _mc_scorer(cfg, X, y, sigma0, s_idx, 0),
         )
         if s_idx == 0:
@@ -559,7 +602,8 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
                 report, marks, f"sampled,{tag},K={k}", (f"sampled[{tag}]", p, k),
                 lambda: _prior(cfg, p, sigma0, rng), obs,
                 lambda belief, t, o: lrvga_nonlinear_step(
-                    belief, o, model, k=k, inner_loops=loops, scheme=cfg.scheme, rng=rng,
+                    belief, o, model, k=k, inner_loops=cfg.inner_loops,
+                    scheme=cfg.scheme, rng=rng,
                 ),
                 _mc_scorer(cfg, X, y, sigma0, s_idx, 1 + k_idx),
             )

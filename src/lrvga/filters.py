@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dense import DenseGaussian
-from .em import RecursionWeights, default_inner_loops, recursive_em_update
+from .em import RecursionWeights, recursive_em_update
 from .factor import PSI_FLOOR, DivergenceError, FaPrecision, woodbury_apply
 from .sampler import EnsembleSampler
 
@@ -30,6 +30,10 @@ BETA_PROBIT = float(np.sqrt(8.0 / np.pi))
 # Divergence guards, checked after every filter step.
 MU_NORM_LIMIT = 1e8
 PSI_FLOOR_FRACTION = 0.1
+
+# Residual tolerance and iteration cap of the logistic step's scalar solve.
+SCALAR_TOL = 1e-10
+SCALAR_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def _glm_step(
     # Built in the gain's buffer: the new mean is the only d-vector kept.
     gain *= r
     mu = np.add(belief.mu, gain, out=gain)
-    loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
-    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, s), loops)
+    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, s), inner_loops)
     return _checked(GaussianBelief(mu, prec))
 
 
@@ -197,22 +200,18 @@ def _scalar_residuals(a: float, nu: float, a0: float, nu0: float, y: float) -> t
     return r_a, r_nu
 
 
-def _solve_scalar_system(
-    a0: float, nu0: float, y: float, tol: float, max_iter: int
-) -> GlmScalarSolution:
+def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
     beta2 = BETA_PROBIT**2
     if nu0 <= 0.0:
         # Deterministic direction: the update degenerates to a0 and k = 1.
         return GlmScalarSolution(a0, 0.0, 1.0, 0.0, 0.0, 0, True)
 
     a, nu = a0, nu0
-    converged = False
     it = 0
     r_a, r_nu = _scalar_residuals(a, nu, a0, nu0, y)
     norm = max(abs(r_a), abs(r_nu))
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            converged = True
+    for it in range(1, SCALAR_MAX_ITER + 1):
+        if norm <= SCALAR_TOL:
             break
         k = BETA_PROBIT / np.sqrt(nu + beta2)
         sig = expit(k * a)
@@ -247,11 +246,8 @@ def _solve_scalar_system(
             step *= 0.5
         if not improved:
             break
-    else:
-        converged = norm <= tol
 
-    if norm <= tol:
-        converged = True
+    converged = norm <= SCALAR_TOL
     if not converged:
         warnings.warn(
             "implicit scalar solve hit its iteration cap, applying one "
@@ -267,12 +263,7 @@ def _solve_scalar_system(
     return GlmScalarSolution(float(a), float(nu), k, float(r_a), float(r_nu), it, converged)
 
 
-def solve_glm_scalars(
-    belief: GaussianBelief,
-    obs: Observation,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> GlmScalarSolution:
+def solve_glm_scalars(belief: GaussianBelief, obs: Observation) -> GlmScalarSolution:
     """Solve the implicit pair (a, nu) of a logistic update.
 
     With nu0 = x^T P_{t-1} x and a0 = x.mu_{t-1}, the posterior scalars
@@ -282,18 +273,16 @@ def solve_glm_scalars(
         a  = a0 + nu0 (y - sigma(k a))
 
     where s(a, nu) = k sigma'(k a) and k = beta / sqrt(nu + beta^2).
-    Solved by damped Newton; if the iteration cap is hit, one Picard
-    sweep is applied and a warning raised.
+    Solved by damped Newton to a residual of ``SCALAR_TOL``; if the cap
+    of ``SCALAR_MAX_ITER`` iterations is hit, one Picard sweep is applied
+    and a warning raised.
     """
     _, y, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
-    return _solve_scalar_system(a0, nu0, y, tol, max_iter)
+    return _solve_scalar_system(a0, nu0, y)
 
 
 def lrvga_logistic_step(
-    belief: GaussianBelief,
-    obs: Observation,
-    inner_loops: int | None = None,
-    tol: float = 1e-10,
+    belief: GaussianBelief, obs: Observation, inner_loops: int | None = None
 ) -> GaussianBelief:
     """Limited-memory update for a Bernoulli observation with logistic link.
 
@@ -305,7 +294,7 @@ def lrvga_logistic_step(
     """
 
     def rule(a0: float, nu0: float, y: float) -> tuple[float, float]:
-        sol = _solve_scalar_system(a0, nu0, y, tol, max_iter=50)
+        sol = _solve_scalar_system(a0, nu0, y)
         return _sigmoid_weight(sol.a, sol.nu), y - float(expit(sol.k * sol.a))
 
     return _glm_step(belief, obs, inner_loops, rule, binary=True)
@@ -400,12 +389,13 @@ def lrvga_nonlinear_step(
     if k < 1:
         raise ValueError("sample count must be at least 1")
     x, y = _input(obs, belief.d), obs.y
-    loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
     rng = np.random.default_rng(rng)
     weights = RecursionWeights(1.0, 1.0)
 
     thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
-    prec_hat = recursive_em_update(belief.prec, ggn_block(model, x, thetas), weights, loops)
+    prec_hat = recursive_em_update(
+        belief.prec, ggn_block(model, x, thetas), weights, inner_loops
+    )
     mu_hat = belief.mu + woodbury_apply(prec_hat, model.mean_loglik_grad(thetas, x, y))
     if scheme == "explicit":
         return _checked(GaussianBelief(mu_hat, prec_hat))
@@ -414,6 +404,8 @@ def lrvga_nonlinear_step(
     thetas = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
     prec = prec_hat
     if scheme == "mirror-prox-full":
-        prec = recursive_em_update(belief.prec, ggn_block(model, x, thetas), weights, loops)
+        prec = recursive_em_update(
+            belief.prec, ggn_block(model, x, thetas), weights, inner_loops
+        )
     mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
     return _checked(GaussianBelief(mu, prec))

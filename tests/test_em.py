@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lrvga.em
 from lrvga import (
     FaPrecision,
     RecursionWeights,
@@ -288,3 +289,19 @@ def test_default_inner_loops_switches_at_scale():
     assert default_inner_loops(1000) == 3
     assert default_inner_loops(1001) == 1
     assert default_inner_loops(100000) == 1
+
+
+@pytest.mark.parametrize("d, cycles", [(10, 3), (1001, 1)])
+def test_recursive_update_defaults_to_the_heuristic_cycle_count(d, cycles, monkeypatch):
+    """With no ``inner_loops``, the update runs ``default_inner_loops(d)``
+    EM cycles, so every filter that passes None through gets the same count."""
+    calls = []
+
+    def counting_step(fa, S):
+        calls.append(fa.d)
+        return em_fixed_point_step(fa, S)
+
+    monkeypatch.setattr(lrvga.em, "em_fixed_point_step", counting_step)
+    prev = init_isotropic_prior(d, 2, 1.0, rng=0)
+    recursive_em_update(prev, np.random.default_rng(1).standard_normal(d))
+    assert calls == [d] * cycles == [d] * default_inner_loops(d)

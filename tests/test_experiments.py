@@ -148,6 +148,18 @@ def test_results_match_the_golden_digest(kind, tmp_path):
     assert digest == GOLDEN[kind]
 
 
+def test_wider_cov_run_matches_the_golden_digest(tmp_path):
+    """A cov run long enough for the online-EM Polyak-Ruppert average to
+    span 100 iterates. The TINY cov config averages only 20, and misses a
+    change of array layout in the average that moves its KLs by about
+    1e-12 relative; this one catches it. The digest is the same at one
+    and two BLAS threads."""
+    cfg = make_config("cov", d=20, p=3, n=200, checkpoints=20, batch_passes=2, seed=3)
+    emit_report(run_experiment(cfg), tmp_path)
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == "27c84f9ba6b321d5afea13d6969176c7212f1b47eb0d39c6b92855c7c6d614ed"
+
+
 def test_report_round_trips_through_results_csv(tmp_path):
     rows = [
         CheckpointRow(1, "lrvga", 5, 0, 0.1 + 0.2, 1e-17, None),
@@ -251,6 +263,79 @@ def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "run").exists()
+
+
+def _write_eleven_features(path, missing):
+    """60 LIBSVM rows with d = 11, every entry nonzero except feature ``missing``."""
+    X = np.random.default_rng(11).uniform(0.5, 1.5, (60, 11))
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in X:
+            feats = (f"{i}:{float(v)!r}" for i, v in enumerate(row, start=1) if i != missing)
+            fh.write(f"1 {' '.join(feats)}\n")
+
+
+@pytest.mark.parametrize("n, missing, message", [
+    (50, 3, "rank 10 < d = 11 (no row read has feature 3)"),
+    (8, None, "rank 8 < d = 11 (8 rows cannot span 11 dimensions)"),
+    (8, 3, "rank 8 < d = 11 (no row read has feature 3)"),
+])
+def test_datasets_that_do_not_span_exit_with_code_1(n, missing, message, tmp_path, capsys):
+    """The reference covariance of a dataset run is the second moment of
+    the first n rows; when they do not span R^d it is singular, and the
+    run is refused before it starts."""
+    data = tmp_path / "data.txt"
+    _write_eleven_features(data, missing)
+    argv = ["--experiment", "cov", "--dataset", str(data), "--n", str(n), "--p", "2",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_dataset_of_dependent_rows_is_refused(tmp_path):
+    data = tmp_path / "data.txt"
+    pairs = [(1, 2), (2, 4), (3, 1), (1, 5)]  # features 1 and 2 are equal in every row
+    data.write_text("".join(f"1 1:{a} 2:{a} 3:{b}\n" for a, b in pairs))
+    with pytest.raises(lrvga.experiments.ConfigError, match="rows read are linearly dependent"):
+        lrvga.experiments._cov_data(make_config("cov", dataset=str(data), p=1))
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--d", "30", "--p-true", "500"], None),
+    (["--d", "30", "--p-true", "0"], None),
+    (["--seed", "-1"], None),
+    ([], {"p": "abc"}),
+    ([], {"n": "ten"}),
+    ([], {"d": 20.5}),
+    ([], {"sigma0": float("nan")}),
+], ids=["p_true-above-d", "p_true-zero", "seed-negative", "p-string", "n-string",
+        "d-fraction", "sigma0-nan"])
+def test_config_values_of_the_wrong_range_or_type_exit_with_code_1(
+    flags, config, tmp_path, capsys
+):
+    """Each case raised out of ``main`` or ran with other values: a
+    generator rank above d, a zero one (read as "unset"), a negative seed,
+    and config-file
+    values of the wrong type, a non-integral count or a non-finite real."""
+    argv = ["--experiment", "cov", "--checkpoints", "2", "--out", str(tmp_path / "run"), *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_counts_accept_integral_floats_only():
+    cfg = make_config("cov", d=20.0, p=3.0, n=50, sigma0=2, methods="batch-em")
+    assert (cfg.d, cfg.p, cfg.sigma0, cfg.methods) == (20, [3], [2.0], ["batch-em"])
+    assert type(cfg.d) is int
+    for bad in (dict(d=True), dict(normalize=1), dict(record_timing="yes"), dict(p=[2, 2.5]),
+                dict(c=float("inf"))):
+        with pytest.raises(lrvga.experiments.ConfigError):
+            make_config("cov", **bad)
 
 
 def test_cov_inputs_are_scaled_to_mean_squared_norm_d():

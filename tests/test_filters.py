@@ -268,7 +268,7 @@ def test_glm_scalars_fallback_warns_but_stays_usable():
     from lrvga.filters import _solve_scalar_system
 
     with pytest.warns(RuntimeWarning):
-        sol = _solve_scalar_system(-5.0, 1e8, 1.0, 1e-10, 50)
+        sol = _solve_scalar_system(-5.0, 1e8, 1.0)
     assert np.isfinite(sol.a) and np.isfinite(sol.nu)
     assert 0.0 < sol.k <= 1.0
     assert not sol.newton_converged

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import lrvga.experiments
 from lrvga import (
     GaussianBelief,
     Observation,
@@ -10,6 +11,7 @@ from lrvga import (
     make_config,
     run_experiment,
 )
+from lrvga.cli import main
 from lrvga.datasets import SyntheticCovSpec, gen_fa_covariance_samples
 from lrvga.evaluation import mc_kl_to_posterior
 from lrvga.memory import MemoryMeter, contract_budget_bytes
@@ -56,6 +58,18 @@ def test_large_scale_cli_run_stays_within_its_own_budget():
     cfg = make_config("linear", d=2000, c=0.0, n=60, p=[10], track_memory=True)
     summary = run_experiment(cfg).summary
     assert 0 < summary["peak_aux_bytes"] <= summary["aux_budget_bytes"]
+    assert summary["aux_within_budget"] is True
+
+
+def test_track_memory_reports_an_over_budget_run(tmp_path, monkeypatch):
+    """summary.txt compares the metered peak with the budget; a budget of
+    one byte stands in for a run that exceeds it."""
+    monkeypatch.setattr(lrvga.experiments, "contract_budget_bytes", lambda d, p: 1)
+    argv = ["--experiment", "linear", "--d", "2000", "--c", "0", "--n", "60", "--p", "10",
+            "--track-memory", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "aux_budget_bytes: 1" in lines and "aux_within_budget: False" in lines
 
 
 def test_covariance_samples_are_built_in_one_chunk_array():

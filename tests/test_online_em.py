@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrvga import (
+    FaPrecision,
     covariance_fit_kl,
     init_isotropic_prior,
     online_em_gamma,
@@ -27,7 +28,6 @@ def test_state_zeros_validation():
     assert st.s1_diag.shape == (6,)
     assert st.s2.shape == (2, 6)
     assert st.s3.shape == (2, 2)
-    assert st.step_index == 0
     with pytest.raises(ValueError):
         OnlineEmState.zeros(3, 4)
     with pytest.raises(ValueError):
@@ -40,11 +40,8 @@ def test_single_update_matches_hand_computation():
     fa = init_isotropic_prior(d, p, 1.0, eps=0.4, rng=1)
     v = rng.standard_normal(d)
     gamma = 0.25
-    state = OnlineEmState.zeros(d, p)
     # Give the accumulators nonzero content so the decay term matters.
-    state.s1_diag = rng.uniform(0.5, 1.0, d)
-    state.s2 = rng.standard_normal((p, d))
-    state.s3 = np.eye(p) * 2.0
+    state = OnlineEmState(rng.uniform(0.5, 1.0, d), rng.standard_normal((p, d)), np.eye(p) * 2.0)
 
     M = np.eye(p) + fa.W.T @ np.diag(1.0 / fa.psi) @ fa.W
     m = np.linalg.solve(M, fa.W.T @ (v / fa.psi))
@@ -60,7 +57,6 @@ def test_single_update_matches_hand_computation():
     assert np.allclose(new_state.s3, s3, rtol=1e-12)
     assert np.allclose(new_fa.W, W, rtol=1e-10)
     assert np.allclose(new_fa.psi, psi, rtol=1e-10)
-    assert new_state.step_index == 1
 
 
 def test_update_validation():
@@ -89,7 +85,7 @@ def test_stream_fit_improves_and_averaging_helps():
     for t, v in enumerate(gen_fa_covariance_samples(spec, n, rng=8), start=1):
         state, fa = online_em_update(state, fa, v, online_em_gamma(t))
         if t > n // 2:
-            averaged = polyak_ruppert_average(state, t, n)
+            averaged = polyak_ruppert_average(averaged, fa, t - n // 2)
     last_kl = covariance_fit_kl(fa, S)
     avg_kl = covariance_fit_kl(averaged, S)
     assert init_kl > 1.0
@@ -101,57 +97,42 @@ def test_stream_fit_improves_and_averaging_helps():
 def test_polyak_average_of_constant_iterates_is_the_iterate():
     d, p = 6, 2
     fa = init_isotropic_prior(d, p, 1.0, rng=5)
-    state = OnlineEmState.zeros(d, p)
-    state.last_W = fa.W.copy()
-    state.last_psi = fa.psi.copy()
-    n = 10
-    for t in range(6, 11):
-        out = polyak_ruppert_average(state, t, n)
+    out = None
+    for k in range(1, 6):
+        out = polyak_ruppert_average(out, fa, k)
     assert np.allclose(out.W, fa.W)
     assert np.allclose(out.psi, fa.psi)
-    assert state.averaged_count == 5
 
 
 def test_polyak_average_of_two_iterates_is_their_mean():
     d, p = 4, 1
-    state = OnlineEmState.zeros(d, p)
-    W1, psi1 = np.ones((d, p)), np.full(d, 1.0)
-    W2, psi2 = 3.0 * np.ones((d, p)), np.full(d, 2.0)
-    n = 4
-    state.last_W, state.last_psi = W1, psi1
-    polyak_ruppert_average(state, 3, n)
-    state.last_W, state.last_psi = W2, psi2
-    out = polyak_ruppert_average(state, 4, n)
+    first = FaPrecision(np.ones((d, p)), np.full(d, 1.0))
+    second = FaPrecision(3.0 * np.ones((d, p)), np.full(d, 2.0))
+    out = polyak_ruppert_average(polyak_ruppert_average(None, first, 1), second, 2)
     assert np.allclose(out.W, 2.0 * np.ones((d, p)))
     assert np.allclose(out.psi, np.full(d, 1.5))
 
 
 def test_polyak_average_ramp():
-    # Iterates t = 1, 2, 3 folded in order; the mean is 2.
+    # Iterates 1, 2, 3 folded in order; the mean is 2.
     d, p = 3, 1
-    state = OnlineEmState.zeros(d, p)
-    n = 6
-    for i, t in enumerate((4, 5, 6), start=1):
-        state.last_W = float(i) * np.ones((d, p))
-        state.last_psi = float(i) * np.ones(d)
-        out = polyak_ruppert_average(state, t, n)
+    out = None
+    for k in (1, 2, 3):
+        iterate = FaPrecision(float(k) * np.ones((d, p)), float(k) * np.ones(d))
+        out = polyak_ruppert_average(out, iterate, k)
     assert np.allclose(out.W, 2.0)
     assert np.allclose(out.psi, 2.0)
 
 
-def test_polyak_average_enforces_ordering():
-    d, p = 3, 1
-    state = OnlineEmState.zeros(d, p)
-    state.last_W = np.ones((d, p))
-    state.last_psi = np.ones(d)
-    n = 10
+def test_polyak_average_starts_from_a_c_ordered_copy():
+    """The first mean copies the iterate into C order: an online EM
+    iterate's W is a transposed solve, and the layout sets the rounding
+    of the BLAS products later taken with the average."""
+    fa = FaPrecision(np.asfortranarray(np.arange(12.0).reshape(6, 2) + 1.0), np.ones(6))
+    assert not fa.W.flags.c_contiguous
+    out = polyak_ruppert_average(None, fa, 1)
+    assert out.W.flags.c_contiguous
+    assert np.array_equal(out.W, fa.W) and np.array_equal(out.psi, fa.psi)
+    assert not np.shares_memory(out.W, fa.W) and not np.shares_memory(out.psi, fa.psi)
     with pytest.raises(ValueError):
-        polyak_ruppert_average(state, 5, n)  # first half not finished
-    with pytest.raises(ValueError):
-        polyak_ruppert_average(state, 7, n)  # skipped t = 6
-    polyak_ruppert_average(state, 6, n)
-    with pytest.raises(ValueError):
-        polyak_ruppert_average(state, 6, n)  # folded twice
-    fresh = OnlineEmState.zeros(d, p)
-    with pytest.raises(ValueError):
-        polyak_ruppert_average(fresh, 6, n)  # no iterate recorded yet
+        polyak_ruppert_average(out, fa, 0)

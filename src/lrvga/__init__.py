@@ -24,10 +24,10 @@ from .em import (
 from .evaluation import (
     KlEstimate,
     covariance_fit_kl,
+    expected_kl_logistic,
     gaussian_entropy,
     gaussian_kl,
     laplace_logistic,
-    logposterior_logistic,
     mc_kl_to_posterior,
 )
 from .factor import (
@@ -93,6 +93,7 @@ __all__ = [
     "draw_dense_reference",
     "em_fixed_point_step",
     "emit_report",
+    "expected_kl_logistic",
     "fa_dense_inverse",
     "fa_dense_matrix",
     "gaussian_entropy",
@@ -106,7 +107,6 @@ __all__ = [
     "latent_gram",
     "log_det",
     "log_spaced_checkpoints",
-    "logposterior_logistic",
     "lrvga_linear_step",
     "lrvga_logistic_step",
     "lrvga_nonlinear_step",

@@ -12,6 +12,7 @@ import json
 import sys
 
 from .experiments import (
+    DENSE_EVAL_LIMIT,
     ConfigError,
     EXPERIMENT_KINDS,
     emit_report,
@@ -87,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="covariance methods to run, comma separated",
     )
     parser.add_argument("--p-true", type=int, dest="p_true", help="generator rank (covariance)")
-    parser.add_argument("--mc-samples", type=int, dest="mc_samples", help="KL sample count")
+    parser.add_argument(
+        "--mc-samples", type=int, dest="mc_samples", help="unused: no run kind draws to score"
+    )
     parser.add_argument(
         "--batch-passes", type=int, dest="batch_passes",
         help="full-data passes for the batch baseline",
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--track-memory", action="store_true", default=None, dest="track_memory",
-        help="meter auxiliary allocations (large-scale linear runs)",
+        help=f"meter auxiliary allocations (linear runs above d = {DENSE_EVAL_LIMIT} only)",
     )
     return parser
 

@@ -8,8 +8,8 @@ obviously correct rather than fast.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble
-sampler, the linear-regression log posterior, the dense input covariance
-of a regression spec, and LIBSVM and metadata writers.
+sampler, the linear- and logistic-regression log posteriors, the dense
+input covariance of a regression spec, and LIBSVM and metadata writers.
 """
 
 from __future__ import annotations
@@ -323,6 +323,27 @@ def logposterior_linear(theta: np.ndarray, X: np.ndarray, y: np.ndarray, sigma0:
     loglik = -0.5 * np.sum(resid * resid, axis=0) - 0.5 * resid.shape[0] * log_2pi
     prior = -0.5 * np.sum(T * T, axis=0) / sigma0**2 - 0.5 * d * (
         log_2pi + 2.0 * math.log(sigma0)
+    )
+    out = loglik + prior
+    return float(out[0]) if single else out
+
+
+def logposterior_logistic(theta: np.ndarray, X: np.ndarray, y: np.ndarray, sigma0: float):
+    """Log posterior (up to the evidence) of logistic regression with an
+    isotropic N(0, sigma0^2 I) prior; labels in {0, 1}.
+
+    ``theta`` may be a single (d,) vector or a (d, K) block of columns.
+    """
+    theta = np.asarray(theta, dtype=float)
+    single = theta.ndim == 1
+    T = theta[:, None] if single else theta
+    d = T.shape[0]
+    Z = np.asarray(X, dtype=float) @ T
+    # y z - log(1 + e^z), computed stably.
+    y = np.asarray(y, dtype=float).ravel()
+    loglik = np.sum(y[:, None] * Z - np.logaddexp(0.0, Z), axis=0)
+    prior = -0.5 * np.sum(T * T, axis=0) / sigma0**2 - 0.5 * d * (
+        math.log(2.0 * math.pi) + 2.0 * math.log(sigma0)
     )
     out = loglik + prior
     return float(out[0]) if single else out

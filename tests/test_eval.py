@@ -1,25 +1,30 @@
-"""KL metrics, Monte Carlo KL, log posteriors, Laplace baseline."""
+"""KL metrics, quadrature and Monte Carlo KL, log posteriors, Laplace baseline."""
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import lrvga.evaluation
+import lrvga.experiments
 from lrvga import (
     DenseGaussian,
     FaPrecision,
     GaussianBelief,
     covariance_fit_kl,
+    expected_kl_logistic,
     fa_dense_inverse,
     fa_dense_matrix,
     gaussian_entropy,
     gaussian_kl,
     init_isotropic_prior,
     laplace_logistic,
-    logposterior_logistic,
+    make_config,
     mc_kl_to_posterior,
+    run_experiment,
 )
 
-from oracles import logposterior_linear
+from oracles import logposterior_linear, logposterior_logistic
+from test_experiments import TINY
 
 
 def dense_kl(mu_q, cov_q, mu_t, cov_t):
@@ -164,6 +169,69 @@ def test_mc_kl_shrinks_with_distance():
     kl_near = mc_kl_to_posterior(near, logpost, k=2000, rng=2).value
     kl_far = mc_kl_to_posterior(far, logpost, k=2000, rng=2).value
     assert kl_far > kl_near
+
+
+@pytest.mark.parametrize("kind", ["logistic", "nonlinear"])
+def test_quadrature_kl_matches_large_monte_carlo_at_every_checkpoint(kind, monkeypatch):
+    """Every row the TINY run scores, filter beliefs and the Laplace
+    baseline alike, is rescored by 10^5 draws against the same log
+    posterior; the two agree within 3 standard errors of the draws."""
+    scored = []
+
+    def record(q, X, y, sigma0):
+        scored.append((q, X, y, sigma0))
+        return expected_kl_logistic(q, X, y, sigma0)
+
+    monkeypatch.setattr(lrvga.experiments, "expected_kl_logistic", record)
+    report = run_experiment(make_config(kind, **TINY[kind]))
+    assert len(scored) == len(report.rows)
+    for i, ((q, X, y, sigma0), row) in enumerate(zip(scored, report.rows)):
+        mc = mc_kl_to_posterior(
+            q, lambda t: logposterior_logistic(t, X, y, sigma0), k=100_000, rng=i
+        )
+        assert abs(row.kl - mc.value) <= 3.0 * np.hypot(mc.std_error, row.stderr), row
+        assert type(row.kl) is float and type(row.stderr) is float  # not np.float64
+        assert row.stderr > 0.0
+
+
+def _logistic_problem(rng, n, d):
+    X = rng.standard_normal((n, d))
+    return X, (rng.random(n) < expit(X @ rng.standard_normal(d))).astype(float)
+
+
+def test_quadrature_kl_of_a_belief_matches_its_dense_copy():
+    rng = np.random.default_rng(13)
+    X, y = _logistic_problem(rng, 40, 7)
+    for p in (1, 3, 7):
+        bel = random_belief(rng, 7, p)
+        dense = DenseGaussian(bel.mu, fa_dense_inverse(bel.prec))
+        a, b = expected_kl_logistic(bel, X, y, 1.5), expected_kl_logistic(dense, X, y, 1.5)
+        assert a.value == pytest.approx(b.value, rel=1e-9)
+        assert a.std_error == pytest.approx(b.std_error, rel=1e-6, abs=1e-12)
+        assert a.n_samples == b.n_samples == 32
+
+
+def test_quadrature_kl_error_stays_positive_when_the_rules_agree(monkeypatch):
+    """A near-point-mass q: every node sits on its mean to rounding, so
+    the 16- and 32-node rules agree and only the rounding bound is left.
+    Swapping in the 32-node rule for the coarse one makes the agreement
+    exact."""
+    rng = np.random.default_rng(14)
+    X, y = _logistic_problem(rng, 50, 4)
+    point = GaussianBelief(rng.standard_normal(4), FaPrecision(np.ones((4, 1)), np.full(4, 1e30)))
+    est = expected_kl_logistic(point, X, y, 2.0)
+    assert 0.0 < est.std_error < 1e-10 * abs(est.value)
+    monkeypatch.setattr(lrvga.evaluation, "_GH_COARSE", lrvga.evaluation._GH_FINE)
+    assert expected_kl_logistic(point, X, y, 2.0).std_error > 0.0
+
+
+def test_quadrature_kl_validates_shapes():
+    bel = random_belief(np.random.default_rng(15), 4, 2)
+    X, y = _logistic_problem(np.random.default_rng(16), 10, 4)
+    with pytest.raises(ValueError):
+        expected_kl_logistic(bel, X[:, :3], y, 1.0)
+    with pytest.raises(ValueError):
+        expected_kl_logistic(bel, X, y[:-1], 1.0)
 
 
 def test_logposterior_linear_against_direct_formula():

@@ -37,6 +37,18 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "linear", "--d", "10", "--n", "20", "--checkpoints", "2"],
+    ["--experiment", "nonlinear", "--n", "20", "--checkpoints", "2", "--k-hess", "1"],
+])
+def test_track_memory_is_refused_where_nothing_is_metered(argv, tmp_path, capsys):
+    """Only linear runs above the dense limit meter their allocations."""
+    out = tmp_path / "run"
+    assert main(argv + ["--track-memory", "--out", str(out)]) == 1
+    assert "track_memory meters only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reports_divergence_with_exit_code_2(tmp_path, monkeypatch):
     def diverge(*args, **kwargs):
         raise DivergenceError("mean norm exceeds the limit")
@@ -137,8 +149,8 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 GOLDEN = {
     "cov": "49c364d6d0d78d30c85c85555aba921d8f1ad0c1e1be0bc1ea57f0fb8d555dd2",
     "linear": "3cf30c9de4d406b57ec077f6f1e3c018ad63074ed2de92d1c876550c5efc2f81",
-    "logistic": "fae4b6d7a0b08bdbbf7a575bc6692d7c8e7d744f01ae0497b8b8d65248ea4343",
-    "nonlinear": "09545e8e9bdd6b857cc421038ef777477d57e5cc95ea94083200428d5cc31009",
+    "logistic": "ed05bbffeaac9c8c25b841042df526c46e9b6deeb9a3c46e676ccc6208c20bbb",
+    "nonlinear": "e53164b997f0acf5d1d5b93754c674ccd9db62f21ba81379d0c9dadf304ed974",
 }
 
 

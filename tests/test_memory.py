@@ -13,7 +13,7 @@ from lrvga import (
 )
 from lrvga.cli import main
 from lrvga.datasets import SyntheticCovSpec, gen_fa_covariance_samples
-from lrvga.evaluation import mc_kl_to_posterior
+from lrvga.evaluation import expected_kl_logistic, mc_kl_to_posterior
 from lrvga.memory import MemoryMeter, contract_budget_bytes
 from lrvga.sampler import EnsembleSampler
 
@@ -35,14 +35,17 @@ def test_linear_steps_stay_within_the_contract_at_moderate_dimension():
 
 
 def test_a_used_precision_caches_nothing_larger_than_p_squared():
-    """After a default step, an MC-KL evaluation and a sampler build, the
-    only arrays on the precision besides W and psi are p x p caches. The
-    budget test above would not see a cached d x p block."""
+    """After a default step, an MC-KL evaluation, a quadrature KL and a
+    sampler build, the only arrays on the precision besides W and psi are
+    p x p caches. The budget test above would not see a cached d x p
+    block."""
     d, p = 300, 5
     rng = np.random.default_rng(4)
     belief = GaussianBelief(np.zeros(d), init_isotropic_prior(d, p, 1.0, rng=4))
     belief = lrvga_linear_step(belief, Observation(rng.standard_normal(d) / np.sqrt(d), 0.7))
     mc_kl_to_posterior(belief, lambda t: -0.5 * np.sum(t * t, axis=0), 20, rng=5)
+    X = rng.standard_normal((40, d))
+    expected_kl_logistic(belief, X, (X[:, 0] > 0).astype(float), 1.0)
     EnsembleSampler(belief.prec, 6).draw(belief.mu, 3)
     cached = {k: v for k, v in vars(belief.prec).items()
               if isinstance(v, np.ndarray) and k not in ("W", "psi")}

@@ -13,10 +13,11 @@ Three layers, all sharing one step kernel:
   running sufficient statistics instead of re-fitting per sample;
   ``polyak_ruppert_average`` is the running mean of its iterates.
 
-The EM cycle solves only in p-space: M^-1, formed once per precision and
-cached as ``FaPrecision.latent_inverse``, and B^-1, formed once per
-cycle, are p x p and applied to d x p blocks by matrix products, never
-by a solve with d right-hand sides. Inputs are validated once per update, at the
+The EM cycle solves only in p-space, applying p x p inverses to d x p
+blocks by matrix products. The first cycle of an update, warm-started at
+the carried state, never applies the target when the block has K < p
+columns: it costs O(d (p + K)^2) in two products of Z = [W X] with
+(p + K)-column matrices. Inputs are validated once per update, at the
 public boundary; each cycle checks its own output for finiteness, floors
 psi, and builds the next iterate without re-validating it.
 """
@@ -34,6 +35,7 @@ from .factor import (
     FaPrecision,
     _trusted_precision,
     latent_gram,
+    pinv_fallback,
     spd_solve,
     star,
 )
@@ -101,8 +103,9 @@ class _BlendTarget:
     """Implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T.
 
     Products are taken block by block, so the carried factor is read in
-    place rather than copied into a widened matrix; only the (cached)
-    diagonal and the p-column product outputs are allocated.
+    place rather than copied into a widened matrix; only the p-column
+    product outputs are allocated, and the diagonal on first use. A cycle
+    started at ``prev`` with K < p reads ``prev``, ``X`` and the weights.
     """
 
     def __init__(self, prev: FaPrecision, X: np.ndarray, alpha: float, beta: float):
@@ -110,13 +113,7 @@ class _BlendTarget:
         self.X = X
         self.alpha = alpha
         self.beta = beta
-        diag = np.zeros(prev.d)
-        if alpha > 0.0:
-            diag += star(prev.W, prev.W) + prev.psi
-            diag *= alpha
-        if beta > 0.0:
-            diag += beta * star(X, X)
-        self._diag = diag
+        self._diag = None
 
     def matmat(self, A: np.ndarray) -> np.ndarray:
         out = None
@@ -134,6 +131,10 @@ class _BlendTarget:
         return out
 
     def diag(self) -> np.ndarray:
+        if self._diag is None:
+            W, X = self.prev.W, self.X
+            self._diag = self.alpha * (np.einsum("ij,ij->i", W, W) + self.prev.psi)
+            self._diag += self.beta * np.einsum("ij,ij->i", X, X)
         return self._diag
 
 
@@ -153,30 +154,61 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
         psi_new = diag(S) - diag(W_new M^-1 G^T)
 
     and the marginal likelihood of S under the factor model is
-    non-decreasing across cycles. Every inverse is p x p: M^-1 is the
-    precision's cached ``latent_inverse``, B^-1 an LU inverse, and each
-    is applied to a d x p block by one matrix product, so a cycle costs
-    one product of S with a d x p block plus O(d p^2). S may be a dense
-    array or any object with ``matmat`` (product with a d x p block) and
-    ``diag`` accessors. Fitted diagonal entries below ``PSI_FLOOR`` are
-    clamped to it. The output is checked for finiteness here and then
-    built without the public constructor's validation, so a recursion
-    validates nothing else per cycle.
+    non-decreasing across cycles. S may be a dense array or any object
+    with ``matmat`` (product with a d x p block) and ``diag`` accessors;
+    a cycle costs one product of S with a d x p block plus O(d p^2), with
+    M^-1 the cached ``latent_inverse`` and B^-1 an LU inverse.
+
+    When S = alpha (W W^T + Psi) + beta X X^T is the recursion target
+    built on ``fa`` itself and X has K < p columns, S is never applied
+    (for wider blocks the general cycle is cheaper). With M the cached
+    ``gram``, Z = [W X], V = X^T Psi^-1 W and L = [alpha M; beta V],
+    G = Z L and M B = M + alpha (M^2 - M) + beta V^T V is SPD, so
+
+        W_new   = Z L (M B)^-1 M
+        psi_new = alpha psi + diag(Z R Z^T),  R = diag(alpha I_p, beta I_K) - L (M B)^-1 L^T
+
+    cost O(d (p + K)^2) and one Cholesky factorization of M B. Fitted
+    diagonal entries below ``PSI_FLOOR`` are clamped to it, and a failed
+    p x p solve falls back to the pseudo-inverse with a warning. The
+    output is checked for finiteness here and then built without the
+    public constructor's validation, so a recursion validates nothing
+    else per cycle.
     """
     S = _as_target(S)
-    psi_inv_w = fa.W / fa.psi[:, None]
-    G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
-    minv = fa.latent_inverse
-    eye = np.eye(fa.p)
-    B = eye + minv @ (psi_inv_w.T @ G)
-    del psi_inv_w  # freed before the two d x p products below, to lower the peak
-    # LU inverse through LAPACK directly: np.linalg.inv costs three times
-    # as much in call overhead on a p x p matrix.
-    _, _, b_inv, info = lapack.dgesv(B, eye)
-    if info != 0:
-        b_inv = np.linalg.pinv(B)
-    W_new = G @ b_inv
-    psi_new = S.diag() - star(W_new @ minv, G)
+    if isinstance(S, _BlendTarget) and fa is S.prev and S.X.shape[1] < fa.p:
+        alpha, beta, X = S.alpha, S.beta, S.X
+        M = fa.gram
+        N = np.concatenate((M, (X.T / fa.psi) @ fa.W))  # [M; V]
+        w = np.array([alpha] * fa.p + [beta] * X.shape[1])
+        L = w[:, None] * N
+        MB = L.T @ N  # alpha M^2 + beta V^T V
+        if alpha != 1.0:
+            MB += (1.0 - alpha) * M
+        # LAPACK directly, as in spd_solve, which retries a failure and warns.
+        factor, info = lapack.dpotrf(MB, lower=True)
+        if info == 0:
+            Y, info = lapack.dpotrs(factor, L.T, lower=True)  # (M B)^-1 L^T
+        if info != 0:
+            Y = spd_solve(MB, L.T)
+        Z = np.concatenate((fa.W, X), axis=1)
+        W_new = Z @ (Y.T @ M)
+        psi_new = np.einsum("ij,ij->i", Z @ (np.diag(w) - L @ Y), Z)
+        psi_new += alpha * fa.psi
+    else:
+        psi_inv_w = fa.W / fa.psi[:, None]
+        G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
+        minv = fa.latent_inverse
+        eye = np.eye(fa.p)
+        B = eye + minv @ (psi_inv_w.T @ G)
+        del psi_inv_w  # freed before the two d x p products below, to lower the peak
+        # LU inverse through LAPACK directly: np.linalg.inv costs three times
+        # as much in call overhead on a p x p matrix.
+        _, _, b_inv, info = lapack.dgesv(B, eye)
+        if info != 0:
+            b_inv = pinv_fallback(B, eye, "LU")
+        W_new = G @ b_inv
+        psi_new = S.diag() - star(W_new @ minv, G)
     if not (np.isfinite(W_new).all() and np.isfinite(psi_new).all()):
         raise DivergenceError("EM step produced non-finite factors")
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)

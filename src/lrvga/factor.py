@@ -43,10 +43,13 @@ def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         X, info = lapack.dpotrs(factor, B, lower=True)
         if info == 0:
             return X
+    return pinv_fallback(A, B, "positive-definite")
+
+
+def pinv_fallback(A: np.ndarray, B: np.ndarray, solve: str) -> np.ndarray:
+    """pinv(A) B after a failed small solve, with a warning a run can count."""
     warnings.warn(
-        "positive-definite solve failed, falling back to pseudo-inverse",
-        RuntimeWarning,
-        stacklevel=2,
+        f"{solve} solve failed, falling back to pseudo-inverse", RuntimeWarning, stacklevel=3
     )
     return np.linalg.pinv(A) @ B
 
@@ -89,11 +92,11 @@ class FaPrecision:
     through ``_trusted_precision`` instead, since they check finiteness
     and floor psi themselves.
 
-    ``latent_inverse``, the p x p matrix M^-1 = (I_p + W^T Psi^-1 W)^-1
-    behind every Woodbury product, is formed on first use and cached on
-    the instance; immutability keeps the cache valid. Only this p x p
-    matrix is cached, never a d x p block, so the memory per instance
-    stays the factors plus p^2 floats.
+    ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W, and its
+    inverse ``latent_inverse``, behind every Woodbury product, are formed
+    on first use and cached on the instance; immutability keeps them
+    valid. Only these p x p matrices are cached, never a d x p block, so
+    an instance holds the factors plus 2 p^2 floats.
     """
 
     W: np.ndarray
@@ -134,10 +137,19 @@ class FaPrecision:
     @cached_property
     def latent_inverse(self) -> np.ndarray:
         """M^-1 = (I_p + W^T Psi^-1 W)^-1, read-only, formed once per
-        instance by one Cholesky solve against the identity."""
-        minv = spd_solve(latent_gram(self), np.eye(self.p))
+        instance by one Cholesky solve; M is kept beside it as ``gram``."""
+        M = latent_gram(self)
+        M.flags.writeable = False
+        object.__setattr__(self, "_gram", M)
+        minv = spd_solve(M, np.eye(self.p))
         minv.flags.writeable = False
         return minv
+
+    @property
+    def gram(self) -> np.ndarray:
+        """M = I_p + W^T Psi^-1 W, read-only, cached with ``latent_inverse``."""
+        self.latent_inverse
+        return self._gram
 
 
 def _trusted_precision(W: np.ndarray, psi: np.ndarray) -> FaPrecision:
@@ -183,9 +195,10 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
 def log_det(fa: FaPrecision) -> float:
     """log det(W W^T + diag(psi)) via the matrix determinant lemma.
 
-    Equals log det(M) + sum_i log psi_i, with M the latent Gram matrix.
+    Equals log det(M) + sum_i log psi_i, with M the cached latent Gram
+    matrix.
     """
-    sign, logdet_m = np.linalg.slogdet(latent_gram(fa))
+    sign, logdet_m = np.linalg.slogdet(fa.gram)
     if sign <= 0:
         raise ValueError("latent Gram matrix lost positive definiteness")
     return float(logdet_m + np.sum(np.log(fa.psi)))

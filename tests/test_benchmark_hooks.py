@@ -4,23 +4,44 @@ the CLI call its warm-up makes."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from lrvga import init_isotropic_prior
 from lrvga.cli import main
+from lrvga.em import _BlendTarget
 from lrvga.experiments import read_results_csv
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 
 
-def test_every_traced_name_resolves_to_a_callable():
-    """perfbench/trace.py wraps (owner, attribute) pairs by name, so a
-    retired name would only fail in a traced benchmark run. The module is
-    loaded by path under another name: ``trace`` shadows the stdlib."""
+def _tracer():
+    """perfbench/trace.py, loaded by path under another name: ``trace``
+    shadows the stdlib."""
     spec = importlib.util.spec_from_file_location("perfbench_trace", TRACE)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    """perfbench/trace.py wraps (owner, attribute) pairs by name, so a
+    retired name would only fail in a traced benchmark run."""
+    tracer = _tracer()
     assert tracer.WRAPS
     missing = [(owner.__name__, attr) for owner, attr, _ in tracer.WRAPS
                if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+def test_em_cycle_flops_count_the_incoming_block():
+    """The tracer reads the block's width from the recursion target's
+    ``X``; were that attribute renamed, it would count K = 0 silently."""
+    tracer = _tracer()
+    d, p, k = 50, 4, 3
+    prev = init_isotropic_prior(d, p, 1.0, rng=0)
+    target = _BlendTarget(prev, np.ones((d, k)), 1.0, 1.0)
+    extra = tracer.em_cycle_flops(prev, target) - tracer.em_cycle_flops(prev, object())
+    assert extra == 4 * d * k * p
 
 
 def test_the_nonlinear_warm_up_call_runs_and_reports_positive_errors(tmp_path):

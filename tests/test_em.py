@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import lrvga.em
 from lrvga import (
@@ -16,7 +17,8 @@ from lrvga import (
     init_isotropic_prior,
     recursive_em_update,
 )
-from lrvga.em import _BlendTarget
+from lrvga.em import DenseSymmetric, _BlendTarget
+from lrvga.memory import MemoryMeter
 
 from oracles import avg_loglik, em_reference_step, em_solve_step, mle_fixed_point_step
 
@@ -178,6 +180,80 @@ def test_p_space_kernel_matches_the_solve_based_cycle(d, p):
     got = recursive_em_update(prev, X, RecursionWeights(0.8, 0.6), inner_loops=20)
     assert _relerr(got.W, W) <= 1e-10
     assert _relerr(got.psi, psi) <= 1e-10
+
+
+@pytest.mark.parametrize("d, p", [(9, 3), (6, 6)])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("beta", [0.3, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_warm_started_cycle_matches_one_step_against_the_dense_target(alpha, beta, k, d, p):
+    """The first cycle of an update is solved in p-space when K < p and
+    by the general cycle otherwise (p = 3, K = 4); either way it must
+    equal a general cycle against alpha (W W^T + Psi) + beta X X^T held
+    densely, at p = d too."""
+    rng = np.random.default_rng(int(100 * alpha + 10 * beta) + 7 * k + d)
+    prev = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, k))
+    got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
+    dense = DenseSymmetric(alpha * fa_dense_matrix(prev) + beta * (X @ X.T))
+    expected = em_fixed_point_step(FaPrecision(prev.W, prev.psi), dense)
+    assert _relerr(got.W, expected.W) <= 1e-10
+    assert _relerr(got.psi, expected.psi) <= 1e-10
+
+
+@pytest.mark.parametrize("k, general", [(2, False), (3, True)])
+def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, general, monkeypatch):
+    """A one-cycle update (the default above d = 1000) with K < p neither
+    multiplies the target nor forms its diagonal; with K >= p (p = 3
+    here) it takes the general cycle, which does both."""
+    reads = []
+    for name in ("matmat", "diag"):
+        original = getattr(_BlendTarget, name)
+        monkeypatch.setattr(_BlendTarget, name,
+                            lambda self, *a, _f=original, _n=name: reads.append(_n) or _f(self, *a))
+    prev = init_isotropic_prior(9, 3, 1.0, rng=2)
+    recursive_em_update(prev, np.ones((9, k)), inner_loops=1)
+    assert sorted(set(reads)) == (["diag", "matmat"] if general else [])
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_warm_started_cycle_peaks_within_four_blocks_of_its_width(k):
+    """One cycle at d = 10^4, p = 10 allocates Z = [W X], Z R and W_new,
+    each about one d x (p + K) block: it must peak under four of them."""
+    d, p = 10_000, 10
+    prev = init_isotropic_prior(d, p, 1.0, rng=3)
+    X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
+    prev.latent_inverse
+    with MemoryMeter() as meter:
+        recursive_em_update(prev, X, inner_loops=1)
+    assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
+
+
+def _unpatched_and_patched(monkeypatch, name, fake, run):
+    """run() before and after replacing the LAPACK routine ``name``, which
+    the em and factor modules share, by ``fake``."""
+    expected = run()
+    monkeypatch.setattr(lapack, name, fake)
+    with pytest.warns(RuntimeWarning, match="falling back to pseudo-inverse"):
+        got = run()
+    assert np.isfinite(got.W).all() and np.isfinite(got.psi).all()
+    assert _relerr(got.W, expected.W) <= 1e-8
+    assert _relerr(got.psi, expected.psi) <= 1e-8
+
+
+def test_general_cycle_warns_when_its_lu_solve_fails(monkeypatch):
+    fa, S = random_instance(np.random.default_rng(41), d=8, p=3)
+    _unpatched_and_patched(monkeypatch, "dgesv", lambda a, b: (a, None, b, 1),
+                           lambda: em_fixed_point_step(fa, S))
+
+
+def test_warm_started_cycle_warns_when_its_cholesky_fails(monkeypatch):
+    rng = np.random.default_rng(42)
+    prev = FaPrecision(rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8))
+    prev.latent_inverse
+    X = rng.standard_normal((8, 2))
+    _unpatched_and_patched(monkeypatch, "dpotrf", lambda a, lower: (a, 1),
+                           lambda: recursive_em_update(prev, X, inner_loops=1))
 
 
 def test_recursive_update_single_column_equals_block_form():

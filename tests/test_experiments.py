@@ -147,10 +147,10 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 # SHA-256 of results.csv for each TINY config. A change to any of them
 # is a change of output: explain it, then update the digest.
 GOLDEN = {
-    "cov": "49c364d6d0d78d30c85c85555aba921d8f1ad0c1e1be0bc1ea57f0fb8d555dd2",
-    "linear": "3cf30c9de4d406b57ec077f6f1e3c018ad63074ed2de92d1c876550c5efc2f81",
-    "logistic": "ed05bbffeaac9c8c25b841042df526c46e9b6deeb9a3c46e676ccc6208c20bbb",
-    "nonlinear": "e53164b997f0acf5d1d5b93754c674ccd9db62f21ba81379d0c9dadf304ed974",
+    "cov": "c9aadffb68076dc8bdd630ad805ef16b8fce605ba92824b61f5bd6b61beafa9f",
+    "linear": "5ac26e21ad84470fcea7f02bdeef06533572404416ee13dbd480962959e290af",
+    "logistic": "d3b3526570ef13f1eaec2f9f53970ace7523bfa571a02f5765e8db7be11bf0aa",
+    "nonlinear": "a1c0ae65989a0641e885e2e62aad543d8896e7fc95c9ec55f9d9b25e7bbc4afe",
 }
 
 
@@ -169,7 +169,7 @@ def test_wider_cov_run_matches_the_golden_digest(tmp_path):
     cfg = make_config("cov", d=20, p=3, n=200, checkpoints=20, batch_passes=2, seed=3)
     emit_report(run_experiment(cfg), tmp_path)
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert digest == "27c84f9ba6b321d5afea13d6969176c7212f1b47eb0d39c6b92855c7c6d614ed"
+    assert digest == "1dfd85b3b8218dac81be5459628ea34e329f92f3a78877b8d22ffe22a9dd45e9"
 
 
 def test_report_round_trips_through_results_csv(tmp_path):
@@ -241,8 +241,8 @@ def _write_dataset(path):
 # SHA-256 of results.csv for a covariance run on the file above, under
 # each normalization mode.
 DATASET_GOLDEN = {
-    "mean-norm": "1e6ab9aa95a273746c1f72606759c7d99ca3fd92c0c314cffb8f1fb6958666c8",
-    "none": "5b1da0035453b578524ddcaafdbcffe9762e64eaa0d10718efb40f3cb546aabe",
+    "mean-norm": "7e82e94467c566887611f7f229ed89cbf0ff4c42664430f242c9fde63ffbf794",
+    "none": "0b7378ee7524042f57acd9210c14abadabb11b7d57773a91589445c5234c7ef5",
 }
 
 

@@ -121,6 +121,26 @@ def test_latent_inverse_is_formed_once_per_instance(monkeypatch):
     assert len(calls) == 2
 
 
+def test_gram_is_formed_once_and_read_by_log_det(monkeypatch):
+    import lrvga.factor
+
+    calls = []
+    original = lrvga.factor.latent_gram
+
+    def counting_gram(fa):
+        calls.append(fa)
+        return original(fa)
+
+    monkeypatch.setattr(lrvga.factor, "latent_gram", counting_gram)
+    fa = random_fa(np.random.default_rng(14), d=9, p=3)
+    fa.latent_inverse
+    value = log_det(fa)
+    assert len(calls) == 1 and fa.gram is fa.gram
+    assert not fa.gram.flags.writeable
+    assert np.array_equal(fa.gram, original(fa))
+    assert value == float(np.linalg.slogdet(original(fa))[1] + np.sum(np.log(fa.psi)))
+
+
 def test_latent_inverse_falls_back_on_an_indefinite_gram(monkeypatch):
     import lrvga.factor
 

@@ -37,8 +37,8 @@ def test_linear_steps_stay_within_the_contract_at_moderate_dimension():
 def test_a_used_precision_caches_nothing_larger_than_p_squared():
     """After a default step, an MC-KL evaluation, a quadrature KL and a
     sampler build, the only arrays on the precision besides W and psi are
-    p x p caches. The budget test above would not see a cached d x p
-    block."""
+    the p x p caches of M and M^-1. The budget test above would not see a
+    cached d x p block."""
     d, p = 300, 5
     rng = np.random.default_rng(4)
     belief = GaussianBelief(np.zeros(d), init_isotropic_prior(d, p, 1.0, rng=4))
@@ -49,7 +49,7 @@ def test_a_used_precision_caches_nothing_larger_than_p_squared():
     EnsembleSampler(belief.prec, 6).draw(belief.mu, 3)
     cached = {k: v for k, v in vars(belief.prec).items()
               if isinstance(v, np.ndarray) and k not in ("W", "psi")}
-    assert "latent_inverse" in cached
+    assert "latent_inverse" in cached and "_gram" in cached
     assert all(v.size <= p * p for v in cached.values()), {k: v.shape for k, v in cached.items()}
 
 

@@ -16,10 +16,14 @@ Three layers, all sharing one step kernel:
 The EM cycle solves only in p-space, applying p x p inverses to d x p
 blocks by matrix products. The first cycle of an update, warm-started at
 the carried state, never applies the target when the block has K < p
-columns: it costs O(d (p + K)^2) in two products of Z = [W X] with
-(p + K)-column matrices. Inputs are validated once per update, at the
-public boundary; each cycle checks its own output for finiteness, floors
-psi, and builds the next iterate without re-validating it.
+columns: it solves for small (p + K)-sized matrices, then makes one pass
+over the rows of Z = [W X] in cache-sized blocks, without forming Z
+whole. That pass writes the new factors and accumulates their latent
+Gram matrix, which the output carries, so the next Woodbury gain or
+cycle reads it without another pass over W. Inputs are validated once
+per update, at the public boundary; each cycle checks its own output for
+finiteness, floors psi, and builds the next iterate without
+re-validating it.
 """
 
 from __future__ import annotations
@@ -34,11 +38,17 @@ from .factor import (
     DivergenceError,
     FaPrecision,
     _trusted_precision,
+    identity,
     latent_gram,
     pinv_fallback,
     spd_solve,
     star,
 )
+
+# Rows per block of the warm-started cycle's row pass: the block's
+# z = [w x], z R and scaled output rows, about 1.4 MB at p = 10, K = 1,
+# stay in a 2 MB L2 cache.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -168,10 +178,14 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
         W_new   = Z L (M B)^-1 M
         psi_new = alpha psi + diag(Z R Z^T),  R = diag(alpha I_p, beta I_K) - L (M B)^-1 L^T
 
-    cost O(d (p + K)^2) and one Cholesky factorization of M B. Fitted
-    diagonal entries below ``PSI_FLOOR`` are clamped to it, and a failed
-    p x p solve falls back to the pseudo-inverse with a warning. The
-    output is checked for finiteness here and then built without the
+    cost O(d (p + K)^2) and one Cholesky factorization of M B. Z is
+    never formed whole: one pass over its rows, ``_ROW_BLOCK`` at a time,
+    writes W_new and psi_new and accumulates the output's ``gram``, which
+    is handed over with it.
+
+    Fitted diagonal entries below ``PSI_FLOOR`` are clamped to it, and a
+    failed p x p solve falls back to the pseudo-inverse with a warning.
+    The output is checked for finiteness here and then built without the
     public constructor's validation, so a recursion validates nothing
     else per cycle.
     """
@@ -191,28 +205,62 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
             Y, info = lapack.dpotrs(factor, L.T, lower=True)  # (M B)^-1 L^T
         if info != 0:
             Y = spd_solve(MB, L.T)
-        Z = np.concatenate((fa.W, X), axis=1)
-        W_new = Z @ (Y.T @ M)
-        psi_new = np.einsum("ij,ij->i", Z @ (np.diag(w) - L @ Y), Z)
-        psi_new += alpha * fa.psi
-    else:
-        psi_inv_w = fa.W / fa.psi[:, None]
-        G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
-        minv = fa.latent_inverse
-        eye = np.eye(fa.p)
-        B = eye + minv @ (psi_inv_w.T @ G)
-        del psi_inv_w  # freed before the two d x p products below, to lower the peak
-        # LU inverse through LAPACK directly: np.linalg.inv costs three times
-        # as much in call overhead on a p x p matrix.
-        _, _, b_inv, info = lapack.dgesv(B, eye)
-        if info != 0:
-            b_inv = pinv_fallback(B, eye, "LU")
-        W_new = G @ b_inv
-        psi_new = S.diag() - star(W_new @ minv, G)
-    if not (np.isfinite(W_new).all() and np.isfinite(psi_new).all()):
-        raise DivergenceError("EM step produced non-finite factors")
+        return _warm_rows(fa, X, alpha, Y.T @ M, np.diag(w) - L @ Y)
+    psi_inv_w = fa.W / fa.psi[:, None]
+    G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
+    minv = fa.latent_inverse
+    eye = identity(fa.p)
+    B = eye + minv @ (psi_inv_w.T @ G)
+    del psi_inv_w  # freed before the two d x p products below, to lower the peak
+    # LU inverse through LAPACK directly: np.linalg.inv costs three times
+    # as much in call overhead on a p x p matrix.
+    _, _, b_inv, info = lapack.dgesv(B, eye)
+    if info != 0:
+        b_inv = pinv_fallback(B, eye, "LU")
+    W_new = G @ b_inv
+    psi_new = S.diag() - star(W_new @ minv, G)
+    _check_finite(W_new, psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     return _trusted_precision(W_new, psi_new)
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise DivergenceError("EM step produced non-finite factors")
+
+
+def _warm_rows(
+    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, R: np.ndarray
+) -> FaPrecision:
+    """The d-sized part of the warm-started cycle, one pass over the rows.
+
+    With Z = [W X] it writes W_new = Z H and
+    psi_new = alpha psi + diag(Z R Z^T), floored at ``PSI_FLOOR``, and
+    accumulates W_new^T Psi_new^-1 W_new, so the output carries its gram
+    M = I_p + W_new^T Psi_new^-1 W_new. Rows go in blocks of
+    ``_ROW_BLOCK``: each block's z, z R and scaled w_new stay in cache,
+    and Z is never formed whole. With a single block (d <= _ROW_BLOCK)
+    every expression equals the whole-array one, bit for bit.
+    """
+    d, p = fa.W.shape
+    W_new = np.empty((d, p))
+    psi_new = np.empty(d)
+    G = np.zeros((p, p))
+    for start in range(0, d, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        z = np.concatenate((fa.W[rows], X[rows]), axis=1)
+        w_new = np.matmul(z, H, out=W_new[rows])
+        psi_block = np.einsum("ij,ij->i", z @ R, z, out=psi_new[rows])
+        psi_block += alpha * fa.psi[rows]
+        _check_finite(psi_block)
+        np.maximum(psi_block, PSI_FLOOR, out=psi_block)
+        G += w_new.T @ (w_new / psi_block[:, None])
+    # psi_new is finite and positive, so a non-finite entry of W_new makes a
+    # diagonal entry of G non-finite: one check of G covers W_new.
+    _check_finite(G)
+    M = identity(p) + G
+    return _trusted_precision(W_new, psi_new, (M + M.T) / 2.0)
 
 
 def default_inner_loops(d: int) -> int:
@@ -319,7 +367,7 @@ def online_em_update(
     keep = 1.0 - gamma
     s1 = keep * state.s1_diag + gamma * (v * v)
     s2 = keep * state.s2 + gamma * np.outer(m, v)
-    s3 = keep * state.s3 + gamma * (spd_solve(M, np.eye(fa.p)) + np.outer(m, m))
+    s3 = keep * state.s3 + gamma * (spd_solve(M, identity(fa.p)) + np.outer(m, m))
 
     try:
         W = np.linalg.solve((s3 + s3.T) / 2.0, s2).T

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -54,6 +54,15 @@ def pinv_fallback(A: np.ndarray, B: np.ndarray, solve: str) -> np.ndarray:
     return np.linalg.pinv(A) @ B
 
 
+@cache
+def identity(p: int) -> np.ndarray:
+    """I_p, read-only and shared: building it with ``np.eye`` on every
+    call costs more than the p x p arithmetic it feeds at small p."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def star(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise dot products: diag(X @ Y.T) without the d x d product.
 
@@ -93,10 +102,14 @@ class FaPrecision:
     and floor psi themselves.
 
     ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W, and its
-    inverse ``latent_inverse``, behind every Woodbury product, are formed
-    on first use and cached on the instance; immutability keeps them
-    valid. Only these p x p matrices are cached, never a d x p block, so
-    an instance holds the factors plus 2 p^2 floats.
+    inverse ``latent_inverse``, behind every Woodbury product, are cached
+    on the instance; immutability keeps them valid. The warm-started EM
+    cycle hands over the gram of the precision it builds, accumulated
+    while it writes the factors; otherwise the gram is formed on first
+    use, by one pass over W. The inverse is always formed on first use,
+    from the gram by one p x p Cholesky solve. Only these p x p matrices
+    are cached, never a d x p block, so an instance holds the factors
+    plus 2 p^2 floats.
     """
 
     W: np.ndarray
@@ -137,28 +150,36 @@ class FaPrecision:
     @cached_property
     def latent_inverse(self) -> np.ndarray:
         """M^-1 = (I_p + W^T Psi^-1 W)^-1, read-only, formed once per
-        instance by one Cholesky solve; M is kept beside it as ``gram``."""
-        M = latent_gram(self)
-        M.flags.writeable = False
-        object.__setattr__(self, "_gram", M)
-        minv = spd_solve(M, np.eye(self.p))
+        instance by one Cholesky solve of ``gram``."""
+        minv = spd_solve(self.gram, identity(self.p))
         minv.flags.writeable = False
         return minv
 
     @property
     def gram(self) -> np.ndarray:
-        """M = I_p + W^T Psi^-1 W, read-only, cached with ``latent_inverse``."""
-        self.latent_inverse
-        return self._gram
+        """M = I_p + W^T Psi^-1 W, read-only, cached as ``_gram``."""
+        M = self.__dict__.get("_gram")
+        if M is None:
+            M = latent_gram(self)
+            M.flags.writeable = False
+            object.__setattr__(self, "_gram", M)
+        return M
 
 
-def _trusted_precision(W: np.ndarray, psi: np.ndarray) -> FaPrecision:
+def _trusted_precision(
+    W: np.ndarray, psi: np.ndarray, gram: np.ndarray | None = None
+) -> FaPrecision:
     """FaPrecision over factors the caller has already checked: a (d, p)
     float W with p <= d, and a finite (d,) psi floored above zero.
-    Skips the validation scans of the public constructor."""
+    Skips the validation scans of the public constructor. A caller that
+    has already formed the symmetric ``gram`` of these factors hands it
+    over, so that it is not formed again; it becomes read-only."""
     fa = object.__new__(FaPrecision)
     object.__setattr__(fa, "W", W)
     object.__setattr__(fa, "psi", psi)
+    if gram is not None:
+        gram.flags.writeable = False
+        object.__setattr__(fa, "_gram", gram)
     return fa
 
 
@@ -168,7 +189,7 @@ def latent_gram(fa: FaPrecision) -> np.ndarray:
     M is symmetric positive definite and M - I_p is positive semidefinite,
     since the second term is a Gram matrix.
     """
-    M = np.eye(fa.p) + fa.W.T @ (fa.W / fa.psi[:, None])
+    M = identity(fa.p) + fa.W.T @ (fa.W / fa.psi[:, None])
     return (M + M.T) / 2.0
 
 

@@ -244,6 +244,31 @@ def em_solve_step(W: np.ndarray, psi: np.ndarray, S) -> tuple[np.ndarray, np.nda
     return W_new, np.maximum(psi_new, 1e-12)
 
 
+def warm_cycle_one_shot(
+    W: np.ndarray, psi: np.ndarray, X: np.ndarray, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One warm-started EM cycle toward alpha (W W^T + Psi) + beta X X^T,
+    with Z = [W X] formed whole and multiplied twice.
+
+    With M = I_p + W^T Psi^-1 W, V = X^T Psi^-1 W, L = [alpha M; beta V]
+    and M B = M + alpha (M^2 - M) + beta V^T V,
+    W_new = Z L (M B)^-1 M and
+    psi_new = alpha psi + diag(Z R Z^T), R = diag(alpha I_p, beta I_K) - L (M B)^-1 L^T.
+    Every inverse is applied by ``np.linalg.solve``.
+    """
+    p, k = W.shape[1], X.shape[1]
+    M = np.eye(p) + W.T @ (W / psi[:, None])
+    V = (X / psi[:, None]).T @ W
+    L = np.vstack((alpha * M, beta * V))
+    MB = (1.0 - alpha) * M + alpha * M @ M + beta * V.T @ V
+    Y = np.linalg.solve(MB, L.T)
+    R = np.diag([alpha] * p + [beta] * k) - L @ Y
+    Z = np.concatenate((W, X), axis=1)
+    W_new = Z @ (Y.T @ M)
+    psi_new = alpha * psi + np.einsum("ij,jk,ik->i", Z, R, Z)
+    return W_new, np.maximum(psi_new, 1e-12)
+
+
 # ------------------------------------------------------ test-only helpers
 
 

@@ -17,10 +17,17 @@ from lrvga import (
     init_isotropic_prior,
     recursive_em_update,
 )
-from lrvga.em import DenseSymmetric, _BlendTarget
+from lrvga.em import _ROW_BLOCK, DenseSymmetric, _BlendTarget, _warm_rows
+from lrvga.factor import DivergenceError, latent_gram
 from lrvga.memory import MemoryMeter
 
-from oracles import avg_loglik, em_reference_step, em_solve_step, mle_fixed_point_step
+from oracles import (
+    avg_loglik,
+    em_reference_step,
+    em_solve_step,
+    mle_fixed_point_step,
+    warm_cycle_one_shot,
+)
 
 
 def mle_step(fa, S):
@@ -218,8 +225,8 @@ def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, general, monkey
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_warm_started_cycle_peaks_within_four_blocks_of_its_width(k):
-    """One cycle at d = 10^4, p = 10 allocates Z = [W X], Z R and W_new,
-    each about one d x (p + K) block: it must peak under four of them."""
+    """One cycle at d = 10^4, p = 10 allocates W_new and psi_new plus
+    row-block scratch: it must peak under four d x (p + K) blocks."""
     d, p = 10_000, 10
     prev = init_isotropic_prior(d, p, 1.0, rng=3)
     X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
@@ -227,6 +234,58 @@ def test_warm_started_cycle_peaks_within_four_blocks_of_its_width(k):
     with MemoryMeter() as meter:
         recursive_em_update(prev, X, inner_loops=1)
     assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
+
+
+@pytest.mark.parametrize("d", [_ROW_BLOCK, 2 * _ROW_BLOCK + 37])
+@pytest.mark.parametrize("k", [1, 3])
+def test_warm_started_row_pass_matches_the_one_shot_cycle(d, k):
+    """The blocked row pass against the cycle with Z = [W X] formed whole:
+    at d = 2 _ROW_BLOCK + 37 it walks three blocks, the last partial. The
+    gram handed over with the output matches a fresh ``latent_gram``, and
+    equals it bit for bit when there is one block."""
+    p = 6
+    rng = np.random.default_rng(d + k)
+    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, k)) / np.sqrt(d)
+    alpha, beta = 0.9, 0.7
+    out = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
+    W, psi = warm_cycle_one_shot(prev.W, prev.psi, X, alpha, beta)
+    assert _relerr(out.W, W) <= 1e-12
+    assert _relerr(out.psi, psi) <= 1e-12
+    assert "_gram" in vars(out) and not out.gram.flags.writeable
+    fresh = latent_gram(out)
+    assert _relerr(out.gram, fresh) <= 1e-12
+    if d <= _ROW_BLOCK:
+        assert np.array_equal(out.gram, fresh)
+
+
+def test_non_finite_value_in_the_last_partial_block_raises():
+    """One row at the very end of a three-block pass overflows psi_new:
+    the small matrices and the first two blocks are finite, the update
+    must still raise."""
+    d, p = 2 * _ROW_BLOCK + 37, 4
+    rng = np.random.default_rng(5)
+    psi = rng.uniform(0.5, 2.0, d)
+    psi[-1] = 1e300  # keeps the huge input entry below out of M and V
+    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, psi)
+    X = rng.standard_normal((d, 1)) / np.sqrt(d)
+    X[-1] = 1e160
+    with pytest.raises(DivergenceError):
+        recursive_em_update(prev, X, inner_loops=1)
+
+
+def test_row_pass_raises_on_a_non_finite_factor_row_in_its_last_block():
+    """W_new overflows in the last row only, while psi_new stays finite:
+    the row pass checks W_new through the gram it accumulates."""
+    d, p = 2 * _ROW_BLOCK + 37, 4
+    rng = np.random.default_rng(6)
+    fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
+    X = np.zeros((d, 1))
+    X[-1] = 1e10
+    H = np.zeros((p + 1, p))
+    H[p] = 1e300  # W_new = X H: zero except its last row, which overflows
+    with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
+        _warm_rows(fa, X, 1.0, H, np.zeros((p + 1, p + 1)))
 
 
 def _unpatched_and_patched(monkeypatch, name, fake, run):

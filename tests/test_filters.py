@@ -125,11 +125,12 @@ def test_linear_single_step_hand_computation():
         assert np.allclose(out.mu, mu1, rtol=1e-12, atol=1e-14)
 
 
-def test_default_linear_step_validates_once_and_forms_three_grams(monkeypatch):
+def test_default_linear_step_validates_once_and_forms_two_grams(monkeypatch):
     """Structure of one default step (d=100, p=5, 3 loops), no timing: the
     iterates skip the constructor's validation, and the latent Gram is
-    formed once for the gain and once per later cycle, the first cycle
-    reusing the gain's cached inverse."""
+    formed once for the gain and once for the third cycle. The first
+    cycle reuses the gain's cached gram and hands the second the gram of
+    its output."""
     import lrvga.em
     import lrvga.factor
     import lrvga.sampler
@@ -152,7 +153,7 @@ def test_default_linear_step_validates_once_and_forms_three_grams(monkeypatch):
         monkeypatch.setattr(module, "latent_gram", counting_gram)
     out = lrvga_linear_step(belief, Observation(x, 0.5))
     assert counts["validate"] <= 1
-    assert counts["gram"] <= 3
+    assert counts["gram"] <= 2
     assert np.all(np.isfinite(out.mu))
 
 

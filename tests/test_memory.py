@@ -5,10 +5,12 @@ import numpy as np
 import lrvga.experiments
 from lrvga import (
     GaussianBelief,
+    RecursionWeights,
     Observation,
     init_isotropic_prior,
     lrvga_linear_step,
     make_config,
+    recursive_em_update,
     run_experiment,
 )
 from lrvga.cli import main
@@ -32,6 +34,25 @@ def test_linear_steps_stay_within_the_contract_at_moderate_dimension():
         for o in obs:
             belief = lrvga_linear_step(belief, o, inner_loops=1)
     assert 0 < meter.peak_bytes <= contract_budget_bytes(d, p)
+
+
+def test_warm_started_update_peaks_near_its_output_and_hands_over_its_gram():
+    """One warm-started update at d = 5 10^4, p = 10, K = 1 allocates its
+    output, W_new and psi_new (1.1 units of 8 d p bytes), plus row-block
+    scratch; a whole Z = [W X] or Z R would add 1.1 units. Reading the
+    result's latent inverse then costs p x p arrays only, since the gram
+    comes with the result."""
+    d, p = 50_000, 10
+    unit = 8 * d * p
+    prev = init_isotropic_prior(d, p, 1.0, rng=9)
+    x = np.random.default_rng(9).standard_normal((d, 1)) / np.sqrt(d)
+    prev.latent_inverse
+    with MemoryMeter() as meter:
+        out = recursive_em_update(prev, x, RecursionWeights(1.0, 1.0), inner_loops=1)
+    assert 0 < meter.peak_bytes <= 1.6 * unit
+    with MemoryMeter() as meter:
+        out.latent_inverse
+    assert meter.peak_bytes < 0.01 * unit
 
 
 def test_a_used_precision_caches_nothing_larger_than_p_squared():

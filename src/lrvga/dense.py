@@ -13,6 +13,11 @@ import numpy as np
 from .factor import FaPrecision
 
 
+def is_symmetric(A: np.ndarray) -> bool:
+    """A equals A^T to within 1e-8 of its largest entry (or of 1, if larger)."""
+    return np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(A).max()))
+
+
 @dataclass(frozen=True)
 class DenseGaussian:
     """Gaussian in covariance form, for exact baselines at small d."""
@@ -29,7 +34,7 @@ class DenseGaussian:
             raise ValueError("mu and cov dimensions disagree")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
             raise ValueError("non-finite entries")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(cov).max())):
+        if not is_symmetric(cov):
             raise ValueError("cov must be symmetric")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", (cov + cov.T) / 2.0)

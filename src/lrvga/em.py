@@ -13,17 +13,17 @@ Three layers, all sharing one step kernel:
   running sufficient statistics instead of re-fitting per sample;
   ``polyak_ruppert_average`` is the running mean of its iterates.
 
-The EM cycle solves only in p-space, applying p x p inverses to d x p
-blocks by matrix products. The first cycle of an update, warm-started at
-the carried state, never applies the target when the block has K < p
-columns: it solves for small (p + K)-sized matrices, then makes one pass
-over the rows of Z = [W X] in cache-sized blocks, without forming Z
-whole. That pass writes the new factors and accumulates their latent
-Gram matrix, which the output carries, so the next Woodbury gain or
-cycle reads it without another pass over W. Inputs are validated once
-per update, at the public boundary; each cycle checks its own output for
-finiteness, floors psi, and builds the next iterate without
-re-validating it.
+Each EM cycle solves in p-space by one Cholesky factorization of the SPD
+p x p matrix M B of ``em_fixed_point_step``, applied to d x p blocks by
+matrix products. The first cycle of an update, warm-started at the
+carried state, never applies the target when the block has K < p
+columns: it solves for (p + K)-sized matrices, then makes one pass over
+the rows of Z = [W X] in cache-sized blocks, without forming Z whole.
+That pass writes the new factors and accumulates their latent Gram
+matrix, which the output carries, so the next Woodbury gain or cycle
+reads it without another pass over W. Inputs are validated once per
+update, at the public boundary; each cycle checks its own output for
+finiteness, floors psi, and builds the next iterate unvalidated.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .dense import is_symmetric
 from .factor import (
     PSI_FLOOR,
     DivergenceError,
@@ -40,7 +41,6 @@ from .factor import (
     _trusted_precision,
     identity,
     latent_gram,
-    pinv_fallback,
     spd_solve,
     star,
 )
@@ -94,12 +94,16 @@ def guess_s0_scale(batch: np.ndarray, d: int) -> float:
 
 
 class DenseSymmetric:
-    """Adapter exposing a dense symmetric matrix as an EM target."""
+    """Adapter exposing a dense symmetric matrix as an EM target. S must be
+    finite and symmetric to the tolerance of ``DenseGaussian``, since the
+    EM cycle factors only the lower triangle of M B. Wrap S once per fit."""
 
     def __init__(self, S: np.ndarray):
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError("S must be square")
+        if not (np.isfinite(S).all() and is_symmetric(S)):
+            raise ValueError("S must be finite and symmetric")
         self.S = S
 
     def matmat(self, A: np.ndarray) -> np.ndarray:
@@ -148,80 +152,75 @@ class _BlendTarget:
         return self._diag
 
 
-def _as_target(S):
-    if hasattr(S, "matmat") and hasattr(S, "diag"):
-        return S
-    return DenseSymmetric(S)
-
-
 def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     """One EM cycle toward the factored fit of a symmetric target S.
 
-    With M = I_p + W^T Psi^-1 W, G = S Psi^-1 W and
-    B = I_p + M^-1 W^T Psi^-1 G the update reads
+    With M = I_p + W^T Psi^-1 W, the cached ``gram``, A = Psi^-1 W,
+    G = S A and B = I_p + M^-1 A^T G the update reads
 
         W_new   = G B^-1
         psi_new = diag(S) - diag(W_new M^-1 G^T)
 
     and the marginal likelihood of S under the factor model is
     non-decreasing across cycles. S may be a dense array or any object
-    with ``matmat`` (product with a d x p block) and ``diag`` accessors;
-    a cycle costs one product of S with a d x p block plus O(d p^2), with
-    M^-1 the cached ``latent_inverse`` and B^-1 an LU inverse.
+    with ``matmat`` (product with a d x p block) and ``diag`` accessors.
+    As B^-1 = (M B)^-1 M, each branch below makes one Cholesky
+    factorization of the SPD matrix M B and inverts neither M nor B. In
+    general M B = M + A^T G, T = G (M B)^-1 = W_new M^-1, W_new = T M and
+    psi_new = diag(S) - diag(T G^T), at one product of S with a d x p
+    block plus O(d p^2).
 
     When S = alpha (W W^T + Psi) + beta X X^T is the recursion target
     built on ``fa`` itself and X has K < p columns, S is never applied
-    (for wider blocks the general cycle is cheaper). With M the cached
-    ``gram``, Z = [W X], V = X^T Psi^-1 W and L = [alpha M; beta V],
-    G = Z L and M B = M + alpha (M^2 - M) + beta V^T V is SPD, so
+    (for wider blocks the general cycle is cheaper). With Z = [W X],
+    V = X^T Psi^-1 W and L = [alpha M; beta V], G = Z L and
+    M B = M + alpha (M^2 - M) + beta V^T V, so
 
         W_new   = Z L (M B)^-1 M
         psi_new = alpha psi + diag(Z R Z^T),  R = diag(alpha I_p, beta I_K) - L (M B)^-1 L^T
 
-    cost O(d (p + K)^2) and one Cholesky factorization of M B. Z is
-    never formed whole: one pass over its rows, ``_ROW_BLOCK`` at a time,
-    writes W_new and psi_new and accumulates the output's ``gram``, which
-    is handed over with it.
+    cost O(d (p + K)^2). Z is never formed whole: one pass over its
+    rows, ``_ROW_BLOCK`` at a time, writes W_new and psi_new and
+    accumulates the output's ``gram``, which is handed over with it.
 
     Fitted diagonal entries below ``PSI_FLOOR`` are clamped to it, and a
-    failed p x p solve falls back to the pseudo-inverse with a warning.
+    failed factorization falls back to the pseudo-inverse with a warning.
     The output is checked for finiteness here and then built without the
     public constructor's validation, so a recursion validates nothing
     else per cycle.
     """
-    S = _as_target(S)
+    if not (hasattr(S, "matmat") and hasattr(S, "diag")):
+        S = DenseSymmetric(S)
+    M = fa.gram
     if isinstance(S, _BlendTarget) and fa is S.prev and S.X.shape[1] < fa.p:
         alpha, beta, X = S.alpha, S.beta, S.X
-        M = fa.gram
         N = np.concatenate((M, (X.T / fa.psi) @ fa.W))  # [M; V]
         w = np.array([alpha] * fa.p + [beta] * X.shape[1])
         L = w[:, None] * N
         MB = L.T @ N  # alpha M^2 + beta V^T V
         if alpha != 1.0:
             MB += (1.0 - alpha) * M
-        # LAPACK directly, as in spd_solve, which retries a failure and warns.
-        factor, info = lapack.dpotrf(MB, lower=True)
-        if info == 0:
-            Y, info = lapack.dpotrs(factor, L.T, lower=True)  # (M B)^-1 L^T
-        if info != 0:
-            Y = spd_solve(MB, L.T)
+        Y = _mb_solve(MB, L.T)  # (M B)^-1 L^T
         return _warm_rows(fa, X, alpha, Y.T @ M, np.diag(w) - L @ Y)
     psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
-    minv = fa.latent_inverse
-    eye = identity(fa.p)
-    B = eye + minv @ (psi_inv_w.T @ G)
+    MB = M + psi_inv_w.T @ G
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
-    # LU inverse through LAPACK directly: np.linalg.inv costs three times
-    # as much in call overhead on a p x p matrix.
-    _, _, b_inv, info = lapack.dgesv(B, eye)
-    if info != 0:
-        b_inv = pinv_fallback(B, eye, "LU")
-    W_new = G @ b_inv
-    psi_new = S.diag() - star(W_new @ minv, G)
+    T = G @ _mb_solve(MB, identity(fa.p))  # G (M B)^-1 = W_new M^-1
+    W_new = T @ M
+    psi_new = S.diag() - star(T, G)
     _check_finite(W_new, psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     return _trusted_precision(W_new, psi_new)
+
+
+def _mb_solve(MB: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(M B)^-1 rhs by one Cholesky factorization of the lower triangle of
+    M B, through LAPACK directly; ``spd_solve`` retries a failure and warns."""
+    factor, info = lapack.dpotrf(MB, lower=True)
+    if info == 0:
+        Y, info = lapack.dpotrs(factor, rhs, lower=True)
+    return Y if info == 0 else spd_solve(MB, rhs)
 
 
 def _check_finite(*arrays: np.ndarray) -> None:

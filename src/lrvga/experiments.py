@@ -28,6 +28,7 @@ from scipy.special import expit
 
 from .dense import DenseGaussian, fa_dense_inverse
 from .em import (
+    DenseSymmetric,
     OnlineEmState,
     covariance_mode_weights,
     em_fixed_point_step,
@@ -407,7 +408,7 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
         elif method == "batch-em":
             # Checkpoints are whole passes over the data, at pass x n.
             t0 = time.perf_counter()
-            S_emp = (V.T @ V) / n
+            S_emp = DenseSymmetric((V.T @ V) / n)
             fa = prior(2)
             for pass_idx in range(1, cfg.batch_passes + 1):
                 fa = em_fixed_point_step(fa, S_emp)

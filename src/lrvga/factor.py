@@ -43,14 +43,8 @@ def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         X, info = lapack.dpotrs(factor, B, lower=True)
         if info == 0:
             return X
-    return pinv_fallback(A, B, "positive-definite")
-
-
-def pinv_fallback(A: np.ndarray, B: np.ndarray, solve: str) -> np.ndarray:
-    """pinv(A) B after a failed small solve, with a warning a run can count."""
-    warnings.warn(
-        f"{solve} solve failed, falling back to pseudo-inverse", RuntimeWarning, stacklevel=3
-    )
+    warnings.warn("positive-definite solve failed, falling back to pseudo-inverse",
+                  RuntimeWarning, stacklevel=2)
     return np.linalg.pinv(A) @ B
 
 
@@ -101,9 +95,10 @@ class FaPrecision:
     through ``_trusted_precision`` instead, since they check finiteness
     and floor psi themselves.
 
-    ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W, and its
-    inverse ``latent_inverse``, behind every Woodbury product, are cached
-    on the instance; immutability keeps them valid. The warm-started EM
+    ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W that every EM
+    cycle reads, and its inverse ``latent_inverse``, read only by the
+    Woodbury gain, the sampler and evaluation, are cached on the
+    instance; immutability keeps them valid. The warm-started EM
     cycle hands over the gram of the precision it builds, accumulated
     while it writes the factors; otherwise the gram is formed on first
     use, by one pass over W. The inverse is always formed on first use,

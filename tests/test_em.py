@@ -165,17 +165,22 @@ def _relerr(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("d", [20, 500])
-@pytest.mark.parametrize("p", [1, 5])
-def test_p_space_kernel_matches_the_solve_based_cycle(d, p):
+@pytest.mark.parametrize(
+    "d, p, k",
+    [(20, 1, 2), (500, 1, 2), (20, 5, 2), (500, 5, 2), (6, 6, 2), (20, 5, 7)],
+    ids=["1-20", "1-500", "5-20", "5-500", "full-rank", "wide-block"],
+)
+def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
     """Twenty cycles of the p-space kernel against the solve-based oracle,
     on a well-conditioned dense target and on the blended recursion
-    target, both directly and through recursive_em_update."""
-    rng = np.random.default_rng(1000 * d + p)
+    target with a d x k block, both directly and through
+    recursive_em_update: at p = d, and with k >= p, where every cycle is
+    a general one."""
+    rng = np.random.default_rng(1000 * d + p + (k - 2))
     L = rng.standard_normal((d, p)) / np.sqrt(d)
     dense = L @ L.T + np.diag(rng.uniform(0.5, 1.5, d))
     prev = FaPrecision(rng.standard_normal((d, p)) / np.sqrt(d), rng.uniform(0.5, 2.0, d))
-    X = rng.standard_normal((d, 2)) / np.sqrt(d)
+    X = rng.standard_normal((d, k)) / np.sqrt(d)
     blend = _BlendTarget(prev, X, 0.8, 0.6)
     for S in (dense, blend):
         fa, W, psi = prev, prev.W, prev.psi
@@ -223,10 +228,11 @@ def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, general, monkey
     assert sorted(set(reads)) == (["diag", "matmat"] if general else [])
 
 
-@pytest.mark.parametrize("k", [1, 4])
-def test_warm_started_cycle_peaks_within_four_blocks_of_its_width(k):
-    """One cycle at d = 10^4, p = 10 allocates W_new and psi_new plus
-    row-block scratch: it must peak under four d x (p + K) blocks."""
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_first_cycle_peaks_within_four_blocks_of_its_width(k):
+    """One cycle at d = 10^4, p = 10, warm-started for K < p and general
+    for K = 12, allocates W_new and psi_new plus scratch: it must peak
+    under four d x (p + K) blocks."""
     d, p = 10_000, 10
     prev = init_isotropic_prior(d, p, 1.0, rng=3)
     X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
@@ -300,9 +306,9 @@ def _unpatched_and_patched(monkeypatch, name, fake, run):
     assert _relerr(got.psi, expected.psi) <= 1e-8
 
 
-def test_general_cycle_warns_when_its_lu_solve_fails(monkeypatch):
+def test_general_cycle_warns_when_its_cholesky_fails(monkeypatch):
     fa, S = random_instance(np.random.default_rng(41), d=8, p=3)
-    _unpatched_and_patched(monkeypatch, "dgesv", lambda a, b: (a, None, b, 1),
+    _unpatched_and_patched(monkeypatch, "dpotrf", lambda a, lower: (a, 1),
                            lambda: em_fixed_point_step(fa, S))
 
 
@@ -365,6 +371,21 @@ def test_recursive_update_input_validation():
         RecursionWeights(-0.1, 1.0)
     with pytest.raises(ValueError):
         RecursionWeights(0.0, 0.0)
+
+
+def test_dense_targets_must_be_finite_and_symmetric():
+    """The cycle factors only the lower triangle of M B, so a non-symmetric
+    S would be fitted by half of it; rounding-level asymmetry passes."""
+    fa, S = random_instance(np.random.default_rng(44), d=6, p=2)
+    DenseSymmetric(S + 1e-10 * np.triu(np.ones((6, 6)), 1))
+    S[0, 1] += 1e-3
+    for make in (DenseSymmetric, lambda S: em_fixed_point_step(fa, S)):
+        with pytest.raises(ValueError, match="symmetric"):
+            make(S)
+    with pytest.raises(ValueError, match="square"):
+        DenseSymmetric(S[:, :5])
+    with pytest.raises(ValueError, match="finite"):
+        DenseSymmetric(np.full((3, 3), np.nan))
 
 
 def test_psi_floor_keeps_rank_deficient_targets_usable():

@@ -147,10 +147,10 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 # SHA-256 of results.csv for each TINY config. A change to any of them
 # is a change of output: explain it, then update the digest.
 GOLDEN = {
-    "cov": "c9aadffb68076dc8bdd630ad805ef16b8fce605ba92824b61f5bd6b61beafa9f",
-    "linear": "5ac26e21ad84470fcea7f02bdeef06533572404416ee13dbd480962959e290af",
-    "logistic": "d3b3526570ef13f1eaec2f9f53970ace7523bfa571a02f5765e8db7be11bf0aa",
-    "nonlinear": "a1c0ae65989a0641e885e2e62aad543d8896e7fc95c9ec55f9d9b25e7bbc4afe",
+    "cov": "0fa3d408819af9efc2aa139945111db6ec52d32138c62b2dda65149f55391dc0",
+    "linear": "9bde9f975b97b71d68c120853ba1b04ff42828e5961160f45770ee67d52ee297",
+    "logistic": "6952390d84ca7a7b020f67759459ebd1c024b1498e63685a8190ebe2d5a70ead",
+    "nonlinear": "184c65fbc8830b9ef92a3e360bb0754175d9b4600e6de282b41064c5eea8b13e",
 }
 
 
@@ -169,7 +169,7 @@ def test_wider_cov_run_matches_the_golden_digest(tmp_path):
     cfg = make_config("cov", d=20, p=3, n=200, checkpoints=20, batch_passes=2, seed=3)
     emit_report(run_experiment(cfg), tmp_path)
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert digest == "1dfd85b3b8218dac81be5459628ea34e329f92f3a78877b8d22ffe22a9dd45e9"
+    assert digest == "0ea7702552a6a82a04d482dab790161b63a0a634f432008d5fde67eaccc8fe2c"
 
 
 def test_report_round_trips_through_results_csv(tmp_path):
@@ -241,8 +241,8 @@ def _write_dataset(path):
 # SHA-256 of results.csv for a covariance run on the file above, under
 # each normalization mode.
 DATASET_GOLDEN = {
-    "mean-norm": "7e82e94467c566887611f7f229ed89cbf0ff4c42664430f242c9fde63ffbf794",
-    "none": "0b7378ee7524042f57acd9210c14abadabb11b7d57773a91589445c5234c7ef5",
+    "mean-norm": "15a7f45190893f183e945994f120f15a2723e17a3715e8e9a3d35dfff3ae016a",
+    "none": "459526f7dd11ecbb58870134035c9d1f0e242993293c5467b04955b4176ebd12",
 }
 
 

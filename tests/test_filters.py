@@ -157,6 +157,37 @@ def test_default_linear_step_validates_once_and_forms_two_grams(monkeypatch):
     assert np.all(np.isfinite(out.mu))
 
 
+def test_default_linear_step_makes_one_small_solve_and_no_lu(monkeypatch):
+    """Same step as above: the gain's ``latent_inverse`` is its only
+    ``spd_solve``, and no cycle inverts by LU. Each EM cycle solves with
+    one Cholesky factorization of M B, through LAPACK directly."""
+    import lrvga.em
+    import lrvga.factor
+    import lrvga.sampler
+    from scipy.linalg import lapack
+
+    belief = belief_from_prior(100, 5, eps=0.01, seed=4)
+    x = np.random.default_rng(4).standard_normal(100) / 10.0
+    counts = {"spd_solve": 0, "dgesv": 0}
+    solve, dgesv = lrvga.factor.spd_solve, lapack.dgesv
+
+    def counting_solve(A, B):
+        counts["spd_solve"] += 1
+        return solve(A, B)
+
+    def counting_dgesv(*args, **kwargs):
+        counts["dgesv"] += 1
+        return dgesv(*args, **kwargs)
+
+    for module in (lrvga.factor, lrvga.em, lrvga.sampler):
+        monkeypatch.setattr(module, "spd_solve", counting_solve)
+    monkeypatch.setattr(lapack, "dgesv", counting_dgesv)
+    out = lrvga_linear_step(belief, Observation(x, 0.5))
+    assert counts["spd_solve"] <= 1
+    assert counts["dgesv"] == 0
+    assert np.all(np.isfinite(out.mu))
+
+
 def test_linear_full_rank_tracks_kalman():
     d, n = 10, 100
     rng = np.random.default_rng(42)

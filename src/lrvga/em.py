@@ -8,7 +8,8 @@ Three layers, all sharing one step kernel:
 * ``recursive_em_update`` runs that cycle a fixed number of times against
   the implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T,
   which is how a streaming filter absorbs a new observation block. It
-  alone decides the default cycle count, ``default_inner_loops(d)``.
+  and the GLM filter step share one cycle-count policy, by default
+  ``default_inner_loops(d)``.
 * ``online_em_update`` is the stochastic-approximation variant that keeps
   running sufficient statistics instead of re-fitting per sample;
   ``polyak_ruppert_average`` is the running mean of its iterates.
@@ -21,7 +22,10 @@ columns: it solves for (p + K)-sized matrices, then makes one pass over
 the rows of Z = [W X] in cache-sized blocks, without forming Z whole.
 That pass writes the new factors and accumulates their latent Gram
 matrix, which the output carries, so the next Woodbury gain or cycle
-reads it without another pass over W. Inputs are validated once per
+reads it without another pass over W. The GLM filter step runs that
+cycle itself for any K: it hands in V = X^T Psi^-1 W, which its gain
+has formed already, and the row pass writes one extra column, the new
+mean, as it goes. Inputs are validated once per
 update, at the public boundary; each cycle checks its own output for
 finiteness, floors psi, and builds the next iterate unvalidated.
 """
@@ -193,15 +197,7 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
         S = DenseSymmetric(S)
     M = fa.gram
     if isinstance(S, _BlendTarget) and fa is S.prev and S.X.shape[1] < fa.p:
-        alpha, beta, X = S.alpha, S.beta, S.X
-        N = np.concatenate((M, (X.T / fa.psi) @ fa.W))  # [M; V]
-        w = np.array([alpha] * fa.p + [beta] * X.shape[1])
-        L = w[:, None] * N
-        MB = L.T @ N  # alpha M^2 + beta V^T V
-        if alpha != 1.0:
-            MB += (1.0 - alpha) * M
-        Y = _mb_solve(MB, L.T)  # (M B)^-1 L^T
-        return _warm_rows(fa, X, alpha, Y.T @ M, np.diag(w) - L @ Y)
+        return _warm_rows(fa, S.X, S.alpha, *_warm_solve(S, (S.X.T / fa.psi) @ fa.W))
     psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
     MB = M + psi_inv_w.T @ G
@@ -212,6 +208,21 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     _check_finite(W_new, psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     return _trusted_precision(W_new, psi_new)
+
+
+def _warm_solve(S: _BlendTarget, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The p-space half of the warm-started cycle toward S, started at
+    ``S.prev``, given V = X^T Psi^-1 W from the caller: (H, R) for
+    ``_warm_rows``. Exact for any block width K."""
+    alpha, beta, M = S.alpha, S.beta, S.prev.gram
+    N = np.concatenate((M, V))  # [M; V]
+    w = np.array([alpha] * M.shape[0] + [beta] * V.shape[0])
+    L = w[:, None] * N
+    MB = L.T @ N  # alpha M^2 + beta V^T V
+    if alpha != 1.0:
+        MB += (1.0 - alpha) * M
+    Y = _mb_solve(MB, L.T)  # (M B)^-1 L^T
+    return Y.T @ M, np.diag(w) - L @ Y
 
 
 def _mb_solve(MB: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -230,19 +241,26 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def _warm_rows(
-    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, R: np.ndarray
+    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, R: np.ndarray, shift=None
 ) -> FaPrecision:
     """The d-sized part of the warm-started cycle, one pass over the rows.
 
     With Z = [W X] it writes W_new = Z H and
     psi_new = alpha psi + diag(Z R Z^T), floored at ``PSI_FLOOR``, and
     accumulates W_new^T Psi_new^-1 W_new, so the output carries its gram
-    M = I_p + W_new^T Psi_new^-1 W_new. Rows go in blocks of
-    ``_ROW_BLOCK``: each block's z, z R and scaled w_new stay in cache,
-    and Z is never formed whole. With a single block (d <= _ROW_BLOCK)
-    every expression equals the whole-array one, bit for bit.
+    M = I_p + W_new^T Psi_new^-1 W_new. Given ``shift = (e, mu, out)``
+    it also writes the extra column out = mu + Psi^-1 Z e, taking Z e
+    from the same block product as Z R, as z [R | e]; ``out`` may be a
+    buffer nothing else reads. Rows go in blocks of ``_ROW_BLOCK``: each
+    block's z, z R and scaled w_new stay in cache, and Z is never formed
+    whole. With a single block (d <= _ROW_BLOCK) and no shift, every
+    expression equals the whole-array one, bit for bit.
     """
     d, p = fa.W.shape
+    k = R.shape[1]
+    if shift is not None:
+        e, mu, out = shift
+        R = np.column_stack((R, e))
     W_new = np.empty((d, p))
     psi_new = np.empty(d)
     G = np.zeros((p, p))
@@ -250,7 +268,12 @@ def _warm_rows(
         rows = slice(start, start + _ROW_BLOCK)
         z = np.concatenate((fa.W[rows], X[rows]), axis=1)
         w_new = np.matmul(z, H, out=W_new[rows])
-        psi_block = np.einsum("ij,ij->i", z @ R, z, out=psi_new[rows])
+        zr = z @ R
+        psi_block = np.einsum("ij,ij->i", zr[:, :k], z, out=psi_new[rows])
+        if shift is not None:
+            np.divide(zr[:, k], fa.psi[rows], out=out[rows])
+            out[rows] += mu[rows]
+        del z, zr  # freed before the gram's product, to lower the peak
         psi_block += alpha * fa.psi[rows]
         _check_finite(psi_block)
         np.maximum(psi_block, PSI_FLOOR, out=psi_block)
@@ -292,16 +315,21 @@ def recursive_em_update(
         raise ValueError(f"block has {X.shape[0]} rows, expected {prev.d}")
     if not np.all(np.isfinite(X)):
         raise ValueError("observation block contains non-finite entries")
-    if inner_loops is None:
-        inner_loops = default_inner_loops(prev.d)
-    elif inner_loops < 1:
-        raise ValueError("inner_loops must be at least 1")
-
     target = _BlendTarget(prev, X, weights.alpha, weights.beta)
     fa = prev
-    for _ in range(inner_loops):
+    for _ in range(_cycle_count(prev.d, inner_loops)):
         fa = em_fixed_point_step(fa, target)
     return fa
+
+
+def _cycle_count(d: int, inner_loops: int | None) -> int:
+    """The EM cycle count of one update: ``default_inner_loops(d)`` when
+    ``inner_loops`` is None, else ``inner_loops``, which must be >= 1."""
+    if inner_loops is None:
+        return default_inner_loops(d)
+    if inner_loops < 1:
+        raise ValueError("inner_loops must be at least 1")
+    return inner_loops
 
 
 def online_em_gamma(t: int) -> float:

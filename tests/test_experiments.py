@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,9 +152,9 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 # is a change of output: explain it, then update the digest.
 GOLDEN = {
     "cov": "0fa3d408819af9efc2aa139945111db6ec52d32138c62b2dda65149f55391dc0",
-    "linear": "9bde9f975b97b71d68c120853ba1b04ff42828e5961160f45770ee67d52ee297",
-    "logistic": "6952390d84ca7a7b020f67759459ebd1c024b1498e63685a8190ebe2d5a70ead",
-    "nonlinear": "184c65fbc8830b9ef92a3e360bb0754175d9b4600e6de282b41064c5eea8b13e",
+    "linear": "c9b5eeae04ba667b377e00ebeb1497b3177c487b12de1a51fdea55ad5f4874f4",
+    "logistic": "2ef0d6a2665e227fdb32c5d5941d2d82877f7f8a2720594025f01c51407edadb",
+    "nonlinear": "4cab58e91019a76c708d1f0beed67b8368f75fb75bb69e2cc5759f20cd596b4a",
 }
 
 
@@ -158,6 +162,35 @@ GOLDEN = {
 def test_results_match_the_golden_digest(kind, tmp_path):
     digest = hashlib.sha256(_results_bytes(kind, tmp_path)).hexdigest()
     assert digest == GOLDEN[kind]
+
+
+_GOLDEN_RUNNER = """
+import hashlib, json, sys
+from pathlib import Path
+from lrvga.experiments import emit_report, make_config, run_experiment
+digests = {}
+for kind, kwargs in json.loads(sys.argv[1]).items():
+    out = Path(sys.argv[2]) / kind
+    emit_report(run_experiment(make_config(kind, **kwargs)), out)
+    digests[kind] = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_golden_digests_hold_at_two_blas_threads(tmp_path):
+    """The TINY runs again with two BLAS threads, which may split a
+    product's reductions differently: the goldens must not change. The
+    thread count is read when numpy loads, so the runs go to a fresh
+    interpreter with the count pinned in its environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pins = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_RUNNER, json.dumps(TINY), str(tmp_path)],
+        env={**os.environ, **pins, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN
 
 
 def test_wider_cov_run_matches_the_golden_digest(tmp_path):

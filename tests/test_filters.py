@@ -21,7 +21,9 @@ from lrvga import (
     lrvga_nonlinear_step,
     solve_glm_scalars,
 )
-from lrvga.filters import NONLINEAR_SCHEMES, _checked
+from lrvga.em import _ROW_BLOCK
+from lrvga.factor import latent_gram
+from lrvga.filters import NONLINEAR_SCHEMES, _checked, _sigmoid_weight, _solve_scalar_system
 
 from oracles import (
     LinearGaussianModel,
@@ -31,6 +33,7 @@ from oracles import (
     exact_linear_posterior,
     expectation_by_sampling,
     solve_scalars_bisect,
+    two_route_glm_step,
 )
 
 
@@ -188,6 +191,105 @@ def test_default_linear_step_makes_one_small_solve_and_no_lu(monkeypatch):
     assert np.all(np.isfinite(out.mu))
 
 
+def test_default_step_at_scale_reads_no_gain_gram_or_cycle(monkeypatch):
+    """A default step at d = 10^4 runs one EM cycle. After a warm-up step,
+    which hands its gram over, the step takes its gain and that cycle in
+    two passes over W: no ``woodbury_apply``, ``latent_gram`` or
+    ``em_fixed_point_step`` call, and one ``spd_solve`` at most, the
+    carried state's ``latent_inverse``."""
+    import lrvga.em
+    import lrvga.factor
+    import lrvga.sampler
+
+    d, p = 10_000, 10
+    rng = np.random.default_rng(12)
+    belief = belief_from_prior(d, p, eps=0.01, seed=12)
+    xs = rng.standard_normal((2, d)) / np.sqrt(d)
+    belief = lrvga_linear_step(belief, Observation(xs[0], 0.5))
+    counts = dict.fromkeys(("woodbury_apply", "latent_gram", "em_fixed_point_step", "spd_solve"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (lrvga.filters, lrvga.factor, lrvga.em, lrvga.sampler):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    out = lrvga_linear_step(belief, Observation(xs[1], -0.3))
+    assert counts["woodbury_apply"] == counts["latent_gram"] == counts["em_fixed_point_step"] == 0
+    assert counts["spd_solve"] <= 1
+    assert np.all(np.isfinite(out.mu))
+
+
+def _linear_rule(a0, nu0, y):
+    return 1.0, (y - a0) / (1.0 + nu0)
+
+
+def _logistic_rule(a0, nu0, y):
+    sol = _solve_scalar_system(a0, nu0, y)
+    return _sigmoid_weight(sol.a, sol.nu), y - float(expit(sol.k * sol.a))
+
+
+GLM_STEPS = {"linear": (lrvga_linear_step, _linear_rule),
+             "logistic": (lrvga_logistic_step, _logistic_rule)}
+
+
+def _relerr(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("loops", [1, 3])
+@pytest.mark.parametrize("p", [1, 5])
+@pytest.mark.parametrize("d", [100, 2 * _ROW_BLOCK + 37])
+@pytest.mark.parametrize("kind", sorted(GLM_STEPS))
+def test_fused_glm_step_matches_the_two_route_step(kind, d, p, loops):
+    """The step that takes its gain and first EM cycle from one reduction
+    and one row pass against the oracle that takes them apart, within
+    1e-12 relative in mu, W and psi. At d = 2 _ROW_BLOCK + 37 the row pass
+    walks three blocks, the last partial; at p = 1 the oracle's first
+    cycle is the general one (K = p), the step's the warm p-space one.
+    A one-cycle step hands over the gram of its output."""
+    step, rule = GLM_STEPS[kind]
+    rng = np.random.default_rng(d + 10 * p + loops)
+    fa = FaPrecision(rng.standard_normal((d, p)) / 3.0, rng.uniform(0.5, 2.0, d))
+    belief = GaussianBelief(rng.standard_normal(d) / np.sqrt(d), fa)
+    y = 1.0 if kind == "logistic" else float(rng.standard_normal())
+    obs = Observation(2.0 * rng.standard_normal(d) / np.sqrt(d), y)
+    out = step(belief, obs, inner_loops=loops)
+    ref = two_route_glm_step(belief, obs, rule, loops)
+    assert _relerr(out.mu, ref.mu) <= 1e-12
+    assert _relerr(out.prec.W, ref.prec.W) <= 1e-12
+    assert _relerr(out.prec.psi, ref.prec.psi) <= 1e-12
+    if loops == 1:
+        assert "_gram" in vars(out.prec)
+        fresh = latent_gram(out.prec)
+        assert _relerr(out.prec.gram, fresh) <= 1e-12
+        if d <= _ROW_BLOCK:
+            assert np.array_equal(out.prec.gram, fresh)
+
+
+def test_mean_overflow_in_the_last_partial_block_raises_as_the_two_route_step():
+    """x lives in the last, partial row block, where psi is small, so
+    P_{t-1} x r overflows there and nowhere else. The fused step raises
+    what the two-route step raises."""
+    d, p, tail = 2 * _ROW_BLOCK + 37, 4, 37
+    rng = np.random.default_rng(7)
+    psi = np.ones(d)
+    psi[-tail:] = 1e-10
+    belief = GaussianBelief(np.zeros(d), FaPrecision(rng.standard_normal((d, p)) / 10.0, psi))
+    x = np.zeros(d)
+    x[-tail:] = 1e-5
+    obs = Observation(x, 1e306)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite mean"):
+            two_route_glm_step(belief, obs, _linear_rule)
+        with pytest.raises(ValueError, match="non-finite mean"):
+            lrvga_linear_step(belief, obs)
+
+
 def test_linear_full_rank_tracks_kalman():
     d, n = 10, 100
     rng = np.random.default_rng(42)
@@ -294,6 +396,35 @@ def test_glm_scalars_label_validation():
     bel = belief_from_prior(3, 1)
     with pytest.raises(ValueError):
         solve_glm_scalars(bel, Observation(np.ones(3), 0.5))
+
+
+def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
+    """``solve_glm_scalars`` and ``lrvga_logistic_step`` take (a0, nu0)
+    from one owner, so the (s, r) the step absorbs and moves by follow
+    from the public solution bit for bit."""
+    import lrvga.filters
+
+    d, p = 40, 4
+    rng = np.random.default_rng(31)
+    fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
+    belief = GaussianBelief(0.3 * rng.standard_normal(d), fa)
+    obs = Observation(rng.standard_normal(d), 1.0)
+    used = {}
+    warm_solve, warm_rows = lrvga.filters._warm_solve, lrvga.filters._warm_rows
+
+    def spy_solve(target, V):
+        used["s"] = target.beta
+        return warm_solve(target, V)
+
+    def spy_rows(*args):
+        used["r"] = args[-1][0][-1]  # e = r [-M^-1 c; 1]
+        return warm_rows(*args)
+
+    monkeypatch.setattr(lrvga.filters, "_warm_solve", spy_solve)
+    monkeypatch.setattr(lrvga.filters, "_warm_rows", spy_rows)
+    lrvga_logistic_step(belief, obs)
+    sol = solve_glm_scalars(belief, obs)
+    assert used == {"s": _sigmoid_weight(sol.a, sol.nu), "r": 1.0 - float(expit(sol.k * sol.a))}
 
 
 def test_glm_scalars_fallback_warns_but_stays_usable():

@@ -1,6 +1,7 @@
 """Auxiliary-memory contract of the streaming filter."""
 
 import numpy as np
+import pytest
 
 import lrvga.experiments
 from lrvga import (
@@ -53,6 +54,25 @@ def test_warm_started_update_peaks_near_its_output_and_hands_over_its_gram():
     with MemoryMeter() as meter:
         out.latent_inverse
     assert meter.peak_bytes < 0.01 * unit
+
+
+@pytest.mark.parametrize("d, p, two_route_units", [(50_000, 10, 1.3913), (100, 5, 6.729)])
+def test_default_linear_step_peaks_no_higher_than_the_two_route_step(d, p, two_route_units):
+    """One default step, after a warm-up step whose gram it reads, in
+    units of 8 d p bytes. Before its gain and first EM cycle were fused,
+    this step peaked at 1.3913 units at d = 5 10^4, p = 10 (W_new, psi_new
+    and the gain, plus one row block's temporaries) and at 6.729 at
+    d = 100, p = 5, where interpreter objects dominate. The fused step
+    keeps x / psi, which becomes the new mean, in place of the gain, and
+    must peak no higher."""
+    rng = np.random.default_rng(11)
+    belief = GaussianBelief(np.zeros(d), init_isotropic_prior(d, p, 1.0, rng=11))
+    obs = [Observation(rng.standard_normal(d) / np.sqrt(d), float(rng.standard_normal()))
+           for _ in range(2)]
+    belief = lrvga_linear_step(belief, obs[0])
+    with MemoryMeter() as meter:
+        lrvga_linear_step(belief, obs[1])
+    assert 0 < meter.peak_bytes <= two_route_units * 8 * d * p
 
 
 def test_a_used_precision_caches_nothing_larger_than_p_squared():

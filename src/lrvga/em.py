@@ -17,15 +17,15 @@ Three layers, all sharing one step kernel:
 Each EM cycle solves in p-space by one Cholesky factorization of the SPD
 p x p matrix M B of ``em_fixed_point_step``, applied to d x p blocks by
 matrix products. The first cycle of an update, warm-started at the
-carried state, never applies the target when the block has K < p
-columns: it solves for (p + K)-sized matrices, then makes one pass over
-the rows of Z = [W X] in cache-sized blocks, without forming Z whole.
-That pass writes the new factors and accumulates their latent Gram
-matrix, which the output carries, so the next Woodbury gain or cycle
-reads it without another pass over W. The GLM filter step runs that
-cycle itself for any K: it hands in V = X^T Psi^-1 W, which its gain
-has formed already, and the row pass writes one extra column, the new
-mean, as it goes. Inputs are validated once per
+carried state, never applies the target at alpha = 1 or when the block
+has K < p columns: it solves small matrices, then makes one pass over
+the rows of W and X in cache-sized blocks that writes the new factors
+and accumulates their latent Gram matrix, which the output carries, so
+the next Woodbury gain or cycle reads it without another pass over W.
+At alpha = 1 that cycle is a rank-K update by G = X - W M^-1 V^T with
+V = X^T Psi^-1 W. The GLM filter step runs it itself at K = 1: it hands
+in M^-1 V^T, which its gain has formed already, and the pass writes the
+new mean from the same column G. Inputs are validated once per
 update, at the public boundary; each cycle checks its own output for
 finiteness, floors psi, and builds the next iterate unvalidated.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .dense import is_symmetric
 from .factor import (
@@ -49,9 +49,9 @@ from .factor import (
     star,
 )
 
-# Rows per block of the warm-started cycle's row pass: the block's
-# z = [w x], z R and scaled output rows, about 1.4 MB at p = 10, K = 1,
-# stay in a 2 MB L2 cache.
+# Rows per block of the warm-started cycle's row passes: a block's rows
+# of W and X, its products and its output rows, at most about 1.4 MB at
+# p = 10, K = 1, stay in a 2 MB L2 cache.
 _ROW_BLOCK = 4096
 
 
@@ -123,7 +123,8 @@ class _BlendTarget:
     Products are taken block by block, so the carried factor is read in
     place rather than copied into a widened matrix; only the p-column
     product outputs are allocated, and the diagonal on first use. A cycle
-    started at ``prev`` with K < p reads ``prev``, ``X`` and the weights.
+    started at ``prev`` with alpha = 1 or K < p reads only ``prev``, ``X``
+    and the weights.
     """
 
     def __init__(self, prev: FaPrecision, X: np.ndarray, alpha: float, beta: float):
@@ -175,17 +176,24 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     block plus O(d p^2).
 
     When S = alpha (W W^T + Psi) + beta X X^T is the recursion target
-    built on ``fa`` itself and X has K < p columns, S is never applied
-    (for wider blocks the general cycle is cheaper). With Z = [W X],
-    V = X^T Psi^-1 W and L = [alpha M; beta V], G = Z L and
-    M B = M + alpha (M^2 - M) + beta V^T V, so
+    built on ``fa`` itself, with V = X^T Psi^-1 W, S is never applied at
+    alpha = 1, nor when X has K < p columns. At alpha = 1, take instead
+    A = M^-1 V^T: M B = M (I_p + beta A A^T) M, and with
+    Q = beta (I_K + beta A^T A)^-1 the cycle is a rank-K update by
+    G = X - W A = Psi (W W^T + Psi)^-1 X,
+
+        W_new = W + G Q A^T,  psi_new = psi + diag(G Q G^T),
+
+    at O(d p K), plus O(d p^2) for the output's gram: below the general
+    cycle's cost at every K. Otherwise
+    R has full rank: with Z = [W X] and L = [alpha M; beta V],
 
         W_new   = Z L (M B)^-1 M
         psi_new = alpha psi + diag(Z R Z^T),  R = diag(alpha I_p, beta I_K) - L (M B)^-1 L^T
 
-    cost O(d (p + K)^2). Z is never formed whole: one pass over its
-    rows, ``_ROW_BLOCK`` at a time, writes W_new and psi_new and
-    accumulates the output's ``gram``, which is handed over with it.
+    at O(d (p + K)^2), so wider blocks take the general cycle. Either
+    way one pass over the rows, ``_ROW_BLOCK`` at a time, writes W_new
+    and psi_new and accumulates the output's ``gram``, handed over with it.
 
     Fitted diagonal entries below ``PSI_FLOOR`` are clamped to it, and a
     failed factorization falls back to the pseudo-inverse with a warning.
@@ -196,8 +204,11 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     if not (hasattr(S, "matmat") and hasattr(S, "diag")):
         S = DenseSymmetric(S)
     M = fa.gram
-    if isinstance(S, _BlendTarget) and fa is S.prev and S.X.shape[1] < fa.p:
-        return _warm_rows(fa, S.X, S.alpha, *_warm_solve(S, (S.X.T / fa.psi) @ fa.W))
+    if isinstance(S, _BlendTarget) and fa is S.prev and (S.alpha == 1.0 or S.X.shape[1] < fa.p):
+        V = (S.X.T / fa.psi) @ fa.W
+        if S.alpha == 1.0:
+            return _rank_k_rows(fa, S.X, fa.latent_inverse @ V.T, S.beta)
+        return _warm_rows(fa, S.X, S.alpha, *_warm_solve(S, V))
     psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
     MB = M + psi_inv_w.T @ G
@@ -241,40 +252,68 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def _warm_rows(
-    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, R: np.ndarray, shift=None
+    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, R: np.ndarray
 ) -> FaPrecision:
-    """The d-sized part of the warm-started cycle, one pass over the rows.
+    """The d-sized part of the warm-started cycle at alpha < 1: with
+    Z = [W X], W_new = Z H and psi_new = alpha psi + diag(Z R Z^T), by
+    ``_row_pass``. Each block's z and z R stay in cache; Z is never formed
+    whole."""
 
-    With Z = [W X] it writes W_new = Z H and
-    psi_new = alpha psi + diag(Z R Z^T), floored at ``PSI_FLOOR``, and
-    accumulates W_new^T Psi_new^-1 W_new, so the output carries its gram
-    M = I_p + W_new^T Psi_new^-1 W_new. Given ``shift = (e, mu, out)``
-    it also writes the extra column out = mu + Psi^-1 Z e, taking Z e
-    from the same block product as Z R, as z [R | e]; ``out`` may be a
-    buffer nothing else reads. Rows go in blocks of ``_ROW_BLOCK``: each
-    block's z, z R and scaled w_new stay in cache, and Z is never formed
-    whole. With a single block (d <= _ROW_BLOCK) and no shift, every
-    expression equals the whole-array one, bit for bit.
+    def fill(rows, w_new, psi_block):
+        z = np.concatenate((fa.W[rows], X[rows]), axis=1)
+        np.matmul(z, H, out=w_new)
+        np.einsum("ij,ij->i", z @ R, z, out=psi_block)
+        psi_block += alpha * fa.psi[rows]
+
+    return _row_pass(fa.W.shape, fill)
+
+
+def _rank_k_rows(
+    fa: FaPrecision, X: np.ndarray, A: np.ndarray, beta: float, shift=None
+) -> FaPrecision:
+    """The warm-started cycle at alpha = 1, given A = M^-1 V^T (p x K).
+
+    With Q = beta (I_K + beta A^T A)^-1 and G = X - W A, it writes
+    W_new = W + G Q A^T and psi_new = psi + diag(G Q G^T) by
+    ``_row_pass``, at O(d p K) besides the gram. Given
+    ``shift = (r, mu, out)`` and K = 1 it also writes
+    out = mu + r Psi^-1 G, the mean moved along the pre-update gain
+    P X = Psi^-1 G; ``out`` may be a buffer nothing else reads. Each
+    block of W_new is a copy of w updated in place by one BLAS product.
     """
-    d, p = fa.W.shape
-    k = R.shape[1]
-    if shift is not None:
-        e, mu, out = shift
-        R = np.column_stack((R, e))
+    k = A.shape[1]
+    Q = _mb_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
+    AQ = A @ Q
+
+    def fill(rows, w_new, psi_block):
+        g = X[rows] - fa.W[rows] @ A
+        np.copyto(w_new, fa.W[rows])
+        blas.dgemm(1.0, AQ, g.T, beta=1.0, c=w_new.T, overwrite_c=True)
+        # np.dot: at K = 1 matmul takes a slow loop, about 3x the whole einsum
+        np.einsum("ij,ij->i", np.dot(g, Q), g, out=psi_block)
+        psi_block += fa.psi[rows]
+        if shift is not None:
+            r, mu, out = shift
+            np.divide(r * g[:, 0], fa.psi[rows], out=out[rows])
+            out[rows] += mu[rows]
+
+    return _row_pass(fa.W.shape, fill)
+
+
+def _row_pass(shape: tuple[int, int], fill) -> FaPrecision:
+    """One pass over the rows of a warm-started cycle's output, in blocks
+    of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block,
+    whose psi is then checked and floored at ``PSI_FLOOR``. The output
+    carries its gram, accumulated block by block; with a single block
+    (d <= _ROW_BLOCK) it equals ``latent_gram``'s, bit for bit."""
+    d, p = shape
     W_new = np.empty((d, p))
     psi_new = np.empty(d)
     G = np.zeros((p, p))
     for start in range(0, d, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        z = np.concatenate((fa.W[rows], X[rows]), axis=1)
-        w_new = np.matmul(z, H, out=W_new[rows])
-        zr = z @ R
-        psi_block = np.einsum("ij,ij->i", zr[:, :k], z, out=psi_new[rows])
-        if shift is not None:
-            np.divide(zr[:, k], fa.psi[rows], out=out[rows])
-            out[rows] += mu[rows]
-        del z, zr  # freed before the gram's product, to lower the peak
-        psi_block += alpha * fa.psi[rows]
+        w_new, psi_block = W_new[rows], psi_new[rows]
+        fill(rows, w_new, psi_block)
         _check_finite(psi_block)
         np.maximum(psi_block, PSI_FLOOR, out=psi_block)
         G += w_new.T @ (w_new / psi_block[:, None])

@@ -4,9 +4,10 @@ One observation in, one posterior out. The linear and logistic filters
 share one implicit GLM update: the link turns a0 = x.mu_{t-1} and
 nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
 pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
-The step reads W twice: once for W^T Psi^-1 x, which gives nu0 and the
-first EM cycle's V, and once in that cycle's row pass, which also writes
-the new mean.
+The step reads W twice: once for W^T Psi^-1 x, which gives nu0 and
+A = M^-1 W^T Psi^-1 x, and once in the first EM cycle's row pass, a
+rank-one update by the column g = x - W A = Psi P_{t-1} x, from which it
+also writes the new mean.
 General nonlinear likelihoods are handled by sampled expectations with an
 optional extragradient (mirror-prox) correction: each stage draws one
 (d, K) block of parameters, and the model turns the whole block into a
@@ -24,7 +25,7 @@ from scipy.special import expit
 
 from . import em
 from .dense import DenseGaussian
-from .em import RecursionWeights, _BlendTarget, _cycle_count, _warm_rows, _warm_solve
+from .em import RecursionWeights, _BlendTarget, _cycle_count, _rank_k_rows
 from .em import recursive_em_update
 from .factor import PSI_FLOOR, DivergenceError, FaPrecision, woodbury_apply
 from .sampler import EnsembleSampler
@@ -120,8 +121,8 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
 
 def _prior_scalars(
     belief: GaussianBelief, obs: Observation, binary: bool = False
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Validate one observation and return (x, y, u, c, M^-1 c, nu0, a0)
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, float]:
+    """Validate one observation and return (x, y, u, M^-1 c, nu0, a0)
     from one pass over W: u = Psi^-1 x, c = W^T u and, by Woodbury,
     nu0 = x^T P_{t-1} x = x.u - c^T M^-1 c, clamped at 0, with M^-1 the
     cached ``latent_inverse``, and a0 = x.mu_{t-1}."""
@@ -135,7 +136,7 @@ def _prior_scalars(
     c = prec.W.T @ u
     minv_c = prec.latent_inverse @ c
     nu0 = max(float(x @ u) - float(c @ minv_c), 0.0)
-    return x, y, u, c, minv_c, nu0, float(x @ belief.mu)
+    return x, y, u, minv_c, nu0, float(x @ belief.mu)
 
 
 def _glm_step(
@@ -150,19 +151,18 @@ def _glm_step(
     The mean moves along the pre-update gain, mu_t = mu_{t-1} + P_{t-1} x r,
     and the factored precision absorbs s x x^T through the recursion with
     weights (1, s), so no reweighted copy of x is made. The first EM cycle
-    is the warm-started one of ``em_fixed_point_step``, run here with the
-    scalars' c = W^T Psi^-1 x as its V. By Woodbury,
-    P_{t-1} x r = Psi^-1 Z e with Z = [W x] and e = r [-M^-1 c; 1], so its
-    row pass writes mu_t as one extra column, into the spent buffer of
-    Psi^-1 x. Any later cycles are general ones.
+    is the warm-started rank-one update of ``em_fixed_point_step``, run
+    here with the scalars' M^-1 c, c = W^T Psi^-1 x, as its A. By
+    Woodbury, P_{t-1} x r = r Psi^-1 g with g = x - W M^-1 c, the column
+    that update is made of, so its row pass writes mu_t from g, into the
+    spent buffer of Psi^-1 x. Any later cycles are general ones.
     """
-    x, y, u, c, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
+    x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
     s, r = rule(a0, nu0, y)
     loops = _cycle_count(belief.d, inner_loops)
     target = _BlendTarget(belief.prec, x[:, None], 1.0, s)
-    prec = _warm_rows(belief.prec, target.X, 1.0, *_warm_solve(target, c[None, :]),
-                      (r * np.append(-minv_c, 1.0), belief.mu, u))
-    del c, minv_c  # freed before the later cycles, to lower the peak
+    prec = _rank_k_rows(belief.prec, target.X, minv_c[:, None], s, (r, belief.mu, u))
+    del minv_c  # freed before the later cycles, to lower the peak
     for _ in range(loops - 1):  # through em, whose attribute the benchmark tracer wraps
         prec = em.em_fixed_point_step(prec, target)
     return _checked(GaussianBelief(u, prec))
@@ -298,7 +298,7 @@ def solve_glm_scalars(belief: GaussianBelief, obs: Observation) -> GlmScalarSolu
     of ``SCALAR_MAX_ITER`` iterations is hit, one Picard sweep is applied
     and a warning raised.
     """
-    _, y, _, _, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
+    _, y, _, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
     return _solve_scalar_system(a0, nu0, y)
 
 

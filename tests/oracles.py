@@ -7,7 +7,9 @@ compare package output against these, so keep this module boring and
 obviously correct rather than fast. The one exception,
 ``two_route_glm_step``, assembles the GLM filter step from the
 package's own Woodbury gain and EM recursion: it is the reference for
-the step that fuses the two.
+the step that fuses the two. Its recursion's first cycle runs the same
+alpha = 1 row pass as the step, which ``warm_cycle_one_shot`` checks on
+its own.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble

@@ -17,7 +17,7 @@ from lrvga import (
     init_isotropic_prior,
     recursive_em_update,
 )
-from lrvga.em import _ROW_BLOCK, DenseSymmetric, _BlendTarget, _warm_rows
+from lrvga.em import _ROW_BLOCK, DenseSymmetric, _BlendTarget, _rank_k_rows, _warm_rows
 from lrvga.factor import DivergenceError, latent_gram
 from lrvga.memory import MemoryMeter
 
@@ -213,18 +213,25 @@ def test_warm_started_cycle_matches_one_step_against_the_dense_target(alpha, bet
     assert _relerr(got.psi, expected.psi) <= 1e-10
 
 
-@pytest.mark.parametrize("k, general", [(2, False), (3, True)])
-def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, general, monkeypatch):
-    """A one-cycle update (the default above d = 1000) with K < p neither
-    multiplies the target nor forms its diagonal; with K >= p (p = 3
-    here) it takes the general cycle, which does both."""
+@pytest.mark.parametrize(
+    "k, alpha, general",
+    [pytest.param(2, 1.0, False, id="2-False"), pytest.param(3, 0.5, True, id="3-True"),
+     pytest.param(2, 0.5, False, id="2-False-alpha-0.5"),
+     pytest.param(3, 1.0, False, id="3-False-alpha-1"),
+     pytest.param(5, 1.0, False, id="5-False-alpha-1")],
+)
+def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, alpha, general, monkeypatch):
+    """A one-cycle update (the default above d = 1000) at alpha = 1 never
+    multiplies the target nor forms its diagonal, whatever K; at
+    alpha < 1 neither happens with K < p, and with K >= p (p = 3 here) it
+    takes the general cycle, which does both."""
     reads = []
     for name in ("matmat", "diag"):
         original = getattr(_BlendTarget, name)
         monkeypatch.setattr(_BlendTarget, name,
                             lambda self, *a, _f=original, _n=name: reads.append(_n) or _f(self, *a))
     prev = init_isotropic_prior(9, 3, 1.0, rng=2)
-    recursive_em_update(prev, np.ones((9, k)), inner_loops=1)
+    recursive_em_update(prev, np.ones((9, k)), RecursionWeights(alpha, 1.0), inner_loops=1)
     assert sorted(set(reads)) == (["diag", "matmat"] if general else [])
 
 
@@ -242,18 +249,23 @@ def test_first_cycle_peaks_within_four_blocks_of_its_width(k):
     assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
 
 
-@pytest.mark.parametrize("d", [_ROW_BLOCK, 2 * _ROW_BLOCK + 37])
-@pytest.mark.parametrize("k", [1, 3])
-def test_warm_started_row_pass_matches_the_one_shot_cycle(d, k):
-    """The blocked row pass against the cycle with Z = [W X] formed whole:
-    at d = 2 _ROW_BLOCK + 37 it walks three blocks, the last partial. The
-    gram handed over with the output matches a fresh ``latent_gram``, and
-    equals it bit for bit when there is one block."""
+@pytest.mark.parametrize(
+    "alpha, k, d",
+    [pytest.param(alpha, k, d, id=f"{k}-{d}" + ("-alpha-1" if alpha == 1.0 else ""))
+     for alpha in (0.9, 1.0) for k in (1, 3) for d in (_ROW_BLOCK, 2 * _ROW_BLOCK + 37)],
+)
+def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d):
+    """The blocked row passes against the cycle with Z = [W X] formed
+    whole and its full R: at alpha = 0.9 the pass over [W X], at
+    alpha = 1 the rank-K one. At d = 2 _ROW_BLOCK + 37 each walks three
+    blocks, the last partial. The gram handed over with the output
+    matches a fresh ``latent_gram``, and equals it bit for bit when there
+    is one block."""
     p = 6
     rng = np.random.default_rng(d + k)
     prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k)) / np.sqrt(d)
-    alpha, beta = 0.9, 0.7
+    beta = 0.7
     out = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
     W, psi = warm_cycle_one_shot(prev.W, prev.psi, X, alpha, beta)
     assert _relerr(out.W, W) <= 1e-12
@@ -292,6 +304,25 @@ def test_row_pass_raises_on_a_non_finite_factor_row_in_its_last_block():
     H[p] = 1e300  # W_new = X H: zero except its last row, which overflows
     with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
         _warm_rows(fa, X, 1.0, H, np.zeros((p + 1, p + 1)))
+
+
+def test_rank_k_row_pass_raises_on_a_gram_overflow_in_its_last_block():
+    """The alpha = 1 pass, called directly, at a last row of W far too
+    large for W_new^T Psi_new^-1 W_new while psi_new stays finite: the
+    pass must raise through the check of the gram it accumulates. The
+    row comes in with W, since with Q built from A and beta a finite
+    psi_new bounds every entry of G Q A^T by its square root
+    (Cauchy-Schwarz, as A Q A^T <= I): the update cannot overflow W_new
+    on its own."""
+    d, p = 2 * _ROW_BLOCK + 37, 4
+    rng = np.random.default_rng(8)
+    W = rng.standard_normal((d, p))
+    W[-1] = [1e200, 0.0, 0.0, 0.0]  # finite, but its square over psi is not
+    fa = FaPrecision(W, rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, 1))
+    A = np.array([[0.0], [0.1], [0.2], [0.3]])  # no weight on W's first column
+    with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
+        _rank_k_rows(fa, X, A, 1.0)
 
 
 def _unpatched_and_patched(monkeypatch, name, fake, run):

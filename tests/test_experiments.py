@@ -152,9 +152,9 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 # is a change of output: explain it, then update the digest.
 GOLDEN = {
     "cov": "0fa3d408819af9efc2aa139945111db6ec52d32138c62b2dda65149f55391dc0",
-    "linear": "c9b5eeae04ba667b377e00ebeb1497b3177c487b12de1a51fdea55ad5f4874f4",
-    "logistic": "2ef0d6a2665e227fdb32c5d5941d2d82877f7f8a2720594025f01c51407edadb",
-    "nonlinear": "4cab58e91019a76c708d1f0beed67b8368f75fb75bb69e2cc5759f20cd596b4a",
+    "linear": "756c1a0b969cb4fa219b44c3336f24009286267455bc0c85d43abc7ccf3f4b6b",
+    "logistic": "811711051620de4769b27378d9ff9f455ea0cf282e16fdfccfe72cbbd0afdecc",
+    "nonlinear": "3ff0e8663af238bc5c39bcadb7a5467d4807184a2de938fdb80d1733dcee03b1",
 }
 
 

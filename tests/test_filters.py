@@ -410,18 +410,13 @@ def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
     belief = GaussianBelief(0.3 * rng.standard_normal(d), fa)
     obs = Observation(rng.standard_normal(d), 1.0)
     used = {}
-    warm_solve, warm_rows = lrvga.filters._warm_solve, lrvga.filters._warm_rows
+    rank_k_rows = lrvga.filters._rank_k_rows
 
-    def spy_solve(target, V):
-        used["s"] = target.beta
-        return warm_solve(target, V)
+    def spy(fa, X, A, beta, shift):
+        used["s"], used["r"] = beta, shift[0]  # shift = (r, mu, out)
+        return rank_k_rows(fa, X, A, beta, shift)
 
-    def spy_rows(*args):
-        used["r"] = args[-1][0][-1]  # e = r [-M^-1 c; 1]
-        return warm_rows(*args)
-
-    monkeypatch.setattr(lrvga.filters, "_warm_solve", spy_solve)
-    monkeypatch.setattr(lrvga.filters, "_warm_rows", spy_rows)
+    monkeypatch.setattr(lrvga.filters, "_rank_k_rows", spy)
     lrvga_logistic_step(belief, obs)
     sol = solve_glm_scalars(belief, obs)
     assert used == {"s": _sigmoid_weight(sol.a, sol.nu), "r": 1.0 - float(expit(sol.k * sol.a))}

@@ -22,6 +22,10 @@ has K < p columns: it solves small matrices, then makes one pass over
 the rows of W and X in cache-sized blocks that writes the new factors
 and accumulates their latent Gram matrix, which the output carries, so
 the next Woodbury gain or cycle reads it without another pass over W.
+That pass writes W column-major: at p << d each block is p contiguous
+column segments, and the products and per-row arithmetic on it, and
+later reads of W^T u, stream along them. Every routine accepts either
+order.
 At alpha = 1 that cycle is a rank-K update by G = X - W M^-1 V^T with
 V = X^T Psi^-1 W. The GLM filter step runs it itself at K = 1: it hands
 in M^-1 V^T, which its gain has formed already, and the pass writes the
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .dense import is_symmetric
 from .factor import (
@@ -143,7 +147,8 @@ class _BlendTarget:
             if self.alpha != 1.0:
                 out *= self.alpha
         if self.beta > 0.0:
-            block = self.X @ (self.beta * (self.X.T @ A))
+            # np.dot: for a one-column X, matmul takes a slow loop here
+            block = np.dot(self.X, self.beta * (self.X.T @ A))
             if out is None:
                 return block
             out += block
@@ -279,16 +284,19 @@ def _rank_k_rows(
     ``shift = (r, mu, out)`` and K = 1 it also writes
     out = mu + r Psi^-1 G, the mean moved along the pre-update gain
     P X = Psi^-1 G; ``out`` may be a buffer nothing else reads. Each
-    block of W_new is a copy of w updated in place by one BLAS product.
+    column-major block of W_new is G Q A^T written in place, an outer
+    product at K = 1, to which w is then added.
     """
     k = A.shape[1]
     Q = _mb_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
     AQ = A @ Q
 
     def fill(rows, w_new, psi_block):
-        g = X[rows] - fa.W[rows] @ A
-        np.copyto(w_new, fa.W[rows])
-        blas.dgemm(1.0, AQ, g.T, beta=1.0, c=w_new.T, overwrite_c=True)
+        w = fa.W[rows]
+        g = X[rows] - w @ A
+        # At K = 1 matmul takes a slow loop; the product is then an outer one
+        (np.multiply if k == 1 else np.matmul)(g, AQ.T, out=w_new)
+        w_new += w
         # np.dot: at K = 1 matmul takes a slow loop, about 3x the whole einsum
         np.einsum("ij,ij->i", np.dot(g, Q), g, out=psi_block)
         psi_block += fa.psi[rows]
@@ -303,11 +311,13 @@ def _rank_k_rows(
 def _row_pass(shape: tuple[int, int], fill) -> FaPrecision:
     """One pass over the rows of a warm-started cycle's output, in blocks
     of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block,
-    whose psi is then checked and floored at ``PSI_FLOOR``. The output
-    carries its gram, accumulated block by block; with a single block
-    (d <= _ROW_BLOCK) it equals ``latent_gram``'s, bit for bit."""
+    whose psi is then checked and floored at ``PSI_FLOOR``. W_new is
+    column-major, so ``w_new`` is p contiguous column segments, which
+    ``fill`` must write in place. The output carries its gram,
+    accumulated block by block; with a single block (d <= _ROW_BLOCK) it
+    equals ``latent_gram``'s, bit for bit."""
     d, p = shape
-    W_new = np.empty((d, p))
+    W_new = np.empty((d, p), order="F")
     psi_new = np.empty(d)
     G = np.zeros((p, p))
     for start in range(0, d, _ROW_BLOCK):

@@ -93,7 +93,8 @@ class FaPrecision:
     symmetric positive definite whenever the invariants hold, which is
     enforced at construction. The fitting recursions build their outputs
     through ``_trusted_precision`` instead, since they check finiteness
-    and floor psi themselves.
+    and floor psi themselves. They write W column-major; every routine
+    accepts W in either order.
 
     ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W that every EM
     cycle reads, and its inverse ``latent_inverse``, read only by the

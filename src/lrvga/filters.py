@@ -122,15 +122,15 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
 def _prior_scalars(
     belief: GaussianBelief, obs: Observation, binary: bool = False
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, float]:
-    """Validate one observation and return (x, y, u, M^-1 c, nu0, a0)
+    """The prior scalars of one observation, (x, y, u, M^-1 c, nu0, a0),
     from one pass over W: u = Psi^-1 x, c = W^T u and, by Woodbury,
     nu0 = x^T P_{t-1} x = x.u - c^T M^-1 c, clamped at 0, with M^-1 the
-    cached ``latent_inverse``, and a0 = x.mu_{t-1}."""
+    cached ``latent_inverse``, and a0 = x.mu_{t-1}. ``Observation`` has
+    checked x and y for finiteness; only the input's length and, when
+    ``binary``, the label are checked here."""
     x, y = _input(obs, belief.d), obs.y
     if binary and y not in (0.0, 1.0):
         raise ValueError("logistic labels must be 0 or 1")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite entries")
     prec = belief.prec
     u = x / prec.psi
     c = prec.W.T @ u

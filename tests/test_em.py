@@ -250,24 +250,29 @@ def test_first_cycle_peaks_within_four_blocks_of_its_width(k):
 
 
 @pytest.mark.parametrize(
-    "alpha, k, d",
-    [pytest.param(alpha, k, d, id=f"{k}-{d}" + ("-alpha-1" if alpha == 1.0 else ""))
-     for alpha in (0.9, 1.0) for k in (1, 3) for d in (_ROW_BLOCK, 2 * _ROW_BLOCK + 37)],
+    "alpha, k, d, order",
+    [pytest.param(alpha, k, d, order, id=f"{k}-{d}" + ("-alpha-1" if alpha == 1.0 else "")
+                  + ("-F" if order == "F" else ""))
+     for order in "CF" for alpha in (0.9, 1.0) for k in (1, 3)
+     for d in (_ROW_BLOCK, 2 * _ROW_BLOCK + 37)],
 )
-def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d):
+def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
     """The blocked row passes against the cycle with Z = [W X] formed
     whole and its full R: at alpha = 0.9 the pass over [W X], at
     alpha = 1 the rank-K one. At d = 2 _ROW_BLOCK + 37 each walks three
-    blocks, the last partial. The gram handed over with the output
-    matches a fresh ``latent_gram``, and equals it bit for bit when there
-    is one block."""
+    blocks, the last partial. The incoming W is C- or F-ordered; the
+    output's is F-ordered. The gram handed over with the output matches a
+    fresh ``latent_gram``, and equals it bit for bit when there is one
+    block."""
     p = 6
     rng = np.random.default_rng(d + k)
-    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
+    W0 = np.asarray(rng.standard_normal((d, p)) / 10.0, order=order)
+    prev = FaPrecision(W0, rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k)) / np.sqrt(d)
     beta = 0.7
     out = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
     W, psi = warm_cycle_one_shot(prev.W, prev.psi, X, alpha, beta)
+    assert out.W.flags.f_contiguous
     assert _relerr(out.W, W) <= 1e-12
     assert _relerr(out.psi, psi) <= 1e-12
     assert "_gram" in vars(out) and not out.gram.flags.writeable

@@ -151,10 +151,10 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 # SHA-256 of results.csv for each TINY config. A change to any of them
 # is a change of output: explain it, then update the digest.
 GOLDEN = {
-    "cov": "0fa3d408819af9efc2aa139945111db6ec52d32138c62b2dda65149f55391dc0",
-    "linear": "756c1a0b969cb4fa219b44c3336f24009286267455bc0c85d43abc7ccf3f4b6b",
-    "logistic": "811711051620de4769b27378d9ff9f455ea0cf282e16fdfccfe72cbbd0afdecc",
-    "nonlinear": "3ff0e8663af238bc5c39bcadb7a5467d4807184a2de938fdb80d1733dcee03b1",
+    "cov": "d820c58195e5dbcc83ccf62433e697dd7f80ad62f5729dccc54ec8f73a099d67",
+    "linear": "ef1b8f8f90338e38f57a74c049ec2015bed168eb18897b88d884af0f88e4d7bc",
+    "logistic": "57ae561d7be222412cdf27fb6b18bd3df243ba68b29f4b169e96b97da572fd9b",
+    "nonlinear": "39d90807a9517aadc599a60092ce3ce4295c074331390bd4aeb3e549507383c6",
 }
 
 
@@ -202,7 +202,7 @@ def test_wider_cov_run_matches_the_golden_digest(tmp_path):
     cfg = make_config("cov", d=20, p=3, n=200, checkpoints=20, batch_passes=2, seed=3)
     emit_report(run_experiment(cfg), tmp_path)
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert digest == "0ea7702552a6a82a04d482dab790161b63a0a634f432008d5fde67eaccc8fe2c"
+    assert digest == "5d813dc15d488ac1b03b4b0e1b438c86b99ae5ab5f05f461e06870ea9f60a427"
 
 
 def test_report_round_trips_through_results_csv(tmp_path):
@@ -274,8 +274,8 @@ def _write_dataset(path):
 # SHA-256 of results.csv for a covariance run on the file above, under
 # each normalization mode.
 DATASET_GOLDEN = {
-    "mean-norm": "15a7f45190893f183e945994f120f15a2723e17a3715e8e9a3d35dfff3ae016a",
-    "none": "459526f7dd11ecbb58870134035c9d1f0e242993293c5467b04955b4176ebd12",
+    "mean-norm": "6a11f8b556f6d79af3966eaf133a22844718aff95090703e87dff352d8f3338b",
+    "none": "fc985ed5f47e9c7cbff1f24f2221efe673f3540c3ac91d99bd8f389bf8d3a40a",
 }
 
 

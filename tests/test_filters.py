@@ -252,9 +252,22 @@ def test_fused_glm_step_matches_the_two_route_step(kind, d, p, loops):
     walks three blocks, the last partial; at p = 1 the oracle's first
     cycle is the general one (K = p), the step's the warm p-space one.
     A one-cycle step hands over the gram of its output."""
+    _check_fused_glm_step(kind, d, p, loops, "C")
+
+
+@pytest.mark.parametrize("loops", [1, 3])
+@pytest.mark.parametrize("kind", sorted(GLM_STEPS))
+def test_fused_glm_step_matches_the_two_route_step_on_a_column_major_belief(kind, loops):
+    """The same bounds when the belief's W is F-ordered, as the row pass
+    writes it, over three row blocks."""
+    _check_fused_glm_step(kind, 2 * _ROW_BLOCK + 37, 5, loops, "F")
+
+
+def _check_fused_glm_step(kind, d, p, loops, order):
     step, rule = GLM_STEPS[kind]
     rng = np.random.default_rng(d + 10 * p + loops)
-    fa = FaPrecision(rng.standard_normal((d, p)) / 3.0, rng.uniform(0.5, 2.0, d))
+    W = np.asarray(rng.standard_normal((d, p)) / 3.0, order=order)
+    fa = FaPrecision(W, rng.uniform(0.5, 2.0, d))
     belief = GaussianBelief(rng.standard_normal(d) / np.sqrt(d), fa)
     y = 1.0 if kind == "logistic" else float(rng.standard_normal())
     obs = Observation(2.0 * rng.standard_normal(d) / np.sqrt(d), y)

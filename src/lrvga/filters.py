@@ -94,7 +94,7 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
     mu_norm = float(np.linalg.norm(belief.mu))
     if not np.isfinite(mu_norm) or mu_norm > MU_NORM_LIMIT:
         raise DivergenceError(f"mean norm {mu_norm:.3e} exceeds {MU_NORM_LIMIT:.0e}")
-    floored = float(np.mean(belief.prec.psi <= PSI_FLOOR))
+    floored = np.count_nonzero(belief.prec.psi <= PSI_FLOOR) / belief.d
     if floored > PSI_FLOOR_FRACTION:
         raise DivergenceError(
             f"{floored:.0%} of the diagonal hit the floor {PSI_FLOOR:g}"
@@ -351,10 +351,10 @@ class LogisticModel:
 
     def ggn_root(self, thetas, x):
         s = expit(x @ thetas)
-        return (x * np.sqrt(np.mean(s * (1.0 - s))))[:, None]
+        return (x * np.sqrt(np.dot(s, 1.0 - s) / s.size))[:, None]
 
     def mean_loglik_grad(self, thetas, x, y):
-        return x * (y - np.mean(expit(x @ thetas)))
+        return x * (y - expit(x @ thetas).sum() / thetas.shape[1])
 
 
 def ggn_block(model: NonlinearModel, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:

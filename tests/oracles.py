@@ -5,11 +5,10 @@ dense linear algebra (and brute-force root bracketing for the scalar
 systems), deliberately sharing no code paths with the package. Tests
 compare package output against these, so keep this module boring and
 obviously correct rather than fast. The one exception,
-``two_route_glm_step``, assembles the GLM filter step from the
-package's own Woodbury gain and EM recursion: it is the reference for
-the step that fuses the two. Its recursion's first cycle runs the same
-alpha = 1 row pass as the step, which ``warm_cycle_one_shot`` checks on
-its own.
+``two_route_glm_step``, takes the GLM filter step's gain from the
+package's Woodbury product; its EM cycles are this module's own
+``warm_cycle_one_shot`` and ``em_solve_step``, so no fused path of the
+step is on both sides of the comparison.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble
@@ -27,9 +26,9 @@ from scipy.optimize import brentq
 
 from lrvga import (
     EnsembleSampler,
+    FaPrecision,
     GaussianBelief,
-    RecursionWeights,
-    recursive_em_update,
+    default_inner_loops,
     woodbury_apply,
 )
 
@@ -280,18 +279,81 @@ def warm_cycle_one_shot(
     return W_new, np.maximum(psi_new, 1e-12)
 
 
+class RankOneBlend:
+    """The GLM step's EM target W W^T + Psi + s x x^T, applied from its
+    parts so nothing d x d is formed: ``matmat`` and ``diag`` as
+    ``em_solve_step`` reads them."""
+
+    def __init__(self, W: np.ndarray, psi: np.ndarray, x: np.ndarray, s: float):
+        self.W, self.psi, self.x, self.s = W, psi, x, s
+
+    def matmat(self, A: np.ndarray) -> np.ndarray:
+        return self.W @ (self.W.T @ A) + self.psi[:, None] * A + self.s * np.outer(self.x, self.x @ A)
+
+    def diag(self) -> np.ndarray:
+        return np.sum(self.W * self.W, axis=1) + self.psi + self.s * self.x * self.x
+
+
 def two_route_glm_step(belief, obs, rule, inner_loops=None) -> GaussianBelief:
     """The GLM filter step with its two halves taken apart, each on its own
     passes over W: the gain P_{t-1} x by ``woodbury_apply``, nu0 = x.gain
     (clamped at 0) and a0 = x.mu, the link's (s, r) = rule(a0, nu0, y),
-    then mu_t = mu_{t-1} + r gain and the precision by
-    ``recursive_em_update`` with weights (1, s). The new belief goes
-    through the public constructor, which rejects a non-finite mean."""
-    x = obs.x
+    then mu_t = mu_{t-1} + r gain. The precision runs the EM cycles toward
+    W W^T + Psi + s x x^T with no ``lrvga.em`` routine: the first by
+    ``warm_cycle_one_shot``, the rest by ``em_solve_step``, as many as
+    ``inner_loops`` or, when it is None, ``default_inner_loops(d)``. The
+    new belief goes through the public constructor, which rejects a
+    non-finite mean."""
+    x, W, psi = obs.x, belief.prec.W, belief.prec.psi
     gain = woodbury_apply(belief.prec, x)
     s, r = rule(float(x @ belief.mu), max(float(x @ gain), 0.0), obs.y)
-    prec = recursive_em_update(belief.prec, x[:, None], RecursionWeights(1.0, s), inner_loops)
-    return GaussianBelief(belief.mu + r * gain, prec)
+    target = RankOneBlend(W, psi, x, s)
+    W_new, psi_new = warm_cycle_one_shot(W, psi, x[:, None], 1.0, s)
+    loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
+    for _ in range(loops - 1):
+        W_new, psi_new = em_solve_step(W_new, psi_new, target)
+    return GaussianBelief(belief.mu + r * gain, FaPrecision(W_new, psi_new))
+
+
+def quadrature_kl_logistic(q, X: np.ndarray, y: np.ndarray, sigma0: float) -> tuple[float, float]:
+    """KL(q || logistic posterior) up to the log evidence, and its error,
+    by the same 32- and 16-node Gauss-Hermite rules as
+    ``expected_kl_logistic``, written plainly: the covariance Sigma is
+    formed densely (a factored q's by inverting W W^T + Psi), a factored
+    q's nu_i = x_i^T Sigma x_i is taken through Woodbury with X / psi
+    and M = I + W^T Psi^-1 W solved densely, and E softplus(z) by
+    ``np.logaddexp``. Returns (kl, error)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = X.shape[1]
+    if isinstance(q, GaussianBelief):
+        W, psi = q.prec.W, q.prec.psi
+        xs = X / psi
+        u = xs @ W
+        M = np.eye(W.shape[1]) + W.T @ (W / psi[:, None])
+        nu = np.sum(xs * X, axis=1) - np.sum(u * np.linalg.solve(M, u.T).T, axis=1)
+        cov = dense_covariance(W, psi)
+    else:
+        cov = q.cov
+        nu = np.sum((X @ cov) * X, axis=1)
+    m = X @ q.mu
+    sd = np.sqrt(np.maximum(nu, 0.0))[:, None]
+    sums = []
+    for k in (32, 16):
+        nodes, weights = np.polynomial.hermite_e.hermegauss(k)
+        sums.append(np.logaddexp(0.0, m[:, None] + sd * nodes) @ (weights / weights.sum()))
+    sign, logdet = np.linalg.slogdet(cov)
+    assert sign > 0
+    log_2pi = math.log(2.0 * math.pi)
+    terms = np.concatenate([
+        y * m,
+        -sums[0],
+        [-0.5 * (q.mu @ q.mu + np.trace(cov)) / sigma0**2,
+         -0.5 * d * (log_2pi + 2.0 * math.log(sigma0)),
+         0.5 * (d * (1.0 + log_2pi) + logdet)],
+    ])
+    rounding = np.finfo(float).eps * terms.size * np.sum(np.abs(terms))
+    return -float(np.sum(terms)), max(abs(float(np.sum(sums[0] - sums[1]))), rounding)
 
 
 # ------------------------------------------------------ test-only helpers

@@ -23,7 +23,7 @@ from lrvga import (
     run_experiment,
 )
 
-from oracles import logposterior_linear, logposterior_logistic
+from oracles import logposterior_linear, logposterior_logistic, quadrature_kl_logistic
 from test_experiments import TINY
 
 
@@ -209,6 +209,29 @@ def test_quadrature_kl_of_a_belief_matches_its_dense_copy():
         assert a.value == pytest.approx(b.value, rel=1e-9)
         assert a.std_error == pytest.approx(b.std_error, rel=1e-6, abs=1e-12)
         assert a.n_samples == b.n_samples == 32
+
+
+@pytest.mark.parametrize("form", ["factored", "dense"])
+def test_quadrature_kl_matches_the_plain_oracle_also_where_exp_overflows(form):
+    """Against the quadrature written with a dense Sigma, X / psi and
+    np.logaddexp, within the bounds of the dense-copy test above. Four
+    rows put |x.mu| at 800 or more, where exp(x.mu) overflows: their KL
+    alone is finite and equal to the oracle's too."""
+    rng = np.random.default_rng(17)
+    d, sigma0 = 9, 1.5
+    X, y = _logistic_problem(rng, 60, d)
+    q = random_belief(rng, d, 3)
+    if form == "dense":
+        q = DenseGaussian(q.mu, fa_dense_inverse(q.prec))
+    X[:4] = np.outer([850.0, -900.0, 1200.0, -5000.0], q.mu / (q.mu @ q.mu))
+    X[:4] += rng.standard_normal((4, d)) / 10.0
+    assert np.all(np.abs(X[:4] @ q.mu) >= 800.0)
+    for rows in (slice(None), slice(4)):
+        est = expected_kl_logistic(q, X[rows], y[rows], sigma0)
+        kl, error = quadrature_kl_logistic(q, X[rows], y[rows], sigma0)
+        assert np.isfinite(est.value) and np.isfinite(est.std_error)
+        assert est.value == pytest.approx(kl, rel=1e-9)
+        assert est.std_error == pytest.approx(error, rel=1e-6, abs=1e-12)
 
 
 def test_quadrature_kl_error_stays_positive_when_the_rules_agree(monkeypatch):

@@ -153,8 +153,8 @@ def test_reruns_write_byte_identical_results(kind, tmp_path):
 GOLDEN = {
     "cov": "d820c58195e5dbcc83ccf62433e697dd7f80ad62f5729dccc54ec8f73a099d67",
     "linear": "ef1b8f8f90338e38f57a74c049ec2015bed168eb18897b88d884af0f88e4d7bc",
-    "logistic": "57ae561d7be222412cdf27fb6b18bd3df243ba68b29f4b169e96b97da572fd9b",
-    "nonlinear": "39d90807a9517aadc599a60092ce3ce4295c074331390bd4aeb3e549507383c6",
+    "logistic": "38b294fc40b682f3a0450e7a9ee0cd8028e05484fabc4ca393a5e88ee8dbc108",
+    "nonlinear": "40730faaba7a1287ed5d9db039bcc64b361e48b33d0efc2912291799a87390a6",
 }
 
 

@@ -247,11 +247,11 @@ def _relerr(a, b):
 @pytest.mark.parametrize("kind", sorted(GLM_STEPS))
 def test_fused_glm_step_matches_the_two_route_step(kind, d, p, loops):
     """The step that takes its gain and first EM cycle from one reduction
-    and one row pass against the oracle that takes them apart, within
-    1e-12 relative in mu, W and psi. At d = 2 _ROW_BLOCK + 37 the row pass
-    walks three blocks, the last partial; at p = 1 the oracle's first
-    cycle is the general one (K = p), the step's the warm p-space one.
-    A one-cycle step hands over the gram of its output."""
+    and one row pass against the oracle that takes them apart and runs
+    its EM cycles in the tests' own solve forms, within 1e-12 relative in
+    mu, W and psi. At d = 2 _ROW_BLOCK + 37 the row pass walks three
+    blocks, the last partial. A one-cycle step hands over the gram of its
+    output."""
     _check_fused_glm_step(kind, d, p, loops, "C")
 
 

@@ -94,6 +94,20 @@ def test_a_used_precision_caches_nothing_larger_than_p_squared():
     assert all(v.size <= p * p for v in cached.values()), {k: v.shape for k, v in cached.items()}
 
 
+def test_factored_quadrature_kl_allocates_nothing_n_by_d():
+    """One quadrature KL of a factored belief at n = 500, d = 2000, p = 5
+    peaks under a quarter of X's 8 MB: an n x d temporary such as X / psi
+    or X * X would be a whole X. Its n x 32 node blocks are 128 KB."""
+    n, d, p = 500, 2000, 5
+    rng = np.random.default_rng(12)
+    belief = GaussianBelief(rng.standard_normal(d) / np.sqrt(d), init_isotropic_prior(d, p, 1.0, rng=12))
+    X = rng.standard_normal((n, d)) / np.sqrt(d)
+    y = (X[:, 0] > 0).astype(float)
+    with MemoryMeter() as meter:
+        expected_kl_logistic(belief, X, y, 1.0)
+    assert 0 < meter.peak_bytes < n * d * 8 / 4
+
+
 def test_large_scale_cli_run_stays_within_its_own_budget():
     """The metered large-scale linear run, data generation included, stays
     under the budget it reports (1.54 MB at d=2000, p=10). The input

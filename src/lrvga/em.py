@@ -16,22 +16,22 @@ Three layers, all sharing one step kernel:
 
 Each EM cycle solves in p-space by one Cholesky factorization of the SPD
 p x p matrix M B of ``em_fixed_point_step``, applied to d x p blocks by
-matrix products. The first cycle of an update, warm-started at the
-carried state, never applies the target at alpha = 1 or when the block
-has K < p columns: it solves small matrices, then makes one pass over
-the rows of W and X in cache-sized blocks that writes the new factors
-and accumulates their latent Gram matrix, which the output carries, so
-the next Woodbury gain or cycle reads it without another pass over W.
-That pass writes W column-major: at p << d each block is p contiguous
-column segments, and the products and per-row arithmetic on it, and
-later reads of W^T u, stream along them. Every routine accepts either
-order.
+matrix products, and hands its output the latent Gram matrix of the new
+factors, so the next Woodbury gain or cycle reads it without another
+pass over W. Within one update a general cycle also leaves Psi^-1 W of
+its output on the target for the next cycle. The first cycle of an
+update, warm-started at the carried state, never applies the target at
+alpha = 1 or when the block has K < p columns: it solves small matrices,
+then makes one pass over the rows of W and X in cache-sized blocks that
+writes the new factors and accumulates their gram. That pass writes W
+column-major: at p << d each block is p contiguous column segments, and
+the products and per-row arithmetic on it, and later reads of W^T u,
+stream along them. Every routine accepts either order.
 At alpha = 1 that cycle is a rank-K update by G = X - W M^-1 V^T with
 V = X^T Psi^-1 W. The GLM filter step runs it itself at K = 1: it hands
 in M^-1 V^T, which its gain has formed already, and the pass writes the
-new mean from the same column G. Inputs are validated once per
-update, at the public boundary; each cycle checks its own output for
-finiteness, floors psi, and builds the next iterate unvalidated.
+new mean from the same column G. Inputs are validated once per update;
+each cycle checks its output, floors psi and builds it unvalidated.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .dense import is_symmetric
 from .factor import (
     PSI_FLOOR,
     DivergenceError,
     FaPrecision,
+    _cholesky_solve,
     _trusted_precision,
     identity,
     latent_gram,
@@ -137,6 +137,7 @@ class _BlendTarget:
         self.alpha = alpha
         self.beta = beta
         self._diag = None
+        self.handed = None, None  # the last general cycle's output and its Psi^-1 W
 
     def matmat(self, A: np.ndarray) -> np.ndarray:
         out = None
@@ -200,30 +201,43 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     way one pass over the rows, ``_ROW_BLOCK`` at a time, writes W_new
     and psi_new and accumulates the output's ``gram``, handed over with it.
 
-    Fitted diagonal entries below ``PSI_FLOOR`` are clamped to it, and a
-    failed factorization falls back to the pseudo-inverse with a warning.
-    The output is checked for finiteness here and then built without the
-    public constructor's validation, so a recursion validates nothing
-    else per cycle.
+    A general cycle hands its output the gram too, formed as
+    ``latent_gram`` forms it, and toward the recursion target it leaves
+    Psi_new^-1 W_new there for the next cycle. Entries of psi_new below
+    ``PSI_FLOOR`` are clamped to it; a failed factorization falls back
+    to the pseudo-inverse with a warning. The output is checked for
+    finiteness and built without the public constructor's validation.
     """
     if not (hasattr(S, "matmat") and hasattr(S, "diag")):
         S = DenseSymmetric(S)
-    M = fa.gram
-    if isinstance(S, _BlendTarget) and fa is S.prev and (S.alpha == 1.0 or S.X.shape[1] < fa.p):
+    blend = isinstance(S, _BlendTarget)
+    if blend and fa is S.prev and (S.alpha == 1.0 or S.X.shape[1] < fa.p):
         V = (S.X.T / fa.psi) @ fa.W
         if S.alpha == 1.0:
             return _rank_k_rows(fa, S.X, fa.latent_inverse @ V.T, S.beta)
         return _warm_rows(fa, S.X, S.alpha, *_warm_solve(S, V))
-    psi_inv_w = fa.W / fa.psi[:, None]
+    M = fa.gram
+    owner, psi_inv_w = S.handed if blend else (None, None)
+    if blend:
+        S.handed = None, None  # so that the del below frees the block
+    if owner is not fa:
+        psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
     MB = M + psi_inv_w.T @ G
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
-    T = G @ _mb_solve(MB, identity(fa.p))  # G (M B)^-1 = W_new M^-1
+    T = G @ _cholesky_solve(MB, identity(fa.p))  # G (M B)^-1 = W_new M^-1
     W_new = T @ M
     psi_new = S.diag() - star(T, G)
-    _check_finite(W_new, psi_new)
+    del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
+    _check_finite(psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
-    return _trusted_precision(W_new, psi_new)
+    psi_inv_w = W_new / psi_new[:, None]
+    M = identity(fa.p) + W_new.T @ psi_inv_w  # as latent_gram forms it
+    _check_finite(M)  # covers W_new, as in _row_pass
+    out = _trusted_precision(W_new, psi_new, (M + M.T) / 2.0)
+    if blend:
+        S.handed = out, psi_inv_w
+    return out
 
 
 def _warm_solve(S: _BlendTarget, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,17 +251,8 @@ def _warm_solve(S: _BlendTarget, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     MB = L.T @ N  # alpha M^2 + beta V^T V
     if alpha != 1.0:
         MB += (1.0 - alpha) * M
-    Y = _mb_solve(MB, L.T)  # (M B)^-1 L^T
+    Y = _cholesky_solve(MB, L.T)  # (M B)^-1 L^T
     return Y.T @ M, np.diag(w) - L @ Y
-
-
-def _mb_solve(MB: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(M B)^-1 rhs by one Cholesky factorization of the lower triangle of
-    M B, through LAPACK directly; ``spd_solve`` retries a failure and warns."""
-    factor, info = lapack.dpotrf(MB, lower=True)
-    if info == 0:
-        Y, info = lapack.dpotrs(factor, rhs, lower=True)
-    return Y if info == 0 else spd_solve(MB, rhs)
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -288,7 +293,7 @@ def _rank_k_rows(
     product at K = 1, to which w is then added.
     """
     k = A.shape[1]
-    Q = _mb_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
+    Q = _cholesky_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
     AQ = A @ Q
 
     def fill(rows, w_new, psi_block):

@@ -48,6 +48,15 @@ def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(A) @ B
 
 
+def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B for a small finite SPD A by one Cholesky factorization of its
+    lower triangle; a failure goes to ``spd_solve``, which warns."""
+    factor, info = lapack.dpotrf(A, lower=True)
+    if info == 0:
+        X, info = lapack.dpotrs(factor, B, lower=True)
+    return X if info == 0 else spd_solve(A, B)
+
+
 @cache
 def identity(p: int) -> np.ndarray:
     """I_p, read-only and shared: building it with ``np.eye`` on every
@@ -99,13 +108,13 @@ class FaPrecision:
     ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W that every EM
     cycle reads, and its inverse ``latent_inverse``, read only by the
     Woodbury gain, the sampler and evaluation, are cached on the
-    instance; immutability keeps them valid. The warm-started EM
-    cycle hands over the gram of the precision it builds, accumulated
-    while it writes the factors; otherwise the gram is formed on first
-    use, by one pass over W. The inverse is always formed on first use,
-    from the gram by one p x p Cholesky solve. Only these p x p matrices
-    are cached, never a d x p block, so an instance holds the factors
-    plus 2 p^2 floats.
+    instance; immutability keeps them valid. Every EM cycle hands over
+    the symmetric, checked gram of the precision it builds; otherwise the
+    gram is formed and checked on first use. The inverse is formed on
+    first use, from the gram by one raw p x p Cholesky solve. Only these
+    p x p matrices are cached: the d x p Psi^-1 W that one EM cycle hands
+    the next lives on the update's target. So an instance holds the
+    factors plus 2 p^2 floats.
     """
 
     W: np.ndarray
@@ -147,7 +156,7 @@ class FaPrecision:
     def latent_inverse(self) -> np.ndarray:
         """M^-1 = (I_p + W^T Psi^-1 W)^-1, read-only, formed once per
         instance by one Cholesky solve of ``gram``."""
-        minv = spd_solve(self.gram, identity(self.p))
+        minv = _cholesky_solve(self.gram, identity(self.p))
         minv.flags.writeable = False
         return minv
 
@@ -157,6 +166,8 @@ class FaPrecision:
         M = self.__dict__.get("_gram")
         if M is None:
             M = latent_gram(self)
+            if not np.isfinite(M).all():
+                raise ValueError("matrix contains non-finite entries")
             M.flags.writeable = False
             object.__setattr__(self, "_gram", M)
         return M
@@ -168,8 +179,8 @@ def _trusted_precision(
     """FaPrecision over factors the caller has already checked: a (d, p)
     float W with p <= d, and a finite (d,) psi floored above zero.
     Skips the validation scans of the public constructor. A caller that
-    has already formed the symmetric ``gram`` of these factors hands it
-    over, so that it is not formed again; it becomes read-only."""
+    has already formed the symmetric, finite ``gram`` of these factors
+    hands it over, so that it is not formed again; it becomes read-only."""
     fa = object.__new__(FaPrecision)
     object.__setattr__(fa, "W", W)
     object.__setattr__(fa, "psi", psi)

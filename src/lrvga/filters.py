@@ -90,9 +90,15 @@ class GaussianBelief:
 
 
 def _checked(belief: GaussianBelief) -> GaussianBelief:
-    """Abort on the standard divergence signals."""
-    mu_norm = float(np.linalg.norm(belief.mu))
-    if not np.isfinite(mu_norm) or mu_norm > MU_NORM_LIMIT:
+    """Abort on the standard divergence signals: ValueError("non-finite
+    mean"), as the constructor raises, if an entry of the mean is not finite,
+    found by a scan made only when the norm check fails; DivergenceError if
+    the finite mean's norm sqrt(mu @ mu), as ``np.linalg.norm`` forms it, is
+    not finite or over ``MU_NORM_LIMIT``, or too much of psi is floored."""
+    mu_norm = float(np.sqrt(belief.mu @ belief.mu))
+    if not mu_norm <= MU_NORM_LIMIT:
+        if not np.isfinite(belief.mu).all():
+            raise ValueError("non-finite mean")
         raise DivergenceError(f"mean norm {mu_norm:.3e} exceeds {MU_NORM_LIMIT:.0e}")
     floored = np.count_nonzero(belief.prec.psi <= PSI_FLOOR) / belief.d
     if floored > PSI_FLOOR_FRACTION:
@@ -100,6 +106,14 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
             f"{floored:.0%} of the diagonal hit the floor {PSI_FLOOR:g}"
         )
     return belief
+
+
+def _new_belief(mu: np.ndarray, prec: FaPrecision) -> GaussianBelief:
+    """A step's output, built without the scan that ``_checked`` repeats."""
+    belief = object.__new__(GaussianBelief)
+    object.__setattr__(belief, "mu", mu)
+    object.__setattr__(belief, "prec", prec)
+    return _checked(belief)
 
 
 def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
@@ -165,7 +179,7 @@ def _glm_step(
     del minv_c  # freed before the later cycles, to lower the peak
     for _ in range(loops - 1):  # through em, whose attribute the benchmark tracer wraps
         prec = em.em_fixed_point_step(prec, target)
-    return _checked(GaussianBelief(u, prec))
+    return _new_belief(u, prec)
 
 
 def lrvga_linear_step(
@@ -419,7 +433,7 @@ def lrvga_nonlinear_step(
     )
     mu_hat = belief.mu + woodbury_apply(prec_hat, model.mean_loglik_grad(thetas, x, y))
     if scheme == "explicit":
-        return _checked(GaussianBelief(mu_hat, prec_hat))
+        return _new_belief(mu_hat, prec_hat)
 
     # Stage two: mirror-prox-skip-cov keeps prec_hat and redoes only the mean.
     thetas = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
@@ -429,4 +443,4 @@ def lrvga_nonlinear_step(
             belief.prec, ggn_block(model, x, thetas), weights, inner_loops
         )
     mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
-    return _checked(GaussianBelief(mu, prec))
+    return _new_belief(mu, prec)

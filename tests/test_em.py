@@ -282,6 +282,44 @@ def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
         assert np.array_equal(out.gram, fresh)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 0.5)])
+@pytest.mark.parametrize("p", [5, 10])
+@pytest.mark.parametrize("d", [20, 100])
+def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k):
+    """Three cycles against one target, where cycles 2-3 are general and
+    each hands its output's gram and Psi^-1 W forward, against the same
+    cycles run each on a fresh FaPrecision over copies of the previous
+    output, in its memory order, which sets the rounding of the BLAS
+    products, and which carries nothing handed over: W, psi and gram are equal
+    bit for bit, and every handed gram equals ``latent_gram``'s. The
+    target keys the stored Psi^-1 W by the precision it belongs to, so a
+    cycle on another precision, here a copy of an output with psi
+    doubled, computes its own."""
+    rng = np.random.default_rng(100 * d + 10 * p + k)
+    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, k)) / np.sqrt(d)
+    got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=3)
+    target = _BlendTarget(prev, X, alpha, beta)
+    chain = [em_fixed_point_step(prev, target)]  # the warm-started first cycle
+    fresh = chain[0]
+    for _ in range(2):
+        chain.append(em_fixed_point_step(chain[-1], target))
+        fresh = em_fixed_point_step(FaPrecision(fresh.W.copy(order="K"), fresh.psi.copy()), target)
+        assert np.array_equal(chain[-1].W, fresh.W)
+        assert np.array_equal(chain[-1].psi, fresh.psi)
+        assert "_gram" in vars(chain[-1])
+        assert np.array_equal(chain[-1].gram, latent_gram(chain[-1]))
+        assert np.array_equal(chain[-1].gram, fresh.gram)
+    for a, b in ((got.W, fresh.W), (got.psi, fresh.psi), (got.gram, fresh.gram)):
+        assert np.array_equal(a, b)
+    other = FaPrecision(chain[-1].W.copy(), 2.0 * chain[-1].psi)
+    expected = em_fixed_point_step(other, _BlendTarget(prev, X, alpha, beta))
+    out = em_fixed_point_step(FaPrecision(other.W, other.psi), target)
+    assert np.array_equal(out.W, expected.W)
+    assert np.array_equal(out.psi, expected.psi)
+
+
 def test_non_finite_value_in_the_last_partial_block_raises():
     """One row at the very end of a three-block pass overflows psi_new:
     the small matrices and the first two blocks are finite, the update

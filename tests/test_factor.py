@@ -102,13 +102,13 @@ def test_latent_inverse_is_formed_once_per_instance(monkeypatch):
     import lrvga.factor
 
     calls = []
-    original = lrvga.factor.spd_solve
+    original = lrvga.factor._cholesky_solve
 
     def counting_solve(A, B):
         calls.append(A)
         return original(A, B)
 
-    monkeypatch.setattr(lrvga.factor, "spd_solve", counting_solve)
+    monkeypatch.setattr(lrvga.factor, "_cholesky_solve", counting_solve)
     fa = random_fa(np.random.default_rng(12), d=9, p=3)
     first = fa.latent_inverse
     v = np.ones(9)

@@ -1,9 +1,14 @@
 """Streaming filters: conjugate baseline, linear, logistic, nonlinear."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import lrvga.em
+import lrvga.factor
+import lrvga.sampler
 from lrvga import (
     DenseGaussian,
     DivergenceError,
@@ -222,6 +227,134 @@ def test_default_step_at_scale_reads_no_gain_gram_or_cycle(monkeypatch):
     assert counts["woodbury_apply"] == counts["latent_gram"] == counts["em_fixed_point_step"] == 0
     assert counts["spd_solve"] <= 1
     assert np.all(np.isfinite(out.mu))
+
+
+_STEP_CALLS = (
+    (FaPrecision, "__post_init__"),
+    (GaussianBelief, "__post_init__"),
+    (lrvga.em, "em_fixed_point_step"),
+    *((module, name) for module in (lrvga.factor, lrvga.em, lrvga.sampler)
+      for name in ("latent_gram", "spd_solve")),
+)
+
+
+def _count_step_calls(monkeypatch, step):
+    """Run ``step()`` with every entry of ``_STEP_CALLS`` counted; return
+    the counts by name, summed over the modules that share one."""
+    counts = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in _STEP_CALLS:
+        key = f"{owner.__name__}.{name}" if name == "__post_init__" else name
+        counts[key] = 0
+        monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+    step()
+    return counts
+
+
+def test_warmed_up_default_steps_form_no_gram_solve_or_validation(monkeypatch):
+    """After a warm-up step, whose output carries its gram, a default
+    linear step at d = 100, p = 5 forms no latent Gram matrix, makes no
+    ``spd_solve`` and runs neither constructor's validation. Its general
+    EM cycles 2-3 go through ``lrvga.em.em_fixed_point_step``, exactly
+    twice, where the benchmark's tracer sees them. A default nonlinear
+    step at d = 20, p = 10 with K = 10 draws forms no gram either."""
+    belief = belief_from_prior(100, 5, eps=0.01, seed=4)
+    xs = np.random.default_rng(4).standard_normal((2, 100)) / 10.0
+    belief = lrvga_linear_step(belief, Observation(xs[0], 0.5))
+    counts = _count_step_calls(monkeypatch, lambda: lrvga_linear_step(belief, Observation(xs[1], -0.3)))
+    assert counts == {"FaPrecision.__post_init__": 0, "GaussianBelief.__post_init__": 0,
+                      "em_fixed_point_step": 2, "latent_gram": 0, "spd_solve": 0}
+    monkeypatch.undo()
+
+    belief = belief_from_prior(20, 10, seed=5)
+    x = np.random.default_rng(5).standard_normal(20) / np.sqrt(20)
+    belief = lrvga_nonlinear_step(belief, Observation(x, 1.0), LogisticModel(), k=10, rng=6)
+    counts = _count_step_calls(
+        monkeypatch, lambda: lrvga_nonlinear_step(belief, Observation(x, 0.0), LogisticModel(), k=10, rng=7))
+    assert counts["latent_gram"] == 0
+
+
+class _ConstantGradient:
+    """A nonlinear model with no curvature and the mean gradient g at any
+    draws."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def ggn_root(self, thetas, x):
+        return np.zeros((x.shape[0], 1))
+
+    def mean_loglik_grad(self, thetas, x, y):
+        return self.g
+
+
+def _overflowing_step(kind, d):
+    """A step at dimension d whose new mean overflows, and nothing else.
+
+    * linear: psi is 1e-10 on the last three coordinates, where x sits, and
+      y = 1e306, so P_{t-1} x r is infinite there;
+    * logistic: the residual is at most 1, so the mean starts at the
+      largest float on coordinate 0, where psi = 1e-300 makes
+      Psi^-1 x = 1e293, and coordinate 1 drives x.mu far below 0 so that
+      r = 1. At this scale the scalar solve warns that it hit its cap;
+    * nonlinear: a model with no curvature whose mean gradient is 1e300 on
+      coordinate 0, where the mean starts at the largest float.
+    """
+    rng = np.random.default_rng(30)
+    W, psi, mu, x = rng.standard_normal((d, 2)) / 10.0, np.ones(d), np.zeros(d), np.zeros(d)
+    top = np.finfo(float).max
+    if kind == "linear":
+        psi[-3:], x[-3:] = 1e-10, 1e-5
+        return lambda: lrvga_linear_step(GaussianBelief(mu, FaPrecision(W, psi)), Observation(x, 1e306))
+    if kind == "logistic":
+        W[0], psi[0], mu[:2], x[:2] = 0.0, 1e-300, (top, -1e303), (1e-7, 1.0)
+        return lambda: lrvga_logistic_step(GaussianBelief(mu, FaPrecision(W, psi)), Observation(x, 1.0))
+    g = np.zeros(d)
+    g[0], mu[0] = 1e300, top
+    return lambda: lrvga_nonlinear_step(
+        GaussianBelief(mu, FaPrecision(W, psi)), Observation(np.ones(d) / d, 1.0),
+        _ConstantGradient(g), k=3, rng=0)
+
+
+def _step_from_mean(kind, mu):
+    """A default step from the mean ``mu`` whose input is zero on the two
+    coordinates that carry ``mu``'s large entries, so they stay large."""
+    d = mu.shape[0]
+    belief = GaussianBelief(mu, init_isotropic_prior(d, 2, 1.0, rng=31))
+    x = np.random.default_rng(31).standard_normal(d) / np.sqrt(d)
+    x[:2] = 0.0
+    if kind == "linear":
+        return lambda: lrvga_linear_step(belief, Observation(x, 0.5))
+    if kind == "logistic":
+        return lambda: lrvga_logistic_step(belief, Observation(x, 1.0))
+    return lambda: lrvga_nonlinear_step(belief, Observation(x, 1.0), LogisticModel(), k=10, rng=0)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic", "nonlinear"])
+def test_new_mean_errors_at_small_dimension(kind):
+    """Each filter step at d = 20, one block, raises what a check of the
+    new belief at the public boundary raises: ValueError("non-finite
+    mean") for a mean that overflows, and DivergenceError for a finite
+    mean whose norm is above 1e8 or whose squared norm overflows, with
+    entries near 1e200."""
+    d = 20
+    mu = np.zeros(d)
+    mu[0] = 2e8
+    with pytest.raises(DivergenceError, match="mean norm 2.0"):
+        _step_from_mean(kind, mu)()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu[:2] = 1e200
+        with pytest.raises(DivergenceError, match="mean norm inf"):
+            _step_from_mean(kind, mu)()
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite mean"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _overflowing_step(kind, d)()
 
 
 def _linear_rule(a0, nu0, y):

@@ -56,7 +56,24 @@ def test_warm_started_update_peaks_near_its_output_and_hands_over_its_gram():
     assert meter.peak_bytes < 0.01 * unit
 
 
-@pytest.mark.parametrize("d, p, two_route_units", [(50_000, 10, 1.3913), (100, 5, 6.729)])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_three_cycle_update_peaks_no_higher_than_before_the_hand_over(alpha):
+    """A three-cycle update at d = 2 10^4, p = 10, K = 1, in units of
+    8 d p bytes. Each general cycle frees its d x p products before it
+    forms the Psi^-1 W that it hands the next cycle, so the update peaks
+    inside a cycle's products, as it did when every cycle formed its own
+    Psi^-1 W (4.429 units): the hand-over must add nothing. At d = 100
+    interpreter objects would hide the order of these frees."""
+    d, p = 20_000, 10
+    prev = init_isotropic_prior(d, p, 1.0, rng=13)
+    x = np.random.default_rng(13).standard_normal((d, 1)) / np.sqrt(d)
+    prev.latent_inverse
+    with MemoryMeter() as meter:
+        recursive_em_update(prev, x, RecursionWeights(alpha, alpha), inner_loops=3)
+    assert 0 < meter.peak_bytes <= 4.43 * 8 * d * p
+
+
+@pytest.mark.parametrize("d, p, two_route_units",[(50_000, 10, 1.3913), (100, 5, 6.729)])
 def test_default_linear_step_peaks_no_higher_than_the_two_route_step(d, p, two_route_units):
     """One default step, after a warm-up step whose gram it reads, in
     units of 8 d p bytes. Before its gain and first EM cycle were fused,

@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--inner-loops", type=int, dest="inner_loops",
-        help="fixed-point iterations per observation",
+        help="EM passes per observation; in cov recursive-em the first is the "
+        "closed-form rank-p fit",
     )
     parser.add_argument(
         "--sigma0", type=_float_list,

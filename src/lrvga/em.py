@@ -5,40 +5,39 @@ Three layers, all sharing one step kernel:
 * ``em_fixed_point_step`` performs a single EM cycle toward the best
   factored fit of a symmetric target matrix S, touching S only through
   products with d x p blocks and its diagonal.
-* ``recursive_em_update`` runs that cycle a fixed number of times against
-  the implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T,
-  which is how a streaming filter absorbs a new observation block. It
-  and the GLM filter step share one cycle-count policy, by default
+* ``recursive_em_update`` makes a fixed number of passes toward the
+  implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, which
+  is how a streaming filter absorbs a new observation block: EM cycles,
+  the first at alpha != 1 replaced by the closed-form rank-p fit. It and
+  the GLM filter step share one cycle-count policy, by default
   ``default_inner_loops(d)``.
 * ``online_em_update`` is the stochastic-approximation variant that keeps
   running sufficient statistics instead of re-fitting per sample;
   ``polyak_ruppert_average`` is the running mean of its iterates.
 
 Each EM cycle solves in p-space by one Cholesky factorization of the SPD
-p x p matrix M B of ``em_fixed_point_step``, applied to d x p blocks by
-matrix products, and hands its output the latent Gram matrix of the new
-factors, so the next Woodbury gain or cycle reads it without another
-pass over W. Within one update a general cycle also leaves Psi^-1 W of
-its output on the target for the next cycle. The first cycle of an
-update, warm-started at the carried state, never applies the target at
-alpha = 1 or when the block has K < p columns: it solves small matrices,
-then makes one pass over the rows of W and X in cache-sized blocks that
-writes the new factors and accumulates their gram. That pass writes W
-column-major: at p << d each block is p contiguous column segments, and
-the products and per-row arithmetic on it, and later reads of W^T u,
-stream along them. Every routine accepts either order.
-At alpha = 1 that cycle is a rank-K update by G = X - W M^-1 V^T with
-V = X^T Psi^-1 W. The GLM filter step runs it itself at K = 1: it hands
-in M^-1 V^T, which its gain has formed already, and the pass writes the
-new mean from the same column G. Inputs are validated once per update;
-each cycle checks its output, floors psi and builds it unvalidated.
+p x p matrix M B of ``em_fixed_point_step`` and hands its output the
+latent Gram matrix of the new factors, so the next Woodbury gain or cycle
+reads it without another pass over W; within one update a general cycle
+also leaves Psi^-1 W of its output on the target for the next. An
+update's first pass never applies the target. At alpha = 1 it is the
+warm-started rank-K cycle, which the GLM filter step runs itself at
+K = 1, writing the new mean from the same column; at alpha != 1 it is
+the closed-form fit. Either solves small matrices, then makes one pass
+over the rows of W and X in cache-sized blocks that writes the new
+factors column-major, so that each block is p contiguous column
+segments, and accumulates their gram. Every routine accepts either
+order. Inputs are validated once per update; each pass checks its
+output, floors psi and builds it unvalidated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .dense import is_symmetric
 from .factor import (
@@ -127,8 +126,8 @@ class _BlendTarget:
     Products are taken block by block, so the carried factor is read in
     place rather than copied into a widened matrix; only the p-column
     product outputs are allocated, and the diagonal on first use. A cycle
-    started at ``prev`` with alpha = 1 or K < p reads only ``prev``, ``X``
-    and the weights.
+    started at ``prev`` with alpha = 1 reads only ``prev``, ``X`` and the
+    weights.
     """
 
     def __init__(self, prev: FaPrecision, X: np.ndarray, alpha: float, beta: float):
@@ -182,24 +181,17 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     block plus O(d p^2).
 
     When S = alpha (W W^T + Psi) + beta X X^T is the recursion target
-    built on ``fa`` itself, with V = X^T Psi^-1 W, S is never applied at
-    alpha = 1, nor when X has K < p columns. At alpha = 1, take instead
-    A = M^-1 V^T: M B = M (I_p + beta A A^T) M, and with
-    Q = beta (I_K + beta A^T A)^-1 the cycle is a rank-K update by
+    built on ``fa`` itself with alpha = 1, S is never applied. With
+    V = X^T Psi^-1 W, take instead A = M^-1 V^T: M B = M (I_p + beta A A^T) M,
+    and with Q = beta (I_K + beta A^T A)^-1 the cycle is a rank-K update by
     G = X - W A = Psi (W W^T + Psi)^-1 X,
 
         W_new = W + G Q A^T,  psi_new = psi + diag(G Q G^T),
 
     at O(d p K), plus O(d p^2) for the output's gram: below the general
-    cycle's cost at every K. Otherwise
-    R has full rank: with Z = [W X] and L = [alpha M; beta V],
-
-        W_new   = Z L (M B)^-1 M
-        psi_new = alpha psi + diag(Z R Z^T),  R = diag(alpha I_p, beta I_K) - L (M B)^-1 L^T
-
-    at O(d (p + K)^2), so wider blocks take the general cycle. Either
-    way one pass over the rows, ``_ROW_BLOCK`` at a time, writes W_new
-    and psi_new and accumulates the output's ``gram``, handed over with it.
+    cycle's cost at every K. One pass over the rows, ``_ROW_BLOCK`` at a
+    time, writes W_new and psi_new and accumulates the output's ``gram``,
+    handed over with it.
 
     A general cycle hands its output the gram too, formed as
     ``latent_gram`` forms it, and toward the recursion target it leaves
@@ -211,11 +203,9 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     if not (hasattr(S, "matmat") and hasattr(S, "diag")):
         S = DenseSymmetric(S)
     blend = isinstance(S, _BlendTarget)
-    if blend and fa is S.prev and (S.alpha == 1.0 or S.X.shape[1] < fa.p):
+    if blend and fa is S.prev and S.alpha == 1.0:
         V = (S.X.T / fa.psi) @ fa.W
-        if S.alpha == 1.0:
-            return _rank_k_rows(fa, S.X, fa.latent_inverse @ V.T, S.beta)
-        return _warm_rows(fa, S.X, S.alpha, *_warm_solve(S, V))
+        return _rank_k_rows(fa, S.X, fa.latent_inverse @ V.T, S.beta)
     M = fa.gram
     owner, psi_inv_w = S.handed if blend else (None, None)
     if blend:
@@ -240,19 +230,22 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     return out
 
 
-def _warm_solve(S: _BlendTarget, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The p-space half of the warm-started cycle toward S, started at
-    ``S.prev``, given V = X^T Psi^-1 W from the caller: (H, R) for
-    ``_warm_rows``. Exact for any block width K."""
-    alpha, beta, M = S.alpha, S.beta, S.prev.gram
-    N = np.concatenate((M, V))  # [M; V]
-    w = np.array([alpha] * M.shape[0] + [beta] * V.shape[0])
-    L = w[:, None] * N
-    MB = L.T @ N  # alpha M^2 + beta V^T V
-    if alpha != 1.0:
-        MB += (1.0 - alpha) * M
-    Y = _cholesky_solve(MB, L.T)  # (M B)^-1 L^T
-    return Y.T @ M, np.diag(w) - L @ Y
+def _closed_form(fa: FaPrecision, X: np.ndarray, alpha: float, beta: float) -> tuple:
+    """(H, C) for ``_warm_rows``: the closed-form rank-p fit of the
+    recursion target. With D = diag(sqrt(alpha) I_p, sqrt(beta) I_K) and
+    the eigenvectors of the Gram matrix of [W X] D split into the top p,
+    V_p, and the rest, H = D V_p and C = D V_rest. A non-finite or
+    unconverged eigendecomposition raises."""
+    p, k = fa.p, X.shape[1]
+    scale = np.full(p + k, math.sqrt(beta))
+    scale[:p] = math.sqrt(alpha)
+    Z = np.concatenate((fa.W, X), axis=1)
+    Z *= scale  # [W X] D, formed whole so that its Gram matrix is one product
+    _, vecs, info = lapack.dsyevd(Z.T @ Z, lower=1, overwrite_a=1)
+    if info != 0:
+        raise DivergenceError("EM step produced non-finite factors")
+    vecs *= scale[:, None]  # D V, eigenvalues ascending
+    return vecs[:, k:][:, ::-1], vecs[:, :k]  # W_new's columns go largest first
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -262,17 +255,18 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def _warm_rows(
-    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, R: np.ndarray
+    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, C: np.ndarray
 ) -> FaPrecision:
-    """The d-sized part of the warm-started cycle at alpha < 1: with
-    Z = [W X], W_new = Z H and psi_new = alpha psi + diag(Z R Z^T), by
-    ``_row_pass``. Each block's z and z R stay in cache; Z is never formed
-    whole."""
+    """The row pass of the closed-form fit, given (H, C) from
+    ``_closed_form``: with Z = [W X], W_new = Z H and psi_new = alpha psi
+    + diag(Z R Z^T) for R = C C^T, the squared row norms of Z C, by
+    ``_row_pass``. Each block's z and z C stay in cache."""
 
     def fill(rows, w_new, psi_block):
         z = np.concatenate((fa.W[rows], X[rows]), axis=1)
         np.matmul(z, H, out=w_new)
-        np.einsum("ij,ij->i", z @ R, z, out=psi_block)
+        zc = np.dot(z, C)  # np.dot: at K = 1 matmul takes a slow loop
+        np.einsum("ij,ij->i", zc, zc, out=psi_block)
         psi_block += alpha * fa.psi[rows]
 
     return _row_pass(fa.W.shape, fill)
@@ -314,7 +308,7 @@ def _rank_k_rows(
 
 
 def _row_pass(shape: tuple[int, int], fill) -> FaPrecision:
-    """One pass over the rows of a warm-started cycle's output, in blocks
+    """One pass over the rows of an update's first output, in blocks
     of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block,
     whose psi is then checked and floored at ``PSI_FLOOR``. W_new is
     column-major, so ``w_new`` is p contiguous column segments, which
@@ -352,15 +346,15 @@ def recursive_em_update(
 ) -> FaPrecision:
     """Absorb a d x K observation block into the factored state.
 
-    Runs ``inner_loops`` EM cycles, ``default_inner_loops(prev.d)`` when
-    it is None, against the implicit target
-    alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, warm-started at the
-    carried state. The target is held in product form, so nothing
-    quadratic in d is allocated. The block is validated here, once; the
-    iterates and the result come from the cycles unvalidated, since each
-    cycle checks its own output. One to three loops are enough in
-    practice; the loop count is fixed rather than adaptive so that cost
-    per step is predictable.
+    Makes ``inner_loops`` passes, ``default_inner_loops(prev.d)`` when it
+    is None, toward alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, held
+    in product form so nothing quadratic in d is allocated. At alpha = 1
+    each is an EM cycle, the first warm-started at the carried state. At
+    alpha != 1 the first is the closed-form rank-p fit of
+    [sqrt(alpha) W_prev, sqrt(beta) X] (LoFi; Chang et al., arXiv
+    2305.19535), the rest EM cycles, so ``inner_loops=1`` is the fit
+    alone. The block is validated here, once; each pass checks its own
+    output. The count is fixed so that cost per step is predictable.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -369,9 +363,14 @@ def recursive_em_update(
         raise ValueError(f"block has {X.shape[0]} rows, expected {prev.d}")
     if not np.all(np.isfinite(X)):
         raise ValueError("observation block contains non-finite entries")
-    target = _BlendTarget(prev, X, weights.alpha, weights.beta)
+    alpha, beta = weights.alpha, weights.beta
+    target = _BlendTarget(prev, X, alpha, beta)
+    cycles = _cycle_count(prev.d, inner_loops)
     fa = prev
-    for _ in range(_cycle_count(prev.d, inner_loops)):
+    if alpha != 1.0:
+        fa = _warm_rows(prev, X, alpha, *_closed_form(prev, X, alpha, beta))
+        cycles -= 1
+    for _ in range(cycles):
         fa = em_fixed_point_step(fa, target)
     return fa
 

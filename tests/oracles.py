@@ -8,7 +8,8 @@ obviously correct rather than fast. The one exception,
 ``two_route_glm_step``, takes the GLM filter step's gain from the
 package's Woodbury product; its EM cycles are this module's own
 ``warm_cycle_one_shot`` and ``em_solve_step``, so no fused path of the
-step is on both sides of the comparison.
+step is on both sides of the comparison. ``test_oracles.py`` fails if
+this module imports a routine of ``lrvga.em`` or ``lrvga.filters``.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble
@@ -28,7 +29,6 @@ from lrvga import (
     EnsembleSampler,
     FaPrecision,
     GaussianBelief,
-    default_inner_loops,
     woodbury_apply,
 )
 
@@ -279,6 +279,20 @@ def warm_cycle_one_shot(
     return W_new, np.maximum(psi_new, 1e-12)
 
 
+def closed_form_fit_one_shot(
+    W: np.ndarray, psi: np.ndarray, X: np.ndarray, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form rank-p fit of alpha (W W^T + Psi) + beta X X^T by a
+    plain SVD of A = [sqrt(alpha) W, sqrt(beta) X] = U S V^T:
+    W_new = U_p S_p, the top p singular pairs, and psi_new = alpha psi
+    plus the squared row norms of the discarded part U_rest S_rest."""
+    p = W.shape[1]
+    A = np.concatenate((math.sqrt(alpha) * W, math.sqrt(beta) * X), axis=1)
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    psi_new = alpha * psi + np.sum((U[:, p:] * s[p:]) ** 2, axis=1)
+    return U[:, :p] * s[:p], np.maximum(psi_new, 1e-12)
+
+
 class RankOneBlend:
     """The GLM step's EM target W W^T + Psi + s x x^T, applied from its
     parts so nothing d x d is formed: ``matmat`` and ``diag`` as
@@ -294,23 +308,21 @@ class RankOneBlend:
         return np.sum(self.W * self.W, axis=1) + self.psi + self.s * self.x * self.x
 
 
-def two_route_glm_step(belief, obs, rule, inner_loops=None) -> GaussianBelief:
+def two_route_glm_step(belief, obs, rule, inner_loops) -> GaussianBelief:
     """The GLM filter step with its two halves taken apart, each on its own
     passes over W: the gain P_{t-1} x by ``woodbury_apply``, nu0 = x.gain
     (clamped at 0) and a0 = x.mu, the link's (s, r) = rule(a0, nu0, y),
     then mu_t = mu_{t-1} + r gain. The precision runs the EM cycles toward
     W W^T + Psi + s x x^T with no ``lrvga.em`` routine: the first by
-    ``warm_cycle_one_shot``, the rest by ``em_solve_step``, as many as
-    ``inner_loops`` or, when it is None, ``default_inner_loops(d)``. The
-    new belief goes through the public constructor, which rejects a
-    non-finite mean."""
+    ``warm_cycle_one_shot``, the rest by ``em_solve_step``, ``inner_loops``
+    in all. The new belief goes through the public constructor, which
+    rejects a non-finite mean."""
     x, W, psi = obs.x, belief.prec.W, belief.prec.psi
     gain = woodbury_apply(belief.prec, x)
     s, r = rule(float(x @ belief.mu), max(float(x @ gain), 0.0), obs.y)
     target = RankOneBlend(W, psi, x, s)
     W_new, psi_new = warm_cycle_one_shot(W, psi, x[:, None], 1.0, s)
-    loops = default_inner_loops(belief.d) if inner_loops is None else inner_loops
-    for _ in range(loops - 1):
+    for _ in range(inner_loops - 1):
         W_new, psi_new = em_solve_step(W_new, psi_new, target)
     return GaussianBelief(belief.mu + r * gain, FaPrecision(W_new, psi_new))
 

@@ -23,6 +23,7 @@ from lrvga.memory import MemoryMeter
 
 from oracles import (
     avg_loglik,
+    closed_form_fit_one_shot,
     em_reference_step,
     em_solve_step,
     mle_fixed_point_step,
@@ -147,17 +148,26 @@ def test_recursive_update_zero_block_is_stationary():
     assert np.allclose(out.psi, prev.psi, rtol=1e-10, atol=1e-12)
 
 
+def _signed_like(W, ref):
+    """``ref`` with each column's sign flipped to agree with ``W``'s: a
+    rank-p fit is defined up to the signs of its columns, and EM cycles
+    carry a column's sign through."""
+    return ref * np.where(np.sum(W * ref, axis=0) < 0.0, -1.0, 1.0)
+
+
 def test_recursive_update_matches_explicit_dense_target():
+    """At alpha < 1 the first pass is the closed-form fit, the other three
+    are EM cycles against the target held densely."""
     rng = np.random.default_rng(23)
     prev = FaPrecision(rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8))
     X = rng.standard_normal((8, 4))
     weights = RecursionWeights(0.7, 0.3)
     got = recursive_em_update(prev, X, weights, inner_loops=4)
     target = 0.7 * fa_dense_matrix(prev) + 0.3 * (X @ X.T)
-    expected = prev
-    for _ in range(4):
+    expected = FaPrecision(*closed_form_fit_one_shot(prev.W, prev.psi, X, 0.7, 0.3))
+    for _ in range(3):
         expected = em_fixed_point_step(expected, target)
-    assert np.allclose(got.W, expected.W, rtol=1e-10, atol=1e-12)
+    assert np.allclose(got.W, _signed_like(got.W, expected.W), rtol=1e-10, atol=1e-12)
     assert np.allclose(got.psi, expected.psi, rtol=1e-10, atol=1e-12)
 
 
@@ -173,9 +183,10 @@ def _relerr(got, ref):
 def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
     """Twenty cycles of the p-space kernel against the solve-based oracle,
     on a well-conditioned dense target and on the blended recursion
-    target with a d x k block, both directly and through
-    recursive_em_update: at p = d, and with k >= p, where every cycle is
-    a general one."""
+    target with a d x k block, at p = d and with k >= p too. Through
+    recursive_em_update, whose first pass at alpha < 1 is the closed-form
+    fit, twenty passes match the dense fit followed by nineteen
+    solve-based cycles."""
     rng = np.random.default_rng(1000 * d + p + (k - 2))
     L = rng.standard_normal((d, p)) / np.sqrt(d)
     dense = L @ L.T + np.diag(rng.uniform(0.5, 1.5, d))
@@ -190,7 +201,10 @@ def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
         assert _relerr(fa.W, W) <= 1e-10
         assert _relerr(fa.psi, psi) <= 1e-10
     got = recursive_em_update(prev, X, RecursionWeights(0.8, 0.6), inner_loops=20)
-    assert _relerr(got.W, W) <= 1e-10
+    W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, 0.8, 0.6)
+    for _ in range(19):
+        W, psi = em_solve_step(W, psi, blend)
+    assert _relerr(got.W, _signed_like(got.W, W)) <= 1e-10
     assert _relerr(got.psi, psi) <= 1e-10
 
 
@@ -199,32 +213,37 @@ def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
 @pytest.mark.parametrize("beta", [0.3, 1.0])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_warm_started_cycle_matches_one_step_against_the_dense_target(alpha, beta, k, d, p):
-    """The first cycle of an update is solved in p-space when K < p and
-    by the general cycle otherwise (p = 3, K = 4); either way it must
-    equal a general cycle against alpha (W W^T + Psi) + beta X X^T held
-    densely, at p = d too."""
+    """The first pass of an update, at K < p and K >= p (p = 3, K = 4)
+    and at p = d too: at alpha = 1 it must equal a general cycle against
+    alpha (W W^T + Psi) + beta X X^T held densely, and at alpha < 1 the
+    closed-form fit by a dense SVD, up to the signs of W's columns."""
     rng = np.random.default_rng(int(100 * alpha + 10 * beta) + 7 * k + d)
     prev = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k))
     got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
-    dense = DenseSymmetric(alpha * fa_dense_matrix(prev) + beta * (X @ X.T))
-    expected = em_fixed_point_step(FaPrecision(prev.W, prev.psi), dense)
-    assert _relerr(got.W, expected.W) <= 1e-10
-    assert _relerr(got.psi, expected.psi) <= 1e-10
+    if alpha == 1.0:
+        dense = DenseSymmetric(alpha * fa_dense_matrix(prev) + beta * (X @ X.T))
+        expected = em_fixed_point_step(FaPrecision(prev.W, prev.psi), dense)
+        W, psi = expected.W, expected.psi
+    else:
+        W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, alpha, beta)
+        W = _signed_like(got.W, W)
+    assert _relerr(got.W, W) <= 1e-10
+    assert _relerr(got.psi, psi) <= 1e-10
 
 
 @pytest.mark.parametrize(
-    "k, alpha, general",
-    [pytest.param(2, 1.0, False, id="2-False"), pytest.param(3, 0.5, True, id="3-True"),
-     pytest.param(2, 0.5, False, id="2-False-alpha-0.5"),
-     pytest.param(3, 1.0, False, id="3-False-alpha-1"),
-     pytest.param(5, 1.0, False, id="5-False-alpha-1")],
+    "k, alpha",
+    [pytest.param(2, 1.0, id="2-False"), pytest.param(3, 0.5, id="3-False-alpha-0.5"),
+     pytest.param(2, 0.5, id="2-False-alpha-0.5"),
+     pytest.param(3, 1.0, id="3-False-alpha-1"),
+     pytest.param(5, 1.0, id="5-False-alpha-1")],
 )
-def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, alpha, general, monkeypatch):
-    """A one-cycle update (the default above d = 1000) at alpha = 1 never
-    multiplies the target nor forms its diagonal, whatever K; at
-    alpha < 1 neither happens with K < p, and with K >= p (p = 3 here) it
-    takes the general cycle, which does both."""
+def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, alpha, monkeypatch):
+    """A one-pass update (the default above d = 1000) never multiplies the
+    target nor forms its diagonal, at any K, p = 3 here: at alpha = 1 its
+    pass is the warm-started rank-K cycle, and at alpha < 1 the
+    closed-form fit, for wide blocks K >= p as well."""
     reads = []
     for name in ("matmat", "diag"):
         original = getattr(_BlendTarget, name)
@@ -232,20 +251,31 @@ def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, alpha, general,
                             lambda self, *a, _f=original, _n=name: reads.append(_n) or _f(self, *a))
     prev = init_isotropic_prior(9, 3, 1.0, rng=2)
     recursive_em_update(prev, np.ones((9, k)), RecursionWeights(alpha, 1.0), inner_loops=1)
-    assert sorted(set(reads)) == (["diag", "matmat"] if general else [])
+    assert reads == []
 
 
 @pytest.mark.parametrize("k", [1, 4, 12])
 def test_first_cycle_peaks_within_four_blocks_of_its_width(k):
-    """One cycle at d = 10^4, p = 10, warm-started for K < p and general
-    for K = 12, allocates W_new and psi_new plus scratch: it must peak
-    under four d x (p + K) blocks."""
+    """One warm-started cycle at d = 10^4, p = 10 allocates W_new and
+    psi_new plus scratch: it must peak under four d x (p + K) blocks."""
     d, p = 10_000, 10
     prev = init_isotropic_prior(d, p, 1.0, rng=3)
     X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
     prev.latent_inverse
     with MemoryMeter() as meter:
         recursive_em_update(prev, X, inner_loops=1)
+    assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_closed_form_fit_peaks_within_four_blocks_of_its_width(k):
+    """The same bound for the alpha < 1 fit, which also forms [W X] D
+    whole for its Gram matrix."""
+    d, p = 10_000, 10
+    prev = init_isotropic_prior(d, p, 1.0, rng=3)
+    X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
+    with MemoryMeter() as meter:
+        recursive_em_update(prev, X, RecursionWeights(0.9, 0.1), inner_loops=1)
     assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
 
 
@@ -257,13 +287,14 @@ def test_first_cycle_peaks_within_four_blocks_of_its_width(k):
      for d in (_ROW_BLOCK, 2 * _ROW_BLOCK + 37)],
 )
 def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
-    """The blocked row passes against the cycle with Z = [W X] formed
-    whole and its full R: at alpha = 0.9 the pass over [W X], at
-    alpha = 1 the rank-K one. At d = 2 _ROW_BLOCK + 37 each walks three
-    blocks, the last partial. The incoming W is C- or F-ordered; the
-    output's is F-ordered. The gram handed over with the output matches a
-    fresh ``latent_gram``, and equals it bit for bit when there is one
-    block."""
+    """The blocked row passes against their one-shot oracles: at
+    alpha = 0.9 the closed-form fit's pass over [W X] against a dense
+    SVD, up to the signs of W's columns, and at alpha = 1 the rank-K pass
+    against the cycle with Z = [W X] formed whole and its full R. At
+    d = 2 _ROW_BLOCK + 37 each walks three blocks, the last partial. The
+    incoming W is C- or F-ordered; the output's is F-ordered. The gram
+    handed over with the output matches a fresh ``latent_gram``, and
+    equals it bit for bit when there is one block."""
     p = 6
     rng = np.random.default_rng(d + k)
     W0 = np.asarray(rng.standard_normal((d, p)) / 10.0, order=order)
@@ -271,7 +302,11 @@ def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
     X = rng.standard_normal((d, k)) / np.sqrt(d)
     beta = 0.7
     out = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
-    W, psi = warm_cycle_one_shot(prev.W, prev.psi, X, alpha, beta)
+    if alpha == 1.0:
+        W, psi = warm_cycle_one_shot(prev.W, prev.psi, X, alpha, beta)
+    else:
+        W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, alpha, beta)
+        W = _signed_like(out.W, W)
     assert out.W.flags.f_contiguous
     assert _relerr(out.W, W) <= 1e-12
     assert _relerr(out.psi, psi) <= 1e-12
@@ -287,8 +322,10 @@ def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
 @pytest.mark.parametrize("p", [5, 10])
 @pytest.mark.parametrize("d", [20, 100])
 def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k):
-    """Three cycles against one target, where cycles 2-3 are general and
-    each hands its output's gram and Psi^-1 W forward, against the same
+    """Three passes against one target, where the first is the
+    warm-started cycle at alpha = 1 and the closed-form fit at alpha < 1,
+    and cycles 2-3 are general and each hands its output's gram and
+    Psi^-1 W forward, against the same
     cycles run each on a fresh FaPrecision over copies of the previous
     output, in its memory order, which sets the rounding of the BLAS
     products, and which carries nothing handed over: W, psi and gram are equal
@@ -301,7 +338,10 @@ def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k
     X = rng.standard_normal((d, k)) / np.sqrt(d)
     got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=3)
     target = _BlendTarget(prev, X, alpha, beta)
-    chain = [em_fixed_point_step(prev, target)]  # the warm-started first cycle
+    if alpha == 1.0:
+        chain = [em_fixed_point_step(prev, target)]  # the warm-started first cycle
+    else:
+        chain = [recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)]
     fresh = chain[0]
     for _ in range(2):
         chain.append(em_fixed_point_step(chain[-1], target))
@@ -393,6 +433,18 @@ def test_warm_started_cycle_warns_when_its_cholesky_fails(monkeypatch):
     X = rng.standard_normal((8, 2))
     _unpatched_and_patched(monkeypatch, "dpotrf", lambda a, lower: (a, 1),
                            lambda: recursive_em_update(prev, X, inner_loops=1))
+
+
+def test_closed_form_fit_raises_when_its_eigendecomposition_fails(monkeypatch):
+    """LAPACK reports a failed eigendecomposition, as it does for a
+    non-finite Gram matrix: the alpha < 1 update raises rather than fit
+    with whatever vectors came back."""
+    rng = np.random.default_rng(43)
+    prev = FaPrecision(rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8))
+    X = rng.standard_normal((8, 2))
+    monkeypatch.setattr(lapack, "dsyevd", lambda a, **kw: (np.zeros(5), np.eye(5), 2))
+    with pytest.raises(DivergenceError):
+        recursive_em_update(prev, X, RecursionWeights(0.5, 0.5), inner_loops=1)
 
 
 def test_recursive_update_single_column_equals_block_form():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.special import expit
 
 import lrvga.em
@@ -133,67 +134,31 @@ def test_linear_single_step_hand_computation():
         assert np.allclose(out.mu, mu1, rtol=1e-12, atol=1e-14)
 
 
-def test_default_linear_step_validates_once_and_forms_two_grams(monkeypatch):
-    """Structure of one default step (d=100, p=5, 3 loops), no timing: the
-    iterates skip the constructor's validation, and the latent Gram is
-    formed once for the gain and once for the third cycle. The first
-    cycle reuses the gain's cached gram and hands the second the gram of
-    its output."""
-    import lrvga.em
-    import lrvga.factor
-    import lrvga.sampler
-
+def test_default_linear_step_runs_no_validation_and_forms_one_gram(monkeypatch):
+    """Structure of one default step (d=100, p=5, 3 loops) from a prior
+    built by the public constructor, no timing: neither constructor's
+    validation runs, and the latent Gram is formed once, for the
+    prior's gain. The first cycle reuses it; every cycle hands the next
+    the gram of its output."""
     belief = belief_from_prior(100, 5, eps=0.01, seed=4)
     x = np.random.default_rng(4).standard_normal(100) / 10.0
-    counts = {"validate": 0, "gram": 0}
-    validate, gram = FaPrecision.__post_init__, lrvga.factor.latent_gram
-
-    def counting_validate(self):
-        counts["validate"] += 1
-        validate(self)
-
-    def counting_gram(fa):
-        counts["gram"] += 1
-        return gram(fa)
-
-    monkeypatch.setattr(FaPrecision, "__post_init__", counting_validate)
-    for module in (lrvga.factor, lrvga.em, lrvga.sampler):
-        monkeypatch.setattr(module, "latent_gram", counting_gram)
-    out = lrvga_linear_step(belief, Observation(x, 0.5))
-    assert counts["validate"] <= 1
-    assert counts["gram"] <= 2
-    assert np.all(np.isfinite(out.mu))
+    counts = _count_step_calls(monkeypatch, lambda: lrvga_linear_step(belief, Observation(x, 0.5)))
+    assert counts == {"FaPrecision.__post_init__": 0, "GaussianBelief.__post_init__": 0,
+                      "em_fixed_point_step": 2, "latent_gram": 1, "spd_solve": 0}
 
 
-def test_default_linear_step_makes_one_small_solve_and_no_lu(monkeypatch):
-    """Same step as above: the gain's ``latent_inverse`` is its only
-    ``spd_solve``, and no cycle inverts by LU. Each EM cycle solves with
-    one Cholesky factorization of M B, through LAPACK directly."""
-    import lrvga.em
-    import lrvga.factor
-    import lrvga.sampler
-    from scipy.linalg import lapack
-
+def test_default_linear_step_makes_no_spd_solve_and_no_lu(monkeypatch):
+    """Same step as above: it calls no ``spd_solve``, since the gain's
+    M^-1 and every EM cycle's solve take one raw Cholesky factorization,
+    and no cycle inverts by LU."""
     belief = belief_from_prior(100, 5, eps=0.01, seed=4)
     x = np.random.default_rng(4).standard_normal(100) / 10.0
-    counts = {"spd_solve": 0, "dgesv": 0}
-    solve, dgesv = lrvga.factor.spd_solve, lapack.dgesv
-
-    def counting_solve(A, B):
-        counts["spd_solve"] += 1
-        return solve(A, B)
-
-    def counting_dgesv(*args, **kwargs):
-        counts["dgesv"] += 1
-        return dgesv(*args, **kwargs)
-
-    for module in (lrvga.factor, lrvga.em, lrvga.sampler):
-        monkeypatch.setattr(module, "spd_solve", counting_solve)
-    monkeypatch.setattr(lapack, "dgesv", counting_dgesv)
-    out = lrvga_linear_step(belief, Observation(x, 0.5))
-    assert counts["spd_solve"] <= 1
-    assert counts["dgesv"] == 0
-    assert np.all(np.isfinite(out.mu))
+    dgesv_calls = []
+    dgesv = lapack.dgesv
+    monkeypatch.setattr(lapack, "dgesv", lambda *a, **kw: dgesv_calls.append(1) or dgesv(*a, **kw))
+    counts = _count_step_calls(monkeypatch, lambda: lrvga_linear_step(belief, Observation(x, 0.5)))
+    assert counts["spd_solve"] == 0
+    assert dgesv_calls == []
 
 
 def test_default_step_at_scale_reads_no_gain_gram_or_cycle(monkeypatch):
@@ -431,7 +396,7 @@ def test_mean_overflow_in_the_last_partial_block_raises_as_the_two_route_step():
     obs = Observation(x, 1e306)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite mean"):
-            two_route_glm_step(belief, obs, _linear_rule)
+            two_route_glm_step(belief, obs, _linear_rule, 1)
         with pytest.raises(ValueError, match="non-finite mean"):
             lrvga_linear_step(belief, obs)
 

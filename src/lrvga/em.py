@@ -7,10 +7,10 @@ Three layers, all sharing one step kernel:
   products with d x p blocks and its diagonal.
 * ``recursive_em_update`` makes a fixed number of passes toward the
   implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, which
-  is how a streaming filter absorbs a new observation block: EM cycles,
-  the first at alpha != 1 replaced by the closed-form rank-p fit. It and
-  the GLM filter step share one cycle-count policy, by default
-  ``default_inner_loops(d)``.
+  is how a streaming filter absorbs a new observation block. Its passes,
+  and the GLM filter step's, are made by ``_absorb``, the one owner of an
+  update's cycle count, by default ``default_inner_loops(d)``, and of its
+  first pass.
 * ``online_em_update`` is the stochastic-approximation variant that keeps
   running sufficient statistics instead of re-fitting per sample;
   ``polyak_ruppert_average`` is the running mean of its iterates.
@@ -21,8 +21,8 @@ latent Gram matrix of the new factors, so the next Woodbury gain or cycle
 reads it without another pass over W; within one update a general cycle
 also leaves Psi^-1 W of its output on the target for the next. An
 update's first pass never applies the target. At alpha = 1 it is the
-warm-started rank-K cycle, which the GLM filter step runs itself at
-K = 1, writing the new mean from the same column; at alpha != 1 it is
+warm-started rank-K cycle ``_rank_k_rows``, which for the GLM step at
+K = 1 also writes the new mean from the same column; at alpha != 1 it is
 the closed-form fit. Either solves small matrices, then makes one pass
 over the rows of W and X in cache-sized blocks that writes the new
 factors column-major, so that each block is p contiguous column
@@ -125,9 +125,7 @@ class _BlendTarget:
 
     Products are taken block by block, so the carried factor is read in
     place rather than copied into a widened matrix; only the p-column
-    product outputs are allocated, and the diagonal on first use. A cycle
-    started at ``prev`` with alpha = 1 reads only ``prev``, ``X`` and the
-    weights.
+    product outputs are allocated, and the diagonal on first use.
     """
 
     def __init__(self, prev: FaPrecision, X: np.ndarray, alpha: float, beta: float):
@@ -174,38 +172,22 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     and the marginal likelihood of S under the factor model is
     non-decreasing across cycles. S may be a dense array or any object
     with ``matmat`` (product with a d x p block) and ``diag`` accessors.
-    As B^-1 = (M B)^-1 M, each branch below makes one Cholesky
-    factorization of the SPD matrix M B and inverts neither M nor B. In
-    general M B = M + A^T G, T = G (M B)^-1 = W_new M^-1, W_new = T M and
+    As B^-1 = (M B)^-1 M, the cycle makes one Cholesky factorization of
+    the SPD matrix M B = M + A^T G and inverts neither M nor B:
+    T = G (M B)^-1 = W_new M^-1, W_new = T M and
     psi_new = diag(S) - diag(T G^T), at one product of S with a d x p
     block plus O(d p^2).
 
-    When S = alpha (W W^T + Psi) + beta X X^T is the recursion target
-    built on ``fa`` itself with alpha = 1, S is never applied. With
-    V = X^T Psi^-1 W, take instead A = M^-1 V^T: M B = M (I_p + beta A A^T) M,
-    and with Q = beta (I_K + beta A^T A)^-1 the cycle is a rank-K update by
-    G = X - W A = Psi (W W^T + Psi)^-1 X,
-
-        W_new = W + G Q A^T,  psi_new = psi + diag(G Q G^T),
-
-    at O(d p K), plus O(d p^2) for the output's gram: below the general
-    cycle's cost at every K. One pass over the rows, ``_ROW_BLOCK`` at a
-    time, writes W_new and psi_new and accumulates the output's ``gram``,
-    handed over with it.
-
-    A general cycle hands its output the gram too, formed as
-    ``latent_gram`` forms it, and toward the recursion target it leaves
-    Psi_new^-1 W_new there for the next cycle. Entries of psi_new below
-    ``PSI_FLOOR`` are clamped to it; a failed factorization falls back
-    to the pseudo-inverse with a warning. The output is checked for
-    finiteness and built without the public constructor's validation.
+    The output carries its gram, formed as ``latent_gram`` forms it, and
+    toward the recursion target the cycle leaves Psi_new^-1 W_new there
+    for the next. Entries of psi_new below ``PSI_FLOOR`` are clamped to
+    it; a failed factorization falls back to the pseudo-inverse with a
+    warning. The output is checked for finiteness and built without the
+    public constructor's validation.
     """
     if not (hasattr(S, "matmat") and hasattr(S, "diag")):
         S = DenseSymmetric(S)
     blend = isinstance(S, _BlendTarget)
-    if blend and fa is S.prev and S.alpha == 1.0:
-        V = (S.X.T / fa.psi) @ fa.W
-        return _rank_k_rows(fa, S.X, fa.latent_inverse @ V.T, S.beta)
     M = fa.gram
     owner, psi_inv_w = S.handed if blend else (None, None)
     if blend:
@@ -275,11 +257,18 @@ def _warm_rows(
 def _rank_k_rows(
     fa: FaPrecision, X: np.ndarray, A: np.ndarray, beta: float, shift=None
 ) -> FaPrecision:
-    """The warm-started cycle at alpha = 1, given A = M^-1 V^T (p x K).
+    """The EM cycle toward W W^T + Psi + beta X X^T started at ``fa``,
+    given A = M^-1 V^T (p x K) with V = X^T Psi^-1 W.
 
-    With Q = beta (I_K + beta A^T A)^-1 and G = X - W A, it writes
-    W_new = W + G Q A^T and psi_new = psi + diag(G Q G^T) by
-    ``_row_pass``, at O(d p K) besides the gram. Given
+    There the target is never applied: in ``em_fixed_point_step``'s
+    terms M B = M (I_p + beta A A^T) M, and with
+    Q = beta (I_K + beta A^T A)^-1 the cycle is a rank-K update by
+    G = X - W A = Psi (W W^T + Psi)^-1 X,
+
+        W_new = W + G Q A^T,  psi_new = psi + diag(G Q G^T),
+
+    written by ``_row_pass`` at O(d p K), plus O(d p^2) for the output's
+    gram: below the general cycle's cost at every K. Given
     ``shift = (r, mu, out)`` and K = 1 it also writes
     out = mu + r Psi^-1 G, the mean moved along the pre-update gain
     P X = Psi^-1 G; ``out`` may be a buffer nothing else reads. Each
@@ -363,26 +352,31 @@ def recursive_em_update(
         raise ValueError(f"block has {X.shape[0]} rows, expected {prev.d}")
     if not np.all(np.isfinite(X)):
         raise ValueError("observation block contains non-finite entries")
-    alpha, beta = weights.alpha, weights.beta
-    target = _BlendTarget(prev, X, alpha, beta)
-    cycles = _cycle_count(prev.d, inner_loops)
-    fa = prev
+    return _absorb(prev, X, weights.alpha, weights.beta, inner_loops)
+
+
+def _absorb(prev: FaPrecision, X: np.ndarray, alpha: float, beta: float,
+            inner_loops: int | None, A=None, shift=None) -> FaPrecision:
+    """The ``inner_loops`` passes of one update by a checked d x K block X,
+    ``default_inner_loops(prev.d)`` when None. The first is
+    ``_rank_k_rows`` at alpha = 1, from the caller's A = M^-1 V^T if
+    given, with ``shift`` passed on; at alpha != 1 the closed-form fit.
+    The rest are general cycles, through the module's
+    ``em_fixed_point_step``, where the benchmark tracer wraps it."""
+    if inner_loops is None:
+        inner_loops = default_inner_loops(prev.d)
+    elif inner_loops < 1:
+        raise ValueError("inner_loops must be at least 1")
     if alpha != 1.0:
         fa = _warm_rows(prev, X, alpha, *_closed_form(prev, X, alpha, beta))
-        cycles -= 1
-    for _ in range(cycles):
+    else:
+        if A is None:
+            A = prev.latent_inverse @ ((X.T / prev.psi) @ prev.W).T
+        fa = _rank_k_rows(prev, X, A, beta, shift)
+    target = _BlendTarget(prev, X, alpha, beta)
+    for _ in range(inner_loops - 1):
         fa = em_fixed_point_step(fa, target)
     return fa
-
-
-def _cycle_count(d: int, inner_loops: int | None) -> int:
-    """The EM cycle count of one update: ``default_inner_loops(d)`` when
-    ``inner_loops`` is None, else ``inner_loops``, which must be >= 1."""
-    if inner_loops is None:
-        return default_inner_loops(d)
-    if inner_loops < 1:
-        raise ValueError("inner_loops must be at least 1")
-    return inner_loops
 
 
 def online_em_gamma(t: int) -> float:

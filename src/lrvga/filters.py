@@ -5,9 +5,9 @@ share one implicit GLM update: the link turns a0 = x.mu_{t-1} and
 nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
 pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
 The step reads W twice: once for W^T Psi^-1 x, which gives nu0 and
-A = M^-1 W^T Psi^-1 x, and once in the first EM cycle's row pass, a
-rank-one update by the column g = x - W A = Psi P_{t-1} x, from which it
-also writes the new mean.
+A = M^-1 W^T Psi^-1 x, and once in the row pass of ``em._absorb``'s first
+cycle, a rank-one update by the column g = x - W A = Psi P_{t-1} x, from
+which it also writes the new mean.
 General nonlinear likelihoods are handled by sampled expectations with an
 optional extragradient (mirror-prox) correction: each stage draws one
 (d, K) block of parameters, and the model turns the whole block into a
@@ -25,7 +25,6 @@ from scipy.special import expit
 
 from . import em
 from .dense import DenseGaussian
-from .em import RecursionWeights, _BlendTarget, _cycle_count, _rank_k_rows
 from .em import recursive_em_update
 from .factor import PSI_FLOOR, DivergenceError, FaPrecision, woodbury_apply
 from .sampler import EnsembleSampler
@@ -163,22 +162,17 @@ def _glm_step(
     """One implicit GLM update; ``rule(a0, nu0, y)`` gives the link's (s, r).
 
     The mean moves along the pre-update gain, mu_t = mu_{t-1} + P_{t-1} x r,
-    and the factored precision absorbs s x x^T through the recursion with
-    weights (1, s), so no reweighted copy of x is made. The first EM cycle
-    is the warm-started rank-one update of ``em_fixed_point_step``, run
-    here with the scalars' M^-1 c, c = W^T Psi^-1 x, as its A. By
-    Woodbury, P_{t-1} x r = r Psi^-1 g with g = x - W M^-1 c, the column
-    that update is made of, so its row pass writes mu_t from g, into the
-    spent buffer of Psi^-1 x. Any later cycles are general ones.
+    and the factored precision absorbs s x x^T through ``em._absorb`` with
+    weights (1, s), so no reweighted copy of x is made. Its first pass is
+    the warm-started rank-one cycle, given the scalars' M^-1 c,
+    c = W^T Psi^-1 x, as its A. By Woodbury, P_{t-1} x r = r Psi^-1 g
+    with g = x - W M^-1 c, the column that cycle is made of, so its row
+    pass writes mu_t from g, into the spent buffer of Psi^-1 x.
     """
     x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
     s, r = rule(a0, nu0, y)
-    loops = _cycle_count(belief.d, inner_loops)
-    target = _BlendTarget(belief.prec, x[:, None], 1.0, s)
-    prec = _rank_k_rows(belief.prec, target.X, minv_c[:, None], s, (r, belief.mu, u))
-    del minv_c  # freed before the later cycles, to lower the peak
-    for _ in range(loops - 1):  # through em, whose attribute the benchmark tracer wraps
-        prec = em.em_fixed_point_step(prec, target)
+    prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops,
+                      minv_c[:, None], (r, belief.mu, u))
     return _new_belief(u, prec)
 
 
@@ -425,12 +419,10 @@ def lrvga_nonlinear_step(
         raise ValueError("sample count must be at least 1")
     x, y = _input(obs, belief.d), obs.y
     rng = np.random.default_rng(rng)
-    weights = RecursionWeights(1.0, 1.0)
 
     thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
-    prec_hat = recursive_em_update(
-        belief.prec, ggn_block(model, x, thetas), weights, inner_loops
-    )
+    prec_hat = recursive_em_update(belief.prec, ggn_block(model, x, thetas),
+                                   inner_loops=inner_loops)
     mu_hat = belief.mu + woodbury_apply(prec_hat, model.mean_loglik_grad(thetas, x, y))
     if scheme == "explicit":
         return _new_belief(mu_hat, prec_hat)
@@ -439,8 +431,7 @@ def lrvga_nonlinear_step(
     thetas = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
     prec = prec_hat
     if scheme == "mirror-prox-full":
-        prec = recursive_em_update(
-            belief.prec, ggn_block(model, x, thetas), weights, inner_loops
-        )
+        prec = recursive_em_update(belief.prec, ggn_block(model, x, thetas),
+                                   inner_loops=inner_loops)
     mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
     return _new_belief(mu, prec)

@@ -17,7 +17,7 @@ from lrvga import (
     init_isotropic_prior,
     recursive_em_update,
 )
-from lrvga.em import _ROW_BLOCK, DenseSymmetric, _BlendTarget, _rank_k_rows, _warm_rows
+from lrvga.em import _ROW_BLOCK, DenseSymmetric, _absorb, _BlendTarget, _rank_k_rows, _warm_rows
 from lrvga.factor import DivergenceError, latent_gram
 from lrvga.memory import MemoryMeter
 
@@ -234,12 +234,12 @@ def test_warm_started_cycle_matches_one_step_against_the_dense_target(alpha, bet
 
 @pytest.mark.parametrize(
     "k, alpha",
-    [pytest.param(2, 1.0, id="2-False"), pytest.param(3, 0.5, id="3-False-alpha-0.5"),
-     pytest.param(2, 0.5, id="2-False-alpha-0.5"),
-     pytest.param(3, 1.0, id="3-False-alpha-1"),
-     pytest.param(5, 1.0, id="5-False-alpha-1")],
+    [pytest.param(2, 1.0, id="2-alpha-1"), pytest.param(3, 0.5, id="3-alpha-0.5"),
+     pytest.param(2, 0.5, id="2-alpha-0.5"),
+     pytest.param(3, 1.0, id="3-alpha-1"),
+     pytest.param(5, 1.0, id="5-alpha-1")],
 )
-def test_one_warm_cycle_reads_the_target_only_for_wide_blocks(k, alpha, monkeypatch):
+def test_one_pass_update_never_reads_the_target(k, alpha, monkeypatch):
     """A one-pass update (the default above d = 1000) never multiplies the
     target nor forms its diagonal, at any K, p = 3 here: at alpha = 1 its
     pass is the warm-started rank-K cycle, and at alpha < 1 the
@@ -338,10 +338,7 @@ def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k
     X = rng.standard_normal((d, k)) / np.sqrt(d)
     got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=3)
     target = _BlendTarget(prev, X, alpha, beta)
-    if alpha == 1.0:
-        chain = [em_fixed_point_step(prev, target)]  # the warm-started first cycle
-    else:
-        chain = [recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)]
+    chain = [recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)]
     fresh = chain[0]
     for _ in range(2):
         chain.append(em_fixed_point_step(chain[-1], target))
@@ -358,6 +355,30 @@ def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k
     out = em_fixed_point_step(FaPrecision(other.W, other.psi), target)
     assert np.array_equal(out.W, expected.W)
     assert np.array_equal(out.psi, expected.psi)
+
+
+@pytest.mark.parametrize("loops", [1, 3])
+def test_the_first_pass_takes_the_caller_s_a(loops):
+    """At alpha = 1 ``_absorb`` makes its first pass from the A it is
+    given, as the GLM step gives it the M^-1 c of its scalars, and forms
+    A = M^-1 V^T itself, another pass over W, only when given none: the
+    formed A gives the update bit for bit, and a scaled A the rank-K pass
+    from it, followed by the same general cycles."""
+    rng = np.random.default_rng(41)
+    d, p, beta = 30, 4, 0.7
+    prev = FaPrecision(rng.standard_normal((d, p)) / 5.0, rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, 2)) / np.sqrt(d)
+    A = prev.latent_inverse @ ((X.T / prev.psi) @ prev.W).T
+    own = recursive_em_update(prev, X, RecursionWeights(1.0, beta), inner_loops=loops)
+    given = _absorb(prev, X, 1.0, beta, loops, A)
+    expected = _rank_k_rows(prev, X, 0.5 * A, beta)
+    target = _BlendTarget(prev, X, 1.0, beta)
+    for _ in range(loops - 1):
+        expected = em_fixed_point_step(expected, target)
+    scaled = _absorb(prev, X, 1.0, beta, loops, 0.5 * A)
+    for a, b in ((own, given), (scaled, expected)):
+        assert np.array_equal(a.W, b.W) and np.array_equal(a.psi, b.psi)
+    assert not np.allclose(scaled.W, own.W)
 
 
 def test_non_finite_value_in_the_last_partial_block_raises():
@@ -575,15 +596,19 @@ def test_default_inner_loops_switches_at_scale():
 
 @pytest.mark.parametrize("d, cycles", [(10, 3), (1001, 1)])
 def test_recursive_update_defaults_to_the_heuristic_cycle_count(d, cycles, monkeypatch):
-    """With no ``inner_loops``, the update runs ``default_inner_loops(d)``
-    EM cycles, so every filter that passes None through gets the same count."""
+    """With no ``inner_loops``, the update makes ``default_inner_loops(d)``
+    passes, the first the rank-K cycle and the rest general ones, so every
+    filter that passes None through gets the same count."""
     calls = []
 
-    def counting_step(fa, S):
-        calls.append(fa.d)
-        return em_fixed_point_step(fa, S)
+    def counting(fn):
+        def counted(fa, *args):
+            calls.append(fa.d)
+            return fn(fa, *args)
+        return counted
 
-    monkeypatch.setattr(lrvga.em, "em_fixed_point_step", counting_step)
+    for name in ("_rank_k_rows", "em_fixed_point_step"):
+        monkeypatch.setattr(lrvga.em, name, counting(getattr(lrvga.em, name)))
     prev = init_isotropic_prior(d, 2, 1.0, rng=0)
     recursive_em_update(prev, np.random.default_rng(1).standard_normal(d))
     assert calls == [d] * cycles == [d] * default_inner_loops(d)

@@ -265,7 +265,7 @@ def test_data_streams_do_not_replay_the_true_parameters():
     first input at c = 0 was exactly theta*/sigma0, and the cov stream's
     first latent draws were the entries of the true loadings."""
     ex = lrvga.experiments
-    keys = (ex._SEED_DATA, ex._SEED_LABELS, ex._SEED_FILTER, ex._SEED_EVAL)
+    keys = (ex._SEED_DATA, ex._SEED_LABELS, ex._SEED_FILTER)
     cfg = make_config("linear", d=20, c=0.0, seed=3)
     for key in keys:
         draws = ex._rng(cfg, key, 0).standard_normal(4)
@@ -330,6 +330,29 @@ def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["logistic", "--d", "601"], "logistic runs need dense evaluation; keep d <= 600"),
+    (["nonlinear", "--d", "601"], "nonlinear runs need dense evaluation; keep d <= 600"),
+    (["linear", "--d", "601"], "above the dense limit the input rotation (a d x d matrix) "
+                               "is unavailable; use c = 0"),
+    (["cov", "--d", "2001"], "covariance runs need dense evaluation; keep d <= 2000"),
+    (["cov", "--dataset", "WIDE"], "dataset dimension too large for dense evaluation"),
+])
+def test_dimensions_past_the_dense_limits_exit_with_code_1(argv, message, tmp_path, capsys):
+    """Each run kind refuses a dimension its dense evaluation cannot
+    reach, before it writes anything; the linear run at the default c,
+    whose input rotation is a d x d matrix. WIDE is a one-row dataset
+    whose feature index, and so its dimension, is 2001."""
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1 1:0.5 2001:1.0\n")
+    out = tmp_path / "run"
+    argv = ["--experiment"] + [str(wide) if a == "WIDE" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def _write_eleven_features(path, missing):

@@ -513,21 +513,19 @@ def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
     """``solve_glm_scalars`` and ``lrvga_logistic_step`` take (a0, nu0)
     from one owner, so the (s, r) the step absorbs and moves by follow
     from the public solution bit for bit."""
-    import lrvga.filters
-
     d, p = 40, 4
     rng = np.random.default_rng(31)
     fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
     belief = GaussianBelief(0.3 * rng.standard_normal(d), fa)
     obs = Observation(rng.standard_normal(d), 1.0)
     used = {}
-    rank_k_rows = lrvga.filters._rank_k_rows
+    rank_k_rows = lrvga.em._rank_k_rows
 
     def spy(fa, X, A, beta, shift):
         used["s"], used["r"] = beta, shift[0]  # shift = (r, mu, out)
         return rank_k_rows(fa, X, A, beta, shift)
 
-    monkeypatch.setattr(lrvga.filters, "_rank_k_rows", spy)
+    monkeypatch.setattr(lrvga.em, "_rank_k_rows", spy)
     lrvga_logistic_step(belief, obs)
     sol = solve_glm_scalars(belief, obs)
     assert used == {"s": _sigmoid_weight(sol.a, sol.nu), "r": 1.0 - float(expit(sol.k * sol.a))}

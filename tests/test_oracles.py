@@ -1,5 +1,6 @@
-"""The oracles in ``tests/oracles.py`` share no code with the fast paths
-they check."""
+"""Import boundaries, read from the source by ``ast``: the oracles in
+``tests/oracles.py`` share no code with the fast paths they check, and
+``filters`` reaches no private ``em`` name but ``_absorb``."""
 
 import ast
 import inspect
@@ -49,3 +50,47 @@ def test_the_import_check_sees_every_route_to_a_fast_path():
         "lrvga.default_inner_loops", "lrvga.em", "lrvga.em",
         "lrvga.em._rank_k_rows", "lrvga.filters.lrvga_linear_step",
     ]
+
+
+def private_em_names(source: str) -> set[str]:
+    """Every private name of ``lrvga.em`` that ``source`` reaches: imported
+    from it, absolutely or relatively, or read as an attribute of the
+    module, bound by ``import lrvga.em`` or as ``em``."""
+    tree = ast.parse(source)
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module, node.level) in (("em", 1), ("lrvga.em", 0)):
+                found |= {a.name for a in node.names if a.name.startswith("_")}
+            elif (node.module, node.level) in ((None, 1), ("lrvga", 0)):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "em"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "lrvga.em" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.startswith("__") and ast.unparse(node.value) in aliases | {"lrvga.em"}:
+            found.add(node.attr)
+    return found
+
+
+def test_filters_reach_no_private_em_name_but_absorb():
+    source = (Path(lrvga.__file__).parent / "filters.py").read_text(encoding="utf-8")
+    assert private_em_names(source) <= {"_absorb"}
+
+
+def test_the_private_name_check_sees_every_route_into_em():
+    source = "\n".join([
+        "import lrvga.em",
+        "import lrvga.em as lem",
+        "from . import em",
+        "from .em import _BlendTarget, recursive_em_update",
+        "from lrvga.em import _cycle_count",
+        "from .factor import _cholesky_solve",
+        "a = em._rank_k_rows",
+        "b = lrvga.em._ROW_BLOCK",
+        "c = lem._warm_rows",
+        "d = em.__name__",
+    ])
+    assert private_em_names(source) == {
+        "_BlendTarget", "_cycle_count", "_rank_k_rows", "_ROW_BLOCK", "_warm_rows",
+    }

@@ -26,9 +26,11 @@ K = 1 also writes the new mean from the same column; at alpha != 1 it is
 the closed-form fit. Either solves small matrices, then makes one pass
 over the rows of W and X in cache-sized blocks that writes the new
 factors column-major, so that each block is p contiguous column
-segments, and accumulates their gram. Every routine accepts either
-order. Inputs are validated once per update; each pass checks its
-output, floors psi and builds it unvalidated.
+segments, and accumulates their gram; when general cycles follow, it
+also writes Psi^-1 W of its output, column-major, and hands it to the
+first of them. Every routine accepts either order. Inputs are validated
+once per update; each pass checks its output once, by the sum of psi
+before the floor and of its gram, floors psi and builds it unvalidated.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class _BlendTarget:
         self.alpha = alpha
         self.beta = beta
         self._diag = None
-        self.handed = None, None  # the last general cycle's output and its Psi^-1 W
+        self.handed = None, None  # the last pass's output and its Psi^-1 W
 
     def matmat(self, A: np.ndarray) -> np.ndarray:
         out = None
@@ -145,8 +147,11 @@ class _BlendTarget:
             if self.alpha != 1.0:
                 out *= self.alpha
         if self.beta > 0.0:
+            block = self.X.T @ A
+            if self.beta != 1.0:
+                block *= self.beta
             # np.dot: for a one-column X, matmul takes a slow loop here
-            block = np.dot(self.X, self.beta * (self.X.T @ A))
+            block = np.dot(self.X, block)
             if out is None:
                 return block
             out += block
@@ -155,8 +160,13 @@ class _BlendTarget:
     def diag(self) -> np.ndarray:
         if self._diag is None:
             W, X = self.prev.W, self.X
-            self._diag = self.alpha * (np.einsum("ij,ij->i", W, W) + self.prev.psi)
-            self._diag += self.beta * np.einsum("ij,ij->i", X, X)
+            self._diag = np.einsum("ij,ij->i", W, W) + self.prev.psi
+            if self.alpha != 1.0:
+                self._diag *= self.alpha
+            xx = np.einsum("ij,ij->i", X, X)
+            if self.beta != 1.0:
+                xx *= self.beta
+            self._diag += xx
         return self._diag
 
 
@@ -182,12 +192,13 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     toward the recursion target the cycle leaves Psi_new^-1 W_new there
     for the next. Entries of psi_new below ``PSI_FLOOR`` are clamped to
     it; a failed factorization falls back to the pseudo-inverse with a
-    warning. The output is checked for finiteness and built without the
+    warning. The output is checked for finiteness once, by the sum of
+    psi_new before the floor and of the gram, and built without the
     public constructor's validation.
     """
-    if not (hasattr(S, "matmat") and hasattr(S, "diag")):
-        S = DenseSymmetric(S)
     blend = isinstance(S, _BlendTarget)
+    if not (blend or hasattr(S, "matmat") and hasattr(S, "diag")):
+        S = DenseSymmetric(S)
     M = fa.gram
     owner, psi_inv_w = S.handed if blend else (None, None)
     if blend:
@@ -199,14 +210,12 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
     T = G @ _cholesky_solve(MB, identity(fa.p))  # G (M B)^-1 = W_new M^-1
     W_new = T @ M
-    psi_new = S.diag() - star(T, G)
+    psi_new = S.diag() - np.einsum("ij,ij->i", T, G)  # star(T, G)
     del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
-    _check_finite(psi_new)
+    psi_sum = psi_new.sum()
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     psi_inv_w = W_new / psi_new[:, None]
-    M = identity(fa.p) + W_new.T @ psi_inv_w  # as latent_gram forms it
-    _check_finite(M)  # covers W_new, as in _row_pass
-    out = _trusted_precision(W_new, psi_new, (M + M.T) / 2.0)
+    out = _trusted_precision(W_new, psi_new, _checked_gram(W_new.T @ psi_inv_w, psi_sum))
     if blend:
         S.handed = out, psi_inv_w
     return out
@@ -230,14 +239,20 @@ def _closed_form(fa: FaPrecision, X: np.ndarray, alpha: float, beta: float) -> t
     return vecs[:, k:][:, ::-1], vecs[:, :k]  # W_new's columns go largest first
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise DivergenceError("EM step produced non-finite factors")
+def _checked_gram(G: np.ndarray, psi_sum: float) -> np.ndarray:
+    """M = (G + G^T) / 2 + I_p from G = W^T Psi^-1 W, bit for bit as
+    ``latent_gram`` forms it, and a pass's one check of its output: that
+    psi_sum, psi's sum before the floor, plus M's sum is finite."""
+    M = G + G.T
+    M *= 0.5
+    M += identity(G.shape[0])
+    if not math.isfinite(psi_sum + M.sum()):
+        raise DivergenceError("EM step produced non-finite factors")
+    return M
 
 
 def _warm_rows(
-    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, C: np.ndarray
+    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, C: np.ndarray, target=None
 ) -> FaPrecision:
     """The row pass of the closed-form fit, given (H, C) from
     ``_closed_form``: with Z = [W X], W_new = Z H and psi_new = alpha psi
@@ -251,11 +266,11 @@ def _warm_rows(
         np.einsum("ij,ij->i", zc, zc, out=psi_block)
         psi_block += alpha * fa.psi[rows]
 
-    return _row_pass(fa.W.shape, fill)
+    return _row_pass(fa.W.shape, fill, target)
 
 
 def _rank_k_rows(
-    fa: FaPrecision, X: np.ndarray, A: np.ndarray, beta: float, shift=None
+    fa: FaPrecision, X: np.ndarray, A: np.ndarray, beta: float, shift=None, target=None
 ) -> FaPrecision:
     """The EM cycle toward W W^T + Psi + beta X X^T started at ``fa``,
     given A = M^-1 V^T (p x K) with V = X^T Psi^-1 W.
@@ -276,8 +291,8 @@ def _rank_k_rows(
     product at K = 1, to which w is then added.
     """
     k = A.shape[1]
-    Q = _cholesky_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
-    AQ = A @ Q
+    Q = _rank_k_weight(A, beta)
+    AQ = A * Q if k == 1 else A @ Q
 
     def fill(rows, w_new, psi_block):
         w = fa.W[rows]
@@ -285,41 +300,57 @@ def _rank_k_rows(
         # At K = 1 matmul takes a slow loop; the product is then an outer one
         (np.multiply if k == 1 else np.matmul)(g, AQ.T, out=w_new)
         w_new += w
-        # np.dot: at K = 1 matmul takes a slow loop, about 3x the whole einsum
-        np.einsum("ij,ij->i", np.dot(g, Q), g, out=psi_block)
+        # G Q is a scalar product at K = 1. The einsum, unlike np.multiply,
+        # stays silent where psi overflows, which the pass's check reports.
+        np.einsum("ij,ij->i", g * Q if k == 1 else np.dot(g, Q), g, out=psi_block)
         psi_block += fa.psi[rows]
         if shift is not None:
             r, mu, out = shift
             np.divide(r * g[:, 0], fa.psi[rows], out=out[rows])
             out[rows] += mu[rows]
 
-    return _row_pass(fa.W.shape, fill)
+    return _row_pass(fa.W.shape, fill, target)
 
 
-def _row_pass(shape: tuple[int, int], fill) -> FaPrecision:
+def _rank_k_weight(A: np.ndarray, beta: float):
+    """Q = beta (I_K + beta A^T A)^-1 of ``_rank_k_rows``. At K = 1 it is
+    the scalar (beta l) l with l = 1 / sqrt(1 + beta a^T a), rounded as
+    OpenBLAS rounds the 1 x 1 Cholesky solve."""
+    k = A.shape[1]
+    if k == 1:
+        ell = 1.0 / math.sqrt(1.0 + beta * np.dot(A[:, 0], A[:, 0]))
+        return (beta * ell) * ell
+    return _cholesky_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
+
+
+def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
     """One pass over the rows of an update's first output, in blocks
     of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block,
-    whose psi is then checked and floored at ``PSI_FLOOR``. W_new is
+    whose psi is then summed and floored at ``PSI_FLOOR``. W_new is
     column-major, so ``w_new`` is p contiguous column segments, which
     ``fill`` must write in place. The output carries its gram,
     accumulated block by block; with a single block (d <= _ROW_BLOCK) it
-    equals ``latent_gram``'s, bit for bit."""
+    equals ``latent_gram``'s, bit for bit, and is checked once, at the
+    end. Given the update's ``target``, the pass keeps the Psi^-1 W_new
+    it forms in one column-major array and hands it on there."""
     d, p = shape
     W_new = np.empty((d, p), order="F")
     psi_new = np.empty(d)
+    psi_inv_w = None if target is None else np.empty((d, p), order="F")
     G = np.zeros((p, p))
+    psi_sum = 0.0
     for start in range(0, d, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         w_new, psi_block = W_new[rows], psi_new[rows]
         fill(rows, w_new, psi_block)
-        _check_finite(psi_block)
+        psi_sum += psi_block.sum()
         np.maximum(psi_block, PSI_FLOOR, out=psi_block)
-        G += w_new.T @ (w_new / psi_block[:, None])
-    # psi_new is finite and positive, so a non-finite entry of W_new makes a
-    # diagonal entry of G non-finite: one check of G covers W_new.
-    _check_finite(G)
-    M = identity(p) + G
-    return _trusted_precision(W_new, psi_new, (M + M.T) / 2.0)
+        out = None if psi_inv_w is None else psi_inv_w[rows]
+        G += w_new.T @ np.divide(w_new, psi_block[:, None], out=out)
+    fa = _trusted_precision(W_new, psi_new, _checked_gram(G, psi_sum))
+    if target is not None:
+        target.handed = fa, psi_inv_w
+    return fa
 
 
 def default_inner_loops(d: int) -> int:
@@ -362,18 +393,20 @@ def _absorb(prev: FaPrecision, X: np.ndarray, alpha: float, beta: float,
     ``_rank_k_rows`` at alpha = 1, from the caller's A = M^-1 V^T if
     given, with ``shift`` passed on; at alpha != 1 the closed-form fit.
     The rest are general cycles, through the module's
-    ``em_fixed_point_step``, where the benchmark tracer wraps it."""
+    ``em_fixed_point_step``, where the benchmark tracer wraps it; the
+    first pass hands the first of them its Psi^-1 W through the target."""
     if inner_loops is None:
         inner_loops = default_inner_loops(prev.d)
     elif inner_loops < 1:
         raise ValueError("inner_loops must be at least 1")
+    target = _BlendTarget(prev, X, alpha, beta)
+    hand = target if inner_loops > 1 else None
     if alpha != 1.0:
-        fa = _warm_rows(prev, X, alpha, *_closed_form(prev, X, alpha, beta))
+        fa = _warm_rows(prev, X, alpha, *_closed_form(prev, X, alpha, beta), hand)
     else:
         if A is None:
             A = prev.latent_inverse @ ((X.T / prev.psi) @ prev.W).T
-        fa = _rank_k_rows(prev, X, A, beta, shift)
-    target = _BlendTarget(prev, X, alpha, beta)
+        fa = _rank_k_rows(prev, X, A, beta, shift, hand)
     for _ in range(inner_loops - 1):
         fa = em_fixed_point_step(fa, target)
     return fa

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -109,12 +109,13 @@ class FaPrecision:
     cycle reads, and its inverse ``latent_inverse``, read only by the
     Woodbury gain, the sampler and evaluation, are cached on the
     instance; immutability keeps them valid. Every EM cycle hands over
-    the symmetric, checked gram of the precision it builds; otherwise the
-    gram is formed and checked on first use. The inverse is formed on
-    first use, from the gram by one raw p x p Cholesky solve. Only these
-    p x p matrices are cached: the d x p Psi^-1 W that one EM cycle hands
-    the next lives on the update's target. So an instance holds the
-    factors plus 2 p^2 floats.
+    the symmetric, checked gram of the precision it builds, each pass
+    checking its output once; otherwise the gram is formed and checked on
+    first use. The inverse is formed on first use, from the gram by one
+    raw p x p Cholesky solve. Only these p x p matrices are cached: the
+    d x p Psi^-1 W that an update's first pass, and then each general
+    cycle, hands the next cycle lives on the update's target. So an
+    instance holds the factors plus 2 p^2 floats.
     """
 
     W: np.ndarray
@@ -152,12 +153,15 @@ class FaPrecision:
     def p(self) -> int:
         return self.W.shape[1]
 
-    @cached_property
+    @property
     def latent_inverse(self) -> np.ndarray:
         """M^-1 = (I_p + W^T Psi^-1 W)^-1, read-only, formed once per
-        instance by one Cholesky solve of ``gram``."""
-        minv = _cholesky_solve(self.gram, identity(self.p))
-        minv.flags.writeable = False
+        instance by one Cholesky solve of ``gram``, cached as ``gram`` is."""
+        minv = self.__dict__.get("latent_inverse")
+        if minv is None:
+            minv = _cholesky_solve(self.gram, identity(self.p))
+            minv.flags.writeable = False
+            self.__dict__["latent_inverse"] = minv
         return minv
 
     @property

@@ -16,6 +16,7 @@ square-root curvature block and a mean gradient in one call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -94,7 +95,7 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
     found by a scan made only when the norm check fails; DivergenceError if
     the finite mean's norm sqrt(mu @ mu), as ``np.linalg.norm`` forms it, is
     not finite or over ``MU_NORM_LIMIT``, or too much of psi is floored."""
-    mu_norm = float(np.sqrt(belief.mu @ belief.mu))
+    mu_norm = math.sqrt(np.dot(belief.mu, belief.mu))
     if not mu_norm <= MU_NORM_LIMIT:
         if not np.isfinite(belief.mu).all():
             raise ValueError("non-finite mean")
@@ -148,8 +149,9 @@ def _prior_scalars(
     u = x / prec.psi
     c = prec.W.T @ u
     minv_c = prec.latent_inverse @ c
-    nu0 = max(float(x @ u) - float(c @ minv_c), 0.0)
-    return x, y, u, minv_c, nu0, float(x @ belief.mu)
+    # np.dot: for two vectors it costs less than matmul, with the same bits
+    nu0 = max(float(np.dot(x, u)) - float(np.dot(c, minv_c)), 0.0)
+    return x, y, u, minv_c, nu0, float(np.dot(x, belief.mu))
 
 
 def _glm_step(
@@ -214,18 +216,27 @@ class GlmScalarSolution:
     newton_converged: bool
 
 
+def _expit(z: float) -> float:
+    """``scipy.special.expit`` of a float, bit for bit, without its ufunc
+    call: 1 / (1 + exp(-z)), which is 0 where exp(-z) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
+
+
 def _sigmoid_weight(a: float, nu: float) -> float:
     """s(a, nu) = k sigma'(k a) with k = beta / sqrt(nu + beta^2)."""
-    k = BETA_PROBIT / np.sqrt(nu + BETA_PROBIT**2)
-    sig = expit(k * a)
-    return float(k * sig * (1.0 - sig))
+    k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
+    sig = _expit(k * a)
+    return k * sig * (1.0 - sig)
 
 
 def _scalar_residuals(a: float, nu: float, a0: float, nu0: float, y: float) -> tuple[float, float]:
-    k = BETA_PROBIT / np.sqrt(nu + BETA_PROBIT**2)
+    k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
     s = _sigmoid_weight(a, nu)
     r_nu = nu * (1.0 + s * nu0) - nu0
-    r_a = a - a0 - nu0 * (y - float(expit(k * a)))
+    r_a = a - a0 - nu0 * (y - _expit(k * a))
     return r_a, r_nu
 
 
@@ -242,8 +253,8 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
     for it in range(1, SCALAR_MAX_ITER + 1):
         if norm <= SCALAR_TOL:
             break
-        k = BETA_PROBIT / np.sqrt(nu + beta2)
-        sig = expit(k * a)
+        k = BETA_PROBIT / math.sqrt(nu + beta2)
+        sig = _expit(k * a)
         sig_p = sig * (1.0 - sig)
         sig_pp = sig_p * (1.0 - 2.0 * sig)
         dk_dnu = -0.5 * k / (nu + beta2)
@@ -256,7 +267,7 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
         j_nua = nu * nu0 * ds_da
         j_nunu = 1.0 + s * nu0 + nu * nu0 * ds_dnu
         det = j_aa * j_nunu - j_anu * j_nua
-        if det == 0.0 or not np.isfinite(det):
+        if det == 0.0 or not math.isfinite(det):
             break
         da = (-r_a * j_nunu + r_nu * j_anu) / det
         dnu = (-j_aa * r_nu + j_nua * r_a) / det
@@ -285,10 +296,10 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
         )
         s = _sigmoid_weight(a, nu)
         nu = nu0 / (1.0 + s * nu0)
-        k = BETA_PROBIT / np.sqrt(nu + beta2)
-        a = a0 + nu0 * (y - float(expit(k * a)))
+        k = BETA_PROBIT / math.sqrt(nu + beta2)
+        a = a0 + nu0 * (y - _expit(k * a))
         r_a, r_nu = _scalar_residuals(a, nu, a0, nu0, y)
-    k = float(BETA_PROBIT / np.sqrt(nu + beta2))
+    k = BETA_PROBIT / math.sqrt(nu + beta2)
     return GlmScalarSolution(float(a), float(nu), k, float(r_a), float(r_nu), it, converged)
 
 
@@ -324,7 +335,7 @@ def lrvga_logistic_step(
 
     def rule(a0: float, nu0: float, y: float) -> tuple[float, float]:
         sol = _solve_scalar_system(a0, nu0, y)
-        return _sigmoid_weight(sol.a, sol.nu), y - float(expit(sol.k * sol.a))
+        return _sigmoid_weight(sol.a, sol.nu), y - _expit(sol.k * sol.a)
 
     return _glm_step(belief, obs, inner_loops, rule, binary=True)
 

@@ -49,7 +49,8 @@ class EnsembleSampler:
         if k < 1:
             raise ValueError("need at least one draw")
         fa = self.fa
-        X = self.rng.standard_normal((fa.d, k)) / np.sqrt(fa.psi)[:, None]
+        X = self.rng.standard_normal((fa.d, k))
+        X /= np.sqrt(fa.psi)[:, None]
         eps = self.rng.standard_normal((fa.p, k))
         X += self._L @ (eps - fa.W.T @ X)
         X += mu[:, None]

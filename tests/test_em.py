@@ -1,5 +1,7 @@
 """Factor-analysis fitting: fixed-point maps, recursion, helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -17,8 +19,16 @@ from lrvga import (
     init_isotropic_prior,
     recursive_em_update,
 )
-from lrvga.em import _ROW_BLOCK, DenseSymmetric, _absorb, _BlendTarget, _rank_k_rows, _warm_rows
-from lrvga.factor import DivergenceError, latent_gram
+from lrvga.em import (
+    _ROW_BLOCK,
+    DenseSymmetric,
+    _absorb,
+    _BlendTarget,
+    _rank_k_rows,
+    _rank_k_weight,
+    _warm_rows,
+)
+from lrvga.factor import DivergenceError, _cholesky_solve, latent_gram
 from lrvga.memory import MemoryMeter
 
 from oracles import (
@@ -357,6 +367,55 @@ def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k
     assert np.array_equal(out.psi, expected.psi)
 
 
+@pytest.mark.parametrize("d", [30, 2 * _ROW_BLOCK + 37])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_first_general_cycle_starts_from_the_first_pass_s_psi_inverse_w(alpha, d, monkeypatch):
+    """In a three-pass update the first pass, the rank-K cycle at
+    alpha = 1 and the closed-form fit at alpha < 1, hands the first
+    general cycle Psi^-1 W of its output: a column-major array equal bit
+    for bit to W / psi, written block by block, which that cycle
+    multiplies by the target in place of forming its own. A one-pass
+    update hands nothing over."""
+    cycles, products, targets = [], [], []
+    step, matmat, init = lrvga.em.em_fixed_point_step, _BlendTarget.matmat, _BlendTarget.__init__
+
+    def spy(fa, S):
+        cycles.append((fa, *S.handed))
+        return step(fa, S)
+
+    monkeypatch.setattr(lrvga.em, "em_fixed_point_step", spy)
+    monkeypatch.setattr(_BlendTarget, "matmat", lambda self, A: products.append(A) or matmat(self, A))
+    monkeypatch.setattr(_BlendTarget, "__init__",
+                        lambda self, *a: targets.append(self) or init(self, *a))
+    rng = np.random.default_rng(d + 7)
+    p = 4
+    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, 1)) / np.sqrt(d)
+    recursive_em_update(prev, X, RecursionWeights(alpha, 0.7), inner_loops=3)
+    (first, owner, handed), (second, owner2, _) = cycles
+    assert owner is first and owner2 is second
+    assert handed.flags.f_contiguous
+    assert np.array_equal(handed, first.W / first.psi[:, None])
+    assert products[0] is handed
+    recursive_em_update(prev, X, RecursionWeights(alpha, 0.7), inner_loops=1)
+    assert len(cycles) == 2 and targets[-1].handed == (None, None)
+
+
+def test_rank_one_weight_is_the_one_by_one_cholesky_solve():
+    """At K = 1 the rank-K cycle's Q = beta (1 + beta a^T a)^-1 is a
+    float, formed without LAPACK, equal to the 1 x 1 Cholesky solve's to
+    rtol 1e-15; the golden digests hold it to the bit."""
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        p = int(rng.integers(1, 12))
+        A = rng.standard_normal((p, 1)) * np.exp(rng.uniform(-5.0, 5.0))
+        beta = float(np.exp(rng.uniform(-8.0, 4.0)))
+        expected = _cholesky_solve(np.eye(1) + beta * (A.T @ A), beta * np.eye(1))[0, 0]
+        q = _rank_k_weight(A, beta)
+        assert isinstance(q, float)
+        assert q == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("loops", [1, 3])
 def test_the_first_pass_takes_the_caller_s_a(loops):
     """At alpha = 1 ``_absorb`` makes its first pass from the A it is
@@ -381,19 +440,35 @@ def test_the_first_pass_takes_the_caller_s_a(loops):
     assert not np.allclose(scaled.W, own.W)
 
 
+def _psi_overflow_raises_silently(row):
+    """A one-pass update at d = 2 _ROW_BLOCK + 37 whose psi_new is +inf in
+    ``row`` only must raise, with no warning of the overflow on the way,
+    also where warnings are errors. W_new stays finite in that row and
+    adds 0 to the gram, so only the sum of psi in the pass's one check
+    sees the overflow."""
+    d, p = 2 * _ROW_BLOCK + 37, 4
+    rng = np.random.default_rng(5)
+    psi = rng.uniform(0.5, 2.0, d)
+    psi[row] = 1e300  # keeps the huge input entry below out of M and V
+    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, psi)
+    X = rng.standard_normal((d, 1)) / np.sqrt(d)
+    X[row] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            recursive_em_update(prev, X, inner_loops=1)
+
+
 def test_non_finite_value_in_the_last_partial_block_raises():
     """One row at the very end of a three-block pass overflows psi_new:
     the small matrices and the first two blocks are finite, the update
     must still raise."""
-    d, p = 2 * _ROW_BLOCK + 37, 4
-    rng = np.random.default_rng(5)
-    psi = rng.uniform(0.5, 2.0, d)
-    psi[-1] = 1e300  # keeps the huge input entry below out of M and V
-    prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, psi)
-    X = rng.standard_normal((d, 1)) / np.sqrt(d)
-    X[-1] = 1e160
-    with pytest.raises(DivergenceError):
-        recursive_em_update(prev, X, inner_loops=1)
+    _psi_overflow_raises_silently(2 * _ROW_BLOCK + 36)
+
+
+def test_psi_overflow_in_a_middle_block_raises_without_a_warning():
+    """The same row in the middle one of the three blocks."""
+    _psi_overflow_raises_silently(_ROW_BLOCK + 5)
 
 
 def test_row_pass_raises_on_a_non_finite_factor_row_in_its_last_block():

@@ -29,7 +29,13 @@ from lrvga import (
 )
 from lrvga.em import _ROW_BLOCK
 from lrvga.factor import latent_gram
-from lrvga.filters import NONLINEAR_SCHEMES, _checked, _sigmoid_weight, _solve_scalar_system
+from lrvga.filters import (
+    NONLINEAR_SCHEMES,
+    _checked,
+    _expit,
+    _sigmoid_weight,
+    _solve_scalar_system,
+)
 
 from oracles import (
     LinearGaussianModel,
@@ -521,14 +527,25 @@ def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
     used = {}
     rank_k_rows = lrvga.em._rank_k_rows
 
-    def spy(fa, X, A, beta, shift):
+    def spy(fa, X, A, beta, shift, target):
         used["s"], used["r"] = beta, shift[0]  # shift = (r, mu, out)
-        return rank_k_rows(fa, X, A, beta, shift)
+        return rank_k_rows(fa, X, A, beta, shift, target)
 
     monkeypatch.setattr(lrvga.em, "_rank_k_rows", spy)
     lrvga_logistic_step(belief, obs)
     sol = solve_glm_scalars(belief, obs)
     assert used == {"s": _sigmoid_weight(sol.a, sol.nu), "r": 1.0 - float(expit(sol.k * sol.a))}
+
+
+def test_scalar_expit_is_scipy_s_bit_for_bit():
+    """The scalar solve's ``_expit`` against ``scipy.special.expit`` on
+    a grid through both tails, where exp(-z) overflows past z < -709.78
+    and underflows past z > 745, plus signed zeros, +-inf and nan."""
+    z = np.concatenate((np.linspace(-800.0, 800.0, 64_001),
+                        [-745.2, -709.79, -709.78, 709.78, 709.79, 745.2, 1e-300,
+                         -0.0, 0.0, np.inf, -np.inf, np.nan]))
+    got = np.array([_expit(float(v)) for v in z])
+    assert np.array_equal(got.view(np.int64), expit(z).view(np.int64))
 
 
 def test_glm_scalars_fallback_warns_but_stays_usable():

@@ -9,9 +9,12 @@ A = M^-1 W^T Psi^-1 x, and once in the row pass of ``em._absorb``'s first
 cycle, a rank-one update by the column g = x - W A = Psi P_{t-1} x, from
 which it also writes the new mean.
 General nonlinear likelihoods are handled by sampled expectations with an
-optional extragradient (mirror-prox) correction: each stage draws one
-(d, K) block of parameters, and the model turns the whole block into a
-square-root curvature block and a mean gradient in one call.
+optional extragradient (mirror-prox) correction. Each stage of a
+single-index model (``index_moments``) draws K scalars z ~ N(x.mu,
+x^T P x), exactly the law of x.theta under the belief, and the precision
+absorbs s x x^T as in the GLM step; any other model gets a (d, K) block
+of parameter draws, which it turns into a square-root curvature block
+and a mean gradient in one call.
 """
 
 from __future__ import annotations
@@ -352,6 +355,11 @@ class NonlinearModel(Protocol):
     with vector outputs or per-draw Jacobians returns more.
     ``mean_loglik_grad`` returns the (d,) mean over the draws of the
     log-likelihood gradient in theta.
+
+    A model that reads theta only through z = x.theta may also define
+    ``index_moments(z, y)``, the means over (K,) index draws of
+    s = -d^2/dz^2 log p(y|z) and r = d/dz log p(y|z); the sampled step
+    then draws z alone and calls neither method above.
     """
 
     def ggn_root(self, thetas: np.ndarray, x: np.ndarray) -> np.ndarray: ...
@@ -365,15 +373,18 @@ class LogisticModel:
     Every draw has Jacobian x, so with z_k = x.theta_k the sampled
     curvature is mean(sigma'(z)) x x^T, one column
     x sqrt(mean sigma(z) (1 - sigma(z))), and the mean gradient is
-    x (y - mean sigma(z)).
+    x (y - mean sigma(z)): a single-index model.
     """
 
+    def index_moments(self, z, y):
+        s = expit(z)
+        return float(np.dot(s, 1.0 - s)) / s.size, y - float(s.sum()) / s.size
+
     def ggn_root(self, thetas, x):
-        s = expit(x @ thetas)
-        return (x * np.sqrt(np.dot(s, 1.0 - s) / s.size))[:, None]
+        return (x * math.sqrt(self.index_moments(x @ thetas, 0.0)[0]))[:, None]
 
     def mean_loglik_grad(self, thetas, x, y):
-        return x * (y - expit(x @ thetas).sum() / thetas.shape[1])
+        return x * self.index_moments(x @ thetas, y)[1]
 
 
 def ggn_block(model: NonlinearModel, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:
@@ -423,13 +434,16 @@ def lrvga_nonlinear_step(
 
     Stage two draws k fresh samples at the extrapolated belief. Within a
     stage, the curvature and the gradient share the one block of draws.
+    A model with ``index_moments`` draws k index scalars per stage instead.
     """
     if scheme not in NONLINEAR_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {NONLINEAR_SCHEMES}")
     if k < 1:
         raise ValueError("sample count must be at least 1")
-    x, y = _input(obs, belief.d), obs.y
     rng = np.random.default_rng(rng)
+    if hasattr(model, "index_moments"):
+        return _index_step(belief, obs, model, k, inner_loops, scheme, rng)
+    x, y = _input(obs, belief.d), obs.y
 
     thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
     prec_hat = recursive_em_update(belief.prec, ggn_block(model, x, thetas),
@@ -446,3 +460,28 @@ def lrvga_nonlinear_step(
                                    inner_loops=inner_loops)
     mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
     return _new_belief(mu, prec)
+
+
+def _index_step(belief, obs, model, k, inner_loops, scheme, rng) -> GaussianBelief:
+    """``lrvga_nonlinear_step`` for a single-index model, whose draws cost
+    O(k) in place of O(d k p).
+
+    Stage one draws the index x.theta ~ N(a0, nu0) and absorbs s1 x x^T
+    into P_hat as the GLM step does. With h = P_hat x, stage two draws at
+    the extrapolated mean mu + r1 h: index a0 + r1 nu_hat, variance
+    nu_hat = x^T h. Its mean is mu + r2 h, after ``mirror-prox-full``
+    re-absorbs s2 into the pre-update precision and recomputes h."""
+    x, y, _, minv_c, nu0, a0 = _prior_scalars(belief, obs)
+
+    def absorb(s):
+        prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops, minv_c[:, None])
+        return prec, woodbury_apply(prec, x)
+
+    s, r = model.index_moments(a0 + math.sqrt(nu0) * rng.standard_normal(k), y)
+    prec, h = absorb(s)
+    if scheme != "explicit":
+        nu_hat = max(float(np.dot(x, h)), 0.0)
+        s, r = model.index_moments(a0 + r * nu_hat + math.sqrt(nu_hat) * rng.standard_normal(k), y)
+        if scheme == "mirror-prox-full":
+            prec, h = absorb(s)
+    return _new_belief(belief.mu + r * h, prec)

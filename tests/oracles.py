@@ -408,6 +408,24 @@ class LinearGaussianModel:
         return x * (y - np.mean(x @ thetas))
 
 
+class DrawBlockModel:
+    """A nonlinear model seen through ``ggn_root`` and ``mean_loglik_grad``
+    alone, so that ``lrvga_nonlinear_step`` takes the path of (d, K)
+    parameter blocks even for a model with a single-index form. Each
+    gradient call records the index draws x.theta of its block in
+    ``indices``, one array per stage."""
+
+    def __init__(self, model):
+        self.model, self.indices = model, []
+
+    def ggn_root(self, thetas, x):
+        return self.model.ggn_root(thetas, x)
+
+    def mean_loglik_grad(self, thetas, x, y):
+        self.indices.append(x @ thetas)
+        return self.model.mean_loglik_grad(thetas, x, y)
+
+
 class PerDrawLogisticModel:
     """Bernoulli likelihood with log-odds x.theta, evaluated draw by draw.
 

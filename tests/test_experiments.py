@@ -154,7 +154,7 @@ GOLDEN = {
     "cov": "127f66609a1f4aba6b07575ca42f33b4a37e481dfa2be8ae98e9af2b7d02abe8",
     "linear": "ef1b8f8f90338e38f57a74c049ec2015bed168eb18897b88d884af0f88e4d7bc",
     "logistic": "38b294fc40b682f3a0450e7a9ee0cd8028e05484fabc4ca393a5e88ee8dbc108",
-    "nonlinear": "40730faaba7a1287ed5d9db039bcc64b361e48b33d0efc2912291799a87390a6",
+    "nonlinear": "de9c43638135894f4dc7d08847a3b428178a448a0608a840a9942d4935c2dfe2",
 }
 
 

@@ -9,6 +9,7 @@ from scipy.special import expit
 
 import lrvga.em
 import lrvga.factor
+import lrvga.filters
 import lrvga.sampler
 from lrvga import (
     DenseGaussian,
@@ -38,6 +39,7 @@ from lrvga.filters import (
 )
 
 from oracles import (
+    DrawBlockModel,
     LinearGaussianModel,
     PerDrawLogisticModel,
     dense_implicit_logistic_vga,
@@ -209,9 +211,9 @@ _STEP_CALLS = (
 )
 
 
-def _count_step_calls(monkeypatch, step):
-    """Run ``step()`` with every entry of ``_STEP_CALLS`` counted; return
-    the counts by name, summed over the modules that share one."""
+def _count_step_calls(monkeypatch, step, calls=_STEP_CALLS):
+    """Run ``step()`` with every entry of ``calls`` counted; return the
+    counts by name, summed over the modules that share one."""
     counts = {}
 
     def counting(name, fn):
@@ -220,8 +222,8 @@ def _count_step_calls(monkeypatch, step):
             return fn(*args, **kwargs)
         return counted
 
-    for owner, name in _STEP_CALLS:
-        key = f"{owner.__name__}.{name}" if name == "__post_init__" else name
+    for owner, name in calls:
+        key = f"{owner.__name__}.{name}" if name.startswith("__") else name
         counts[key] = 0
         monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
     step()
@@ -233,8 +235,12 @@ def test_warmed_up_default_steps_form_no_gram_solve_or_validation(monkeypatch):
     linear step at d = 100, p = 5 forms no latent Gram matrix, makes no
     ``spd_solve`` and runs neither constructor's validation. Its general
     EM cycles 2-3 go through ``lrvga.em.em_fixed_point_step``, exactly
-    twice, where the benchmark's tracer sees them. A default nonlinear
-    step at d = 20, p = 10 with K = 10 draws forms no gram either."""
+    twice, where the benchmark's tracer sees them. A default sampled
+    logistic step at d = 20, p = 10 with K = 10 draws in index space: it
+    builds no ``EnsembleSampler`` and calls no ``ggn_block``, and otherwise
+    counts as the linear step does. The same step on a model without the
+    single-index form still builds its two samplers, and calls ``ggn_block``
+    once, for stage one's curvature."""
     belief = belief_from_prior(100, 5, eps=0.01, seed=4)
     xs = np.random.default_rng(4).standard_normal((2, 100)) / 10.0
     belief = lrvga_linear_step(belief, Observation(xs[0], 0.5))
@@ -246,9 +252,18 @@ def test_warmed_up_default_steps_form_no_gram_solve_or_validation(monkeypatch):
     belief = belief_from_prior(20, 10, seed=5)
     x = np.random.default_rng(5).standard_normal(20) / np.sqrt(20)
     belief = lrvga_nonlinear_step(belief, Observation(x, 1.0), LogisticModel(), k=10, rng=6)
-    counts = _count_step_calls(
-        monkeypatch, lambda: lrvga_nonlinear_step(belief, Observation(x, 0.0), LogisticModel(), k=10, rng=7))
-    assert counts["latent_gram"] == 0
+    calls = (*_STEP_CALLS, (lrvga.sampler.EnsembleSampler, "__init__"), (lrvga.filters, "ggn_block"))
+
+    def step(model):
+        return lambda: lrvga_nonlinear_step(belief, Observation(x, 0.0), model, k=10, rng=7)
+
+    counts = _count_step_calls(monkeypatch, step(LogisticModel()), calls)
+    assert counts == {"FaPrecision.__post_init__": 0, "GaussianBelief.__post_init__": 0,
+                      "em_fixed_point_step": 2, "latent_gram": 0, "spd_solve": 0,
+                      "EnsembleSampler.__init__": 0, "ggn_block": 0}
+    monkeypatch.undo()
+    counts = _count_step_calls(monkeypatch, step(PerDrawLogisticModel()), calls)
+    assert (counts["EnsembleSampler.__init__"], counts["ggn_block"]) == (2, 1)
 
 
 class _ConstantGradient:
@@ -688,19 +703,70 @@ def test_ggn_linear_model_ignores_samples():
 @pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
 @pytest.mark.parametrize("k", [1, 10])
 def test_one_column_logistic_root_matches_the_per_draw_path(scheme, k):
-    """The logistic model folds the K draws into one curvature column; a
-    model with one column per draw and a per-draw gradient loop gives the
-    same step to rounding."""
+    """On the path of (d, K) parameter blocks, the logistic model folds the
+    K draws into one curvature column; a model with one column per draw
+    and a per-draw gradient loop gives the same step to rounding. The
+    logistic model is wrapped so that it shows no single-index form."""
     d = 8
     rng = np.random.default_rng(25)
     bel = belief_from_prior(d, 3, seed=12, mu=0.3 * rng.standard_normal(d))
     obs = Observation(rng.standard_normal(d), 1.0)
     a, b = (
         lrvga_nonlinear_step(bel, obs, model, k=k, inner_loops=3, scheme=scheme, rng=4)
-        for model in (LogisticModel(), PerDrawLogisticModel())
+        for model in (DrawBlockModel(LogisticModel()), PerDrawLogisticModel())
     )
     for u, v in ((a.mu, b.mu), (a.prec.W, b.prec.W), (a.prec.psi, b.prec.psi)):
         assert np.linalg.norm(u - v) <= 1e-12 * np.linalg.norm(v)
+
+
+class _ReplayedNormals(np.random.Generator):
+    """A generator whose ``standard_normal(k)`` returns the given (k,)
+    blocks in turn."""
+
+    def __init__(self, blocks):
+        super().__init__(np.random.PCG64(0))
+        self.blocks = list(blocks)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        block = self.blocks.pop(0)
+        assert block.shape == (size,)
+        return block
+
+
+@pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
+@pytest.mark.parametrize("k", [1, 10])
+def test_index_draws_replay_the_parameter_block_path(scheme, k):
+    """The single-index route is the (d, K) path with the draws taken in
+    index space. The parameter-block path runs on the logistic model
+    with its index form hidden and records z = x.theta at each stage;
+    fed the normals that map to those z under the index route's scalars,
+    here from dense inverses, the index route gives the same step. Stage
+    one's index is N(a0, nu0) with a0 = x.mu and nu0 = x^T P x; stage
+    two's is N(a_hat, nu_hat) under the stage-one precision P_hat, whose
+    mean mu + r1 P_hat x is the extrapolated one."""
+    d = 8
+    rng = np.random.default_rng(26)
+    bel = belief_from_prior(d, 3, seed=13, mu=0.3 * rng.standard_normal(d))
+    x = rng.standard_normal(d)
+    obs = Observation(x, 1.0)
+    blocks = DrawBlockModel(LogisticModel())
+    ref = lrvga_nonlinear_step(bel, obs, blocks, k=k, scheme=scheme, rng=5)
+
+    z1 = blocks.indices[0]
+    cov = fa_dense_inverse(bel.prec)
+    a0, nu0 = x @ bel.mu, x @ cov @ x
+    normals = [(z1 - a0) / np.sqrt(nu0)]
+    if scheme != "explicit":
+        s1 = expit(z1)
+        prec_hat = lrvga.em.recursive_em_update(bel.prec, x[:, None] * np.sqrt(np.mean(s1 * (1 - s1))))
+        h = fa_dense_inverse(prec_hat) @ x
+        a_hat, nu_hat = a0 + np.mean(1.0 - s1) * (x @ h), x @ h
+        normals.append((blocks.indices[1] - a_hat) / np.sqrt(nu_hat))
+    replay = _ReplayedNormals(normals)
+    out = lrvga_nonlinear_step(bel, obs, LogisticModel(), k=k, scheme=scheme, rng=replay)
+    assert replay.blocks == []
+    for u, v in ((out.mu, ref.mu), (out.prec.W, ref.prec.W), (out.prec.psi, ref.prec.psi)):
+        assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
 
 
 # ------------------------------------------------------- nonlinear filter

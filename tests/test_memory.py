@@ -6,10 +6,12 @@ import pytest
 import lrvga.experiments
 from lrvga import (
     GaussianBelief,
+    LogisticModel,
     RecursionWeights,
     Observation,
     init_isotropic_prior,
     lrvga_linear_step,
+    lrvga_nonlinear_step,
     make_config,
     recursive_em_update,
     run_experiment,
@@ -34,6 +36,22 @@ def test_linear_steps_stay_within_the_contract_at_moderate_dimension():
     with MemoryMeter() as meter:
         for o in obs:
             belief = lrvga_linear_step(belief, o, inner_loops=1)
+    assert 0 < meter.peak_bytes <= contract_budget_bytes(d, p)
+
+
+def test_sampled_logistic_steps_stay_within_the_contract_at_moderate_dimension():
+    """Ten default sampled logistic steps at d=10^4, p=10, K=100, one
+    loop, under the same 7.68 MB budget. One (d, K) block of parameter
+    draws is 8 MB alone; the steps draw K index scalars per stage."""
+    d, p, k = 10_000, 10, 100
+    rng = np.random.default_rng(14)
+    obs = [Observation(x, float(y)) for x, y in zip(
+        rng.standard_normal((10, d)) / np.sqrt(d), rng.integers(0, 2, 10))]
+    belief = GaussianBelief(np.zeros(d), init_isotropic_prior(d, p, 1.0, rng=14))
+    model = LogisticModel()
+    with MemoryMeter() as meter:
+        for o in obs:
+            belief = lrvga_nonlinear_step(belief, o, model, k=k, inner_loops=1, rng=rng)
     assert 0 < meter.peak_bytes <= contract_budget_bytes(d, p)
 
 

@@ -26,6 +26,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Probabilists' Gauss-Hermite rules (nodes, weights) of the logistic KL:
 # 32 nodes, and the 16 its error is read against.
 _GH_FINE, _GH_COARSE = (hermegauss(k) for k in (32, 16))
+# Rows of nodes the logistic KL evaluates at once.
+_GH_ROWS = 256
 
 # Newton ascent of the Laplace baseline: gradient-norm tolerance and step cap.
 LAPLACE_TOL = 1e-8
@@ -177,8 +179,10 @@ def expected_kl_logistic(
     each expectation by 32-node Gauss-Hermite quadrature of softplus(t) =
     max(t, 0) + log1p(exp(-|t|)), evaluated in place. A factored q costs
     O(n d p) with no n x d temporary, nu coming from one reduction over X
-    and the cached M^-1. The error is the larger of the change from 16
-    nodes and the sum's rounding bound, never 0.
+    and the cached M^-1, so its working set is O(n p) vectors and the
+    nodes of ``_GH_ROWS`` rows at a time, with no n x 32 array. The error
+    is the larger of the change from 16 nodes and the sum's rounding
+    bound, never 0.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -193,8 +197,11 @@ def expected_kl_logistic(
         m = X @ q.mu
         nu, trace = star(X @ q.cov, X), float(np.trace(q.cov))
     mean_sd = np.column_stack((m, np.sqrt(np.maximum(nu, 0.0))))
-    fine, coarse = (_softplus(mean_sd @ np.vstack((np.ones_like(xi), xi))) @ (w / w.sum())
-                    for xi, w in (_GH_FINE, _GH_COARSE))
+    rules = [(np.vstack((np.ones_like(xi), xi)), w / w.sum()) for xi, w in (_GH_FINE, _GH_COARSE)]
+    fine, coarse = np.empty_like(nu), np.empty_like(nu)
+    for i in range(0, nu.size, _GH_ROWS):
+        for out, (nodes, weights) in zip((fine, coarse), rules):
+            out[i:i + _GH_ROWS] = _softplus(mean_sd[i:i + _GH_ROWS] @ nodes) @ weights
     prior = [-0.5 * (q.mu @ q.mu + trace) / sigma0**2, -0.5 * q.d * (_LOG_2PI + 2 * np.log(sigma0))]
     terms = np.concatenate([y * m, -fine, prior, [gaussian_entropy(q)]])
     rounding = np.finfo(float).eps * terms.size * np.sum(np.abs(terms))

@@ -182,8 +182,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("sample counts must be positive")
     if cfg.inner_loops is not None and cfg.inner_loops < 1:
         raise ConfigError("inner_loops must be positive")
-    if not cfg.sigma0 or any(s <= 0 for s in cfg.sigma0):
-        raise ConfigError("sigma0 values must be positive")
+    # The priors scale by sigma0^2 and 1 / sigma0^2; both must be finite floats.
+    if not cfg.sigma0 or not all(s > 0 and 0 < s * s < math.inf and 1 / (s * s) < math.inf
+                                 for s in cfg.sigma0):
+        raise ConfigError("sigma0 values must be positive, with sigma0^2 and "
+                          "1 / sigma0^2 positive finite floats")
     if not 0.0 < cfg.eps_init < 1.0:
         raise ConfigError("eps_init must lie in (0, 1)")
     if cfg.scheme not in NONLINEAR_SCHEMES:

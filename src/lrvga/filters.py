@@ -45,11 +45,12 @@ SCALAR_TOL = 1e-10
 SCALAR_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One labelled sample: a dense (d,) input ``x`` and a finite label
     ``y``, both checked here once so the filters need only match the
-    input's length to the belief."""
+    input's length to the belief. Slotted, since a run keeps one per row
+    of its data: no per-instance dict."""
 
     x: np.ndarray
     y: float
@@ -243,6 +244,28 @@ def _scalar_residuals(a: float, nu: float, a0: float, nu0: float, y: float) -> t
     return r_a, r_nu
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f(lo) >= 0 >= f(hi), halved until
+    the ends are adjacent floats."""
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return mid
+
+
+def _bracketed_scalars(a0: float, nu0: float, y: float) -> tuple[float, float]:
+    """(a, nu) by nested bisection, the fallback when Newton fails: since
+    |y - sigma| < 1, |a - a0| < nu0 (widened by 1 against rounding), and
+    for a fixed a, nu is the root in [0, nu0] of nu0 / (1 + s nu0) - nu."""
+    def nu_of(a: float) -> float:
+        return _bisect(lambda nu: nu0 / (1.0 + _sigmoid_weight(a, nu) * nu0) - nu, 0.0, nu0)
+
+    def f(a: float) -> float:
+        return a0 + nu0 * (y - _expit(BETA_PROBIT / math.sqrt(nu_of(a) + BETA_PROBIT**2) * a)) - a
+
+    a = _bisect(f, a0 - nu0 - 1.0, a0 + nu0 + 1.0)
+    return a, nu_of(a)
+
+
 def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
     beta2 = BETA_PROBIT**2
     if nu0 <= 0.0:
@@ -293,15 +316,15 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
     converged = norm <= SCALAR_TOL
     if not converged:
         warnings.warn(
-            "implicit scalar solve hit its iteration cap, applying one "
-            "fixed-point sweep instead",
+            "implicit scalar solve: Newton stopped short within its iteration "
+            "cap, solving by bracketing instead",
             RuntimeWarning,
         )
-        s = _sigmoid_weight(a, nu)
-        nu = nu0 / (1.0 + s * nu0)
-        k = BETA_PROBIT / math.sqrt(nu + beta2)
-        a = a0 + nu0 * (y - _expit(k * a))
+        a, nu = _bracketed_scalars(a0, nu0, y)
         r_a, r_nu = _scalar_residuals(a, nu, a0, nu0, y)
+        if not math.isfinite(r_a + r_nu):
+            raise DivergenceError(
+                f"implicit scalar solve found no finite root at a0 = {a0:g}, nu0 = {nu0:g}")
     k = BETA_PROBIT / math.sqrt(nu + beta2)
     return GlmScalarSolution(float(a), float(nu), k, float(r_a), float(r_nu), it, converged)
 
@@ -316,9 +339,10 @@ def solve_glm_scalars(belief: GaussianBelief, obs: Observation) -> GlmScalarSolu
         a  = a0 + nu0 (y - sigma(k a))
 
     where s(a, nu) = k sigma'(k a) and k = beta / sqrt(nu + beta^2).
-    Solved by damped Newton to a residual of ``SCALAR_TOL``; if the cap
-    of ``SCALAR_MAX_ITER`` iterations is hit, one Picard sweep is applied
-    and a warning raised.
+    Solved by damped Newton to a residual of ``SCALAR_TOL``; if it stops
+    short within ``SCALAR_MAX_ITER`` iterations, a warning is raised and
+    the pair is found by nested bisection instead. A bisection that finds
+    no finite root raises ``DivergenceError``.
     """
     _, y, _, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
     return _solve_scalar_system(a0, nu0, y)

@@ -234,6 +234,21 @@ def test_quadrature_kl_matches_the_plain_oracle_also_where_exp_overflows(form):
         assert est.std_error == pytest.approx(error, rel=1e-6, abs=1e-12)
 
 
+def test_quadrature_kl_of_several_row_blocks_matches_the_plain_oracle():
+    """600 rows: two whole blocks of ``_GH_ROWS`` nodes and a partial
+    third, against the oracle's rules over the whole array, for a
+    factored q and its dense copy, within the bounds above."""
+    rng = np.random.default_rng(18)
+    X, y = _logistic_problem(rng, 600, 6)
+    bel = random_belief(rng, 6, 2)
+    assert 2 * lrvga.evaluation._GH_ROWS < 600 < 3 * lrvga.evaluation._GH_ROWS
+    for q in (bel, DenseGaussian(bel.mu, fa_dense_inverse(bel.prec))):
+        est = expected_kl_logistic(q, X, y, 2.0)
+        kl, error = quadrature_kl_logistic(q, X, y, 2.0)
+        assert est.value == pytest.approx(kl, rel=1e-9)
+        assert est.std_error == pytest.approx(error, rel=1e-6, abs=1e-12)
+
+
 def test_quadrature_kl_error_stays_positive_when_the_rules_agree(monkeypatch):
     """A near-point-mass q: every node sits on its mean to rounding, so
     the 16- and 32-node rules agree and only the rounding bound is left.

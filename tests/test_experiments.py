@@ -418,6 +418,35 @@ def test_config_values_of_the_wrong_range_or_type_exit_with_code_1(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("sigma0", ["2e154", "1e-200", "1e-160"])
+def test_sigma0_whose_square_or_its_inverse_is_not_a_finite_float_exits_with_code_1(
+    sigma0, tmp_path, capsys
+):
+    """sigma0^2 overflows at 2e154 and underflows to 0 at 1e-200, and
+    1 / sigma0^2 overflows at 1e-160: these ended in an OverflowError,
+    a ZeroDivisionError and a ValueError out of ``main``."""
+    out = tmp_path / "run"
+    argv = ["--experiment", "logistic", "--d", "5", "--p", "2", "--n", "20",
+            "--checkpoints", "2", "--sigma0", sigma0, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma0" in err
+    assert not out.exists()
+
+
+def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_path):
+    """At sigma0 = 100 Newton stops short on some steps of this run. The
+    one Picard sweep that followed took its KL from 34 452 at the first
+    checkpoint to 218 233 at the last; the bracketed fallback ends it
+    near 237."""
+    argv = ["--experiment", "logistic", "--d", "20", "--n", "200", "--p", "20", "--c", "0",
+            "--sigma0", "100", "--checkpoints", "8", "--seed", "3", "--out", str(tmp_path)]
+    with pytest.warns(RuntimeWarning, match="solving by bracketing"):
+        assert main(argv) == 0
+    kl = [r.kl for r in read_results_csv(tmp_path / "results.csv") if r.method == "lrvga"]
+    assert len(kl) == 8 and kl[-1] < kl[0]
+
+
 def test_config_counts_accept_integral_floats_only():
     cfg = make_config("cov", d=20.0, p=3.0, n=50, sigma0=2, methods="batch-em")
     assert (cfg.d, cfg.p, cfg.sigma0, cfg.methods) == (20, [3], [2.0], ["batch-em"])

@@ -573,6 +573,36 @@ def test_glm_scalars_fallback_warns_but_stays_usable():
     assert not sol.newton_converged
 
 
+@pytest.mark.parametrize("a0, nu0, y", [
+    (-10.10441403330001, 114538.47991308417, 1.0),
+    (674.4950645795873, 16866.254001405436, 0.0),
+], ids=["short-at-the-root", "capped-far-from-it"])
+def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y):
+    """Triples on which Newton stops short, recorded from the logistic
+    run at sigma0 = 100 (d = p = 20, n = 200, c = 0, seed 3): one where
+    damping stalls within 1e-14 of the root after 9 iterations, and one
+    where the 50-iteration cap leaves a 78% error. After the Picard sweep
+    that used to follow, that run's KL rose sixfold; the bracketed
+    fallback must land on the oracle's root."""
+    from lrvga.filters import _solve_scalar_system
+
+    with pytest.warns(RuntimeWarning, match="bracketing"):
+        sol = _solve_scalar_system(a0, nu0, y)
+    a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
+    assert not sol.newton_converged
+    assert sol.a == pytest.approx(a_ref, rel=1e-10)
+    assert sol.nu == pytest.approx(nu_ref, rel=1e-10)
+    assert sol.k == pytest.approx(k_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("a0, nu0", [(np.nan, 1e8), (0.0, np.inf)])
+def test_glm_scalars_without_a_finite_root_raise_divergence(a0, nu0):
+    from lrvga.filters import _solve_scalar_system
+
+    with pytest.warns(RuntimeWarning, match="bracketing"), pytest.raises(DivergenceError):
+        _solve_scalar_system(a0, nu0, 1.0)
+
+
 # --------------------------------------------------------- logistic filter
 
 

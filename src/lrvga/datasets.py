@@ -10,6 +10,7 @@ matrix and a label vector.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -179,8 +180,9 @@ def parse_libsvm(path) -> tuple[csr_matrix, np.ndarray]:
     Lines look like ``label idx:val idx:val ...`` with 1-based indices.
     Returns the rows as an (n, d) CSR matrix, d being the largest index
     seen, and the n labels, with labels in {-1, +1} mapped to {0, 1}.
-    Malformed lines and repeated indices raise ValueError with their line
-    number; non-ascending indices are tolerated with a warning.
+    Malformed lines, non-finite feature values and repeated indices raise
+    ValueError with their line number; non-ascending indices are
+    tolerated with a warning.
     """
     # Imported here: scipy.sparse would add to every import of the package.
     from scipy.sparse import csr_matrix
@@ -208,6 +210,8 @@ def parse_libsvm(path) -> tuple[csr_matrix, np.ndarray]:
                     val = float(val_str)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad feature {token!r}") from exc
+                if not math.isfinite(val):
+                    raise ValueError(f"line {lineno}: non-finite value {token!r}")
                 if idx < 1:
                     raise ValueError(f"line {lineno}: index {idx} is not 1-based")
                 if idx in seen:

@@ -71,8 +71,8 @@ from .datasets import (
 # Above this dimension no dense baseline or dense evaluation is attempted.
 DENSE_EVAL_LIMIT = 600
 
-EXPERIMENT_KINDS = ("cov", "linear", "logistic", "nonlinear")
 COV_METHODS = ("recursive-em", "online-em", "batch-em")
+NORMALIZE_MODES = ("mean-norm", "none")
 
 # Stable stream ids for seeding: data, labels, init/filter.
 # No id is 0: SeedSequence zero-pads its entropy, so default_rng([seed, 0])
@@ -85,63 +85,76 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _option(default, help_text: str, **meta):
+    """A config field: its default (a list is copied for each config) and
+    the help text, and any ``flag`` name or ``choices``, of its CLI flag."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=dict(help=help_text, **meta))
+    return field(default=default, metadata=dict(help=help_text, **meta))
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; JSON-serializable for the config echo."""
+    """Everything a run needs; JSON-serializable for the config echo.
+
+    Each field but ``kind`` is a run option, and ``cli.build_parser``
+    makes it one flag: ``--`` and its name with dashes (``--out`` for
+    ``out_dir``), of the field's type, with its metadata's help and
+    choices. A run kind's own defaults are in ``_KINDS``."""
 
     kind: str
-    d: int = 100
-    p: list[int] = field(default_factory=lambda: [5])
-    n: int = 1000
-    k_hess: list[int] = field(default_factory=lambda: [10])
-    inner_loops: int | None = None
-    sigma0: list[float] = field(default_factory=lambda: [1.0])
-    eps_init: float = 0.01
-    c: float = 1.0
-    seed: int = 0
-    scheme: str = "mirror-prox-skip-cov"
-    dataset: str | None = None
-    checkpoints: int = 50
-    out_dir: str = "runs/latest"
-    methods: list[str] = field(default_factory=lambda: list(COV_METHODS))
-    p_true: int | None = None
-    mc_samples: int = 1000  # no run kind reads it; perfbench's warm-up still passes it
-    batch_passes: int = 5
-    normalize: str = "mean-norm"
-    record_timing: bool = False
-    track_memory: bool = False
+    d: int = _option(100, "parameter dimension")
+    p: list[int] = _option([5], "factor rank(s), comma separated")
+    n: int = _option(1000, "number of streamed observations")
+    k_hess: list[int] = _option(
+        [10], "parameter draws per stage of the sampled filter, feeding both "
+        "the curvature and the gradient; comma separated")
+    inner_loops: int | None = _option(
+        None, "EM passes per observation; in cov recursive-em the first is the "
+        "closed-form rank-p fit")
+    sigma0: list[float] = _option([1.0], "prior scale(s), comma separated")
+    eps_init: float = _option(0.01, "fraction of prior precision carried by the low-rank part")
+    c: float = _option(1.0, "input spectrum decay exponent")
+    seed: int = _option(0, "master seed")
+    scheme: str = _option("mirror-prox-skip-cov", "nonlinear update scheme",
+                          choices=NONLINEAR_SCHEMES)
+    dataset: str | None = _option(None, "libsvm-format file (covariance runs)")
+    out_dir: str = _option("runs/latest", "output directory", flag="--out")
+    checkpoints: int = _option(50, "number of log-spaced checkpoints")
+    methods: list[str] = _option(list(COV_METHODS), "covariance methods to run, comma separated")
+    p_true: int | None = _option(None, "generator rank (covariance)")
+    # No run kind reads it; perfbench's warm-up still passes it.
+    mc_samples: int = _option(1000, "unused: no run kind draws to score")
+    batch_passes: int = _option(5, "full-data passes for the batch baseline")
+    normalize: str = _option(
+        "mean-norm", "covariance runs: mean-norm (default) scales every sample by one "
+        "factor so the first 100 have mean squared norm d; none leaves them as read",
+        choices=NORMALIZE_MODES)
+    record_timing: bool = _option(
+        False, "write wall-clock times into results.csv (breaks byte reproducibility)")
+    track_memory: bool = _option(
+        False, f"meter auxiliary allocations (linear runs above d = {DENSE_EVAL_LIMIT} only)")
 
 
 def make_config(kind: str, **overrides) -> ExperimentConfig:
-    """Build a validated config with kind-specific defaults.
-
-    Defaults that depend on the run kind: sigma0 is 1 for linear and
-    covariance runs, 4 for logistic, and the sweep [1, 2, 3] for the
-    nonlinear ablation, whose sample-count sweep defaults to
-    [1, 10, 100]; the nonlinear factor rank defaults to 10.
-    """
-    if kind == "covariance":
-        kind = "cov"
+    """Build a validated config: the field defaults, then the run kind's
+    own (``_KINDS``), then the overrides that are not None."""
+    kind = "cov" if kind == "covariance" else kind
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}, expected one of {EXPERIMENT_KINDS}")
-    defaults: dict = {}
-    if kind == "logistic":
-        defaults["sigma0"] = [4.0]
-        defaults["d"] = 20
-    elif kind == "nonlinear":
-        defaults["sigma0"] = [1.0, 2.0, 3.0]
-        defaults["k_hess"] = [1, 10, 100]
-        defaults["p"] = [10]
-        defaults["d"] = 20
-    defaults.update({k: v for k, v in overrides.items() if v is not None})
-
-    valid = set(ExperimentConfig.__dataclass_fields__) - {"kind"}
-    unknown = set(defaults) - valid
+    values = {**_KINDS[kind][1], **{k: v for k, v in overrides.items() if v is not None}}
+    unknown = set(values) - (set(ExperimentConfig.__dataclass_fields__) - {"kind"})
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = ExperimentConfig(kind=kind, **{k: _typed(k, v) for k, v in defaults.items()})
+    cfg = ExperimentConfig(kind=kind, **{k: _typed(k, v) for k, v in values.items()})
     _validate(cfg)
     return cfg
+
+
+def declared_type(key: str) -> str:
+    """The type the field ``key`` declares, without ``| None``: "int",
+    "float", "str", "bool" or a list of one of them, "list[int]"."""
+    return ExperimentConfig.__dataclass_fields__[key].type.split(" | ")[0]
 
 
 def _typed(key: str, value):
@@ -151,7 +164,7 @@ def _typed(key: str, value):
     number, and a list field takes a list or one item; a bool is not a
     number.
     """
-    kind = ExperimentConfig.__dataclass_fields__[key].type.split(" | ")[0]
+    kind = declared_type(key)
     if kind.startswith("list["):
         items = value if isinstance(value, (list, tuple)) else [value]
         return [_typed_item(key, kind[5:-1], v) for v in items]
@@ -193,7 +206,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.checkpoints < 0:
         raise ConfigError("checkpoints must be non-negative")
-    if cfg.normalize not in ("mean-norm", "none"):
+    if cfg.normalize not in NORMALIZE_MODES:
         raise ConfigError(f"unknown normalization mode {cfg.normalize!r}")
     if cfg.batch_passes < 1:
         raise ConfigError("batch_passes must be positive")
@@ -209,11 +222,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("at least one covariance method is required")
     if cfg.dataset is not None and cfg.kind != "cov":
         raise ConfigError("dataset files are only supported for covariance runs")
-    if cfg.kind in ("logistic", "nonlinear") and cfg.d > DENSE_EVAL_LIMIT:
+    if cfg.kind == "nonlinear" and cfg.d > DENSE_EVAL_LIMIT:
         raise ConfigError(
-            f"{cfg.kind} runs need dense evaluation; keep d <= {DENSE_EVAL_LIMIT}"
+            f"nonlinear runs diverge above d = {DENSE_EVAL_LIMIT}: the sampled filter's KL "
+            "rises at K = 1 and ends far above the closed form's at K = 100; "
+            f"keep d <= {DENSE_EVAL_LIMIT}"
         )
-    if cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT and cfg.c != 0.0:
+    if cfg.kind in ("linear", "logistic") and cfg.d > DENSE_EVAL_LIMIT and cfg.c != 0.0:
         raise ConfigError(
             "above the dense limit the input rotation (a d x d matrix) is "
             "unavailable; use c = 0"
@@ -369,8 +384,6 @@ def _s0_guess(V: np.ndarray, d: int) -> float:
 def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
     """Track a covariance matrix three ways on one stream and score the
     factored fit by the Gaussian KL against the reference covariance."""
-    if cfg.kind != "cov":
-        raise ConfigError("config kind must be 'cov'")
     V, S_ref, info = _cov_data(cfg)
     n, d = V.shape
     p = cfg.p[0]
@@ -435,8 +448,6 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
     without evaluation (optionally under the memory meter) and reports
     wall time and the auxiliary allocation peak.
     """
-    if cfg.kind != "linear":
-        raise ConfigError("config kind must be 'linear'")
     sigma0 = cfg.sigma0[0]
     spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
@@ -515,11 +526,10 @@ def _logistic_data(cfg: ExperimentConfig, sigma0: float, s_idx: int):
 
 
 def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Stream Bayesian logistic regression, with a Laplace baseline. A
-    row's kl is the quadrature KL to the full-data posterior, up to its
-    log evidence, and its stderr the quadrature's error bound."""
-    if cfg.kind != "logistic":
-        raise ConfigError("config kind must be 'logistic'")
+    """Stream Bayesian logistic regression, with a Laplace baseline up to
+    the dense limit. A row's kl is the quadrature KL to the full-data
+    posterior, up to its log evidence, and its stderr the quadrature's
+    error bound."""
     sigma0 = cfg.sigma0[0]
     X, y, obs = _logistic_data(cfg, sigma0, 0)
     score = _kl_scorer(X, y, sigma0)
@@ -533,6 +543,8 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
             obs, lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             score,
         )
+    if cfg.d > DENSE_EVAL_LIMIT:
+        return report
 
     t0 = time.perf_counter()
     lap = laplace_logistic(X, y, sigma0)
@@ -556,8 +568,6 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
     """Sampled-expectation logistic filtering across (K, sigma0) cells,
     against the closed-form-expectation filter as baseline, scored as in
     ``run_logistic_experiment``: stderr is the quadrature's error bound."""
-    if cfg.kind != "nonlinear":
-        raise ConfigError("config kind must be 'nonlinear'")
     p = cfg.p[0]
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
     report = RunReport(cfg, [], {"scheme": cfg.scheme})
@@ -593,14 +603,19 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
 # dispatch and reporting
 
 
+# Each run kind's driver, and the config defaults it sets over the fields'.
+_KINDS = {
+    "cov": (run_covariance_experiment, {}),
+    "linear": (run_linear_experiment, {}),
+    "logistic": (run_logistic_experiment, {"d": 20, "sigma0": [4.0]}),
+    "nonlinear": (run_nonlinear_ablation,
+                  {"d": 20, "p": [10], "sigma0": [1.0, 2.0, 3.0], "k_hess": [1, 10, 100]}),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    runner = {
-        "cov": run_covariance_experiment,
-        "linear": run_linear_experiment,
-        "logistic": run_logistic_experiment,
-        "nonlinear": run_nonlinear_ablation,
-    }[cfg.kind]
-    return runner(cfg)
+    return _KINDS[cfg.kind][0](cfg)
 
 
 def _row(cfg, checkpoint, method, p, k, kl, stderr, t0) -> CheckpointRow:

@@ -274,6 +274,7 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
 
     a, nu = a0, nu0
     it = 0
+    tol = SCALAR_TOL
     r_a, r_nu = _scalar_residuals(a, nu, a0, nu0, y)
     norm = max(abs(r_a), abs(r_nu))
     for it in range(1, SCALAR_MAX_ITER + 1):
@@ -311,9 +312,10 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
                     break
             step *= 0.5
         if not improved:
+            tol = SCALAR_TOL * (1.0 + nu0)  # a stall: r_a rounds at about nu0 eps
             break
 
-    converged = norm <= SCALAR_TOL
+    converged = norm <= tol
     if not converged:
         warnings.warn(
             "implicit scalar solve: Newton stopped short within its iteration "
@@ -339,10 +341,13 @@ def solve_glm_scalars(belief: GaussianBelief, obs: Observation) -> GlmScalarSolu
         a  = a0 + nu0 (y - sigma(k a))
 
     where s(a, nu) = k sigma'(k a) and k = beta / sqrt(nu + beta^2).
-    Solved by damped Newton to a residual of ``SCALAR_TOL``; if it stops
-    short within ``SCALAR_MAX_ITER`` iterations, a warning is raised and
-    the pair is found by nested bisection instead. A bisection that finds
-    no finite root raises ``DivergenceError``.
+    Solved by damped Newton to a residual of ``SCALAR_TOL``, or of
+    ``SCALAR_TOL (1 + nu0)`` where no damped step shrinks it, since the
+    rounding of a - a0 - nu0 (y - sigma) grows with nu0: both count as
+    ``newton_converged``. If Newton stops short otherwise within
+    ``SCALAR_MAX_ITER`` iterations, a warning is raised and the pair is
+    found by nested bisection instead. A bisection that finds no finite
+    root raises ``DivergenceError``.
     """
     _, y, _, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
     return _solve_scalar_system(a0, nu0, y)
@@ -401,6 +406,8 @@ class LogisticModel:
     """
 
     def index_moments(self, z, y):
+        if y not in (0.0, 1.0):
+            raise ValueError("logistic labels must be 0 or 1")
         s = expit(z)
         return float(np.dot(s, 1.0 - s)) / s.size, y - float(s.sum()) / s.size
 

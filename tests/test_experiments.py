@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 
 import lrvga.experiments
 from lrvga import DivergenceError
-from lrvga.cli import main
+from lrvga.cli import build_parser, config_from_args, main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_regression_inputs
 from lrvga.experiments import (
     CheckpointRow,
+    ExperimentConfig,
     RunReport,
     emit_report,
     log_spaced_checkpoints,
@@ -51,6 +53,47 @@ def test_track_memory_is_refused_where_nothing_is_metered(argv, tmp_path, capsys
     assert main(argv + ["--track-memory", "--out", str(out)]) == 1
     assert "track_memory meters only" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A value other than the default for every config field but kind.
+NON_DEFAULT = dict(
+    d=700, p=[3, 4], n=50, k_hess=[2, 5], inner_loops=2, sigma0=[0.5, 2.0], eps_init=0.2,
+    c=0.0, seed=7, scheme="explicit", dataset="data.txt", out_dir="elsewhere", checkpoints=3,
+    methods=["online-em", "batch-em"], p_true=2, mc_samples=20, batch_passes=2,
+    normalize="none", record_timing=True, track_memory=True,
+)
+
+
+def test_every_config_field_but_kind_is_one_flag_with_help():
+    flags = {}
+    for action in build_parser()._actions:
+        flags.setdefault(action.dest, []).append(action)
+    names = {f.name for f in fields(ExperimentConfig)} - {"kind"}
+    assert set(flags) == names | {"help", "experiment", "config"}
+    for name in names:
+        (action,) = flags[name]
+        assert len(action.option_strings) == 1 and action.help.strip(), name
+    assert flags["out_dir"][0].option_strings == ["--out"]
+
+
+def test_flags_set_to_other_values_build_the_config_make_config_builds(monkeypatch):
+    """Every flag, spelled ``--`` and its field's name with dashes, set to
+    a value other than its default. No run takes both a dataset and
+    track_memory, so validation is off: the mapping is under test."""
+    defaults = ExperimentConfig(kind="linear")
+    assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)} - {"kind"}
+    assert all(getattr(defaults, k) != v for k, v in NON_DEFAULT.items())
+    argv = ["--experiment", "linear"]
+    for name, value in NON_DEFAULT.items():
+        argv.append("--out" if name == "out_dir" else "--" + name.replace("_", "-"))
+        if isinstance(value, list):
+            argv.append(",".join(map(str, value)))
+        elif not isinstance(value, bool):
+            argv.append(str(value))
+    monkeypatch.setattr(lrvga.experiments, "_validate", lambda cfg: None)
+    assert config_from_args(argv) == make_config("linear", **NON_DEFAULT)
+    monkeypatch.undo()
+    assert config_from_args(["--experiment", "nonlinear", "--mc-samples", "20"]).mc_samples == 20
 
 
 def test_cli_reports_divergence_with_exit_code_2(tmp_path, monkeypatch):
@@ -314,18 +357,34 @@ def test_dataset_runs_match_the_golden_digest(mode, tmp_path):
     assert digest == DATASET_GOLDEN[mode]
 
 
+def _rows_with_nan(n, row):
+    """n LIBSVM rows with d = 5, feature 3 of ``row`` nan."""
+    X = np.random.default_rng(12).uniform(0.5, 1.5, (n, 5))
+    X[row - 1, 2] = np.nan
+    return "".join("1 " + " ".join(f"{j}:{v!r}" for j, v in enumerate(r, start=1)) + "\n"
+                   for r in X.tolist())
+
+
 @pytest.mark.parametrize("content, message", [
     ("1 1:0.5 2:1.0\nabc 1:1\n", "line 2: bad label 'abc'"),
     (None, "cannot read dataset"),
     ("1 1:0.0 2:0.0\n-1 1:0.0\n1 2:0.0\n", "no usable scale"),
     ("1 1:0.5\n-1 1:1.5\n", "factor rank 2 exceeds the dataset dimension 1"),
+    pytest.param(_rows_with_nan(150, 121), "line 121: non-finite value '3:nan'",
+                 id="nan-in-row-121"),
+    pytest.param(("1 1:nan 2:1.0\n-1 1:1.0 2:2.0\n1 1:2.0 2:0.5\n", "none"),
+                 "line 1: non-finite value '1:nan'", id="nan-in-row-1-unnormalized"),
 ])
 def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
+    """``content`` is the file, or the pair (file, normalization mode).
+    A nan in row 121 of 150 ended in a LinAlgError out of ``main``, and
+    one in row 1 of 3, unnormalized, was blamed on dependent rows."""
+    content, normalize = content if isinstance(content, tuple) else (content, "mean-norm")
     data = tmp_path / "data.txt"
     if content is not None:
         data.write_text(content)
     argv = ["--experiment", "cov", "--dataset", str(data), "--p", "2",
-            "--out", str(tmp_path / "run")]
+            "--normalize", normalize, "--out", str(tmp_path / "run")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -333,8 +392,10 @@ def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["logistic", "--d", "601"], "logistic runs need dense evaluation; keep d <= 600"),
-    (["nonlinear", "--d", "601"], "nonlinear runs need dense evaluation; keep d <= 600"),
+    (["logistic", "--d", "601"], "above the dense limit the input rotation (a d x d matrix) "
+                                 "is unavailable; use c = 0"),
+    (["nonlinear", "--d", "601"], "nonlinear runs diverge above d = 600: the sampled filter's "
+                                  "KL rises at K = 1"),
     (["linear", "--d", "601"], "above the dense limit the input rotation (a d x d matrix) "
                                "is unavailable; use c = 0"),
     (["cov", "--d", "2001"], "covariance runs need dense evaluation; keep d <= 2000"),
@@ -342,8 +403,9 @@ def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
 ])
 def test_dimensions_past_the_dense_limits_exit_with_code_1(argv, message, tmp_path, capsys):
     """Each run kind refuses a dimension its dense evaluation cannot
-    reach, before it writes anything; the linear run at the default c,
-    whose input rotation is a d x d matrix. WIDE is a one-row dataset
+    reach, before it writes anything; the linear and logistic runs at the
+    default c, whose input rotation is a d x d matrix, and the nonlinear
+    run at any c, where its sampled filter diverges. WIDE is a one-row dataset
     whose feature index, and so its dimension, is 2001."""
     wide = tmp_path / "wide.txt"
     wide.write_text("1 1:0.5 2001:1.0\n")
@@ -353,6 +415,22 @@ def test_dimensions_past_the_dense_limits_exit_with_code_1(argv, message, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_logistic_run_past_the_dense_limit_scores_its_filter_without_laplace(tmp_path):
+    """At c = 0 the logistic filter and its quadrature KL stay factored
+    above the dense limit; only the Laplace row and the cosine to its
+    mean, which need d x d matrices, are left out."""
+    argv = ["--experiment", "logistic", "--d", "1000", "--c", "0", "--n", "200", "--p", "5",
+            "--checkpoints", "4", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = read_results_csv(tmp_path / "results.csv")
+    assert {r.method for r in rows} == {"lrvga"} and len(rows) == 4
+    kl = [r.kl for r in rows]
+    assert np.all(np.isfinite(kl)) and all(b < a for a, b in zip(kl, kl[1:]))
+    assert kl[-1] < 0.2 * kl[0]
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "laplace" not in summary and "cosine" not in summary
 
 
 def _write_eleven_features(path, missing):

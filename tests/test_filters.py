@@ -564,32 +564,43 @@ def test_scalar_expit_is_scipy_s_bit_for_bit():
 
 
 def test_glm_scalars_fallback_warns_but_stays_usable():
+    """Newton hits its 50-iteration cap 78% away from the root on this
+    triple, recorded from the logistic run at sigma0 = 100 (d = p = 20,
+    n = 200, c = 0, seed 3)."""
     from lrvga.filters import _solve_scalar_system
 
     with pytest.warns(RuntimeWarning):
-        sol = _solve_scalar_system(-5.0, 1e8, 1.0)
+        sol = _solve_scalar_system(674.4950645795873, 16866.254001405436, 0.0)
     assert np.isfinite(sol.a) and np.isfinite(sol.nu)
     assert 0.0 < sol.k <= 1.0
     assert not sol.newton_converged
 
 
-@pytest.mark.parametrize("a0, nu0, y", [
-    (-10.10441403330001, 114538.47991308417, 1.0),
-    (674.4950645795873, 16866.254001405436, 0.0),
-], ids=["short-at-the-root", "capped-far-from-it"])
-def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y):
-    """Triples on which Newton stops short, recorded from the logistic
+@pytest.mark.parametrize("a0, nu0, y, at_the_root", [
+    (-10.10441403330001, 114538.47991308417, 1.0, True),
+    (-5.0, 1e8, 1.0, True),
+    (674.4950645795873, 16866.254001405436, 0.0, False),
+], ids=["short-at-the-root", "short-at-the-root-at-1e8", "capped-far-from-it"])
+def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y, at_the_root):
+    """Triples on which Newton stops short, two recorded from the logistic
     run at sigma0 = 100 (d = p = 20, n = 200, c = 0, seed 3): one where
     damping stalls within 1e-14 of the root after 9 iterations, and one
-    where the 50-iteration cap leaves a 78% error. After the Picard sweep
-    that used to follow, that run's KL rose sixfold; the bracketed
+    where the 50-iteration cap leaves a 78% error. At (-5, 1e8, 1) damping
+    stalls at a residual of 4.9e-5, which the rounding of
+    a - a0 - nu0 (y - sigma) allows at nu0 = 1e8. A stall at the root
+    counts as converged, with no warning; after a cap the bracketed
     fallback must land on the oracle's root."""
     from lrvga.filters import _solve_scalar_system
 
-    with pytest.warns(RuntimeWarning, match="bracketing"):
-        sol = _solve_scalar_system(a0, nu0, y)
+    if at_the_root:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _solve_scalar_system(a0, nu0, y)
+    else:
+        with pytest.warns(RuntimeWarning, match="bracketing"):
+            sol = _solve_scalar_system(a0, nu0, y)
     a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
-    assert not sol.newton_converged
+    assert sol.newton_converged == at_the_root
     assert sol.a == pytest.approx(a_ref, rel=1e-10)
     assert sol.nu == pytest.approx(nu_ref, rel=1e-10)
     assert sol.k == pytest.approx(k_ref, rel=1e-10)
@@ -644,6 +655,17 @@ def test_logistic_label_validation():
     bel = belief_from_prior(3, 1)
     with pytest.raises(ValueError):
         lrvga_logistic_step(bel, Observation(np.ones(3), 2.0))
+
+
+@pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
+@pytest.mark.parametrize("route", ["index", "parameter-block"])
+def test_sampled_logistic_step_validates_the_label(route, scheme):
+    """A label of 0.5 ran silently through the sampled step on both routes,
+    while the closed-form logistic step refused it."""
+    model = LogisticModel() if route == "index" else DrawBlockModel(LogisticModel())
+    bel = belief_from_prior(3, 1)
+    with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
+        lrvga_nonlinear_step(bel, Observation(np.ones(3), 0.5), model, k=4, scheme=scheme, rng=0)
 
 
 @pytest.mark.parametrize("step_kind", ["linear", "logistic"])

@@ -88,8 +88,8 @@ class RegressionSpec:
     random orthogonal M, rescaled so E||x||^2 = d exactly; the condition
     number of C is d^c. With c = 0 the law is exactly standard normal and
     no rotation is materialized, which is the only regime usable in very
-    high dimension (the rotation is a d x d object). ``theta_star`` is
-    drawn as N(0, sigma0^2 I) from ``seed`` unless given explicitly.
+    high dimension (the rotation is a d x d object). The truth is always
+    drawn as N(0, sigma0^2 I) from ``seed``, and streams hold n inputs.
     """
 
     d: int
@@ -97,7 +97,6 @@ class RegressionSpec:
     c: float = 1.0
     sigma0: float = 1.0
     seed: int = 0
-    theta_star: np.ndarray | None = None
 
     def _param_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -115,11 +114,6 @@ class RegressionSpec:
         return Q * np.sign(np.diag(R))  # fix the sign convention
 
     def truth(self) -> np.ndarray:
-        if self.theta_star is not None:
-            theta = np.asarray(self.theta_star, dtype=float).ravel()
-            if theta.shape[0] != self.d:
-                raise ValueError("theta_star has the wrong length")
-            return theta
         rng = self._param_rng()
         if self.c != 0.0:
             rng.standard_normal((self.d, self.d))  # skip past the rotation draw
@@ -127,17 +121,16 @@ class RegressionSpec:
 
 
 def gen_regression_inputs(
-    spec: RegressionSpec, rng: np.random.Generator | int | None = None, n: int | None = None
+    spec: RegressionSpec, rng: np.random.Generator | int | None = None
 ) -> Iterator[np.ndarray]:
-    """Stream inputs x ~ N(0, C) for the given spec."""
-    n = spec.n if n is None else n
-    if n < 0:
+    """Stream spec.n inputs x ~ N(0, C) for the given spec."""
+    if spec.n < 0:
         raise ValueError("n must be non-negative")
     rng = np.random.default_rng(rng)
     lam_root = np.sqrt(spec.input_spectrum())
     M = spec.rotation()
     chunk = _chunk_rows(spec.d)
-    remaining = n
+    remaining = spec.n
     while remaining > 0:
         m = min(chunk, remaining)
         block = rng.standard_normal((m, spec.d))

@@ -364,7 +364,8 @@ def recursive_em_update(
     weights: RecursionWeights = RecursionWeights(1.0, 1.0),
     inner_loops: int | None = None,
 ) -> FaPrecision:
-    """Absorb a d x K observation block into the factored state.
+    """Absorb a (d, K) observation block into the factored state; a
+    single observation is a (d, 1) block.
 
     Makes ``inner_loops`` passes, ``default_inner_loops(prev.d)`` when it
     is None, toward alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, held
@@ -377,10 +378,8 @@ def recursive_em_update(
     output. The count is fixed so that cost per step is predictable.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != prev.d:
-        raise ValueError(f"block has {X.shape[0]} rows, expected {prev.d}")
+    if X.ndim != 2 or X.shape[0] != prev.d:
+        raise ValueError(f"block has shape {X.shape}, expected ({prev.d}, K)")
     if not np.all(np.isfinite(X)):
         raise ValueError("observation block contains non-finite entries")
     return _absorb(prev, X, weights.alpha, weights.beta, inner_loops)

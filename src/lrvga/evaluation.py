@@ -1,9 +1,10 @@
 """Posterior quality metrics and batch baselines.
 
-Closed-form Gaussian KL divergences (with factored fast paths), the KL
-to the logistic-regression posterior by one-dimensional Gauss-Hermite
-quadrature, a Monte Carlo KL against any unnormalized log posterior, and
-a Laplace baseline for logistic regression.
+The closed-form Gaussian KL to a dense target, the KL of a factored
+covariance fit, the KL to the logistic-regression posterior by
+one-dimensional Gauss-Hermite quadrature, a Monte Carlo KL against any
+unnormalized log posterior, and a Laplace baseline for logistic
+regression.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .dense import DenseGaussian, fa_dense_inverse
-from .factor import FaPrecision, inverse_diag, log_det, star, trace_inverse, woodbury_apply
+from .factor import FaPrecision, log_det, star, trace_inverse
 from .filters import GaussianBelief
 from .sampler import EnsembleSampler, draw_dense_reference
 
@@ -57,39 +58,23 @@ def _logdet_cov(g) -> float:
     return float(ld)
 
 
-def gaussian_kl(q, target) -> float:
-    """KL(q || target) between Gaussians, each a GaussianBelief or a
-    DenseGaussian.
-
-    When both sides carry factored precisions the computation stays in
-    O(d p^2) using the Woodbury identity and the determinant lemma; any
-    dense operand switches the affected terms to dense algebra, which is
-    fine at baseline dimensions.
+def gaussian_kl(q, target: DenseGaussian) -> float:
+    """KL(q || target) from q, a GaussianBelief or a DenseGaussian, to a
+    DenseGaussian target, through one Cholesky factorization of the
+    target covariance: dense algebra, for baseline dimensions.
     """
     if not isinstance(q, (GaussianBelief, DenseGaussian)):
         raise TypeError("q must be a GaussianBelief or DenseGaussian")
-    if not isinstance(target, (GaussianBelief, DenseGaussian)):
-        raise TypeError("target must be a GaussianBelief or DenseGaussian")
+    if not isinstance(target, DenseGaussian):
+        raise TypeError("target must be a DenseGaussian")
     d = q.d
     if target.d != d:
         raise ValueError("dimension mismatch")
     delta = q.mu - target.mu
-
-    if isinstance(target, GaussianBelief):
-        # Target precision is available in factored form: apply it directly.
-        tw, tpsi = target.prec.W, target.prec.psi
-        quad = float(np.sum((tw.T @ delta) ** 2) + np.sum(tpsi * delta * delta))
-        if isinstance(q, GaussianBelief):
-            cov_cols = woodbury_apply(q.prec, tw)  # q covariance times target factors
-            trace = float(np.sum(tpsi * inverse_diag(q.prec)) + np.einsum("ij,ij->", tw, cov_cols))
-        else:
-            trace = float(np.sum(tpsi * np.diag(q.cov)) + np.einsum("ij,ij->", tw, q.cov @ tw))
-    else:
-        factor = cho_factor(target.cov, lower=True)
-        quad = float(delta @ cho_solve(factor, delta))
-        cov_q = fa_dense_inverse(q.prec) if isinstance(q, GaussianBelief) else q.cov
-        trace = float(np.trace(cho_solve(factor, cov_q)))
-
+    factor = cho_factor(target.cov, lower=True)
+    quad = float(delta @ cho_solve(factor, delta))
+    cov_q = fa_dense_inverse(q.prec) if isinstance(q, GaussianBelief) else q.cov
+    trace = float(np.trace(cho_solve(factor, cov_q)))
     return 0.5 * (trace + quad - d + _logdet_cov(target) - _logdet_cov(q))
 
 

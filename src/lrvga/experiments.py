@@ -104,15 +104,19 @@ class ExperimentConfig:
 
     kind: str
     d: int = _option(100, "parameter dimension")
-    p: list[int] = _option([5], "factor rank(s), comma separated")
+    p: list[int] = _option(
+        [5], "factor rank(s), comma separated and distinct; a list in logistic runs and in "
+        f"linear runs up to d = {DENSE_EVAL_LIMIT}, one value elsewhere")
     n: int = _option(1000, "number of streamed observations")
     k_hess: list[int] = _option(
         [10], "parameter draws per stage of the sampled filter, feeding both "
-        "the curvature and the gradient; comma separated")
+        "the curvature and the gradient; comma separated and distinct (nonlinear runs)")
     inner_loops: int | None = _option(
         None, "EM passes per observation; in cov recursive-em the first is the "
         "closed-form rank-p fit")
-    sigma0: list[float] = _option([1.0], "prior scale(s), comma separated")
+    sigma0: list[float] = _option(
+        [1.0], "prior scale(s), comma separated and distinct to 6 significant digits; a "
+        "list in nonlinear runs, one value in linear and logistic runs")
     eps_init: float = _option(0.01, "fraction of prior precision carried by the low-rank part")
     c: float = _option(1.0, "input spectrum decay exponent")
     seed: int = _option(0, "master seed")
@@ -214,6 +218,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("mc_samples must be at least 2")
     if cfg.track_memory and not (cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT):
         raise ConfigError(f"track_memory meters only linear runs above d = {DENSE_EVAL_LIMIT}")
+    # Rows and summary keys are named by these values, sigma0 by its tag.
+    for key, tags in (("p", cfg.p), ("k_hess", cfg.k_hess), ("methods", cfg.methods),
+                      ("sigma0", [f"{s:g}" for s in cfg.sigma0])):
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"{key} values name the rows, so they must be distinct; got {tags}")
+    # These runs read only the first value of the list.
+    for key, kinds in (("p", ("cov", "nonlinear", "linear" if cfg.d > DENSE_EVAL_LIMIT else "")),
+                       ("sigma0", ("linear", "logistic"))):
+        if cfg.kind in kinds and len(getattr(cfg, key)) > 1:
+            scope = f" above d = {DENSE_EVAL_LIMIT}" if cfg.kind == "linear" and key == "p" else ""
+            raise ConfigError(f"{cfg.kind} runs{scope} take one {key} value, "
+                              f"got {getattr(cfg, key)}")
     if cfg.kind == "cov":
         unknown = set(cfg.methods) - set(COV_METHODS)
         if unknown:

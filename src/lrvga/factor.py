@@ -67,20 +67,13 @@ def identity(p: int) -> np.ndarray:
 
 
 def star(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products: diag(X @ Y.T) without the d x d product.
-
-    X and Y must share a shape. For matrices this is
-    sum_k X[:, k] * Y[:, k]; for vectors it reduces to the componentwise
-    product.
+    """Row-wise dot products of two matrices of one shape:
+    diag(X @ Y.T) = sum_k X[:, k] * Y[:, k], without the d x d product.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise ValueError(f"star needs matching shapes, got {X.shape} and {Y.shape}")
-    if X.ndim == 1:
-        return X * Y
-    if X.ndim != 2:
-        raise ValueError("star expects vectors or matrices")
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise ValueError(f"star needs two matrices of one shape, got {X.shape} and {Y.shape}")
     return np.einsum("ij,ij->i", X, Y)
 
 
@@ -91,7 +84,7 @@ class FaPrecision:
     Parameters
     ----------
     W : ndarray, shape (d, p)
-        Factor loadings. A 1-d array is treated as a single column.
+        Factor loadings, always a matrix: one column is shape (d, 1).
     psi : ndarray, shape (d,)
         Strictly positive diagonal entries.
 
@@ -123,8 +116,6 @@ class FaPrecision:
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
-        if W.ndim == 1:
-            W = W[:, None]
         if W.ndim != 2:
             raise ValueError("W must be a d x p matrix")
         psi = np.asarray(self.psi, dtype=float).ravel()
@@ -282,10 +273,6 @@ def init_isotropic_prior(
         raise ValueError("eps must lie strictly inside (0, 1)")
     rng = np.random.default_rng(rng)
     cols = rng.standard_normal((d, p))
-    norms = np.linalg.norm(cols, axis=0)
-    while np.any(norms == 0.0):  # pragma: no cover - probability zero
-        cols = rng.standard_normal((d, p))
-        norms = np.linalg.norm(cols, axis=0)
-    W = cols * (np.sqrt(eps * d / p) / sigma0 / norms)
+    W = cols * (np.sqrt(eps * d / p) / sigma0 / np.linalg.norm(cols, axis=0))
     psi = np.full(d, (1.0 - eps) / sigma0**2)
     return FaPrecision(W, psi)

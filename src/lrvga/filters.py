@@ -421,17 +421,15 @@ class LogisticModel:
 def ggn_block(model: NonlinearModel, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:
     """Square-root Gauss-Newton block from an ensemble of parameter draws.
 
-    Checks the (d, K) draws (a (d,) draw is one column, K >= 1) and
-    returns ``model.ggn_root``: a (d, m) block B with B B^T the sampled
-    expected Gauss-Newton curvature. For a model whose log-likelihood
+    Checks that the draws are a (d, K) block, K >= 1, and returns
+    ``model.ggn_root``: a (d, m) block B with B B^T the sampled expected
+    Gauss-Newton curvature. For a model whose log-likelihood
     Hessian equals the Gauss-Newton term (any natural-parameter GLM, e.g.
     logistic), the reconstruction is exact at each draw.
     """
     theta_samples = np.asarray(theta_samples, dtype=float)
-    if theta_samples.ndim == 1:
-        theta_samples = theta_samples[:, None]
-    if theta_samples.shape[1] < 1:
-        raise ValueError("need at least one parameter draw")
+    if theta_samples.ndim != 2 or theta_samples.shape[1] < 1:
+        raise ValueError(f"need a (d, K >= 1) block of draws, got {theta_samples.shape}")
     return model.ggn_root(theta_samples, x)
 
 

@@ -81,17 +81,12 @@ def test_regression_truth_is_stable_across_c():
     a = RegressionSpec(d=4, n=1, c=1.0, sigma0=2.0, seed=8).truth()
     b = RegressionSpec(d=4, n=1, c=2.0, sigma0=2.0, seed=8).truth()
     assert np.array_equal(a, b)
-    given = np.arange(4.0)
-    c = RegressionSpec(d=4, n=1, theta_star=given).truth()
-    assert np.array_equal(c, given)
-    with pytest.raises(ValueError):
-        RegressionSpec(d=4, n=1, theta_star=np.ones(3)).truth()
 
 
 def test_regression_inputs_match_their_covariance():
-    spec = RegressionSpec(d=4, n=1, c=1.5, seed=2)
     n = 60_000
-    draws = np.stack(list(gen_regression_inputs(spec, rng=5, n=n)))
+    spec = RegressionSpec(d=4, n=n, c=1.5, seed=2)
+    draws = np.stack(list(gen_regression_inputs(spec, rng=5)))
     assert draws.shape == (n, 4)
     emp = draws.T @ draws / n
     cov = regression_input_covariance(spec)

@@ -132,9 +132,9 @@ def test_tiny_diagonal_limit_follows_the_power_method():
     d = 6
     A = rng.standard_normal((d, d + 3))
     S = A @ A.T / (d + 3)
-    w = rng.standard_normal(d)
+    w = rng.standard_normal((d, 1))
     fa = FaPrecision(w, np.full(d, 1e-8))
-    direction = S @ w
+    direction = (S @ w).ravel()
     direction /= np.linalg.norm(direction)
     for step in (em_fixed_point_step, mle_step):
         out = step(fa, S)
@@ -547,16 +547,16 @@ def test_recursive_update_single_column_equals_block_form():
     rng = np.random.default_rng(31)
     prev = FaPrecision(rng.standard_normal((7, 2)), rng.uniform(0.5, 2.0, 7))
     x = rng.standard_normal(7)
-    as_vector = recursive_em_update(prev, x, RecursionWeights(1.0, 1.0), 3)
+    # A single observation is a (d, 1) block; a bare (d,) vector is refused.
+    with pytest.raises(ValueError):
+        recursive_em_update(prev, x, RecursionWeights(1.0, 1.0), 3)
     as_block = recursive_em_update(prev, x[:, None], RecursionWeights(1.0, 1.0), 3)
-    assert np.array_equal(as_vector.W, as_block.W)
-    assert np.array_equal(as_vector.psi, as_block.psi)
     # Padding with an all-zero column leaves the target unchanged.
     padded = recursive_em_update(
         prev, np.column_stack([x, np.zeros(7)]), RecursionWeights(1.0, 1.0), 3
     )
-    assert np.allclose(padded.W, as_vector.W, rtol=1e-12, atol=1e-14)
-    assert np.allclose(padded.psi, as_vector.psi, rtol=1e-12, atol=1e-14)
+    assert np.allclose(padded.W, as_block.W, rtol=1e-12, atol=1e-14)
+    assert np.allclose(padded.psi, as_block.psi, rtol=1e-12, atol=1e-14)
 
 
 def test_recursive_full_rank_update_recovers_dense_accumulation():
@@ -685,5 +685,5 @@ def test_recursive_update_defaults_to_the_heuristic_cycle_count(d, cycles, monke
     for name in ("_rank_k_rows", "em_fixed_point_step"):
         monkeypatch.setattr(lrvga.em, name, counting(getattr(lrvga.em, name)))
     prev = init_isotropic_prior(d, 2, 1.0, rng=0)
-    recursive_em_update(prev, np.random.default_rng(1).standard_normal(d))
+    recursive_em_update(prev, np.random.default_rng(1).standard_normal((d, 1)))
     assert calls == [d] * cycles == [d] * default_inner_loops(d)

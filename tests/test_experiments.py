@@ -417,6 +417,33 @@ def test_dimensions_past_the_dense_limits_exit_with_code_1(argv, message, tmp_pa
     assert not out.exists()
 
 
+_DROPPED_OR_REPEATED = [
+    ("cov --p 3,5", "cov runs take one p value, got [3, 5]"),
+    ("logistic --sigma0 1,4", "logistic runs take one sigma0 value, got [1.0, 4.0]"),
+    ("nonlinear --p 3,5", "nonlinear runs take one p value, got [3, 5]"),
+    ("linear --d 1000 --c 0 --p 5,10", "linear runs above d = 600 take one p value, got [5, 10]"),
+    ("linear --p 3,3", "p values name the rows, so they must be distinct; got [3, 3]"),
+    ("nonlinear --sigma0 2,2.0000001",
+     "sigma0 values name the rows, so they must be distinct; got ['2', '2']"),
+    ("cov --methods batch-em,batch-em",
+     "methods values name the rows, so they must be distinct; got ['batch-em', 'batch-em']"),
+    ("nonlinear --k-hess 1,1", "k_hess values name the rows, so they must be distinct; got [1, 1]"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _DROPPED_OR_REPEATED,
+                         ids=[argv for argv, _ in _DROPPED_OR_REPEATED])
+def test_list_values_a_run_would_drop_or_repeat_exit_with_code_1(argv, message, tmp_path, capsys):
+    """A run that reads only the first value of a list refuses a longer
+    one, and rows named by repeated values (sigma0 by its ``:g`` tag) are
+    refused, before anything is written."""
+    out = tmp_path / "run"
+    assert main(["--experiment", *argv.split(), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_logistic_run_past_the_dense_limit_scores_its_filter_without_laplace(tmp_path):
     """At c = 0 the logistic filter and its quadrature KL stay factored
     above the dense limit; only the Laplace row and the cosine to its

@@ -750,6 +750,8 @@ def test_ggn_linear_model_ignores_samples():
     assert np.allclose(block @ block.T, np.outer(x, x), rtol=1e-12)
     with pytest.raises(ValueError):
         ggn_block(LinearGaussianModel(), x, np.empty((d, 0)))
+    with pytest.raises(ValueError):  # one draw is a (d, 1) block, not a (d,) vector
+        ggn_block(LinearGaussianModel(), x, rng.standard_normal(d))
 
 
 @pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)

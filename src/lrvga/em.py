@@ -142,12 +142,12 @@ class _BlendTarget:
         out = None
         if self.alpha > 0.0:
             W = self.prev.W
-            out = W @ (W.T @ A)
+            out = np.dot(W, np.dot(W.T, A))
             out += self.prev.psi[:, None] * A
             if self.alpha != 1.0:
                 out *= self.alpha
         if self.beta > 0.0:
-            block = self.X.T @ A
+            block = np.dot(self.X.T, A)
             if self.beta != 1.0:
                 block *= self.beta
             # np.dot: for a one-column X, matmul takes a slow loop here
@@ -206,16 +206,16 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     if owner is not fa:
         psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
-    MB = M + psi_inv_w.T @ G
+    MB = M + np.dot(psi_inv_w.T, G)
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
-    T = G @ _cholesky_solve(MB, identity(fa.p))  # G (M B)^-1 = W_new M^-1
-    W_new = T @ M
+    T = np.dot(G, _cholesky_solve(MB, identity(fa.p)))  # G (M B)^-1 = W_new M^-1
+    W_new = np.dot(T, M)
     psi_new = S.diag() - np.einsum("ij,ij->i", T, G)  # star(T, G)
     del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
     psi_sum = psi_new.sum()
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     psi_inv_w = W_new / psi_new[:, None]
-    out = _trusted_precision(W_new, psi_new, _checked_gram(W_new.T @ psi_inv_w, psi_sum))
+    out = _trusted_precision(W_new, psi_new, _checked_gram(np.dot(W_new.T, psi_inv_w), psi_sum))
     if blend:
         S.handed = out, psi_inv_w
     return out
@@ -346,6 +346,8 @@ def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
         psi_sum += psi_block.sum()
         np.maximum(psi_block, PSI_FLOOR, out=psi_block)
         out = None if psi_inv_w is None else psi_inv_w[rows]
+        # Block products here and in the fills keep @: past one block, a row
+        # block of an F-ordered array is not contiguous, and np.dot copies it
         G += w_new.T @ np.divide(w_new, psi_block[:, None], out=out)
     fa = _trusted_precision(W_new, psi_new, _checked_gram(G, psi_sum))
     if target is not None:

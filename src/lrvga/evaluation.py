@@ -174,7 +174,7 @@ def expected_kl_logistic(
     if X.shape != (y.shape[0], q.d):
         raise ValueError("X must hold one length-d row per label")
     if isinstance(q, GaussianBelief):
-        mu_u = X @ np.column_stack((q.mu, q.prec.W / q.prec.psi[:, None]))
+        mu_u = np.dot(X, np.column_stack((q.mu, q.prec.W / q.prec.psi[:, None])))
         m, u = mu_u[:, 0], mu_u[:, 1:]
         nu = np.einsum("ij,ij,j->i", X, X, 1.0 / q.prec.psi) - star(u @ q.prec.latent_inverse, u)
         trace = trace_inverse(q.prec)
@@ -186,7 +186,7 @@ def expected_kl_logistic(
     fine, coarse = np.empty_like(nu), np.empty_like(nu)
     for i in range(0, nu.size, _GH_ROWS):
         for out, (nodes, weights) in zip((fine, coarse), rules):
-            out[i:i + _GH_ROWS] = _softplus(mean_sd[i:i + _GH_ROWS] @ nodes) @ weights
+            out[i:i + _GH_ROWS] = np.dot(_softplus(np.dot(mean_sd[i:i + _GH_ROWS], nodes)), weights)
     prior = [-0.5 * (q.mu @ q.mu + trace) / sigma0**2, -0.5 * q.d * (_LOG_2PI + 2 * np.log(sigma0))]
     terms = np.concatenate([y * m, -fine, prior, [gaussian_entropy(q)]])
     rounding = np.finfo(float).eps * terms.size * np.sum(np.abs(terms))

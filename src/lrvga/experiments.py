@@ -236,8 +236,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown covariance methods: {sorted(unknown)}")
         if not cfg.methods:
             raise ConfigError("at least one covariance method is required")
-    if cfg.dataset is not None and cfg.kind != "cov":
-        raise ConfigError("dataset files are only supported for covariance runs")
     if cfg.kind == "nonlinear" and cfg.d > DENSE_EVAL_LIMIT:
         raise ConfigError(
             f"nonlinear runs diverge above d = {DENSE_EVAL_LIMIT}: the sampled filter's KL "
@@ -249,6 +247,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             "above the dense limit the input rotation (a d x d matrix) is "
             "unavailable; use c = 0"
         )
+    default = ExperimentConfig(cfg.kind, **_KINDS[cfg.kind][1])
+    unread = [key for key in _UNREAD[cfg.kind] if getattr(cfg, key) != getattr(default, key)]
+    if unread:
+        raise ConfigError(f"{cfg.kind} runs never read {', '.join(unread)}: leave unset")
 
 
 @dataclass
@@ -628,6 +630,13 @@ _KINDS = {
                   {"d": 20, "p": [10], "sigma0": [1.0, 2.0, 3.0], "k_hess": [1, 10, 100]}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
+# The fields each run kind never reads, which must keep the kind's
+# default. No kind reads mc_samples, but perfbench's warm-up passes it.
+_UNREAD = {"cov": ("k_hess", "sigma0", "c", "scheme"),
+           "linear": ("k_hess", "scheme", "methods", "p_true", "batch_passes", "normalize",
+                      "dataset"),
+           "nonlinear": ("methods", "p_true", "batch_passes", "normalize", "dataset")}
+_UNREAD["logistic"] = _UNREAD["linear"]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:

@@ -211,8 +211,8 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
         raise ValueError("input contains non-finite entries")
     psi = fa.psi if v.ndim == 1 else fa.psi[:, None]
     u = v / psi
-    z = fa.latent_inverse @ (fa.W.T @ u)
-    return (v - fa.W @ z) / psi
+    z = np.dot(fa.latent_inverse, np.dot(fa.W.T, u))
+    return (v - np.dot(fa.W, z)) / psi
 
 
 def log_det(fa: FaPrecision) -> float:
@@ -230,7 +230,7 @@ def log_det(fa: FaPrecision) -> float:
 def inverse_diag(fa: FaPrecision) -> np.ndarray:
     """Diagonal of (W W^T + diag(psi))^-1 without forming the inverse."""
     psi_inv_w = fa.W / fa.psi[:, None]
-    return 1.0 / fa.psi - star(psi_inv_w @ fa.latent_inverse, psi_inv_w)
+    return 1.0 / fa.psi - star(np.dot(psi_inv_w, fa.latent_inverse), psi_inv_w)
 
 
 def trace_inverse(fa: FaPrecision) -> float:

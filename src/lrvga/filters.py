@@ -151,9 +151,9 @@ def _prior_scalars(
         raise ValueError("logistic labels must be 0 or 1")
     prec = belief.prec
     u = x / prec.psi
-    c = prec.W.T @ u
-    minv_c = prec.latent_inverse @ c
-    # np.dot: for two vectors it costs less than matmul, with the same bits
+    # np.dot: on whole arrays it costs less than matmul, with the same bits
+    c = np.dot(prec.W.T, u)
+    minv_c = np.dot(prec.latent_inverse, c)
     nu0 = max(float(np.dot(x, u)) - float(np.dot(c, minv_c)), 0.0)
     return x, y, u, minv_c, nu0, float(np.dot(x, belief.mu))
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lrvga import init_isotropic_prior
+import lrvga.filters
+from lrvga import GaussianBelief, Observation, init_isotropic_prior
 from lrvga.cli import main
 from lrvga.em import _BlendTarget
 from lrvga.experiments import read_results_csv
@@ -44,6 +45,11 @@ def test_em_cycle_flops_count_the_incoming_block():
     assert extra == 4 * d * k * p
 
 
+def _warm_up_argv(out):
+    return ["--experiment", "nonlinear", "--sigma0", "2", "--k-hess", "1,2", "--n", "30",
+            "--checkpoints", "3", "--mc-samples", "20", "--seed", "0", "--out", str(out)]
+
+
 def test_the_nonlinear_warm_up_call_runs_and_reports_positive_errors(tmp_path):
     """perfbench/workloads.py warms up with this call and does not check
     its exit code, so a flag the CLI stopped accepting (``--mc-samples``)
@@ -51,8 +57,30 @@ def test_the_nonlinear_warm_up_call_runs_and_reports_positive_errors(tmp_path):
     positive error in every row: the benchmark divides each KL drop by
     them."""
     out = tmp_path / "warm"
-    argv = ["--experiment", "nonlinear", "--sigma0", "2", "--k-hess", "1,2", "--n", "30",
-            "--checkpoints", "3", "--mc-samples", "20", "--seed", "0", "--out", str(out)]
-    assert main(argv) == 0
+    assert main(_warm_up_argv(out)) == 0
     rows = read_results_csv(out / "results.csv")
     assert rows and all(r.stderr > 0 for r in rows)
+
+
+def test_the_workloads_reach_every_layer_the_tracer_times(tmp_path):
+    """The tracer times a layer only through the names it wraps, so a
+    workload routed around one (``_absorb`` calling a private cycle in
+    place of ``em.em_fixed_point_step``) would read 0 in a traced run.
+    The nonlinear warm-up and five default linear steps at d = 100,
+    p = 5 must open spans of each layer the workloads report."""
+    tracer = _tracer()
+    spans = tracer.Tracer()
+    saved = spans.install()
+    try:
+        assert main(_warm_up_argv(tmp_path / "warm")) == 0
+        d, p = 100, 5
+        rng = np.random.default_rng(5)
+        belief = GaussianBelief(np.zeros(d), init_isotropic_prior(d, p, 1.0, rng=5))
+        for _ in range(5):
+            obs = Observation(rng.standard_normal(d) / np.sqrt(d), float(rng.standard_normal()))
+            belief = lrvga.filters.lrvga_linear_step(belief, obs)
+    finally:
+        tracer.restore(saved)
+    counts = spans.summary(0, len(spans.spans))[2]
+    names = ("filters.step", "em.cycle", "factor.woodbury", "experiments.run", "cli.emit")
+    assert all(counts.get(name, 0) > 0 for name in names), counts

@@ -444,6 +444,19 @@ def test_list_values_a_run_would_drop_or_repeat_exit_with_code_1(argv, message, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("cov", "sigma0", [1.0, 2.0]), ("cov", "k_hess", [5]), ("cov", "scheme", "explicit"),
+    ("linear", "k_hess", [1, 7]), ("linear", "batch_passes", 9),
+    ("logistic", "normalize", "none"), ("nonlinear", "methods", ["batch-em"]),
+    ("nonlinear", "dataset", "data.txt"),
+])
+def test_options_a_run_kind_never_reads_are_refused(kind, key, value):
+    """A value other than the kind's default in a field its run never
+    reads would be echoed in config.json as if the run had used it."""
+    with pytest.raises(lrvga.experiments.ConfigError, match=f"{kind} runs never read {key}"):
+        make_config(kind, **{key: value})
+
+
 def test_logistic_run_past_the_dense_limit_scores_its_filter_without_laplace(tmp_path):
     """At c = 0 the logistic filter and its quadrature KL stay factored
     above the dense limit; only the Laplace row and the cosine to its
@@ -553,9 +566,10 @@ def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_pa
 
 
 def test_config_counts_accept_integral_floats_only():
-    cfg = make_config("cov", d=20.0, p=3.0, n=50, sigma0=2, methods="batch-em")
-    assert (cfg.d, cfg.p, cfg.sigma0, cfg.methods) == (20, [3], [2.0], ["batch-em"])
+    cfg = make_config("cov", d=20.0, p=3.0, n=50, methods="batch-em")
+    assert (cfg.d, cfg.p, cfg.methods) == (20, [3], ["batch-em"])
     assert type(cfg.d) is int
+    assert make_config("linear", sigma0=2).sigma0 == [2.0]  # cov never reads sigma0
     for bad in (dict(d=True), dict(normalize=1), dict(record_timing="yes"), dict(p=[2, 2.5]),
                 dict(c=float("inf"))):
         with pytest.raises(lrvga.experiments.ConfigError):

@@ -1,7 +1,8 @@
 """Command-line front end for the experiment drivers.
 
 Besides ``--experiment`` and ``--config``, every flag is built from a
-field of ``ExperimentConfig``, which declares its type, default and help.
+field of ``ExperimentConfig``, which declares its type, default, help
+and the run kinds that read it.
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, invalid values), 2 when a run diverges, 3 for I/O failures
@@ -43,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _help(meta) -> str:
+    """An option's help text, naming the run kinds that read it and, of a
+    list, those that take several values, as ``ExperimentConfig`` declares."""
+    notes = [f"{', '.join(meta['kinds'])} runs"] if meta["kinds"] else []
+    notes += [f"a list only in {', '.join(meta['lists'])} runs"] if meta["lists"] else []
+    return f"{meta['help']} ({'; '.join(notes)})" if notes else meta["help"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lrvga",
@@ -56,13 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
         flag = meta.get("flag", "--" + option.name.replace("_", "-"))
         if kind == "bool":
             parser.add_argument(flag, action="store_true", default=None, dest=option.name,
-                                help=meta["help"])
+                                help=_help(meta))
         else:
+            many = kind.startswith("list[")
             scalar = {"int": int, "float": float, "str": str}[
                 kind.removeprefix("list[").removesuffix("]")]
+            # argparse would match choices against the whole list: make_config checks a list's.
             parser.add_argument(
-                flag, dest=option.name, choices=meta.get("choices"), help=meta["help"],
-                type=_comma_list(scalar) if kind.startswith("list[") else scalar,
+                flag, dest=option.name, choices=None if many else meta.get("choices"),
+                help=_help(meta), type=_comma_list(scalar) if many else scalar,
             )
     return parser
 

@@ -20,7 +20,7 @@ import math
 import numbers
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +85,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _option(default, help_text: str, **meta):
-    """A config field: its default (a list is copied for each config) and
-    the help text, and any ``flag`` name or ``choices``, of its CLI flag."""
+def _option(default, help_text: str, *, kinds=None, lists=None, least=None, **meta):
+    """A config field: its default (a list is copied for each config), its
+    CLI flag's help text and any ``flag`` name or ``choices``, the run
+    ``kinds`` that read it (None: every kind), the ``lists`` of them that
+    take several values (None: all of them) and its ``least`` value."""
+    meta = dict(help=help_text, kinds=kinds, lists=lists, least=least, **meta)
     if isinstance(default, list):
-        return field(default_factory=default.copy, metadata=dict(help=help_text, **meta))
-    return field(default=default, metadata=dict(help=help_text, **meta))
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
@@ -99,45 +102,49 @@ class ExperimentConfig:
 
     Each field but ``kind`` is a run option, and ``cli.build_parser``
     makes it one flag: ``--`` and its name with dashes (``--out`` for
-    ``out_dir``), of the field's type, with its metadata's help and
-    choices. A run kind's own defaults are in ``_KINDS``."""
+    ``out_dir``), of the field's type, with its metadata's help, choices
+    and run kinds (``_option``). A run kind's own defaults are in
+    ``_KINDS``."""
 
     kind: str
-    d: int = _option(100, "parameter dimension")
+    d: int = _option(100, "parameter dimension", least=1)
     p: list[int] = _option(
-        [5], "factor rank(s), comma separated and distinct; a list in logistic runs and in "
-        f"linear runs up to d = {DENSE_EVAL_LIMIT}, one value elsewhere")
-    n: int = _option(1000, "number of streamed observations")
+        [5], "factor rank(s), comma separated and distinct; linear runs above "
+        f"d = {DENSE_EVAL_LIMIT} take one", lists=("linear", "logistic"), least=1)
+    n: int = _option(1000, "number of streamed observations", least=1)
     k_hess: list[int] = _option(
         [10], "parameter draws per stage of the sampled filter, feeding both "
-        "the curvature and the gradient; comma separated and distinct (nonlinear runs)")
+        "the curvature and the gradient; comma separated and distinct",
+        kinds=("nonlinear",), least=1)
     inner_loops: int | None = _option(
         None, "EM passes per observation; in cov recursive-em the first is the "
-        "closed-form rank-p fit")
+        "closed-form rank-p fit", least=1)
     sigma0: list[float] = _option(
-        [1.0], "prior scale(s), comma separated and distinct to 6 significant digits; a "
-        "list in nonlinear runs, one value in linear and logistic runs")
-    eps_init: float = _option(0.01, "fraction of prior precision carried by the low-rank part")
-    c: float = _option(1.0, "input spectrum decay exponent")
-    seed: int = _option(0, "master seed")
-    scheme: str = _option("mirror-prox-skip-cov", "nonlinear update scheme",
-                          choices=NONLINEAR_SCHEMES)
-    dataset: str | None = _option(None, "libsvm-format file (covariance runs)")
+        [1.0], "prior scale(s), comma separated and distinct to 6 significant digits",
+        kinds=("linear", "logistic", "nonlinear"), lists=("nonlinear",))
+    c: float = _option(1.0, "input spectrum decay exponent",
+                       kinds=("linear", "logistic", "nonlinear"))
+    seed: int = _option(0, "master seed", least=0)
+    scheme: str = _option("mirror-prox-skip-cov", "update scheme of the sampled filter",
+                          kinds=("nonlinear",), choices=NONLINEAR_SCHEMES)
+    dataset: str | None = _option(None, "libsvm-format file", kinds=("cov",))
     out_dir: str = _option("runs/latest", "output directory", flag="--out")
-    checkpoints: int = _option(50, "number of log-spaced checkpoints")
-    methods: list[str] = _option(list(COV_METHODS), "covariance methods to run, comma separated")
-    p_true: int | None = _option(None, "generator rank (covariance)")
+    checkpoints: int = _option(50, "number of log-spaced checkpoints", least=0)
+    methods: list[str] = _option(list(COV_METHODS), "covariance methods to run, comma separated",
+                                 kinds=("cov",), choices=COV_METHODS)
+    p_true: int | None = _option(None, "generator rank", kinds=("cov",), least=1)
     # No run kind reads it; perfbench's warm-up still passes it.
-    mc_samples: int = _option(1000, "unused: no run kind draws to score")
-    batch_passes: int = _option(5, "full-data passes for the batch baseline")
+    mc_samples: int = _option(1000, "unused: no run kind draws to score", least=2)
+    batch_passes: int = _option(5, "full-data passes for the batch baseline",
+                                kinds=("cov",), least=1)
     normalize: str = _option(
-        "mean-norm", "covariance runs: mean-norm (default) scales every sample by one "
-        "factor so the first 100 have mean squared norm d; none leaves them as read",
-        choices=NORMALIZE_MODES)
+        "mean-norm", "mean-norm (default) scales every sample by one factor so the "
+        "first 100 have mean squared norm d; none leaves them as read",
+        kinds=("cov",), choices=NORMALIZE_MODES)
     record_timing: bool = _option(
         False, "write wall-clock times into results.csv (breaks byte reproducibility)")
     track_memory: bool = _option(
-        False, f"meter auxiliary allocations (linear runs above d = {DENSE_EVAL_LIMIT} only)")
+        False, f"meter auxiliary allocations above d = {DENSE_EVAL_LIMIT}", kinds=("linear",))
 
 
 def make_config(kind: str, **overrides) -> ExperimentConfig:
@@ -187,55 +194,44 @@ def _typed_item(key: str, kind: str, value):
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.d < 1 or cfg.n < 1:
-        raise ConfigError("d and n must be positive")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if not cfg.p or any(not 1 <= p <= cfg.d for p in cfg.p):
-        raise ConfigError("each factor rank must satisfy 1 <= p <= d")
-    if cfg.p_true is not None and not 1 <= cfg.p_true <= cfg.d:
-        raise ConfigError("the generator rank must satisfy 1 <= p_true <= d")
-    if not cfg.k_hess or any(k < 1 for k in cfg.k_hess):
-        raise ConfigError("sample counts must be positive")
-    if cfg.inner_loops is not None and cfg.inner_loops < 1:
-        raise ConfigError("inner_loops must be positive")
-    # The priors scale by sigma0^2 and 1 / sigma0^2; both must be finite floats.
-    if not cfg.sigma0 or not all(s > 0 and 0 < s * s < math.inf and 1 / (s * s) < math.inf
-                                 for s in cfg.sigma0):
-        raise ConfigError("sigma0 values must be positive, with sigma0^2 and "
-                          "1 / sigma0^2 positive finite floats")
-    if not 0.0 < cfg.eps_init < 1.0:
-        raise ConfigError("eps_init must lie in (0, 1)")
-    if cfg.scheme not in NONLINEAR_SCHEMES:
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.checkpoints < 0:
-        raise ConfigError("checkpoints must be non-negative")
-    if cfg.normalize not in NORMALIZE_MODES:
-        raise ConfigError(f"unknown normalization mode {cfg.normalize!r}")
-    if cfg.batch_passes < 1:
-        raise ConfigError("batch_passes must be positive")
-    if cfg.mc_samples < 2:
-        raise ConfigError("mc_samples must be at least 2")
-    if cfg.track_memory and not (cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT):
-        raise ConfigError(f"track_memory meters only linear runs above d = {DENSE_EVAL_LIMIT}")
-    # Rows and summary keys are named by these values, sigma0 by its tag.
-    for key, tags in (("p", cfg.p), ("k_hess", cfg.k_hess), ("methods", cfg.methods),
-                      ("sigma0", [f"{s:g}" for s in cfg.sigma0])):
+    """Check each option against its declaration (``_option``), then the
+    rules that relate two options or depend on d."""
+    default = ExperimentConfig(cfg.kind, **_KINDS[cfg.kind][1])
+    unread = []
+    for option in fields(cfg)[1:]:
+        key, meta, value = option.name, option.metadata, getattr(cfg, option.name)
+        values = value if isinstance(value, list) else [value]
+        reads = meta["kinds"] is None or cfg.kind in meta["kinds"]
+        if not reads and value != getattr(default, key):
+            unread.append(key)
+        if not values:
+            raise ConfigError(f"{key} takes at least one value")
+        least = meta["least"]
+        if least is not None and any(v is not None and v < least for v in values):
+            raise ConfigError(f"{key} must be at least {least}, got {value}")
+        if "choices" in meta and not set(values) <= set(meta["choices"]):
+            raise ConfigError(f"{key} takes values in {meta['choices']}, got {value!r}")
+        if not isinstance(value, list):
+            continue
+        # Rows and summary keys are named by these values, a float by its tag.
+        tags = [f"{v:g}" for v in value] if declared_type(key) == "list[float]" else value
         if len(set(tags)) < len(tags):
             raise ConfigError(f"{key} values name the rows, so they must be distinct; got {tags}")
-    # These runs read only the first value of the list.
-    for key, kinds in (("p", ("cov", "nonlinear", "linear" if cfg.d > DENSE_EVAL_LIMIT else "")),
-                       ("sigma0", ("linear", "logistic"))):
-        if cfg.kind in kinds and len(getattr(cfg, key)) > 1:
-            scope = f" above d = {DENSE_EVAL_LIMIT}" if cfg.kind == "linear" and key == "p" else ""
-            raise ConfigError(f"{cfg.kind} runs{scope} take one {key} value, "
-                              f"got {getattr(cfg, key)}")
-    if cfg.kind == "cov":
-        unknown = set(cfg.methods) - set(COV_METHODS)
-        if unknown:
-            raise ConfigError(f"unknown covariance methods: {sorted(unknown)}")
-        if not cfg.methods:
-            raise ConfigError("at least one covariance method is required")
+        if reads and meta["lists"] is not None and cfg.kind not in meta["lists"] and len(value) > 1:
+            raise ConfigError(f"{cfg.kind} runs take one {key} value, got {value}")
+    if any(p > cfg.d for p in cfg.p):
+        raise ConfigError("each factor rank must satisfy p <= d")
+    if cfg.p_true is not None and cfg.p_true > cfg.d:
+        raise ConfigError("the generator rank must satisfy p_true <= d")
+    # The priors scale by sigma0^2 and 1 / sigma0^2; both must be finite floats.
+    if not all(s > 0 and 0 < s * s < math.inf and 1 / (s * s) < math.inf for s in cfg.sigma0):
+        raise ConfigError("sigma0 values must be positive, with sigma0^2 and "
+                          "1 / sigma0^2 positive finite floats")
+    if cfg.track_memory and not (cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT):
+        raise ConfigError(f"track_memory meters only linear runs above d = {DENSE_EVAL_LIMIT}")
+    if cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT and len(cfg.p) > 1:
+        raise ConfigError(f"linear runs above d = {DENSE_EVAL_LIMIT} take one p value, "
+                          f"got {cfg.p}")
     if cfg.kind == "nonlinear" and cfg.d > DENSE_EVAL_LIMIT:
         raise ConfigError(
             f"nonlinear runs diverge above d = {DENSE_EVAL_LIMIT}: the sampled filter's KL "
@@ -247,8 +243,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             "above the dense limit the input rotation (a d x d matrix) is "
             "unavailable; use c = 0"
         )
-    default = ExperimentConfig(cfg.kind, **_KINDS[cfg.kind][1])
-    unread = [key for key in _UNREAD[cfg.kind] if getattr(cfg, key) != getattr(default, key)]
     if unread:
         raise ConfigError(f"{cfg.kind} runs never read {', '.join(unread)}: leave unset")
 
@@ -286,7 +280,7 @@ def _rng(cfg: ExperimentConfig, *key: int) -> np.random.Generator:
 def _prior(cfg: ExperimentConfig, p: int, sigma0: float, rng) -> GaussianBelief:
     """The N(0, sigma0^2 I) prior belief, its precision factored at rank p."""
     return GaussianBelief(
-        np.zeros(cfg.d), init_isotropic_prior(cfg.d, p, sigma0, cfg.eps_init, rng)
+        np.zeros(cfg.d), init_isotropic_prior(cfg.d, p, sigma0, rng=rng)
     )
 
 
@@ -411,7 +405,7 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(cfg, [], dict(info))
 
     def prior(index):
-        return init_isotropic_prior(d, p, sigma0, cfg.eps_init, _rng(cfg, _SEED_FILTER, index))
+        return init_isotropic_prior(d, p, sigma0, rng=_rng(cfg, _SEED_FILTER, index))
 
     def score(fa):
         return covariance_fit_kl(fa, S_ref), None
@@ -630,13 +624,6 @@ _KINDS = {
                   {"d": 20, "p": [10], "sigma0": [1.0, 2.0, 3.0], "k_hess": [1, 10, 100]}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
-# The fields each run kind never reads, which must keep the kind's
-# default. No kind reads mc_samples, but perfbench's warm-up passes it.
-_UNREAD = {"cov": ("k_hess", "sigma0", "c", "scheme"),
-           "linear": ("k_hess", "scheme", "methods", "p_true", "batch_passes", "normalize",
-                      "dataset"),
-           "nonlinear": ("methods", "p_true", "batch_passes", "normalize", "dataset")}
-_UNREAD["logistic"] = _UNREAD["linear"]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:

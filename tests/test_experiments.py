@@ -3,9 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from lrvga import DivergenceError
 from lrvga.cli import build_parser, config_from_args, main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_regression_inputs
 from lrvga.experiments import (
+    COV_METHODS,
+    EXPERIMENT_KINDS,
     CheckpointRow,
     ExperimentConfig,
     RunReport,
@@ -29,7 +32,7 @@ from lrvga.experiments import (
 
 def test_default_linear_run_converges():
     cfg = make_config("linear", n=200, checkpoints=8)
-    assert (cfg.d, cfg.p, cfg.eps_init) == (100, [5], 0.01)
+    assert (cfg.d, cfg.p) == (100, [5])
     report = run_experiment(cfg)
     kl = [r.kl for r in report.rows if r.method == "lrvga"]
     assert len(kl) >= 2
@@ -57,8 +60,8 @@ def test_track_memory_is_refused_where_nothing_is_metered(argv, tmp_path, capsys
 
 # A value other than the default for every config field but kind.
 NON_DEFAULT = dict(
-    d=700, p=[3, 4], n=50, k_hess=[2, 5], inner_loops=2, sigma0=[0.5, 2.0], eps_init=0.2,
-    c=0.0, seed=7, scheme="explicit", dataset="data.txt", out_dir="elsewhere", checkpoints=3,
+    d=700, p=[3, 4], n=50, k_hess=[2, 5], inner_loops=2, sigma0=[0.5, 2.0], c=0.0,
+    seed=7, scheme="explicit", dataset="data.txt", out_dir="elsewhere", checkpoints=3,
     methods=["online-em", "batch-em"], p_true=2, mc_samples=20, batch_passes=2,
     normalize="none", record_timing=True, track_memory=True,
 )
@@ -74,6 +77,18 @@ def test_every_config_field_but_kind_is_one_flag_with_help():
         (action,) = flags[name]
         assert len(action.option_strings) == 1 and action.help.strip(), name
     assert flags["out_dir"][0].option_strings == ["--out"]
+
+
+def test_help_names_the_run_kinds_that_read_each_option():
+    """A flag whose option only some run kinds read names exactly those
+    kinds in its help; cov reads neither c nor sigma0."""
+    helps = {action.dest: action.help for action in build_parser()._actions}
+    kinds_named = re.compile(rf"\b({'|'.join(EXPERIMENT_KINDS)})\b").findall
+    for option in fields(ExperimentConfig)[1:]:
+        if option.metadata["kinds"] is not None:
+            assert set(kinds_named(helps[option.name])) == set(option.metadata["kinds"]), option
+    for name in ("c", "sigma0"):
+        assert set(kinds_named(helps[name])) == {"linear", "logistic", "nonlinear"}
 
 
 def test_flags_set_to_other_values_build_the_config_make_config_builds(monkeypatch):
@@ -179,6 +194,16 @@ def test_cov_logistic_and_nonlinear_smoke_runs():
     assert np.isfinite(nonlinear.summary["final_kl[sampled,s0=2,K=3]"])
 
 
+def test_record_timing_fills_wall_ms_and_changes_no_other_column():
+    """Each row's wall_ms is the time since its method's run began."""
+    untimed = run_experiment(make_config("linear", **TINY["linear"])).rows
+    timed = run_experiment(make_config("linear", record_timing=True, **TINY["linear"])).rows
+    assert [replace(r, wall_ms=None) for r in timed] == untimed
+    for method, p in {(r.method, r.p) for r in timed}:
+        wall = [r.wall_ms for r in timed if (r.method, r.p) == (method, p)]
+        assert len(wall) > 1 and wall[0] >= 0.0 and wall == sorted(wall), (method, p)
+
+
 def _results_bytes(kind, out):
     emit_report(run_experiment(make_config(kind, **TINY[kind])), out)
     return (out / "results.csv").read_bytes()
@@ -270,6 +295,28 @@ def test_cov_recursive_em_final_kl_does_not_depend_on_rounding(monkeypatch):
     assert np.all(np.abs(upper - lower) <= 0.01 * lower)
 
 
+def test_cov_recursive_em_discards_its_prior(monkeypatch):
+    """The first recursive-em update has alpha = (t - 1) / t = 0, so its
+    rows do not move when the prior's eps goes from 0.01 to 0.3, sigma0
+    is scaled by 100 and the random columns are redrawn. The online-em
+    and batch-em rows move: their EM recursions start from the prior."""
+    original = lrvga.experiments.init_isotropic_prior
+
+    def other_prior(d, p, sigma0, eps=0.01, rng=None):
+        return original(d, p, 100.0 * sigma0, 0.3, np.random.default_rng(99))
+
+    for seed in (1, 3, 5):
+        cfg = make_config("cov", seed=seed, **TINY["cov"])
+        shipped = run_experiment(cfg).rows
+        monkeypatch.setattr(lrvga.experiments, "init_isotropic_prior", other_prior)
+        moved = run_experiment(cfg).rows
+        monkeypatch.undo()
+        for method in COV_METHODS:
+            same = [r for r in shipped if r.method == method] == [
+                r for r in moved if r.method == method]
+            assert same == (method == "recursive-em"), (seed, method)
+
+
 def test_report_round_trips_through_results_csv(tmp_path):
     rows = [
         CheckpointRow(1, "lrvga", 5, 0, 0.1 + 0.2, 1e-17, None),
@@ -284,22 +331,26 @@ def test_report_round_trips_through_results_csv(tmp_path):
     assert lines[2] == "7,sampled[s0=2],5,10,,,"
 
 
-def test_config_echo_reruns_and_rejects_the_removed_k_grad_key(tmp_path):
+@pytest.mark.parametrize("key, value", [("k_grad", 10), ("eps_init", 0.2)],
+                         ids=["k_grad", "eps_init"])
+def test_config_echo_reruns_and_rejects_a_removed_key(key, value, tmp_path, capsys):
     out = tmp_path / "run"
     argv = ["--experiment", "cov", "--d", "6", "--p", "2", "--n", "20",
             "--checkpoints", "3", "--methods", "recursive-em"]
     assert main(argv + ["--out", str(out)]) == 0
     echo = json.loads((out / "config.json").read_text())
-    assert "k_grad" not in echo
+    assert key not in echo
     rerun = tmp_path / "rerun"
     assert main(["--config", str(out / "config.json"), "--out", str(rerun)]) == 0
     assert (rerun / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps({**echo, "k_grad": 10}))
+    stale.write_text(json.dumps({**echo, key: value}))
+    capsys.readouterr()
     assert main(["--config", str(stale), "--out", str(tmp_path / "stale")]) == 1
-    assert main(argv + ["--k-grad", "10", "--out", str(tmp_path / "flag")]) == 1
-
+    assert "unknown config keys" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    assert main(argv + [flag, str(value), "--out", str(tmp_path / "flag")]) == 1
 
 
 def test_data_streams_do_not_replay_the_true_parameters():

@@ -3,8 +3,9 @@
 Three layers, all sharing one step kernel:
 
 * ``em_fixed_point_step`` performs a single EM cycle toward the best
-  factored fit of a symmetric target matrix S, touching S only through
-  products with d x p blocks and its diagonal.
+  factored fit of a target held in product form (``_BlendTarget``),
+  touched only through products with d x p blocks and its diagonal; no
+  d x d matrix is formed anywhere here, batch EM's included.
 * ``recursive_em_update`` makes a fixed number of passes toward the
   implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T, which
   is how a streaming filter absorbs a new observation block. Its passes,
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .dense import is_symmetric
 from .factor import (
     PSI_FLOOR,
     DivergenceError,
@@ -102,35 +102,17 @@ def guess_s0_scale(batch: np.ndarray, d: int) -> float:
     return float(np.sqrt(d / mean_sq))
 
 
-class DenseSymmetric:
-    """Adapter exposing a dense symmetric matrix as an EM target. S must be
-    finite and symmetric to the tolerance of ``DenseGaussian``, since the
-    EM cycle factors only the lower triangle of M B. Wrap S once per fit."""
-
-    def __init__(self, S: np.ndarray):
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("S must be square")
-        if not (np.isfinite(S).all() and is_symmetric(S)):
-            raise ValueError("S must be finite and symmetric")
-        self.S = S
-
-    def matmat(self, A: np.ndarray) -> np.ndarray:
-        return self.S @ A
-
-    def diag(self) -> np.ndarray:
-        return np.diag(self.S).copy()
-
-
 class _BlendTarget:
-    """Implicit target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T.
+    """EM target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T in product
+    form: the recursion's, or at alpha = 0, where ``prev`` is never read
+    and may be None, batch EM's sample second moment beta X X^T.
 
     Products are taken block by block, so the carried factor is read in
     place rather than copied into a widened matrix; only the p-column
     product outputs are allocated, and the diagonal on first use.
     """
 
-    def __init__(self, prev: FaPrecision, X: np.ndarray, alpha: float, beta: float):
+    def __init__(self, prev: FaPrecision | None, X: np.ndarray, alpha: float, beta: float):
         self.prev = prev
         self.X = X
         self.alpha = alpha
@@ -159,19 +141,21 @@ class _BlendTarget:
 
     def diag(self) -> np.ndarray:
         if self._diag is None:
-            W, X = self.prev.W, self.X
-            self._diag = np.einsum("ij,ij->i", W, W) + self.prev.psi
-            if self.alpha != 1.0:
-                self._diag *= self.alpha
-            xx = np.einsum("ij,ij->i", X, X)
+            self._diag = np.einsum("ij,ij->i", self.X, self.X)
             if self.beta != 1.0:
-                xx *= self.beta
-            self._diag += xx
+                self._diag *= self.beta
+            if self.alpha > 0.0:
+                W = self.prev.W
+                carried = np.einsum("ij,ij->i", W, W) + self.prev.psi
+                if self.alpha != 1.0:
+                    carried *= self.alpha
+                self._diag += carried
         return self._diag
 
 
-def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
-    """One EM cycle toward the factored fit of a symmetric target S.
+def em_fixed_point_step(fa: FaPrecision, S: _BlendTarget) -> FaPrecision:
+    """One EM cycle toward the factored fit of the symmetric target S,
+    held in product form (``_BlendTarget``).
 
     With M = I_p + W^T Psi^-1 W, the cached ``gram``, A = Psi^-1 W,
     G = S A and B = I_p + M^-1 A^T G the update reads
@@ -180,29 +164,23 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
         psi_new = diag(S) - diag(W_new M^-1 G^T)
 
     and the marginal likelihood of S under the factor model is
-    non-decreasing across cycles. S may be a dense array or any object
-    with ``matmat`` (product with a d x p block) and ``diag`` accessors.
-    As B^-1 = (M B)^-1 M, the cycle makes one Cholesky factorization of
-    the SPD matrix M B = M + A^T G and inverts neither M nor B:
-    T = G (M B)^-1 = W_new M^-1, W_new = T M and
-    psi_new = diag(S) - diag(T G^T), at one product of S with a d x p
-    block plus O(d p^2).
+    non-decreasing across cycles. As B^-1 = (M B)^-1 M, the cycle makes
+    one Cholesky factorization of the SPD matrix M B = M + A^T G and
+    inverts neither M nor B: T = G (M B)^-1 = W_new M^-1, W_new = T M
+    and psi_new = diag(S) - diag(T G^T), at one product of S with a
+    d x p block plus O(d p^2).
 
     The output carries its gram, formed as ``latent_gram`` forms it, and
-    toward the recursion target the cycle leaves Psi_new^-1 W_new there
-    for the next. Entries of psi_new below ``PSI_FLOOR`` are clamped to
-    it; a failed factorization falls back to the pseudo-inverse with a
-    warning. The output is checked for finiteness once, by the sum of
-    psi_new before the floor and of the gram, and built without the
-    public constructor's validation.
+    the cycle leaves Psi_new^-1 W_new on the target for the next. Entries
+    of psi_new below ``PSI_FLOOR`` are clamped to it; a failed
+    factorization falls back to the pseudo-inverse with a warning. The
+    output is checked for finiteness once, by the sum of psi_new before
+    the floor and of the gram, and built without the public
+    constructor's validation.
     """
-    blend = isinstance(S, _BlendTarget)
-    if not (blend or hasattr(S, "matmat") and hasattr(S, "diag")):
-        S = DenseSymmetric(S)
     M = fa.gram
-    owner, psi_inv_w = S.handed if blend else (None, None)
-    if blend:
-        S.handed = None, None  # so that the del below frees the block
+    owner, psi_inv_w = S.handed
+    S.handed = None, None  # so that the del below frees the block
     if owner is not fa:
         psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
@@ -216,8 +194,7 @@ def em_fixed_point_step(fa: FaPrecision, S) -> FaPrecision:
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     psi_inv_w = W_new / psi_new[:, None]
     out = _trusted_precision(W_new, psi_new, _checked_gram(np.dot(W_new.T, psi_inv_w), psi_sum))
-    if blend:
-        S.handed = out, psi_inv_w
+    S.handed = out, psi_inv_w
     return out
 
 

@@ -1,16 +1,17 @@
 """Experiment drivers and reporting.
 
 Four run kinds: covariance tracking, linear regression, logistic
-regression, and the sampled-nonlinear ablation. Every streaming run goes
-through one checkpoint fold, ``_fold``; only the batch EM baseline, whose
-checkpoints are whole passes, has its own loop. Every run is seeded and
-reproducible; the emitted results.csv is byte-identical across reruns of
-the same config and seed on the same BLAS build with the same BLAS thread
-count. The thread count changes how BLAS splits its sums, and so the
-rounding: pin it (``OPENBLAS_NUM_THREADS=1``) to compare runs across
-machines. Wall-clock numbers always go to summary.txt, and are written
-into results.csv only when ``record_timing`` is set, since timing jitter
-would break byte-level reproducibility.
+regression, and the sampled-nonlinear ablation. No run kind keeps its own
+loop: every method, batch EM's passes and the Laplace fit too, goes
+through one checkpoint fold, ``_fold``, the one writer of rows, final
+KLs and wall times. Every run is seeded; its results.csv is
+byte-identical across reruns of the same config and seed on the same
+BLAS build with the same BLAS thread count. The thread count changes how
+BLAS splits its sums, and so the rounding: pin it
+(``OPENBLAS_NUM_THREADS=1``) to compare runs across machines. Wall-clock
+numbers always go to summary.txt, and are written into results.csv only
+when ``record_timing`` is set, since timing jitter would break
+byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .dense import DenseGaussian
 from .em import (
-    DenseSymmetric,
     OnlineEmState,
+    _BlendTarget,
     covariance_mode_weights,
     em_fixed_point_step,
     guess_s0_scale,
@@ -45,6 +46,7 @@ from .evaluation import (
     mc_kl_to_posterior,  # noqa: F401 - perfbench/trace.py wraps it here by name
 )
 from .factor import (
+    FaPrecision,
     init_isotropic_prior,
     woodbury_apply,  # noqa: F401 - perfbench/trace.py wraps it here by name
 )
@@ -285,25 +287,26 @@ def _prior(cfg: ExperimentConfig, p: int, sigma0: float, rng) -> GaussianBelief:
 
 
 def _fold(report: RunReport, marks, label, row, init, stream, step, score):
-    """Run ``state = step(state, t, item)`` over ``stream`` from t = 1,
-    starting from ``init()``, and return the final state.
+    """Run ``state = step(state, t, item)`` over the ``(t, item)`` pairs of
+    ``stream``, starting from ``init()``, and return the final state.
 
-    At each checkpoint in ``marks`` the row ``(method, p, k) = row`` is
-    logged with ``score(state) -> (kl, stderr)``, or unscored when
-    ``score`` is None. ``final_kl[label]`` (scored runs) and
-    ``wall_seconds[label]`` go to the summary. The first state is built
-    here so that no caller keeps it alive while the stream runs.
+    At each t in ``marks`` the row ``(method, p, k) = row`` is logged with
+    ``score(state) -> (kl, stderr)``, or unscored when ``score`` is None.
+    ``final_kl[label]`` (scored runs) and ``wall_seconds[label]`` go to
+    the summary. The first state is built here so that no caller keeps it
+    alive while the stream runs.
     """
     t0 = time.perf_counter()
     state = init()
     pending = iter(marks)
     mark = next(pending, None)
     kl = None
-    for t, item in enumerate(stream, start=1):
+    for t, item in stream:
         state = step(state, t, item)
         if t == mark:
             kl, se = score(state) if score is not None else (None, None)
-            report.rows.append(_row(report.config, t, *row, kl, se, t0))
+            wall = 1000.0 * (time.perf_counter() - t0) if report.config.record_timing else None
+            report.rows.append(CheckpointRow(t, *row, kl, se, wall))
             mark = next(pending, None)
     if score is not None:
         report.summary[f"final_kl[{label}]"] = kl
@@ -419,8 +422,10 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
 
     for method in cfg.methods:
         if method == "recursive-em":
+            # The first update, at alpha = 0, discards the state it starts from.
             _fold(
-                report, marks, method, (method, p, 0), lambda: prior(0), V,
+                report, marks, method, (method, p, 0),
+                lambda: FaPrecision(np.zeros((d, p)), np.ones(d)), enumerate(V, 1),
                 lambda fa, t, v: recursive_em_update(
                     fa, v[:, None], covariance_mode_weights(t), cfg.inner_loops
                 ),
@@ -429,21 +434,18 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
         elif method == "online-em":
             _fold(
                 report, marks, method, (method, p, 0),
-                lambda: (OnlineEmState.zeros(d, p), prior(1), None), V,
+                lambda: (OnlineEmState.zeros(d, p), prior(1), None), enumerate(V, 1),
                 online_step, lambda state: score(state[2]),
             )
         elif method == "batch-em":
-            # Checkpoints are whole passes over the data, at pass x n.
-            t0 = time.perf_counter()
-            S_emp = DenseSymmetric((V.T @ V) / n)
-            fa = prior(2)
-            for pass_idx in range(1, cfg.batch_passes + 1):
-                fa = em_fixed_point_step(fa, S_emp)
-                report.rows.append(
-                    _row(cfg, pass_idx * n, method, p, 0, covariance_fit_kl(fa, S_ref), None, t0)
-                )
-            report.summary[f"final_kl[{method}]"] = report.rows[-1].kl
-            report.summary[f"wall_seconds[{method}]"] = round(time.perf_counter() - t0, 6)
+            # One EM cycle per pass toward V^T V / n, checkpointed at pass x n.
+            target = _BlendTarget(None, V.T, 0.0, 1.0 / n)
+            passes = [k * n for k in range(1, cfg.batch_passes + 1)]
+            _fold(
+                report, passes, method, (method, p, 0), lambda: prior(2),
+                ((t, None) for t in passes),
+                lambda fa, t, _: em_fixed_point_step(fa, target), score,
+            )
     return report
 
 
@@ -473,7 +475,15 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
         obs = list(gen_linear_labels(X, spec.truth(), _rng(cfg, _SEED_LABELS)))
         y = np.array([o.y for o in obs])
         cov_star = np.linalg.inv(np.eye(cfg.d) / sigma0**2 + X.T @ X)
-        target = DenseGaussian(cov_star @ (X.T @ y), cov_star)
+        target = DenseGaussian(cov_star @ (X.T @ y), (cov_star + cov_star.T) / 2)
+        try:
+            np.linalg.cholesky(target.cov)
+        except np.linalg.LinAlgError:
+            raise ConfigError(
+                f"the exact posterior at sigma0 = {sigma0:g}, n = {cfg.n} "
+                f"{'<' if cfg.n < cfg.d else '>='} d = {cfg.d} is too ill-conditioned to score "
+                "against: its covariance is not positive definite; lower sigma0 or raise n"
+            ) from None
 
         def score(q):
             return gaussian_kl(q, target), None
@@ -482,12 +492,12 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
             _fold(
                 report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
                 lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
-                obs, step, score,
+                enumerate(obs, 1), step, score,
             )
         _fold(
             report, marks, "kalman", ("kalman", cfg.d, 0),
             lambda: DenseGaussian(np.zeros(cfg.d), sigma0**2 * np.eye(cfg.d)),
-            obs, lambda dense, t, o: kalman_step_dense(dense, o), score,
+            enumerate(obs, 1), lambda dense, t, o: kalman_step_dense(dense, o), score,
         )
         return report
 
@@ -511,15 +521,13 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
         belief = _fold(
             report, marks, "lrvga", ("lrvga", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, 0)),
-            stream, step, None,
+            enumerate(stream, 1), step, None,
         )
     if cfg.track_memory:
         budget = contract_budget_bytes(cfg.d, p)
         report.summary["peak_aux_bytes"] = meter.peak_bytes
         report.summary["aux_budget_bytes"] = budget
         report.summary["aux_within_budget"] = meter.peak_bytes <= budget
-    wall = report.summary["wall_seconds[lrvga]"]
-    report.summary["wall_ms_per_step[lrvga]"] = round(1000.0 * wall / cfg.n, 6)
     report.summary["final_mu_norm"] = float(np.linalg.norm(belief.mu))
     return report
 
@@ -552,18 +560,18 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
         final_beliefs[p] = _fold(
             report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
-            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
+            enumerate(obs, 1),
+            lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             score,
         )
     if cfg.d > DENSE_EVAL_LIMIT:
         return report
 
-    t0 = time.perf_counter()
-    lap = laplace_logistic(X, y, sigma0)
-    kl, se = score(lap)
-    report.rows.append(_row(cfg, cfg.n, "laplace", cfg.d, 0, kl, se, t0))
-    report.summary["final_kl[laplace]"] = kl
-    report.summary["wall_seconds[laplace]"] = round(time.perf_counter() - t0, 6)
+    # One step at t = n: the fit to all n observations.
+    lap = _fold(
+        report, [cfg.n], "laplace", ("laplace", cfg.d, 0), lambda: None, [(cfg.n, None)],
+        lambda _, t, __: laplace_logistic(X, y, sigma0), score,
+    )
     for p, belief in final_beliefs.items():
         cos = float(
             belief.mu @ lap.mu / (np.linalg.norm(belief.mu) * np.linalg.norm(lap.mu))
@@ -592,7 +600,8 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
         _fold(
             report, marks, f"closed-form,{tag}", (f"closed-form[{tag}]", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, s_idx, 0)),
-            obs, lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
+            enumerate(obs, 1),
+            lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             score,
         )
 
@@ -601,7 +610,7 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
             rng = _rng(cfg, _SEED_FILTER, s_idx, 1 + k_idx)
             _fold(
                 report, marks, f"sampled,{tag},K={k}", (f"sampled[{tag}]", p, k),
-                lambda: _prior(cfg, p, sigma0, rng), obs,
+                lambda: _prior(cfg, p, sigma0, rng), enumerate(obs, 1),
                 lambda belief, t, o: lrvga_nonlinear_step(
                     belief, o, model, k=k, inner_loops=cfg.inner_loops,
                     scheme=cfg.scheme, rng=rng,
@@ -628,11 +637,6 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return _KINDS[cfg.kind][0](cfg)
-
-
-def _row(cfg, checkpoint, method, p, k, kl, stderr, t0) -> CheckpointRow:
-    wall = 1000.0 * (time.perf_counter() - t0) if cfg.record_timing else None
-    return CheckpointRow(checkpoint, method, p, k, kl, stderr, wall)
 
 
 CSV_HEADER = ("checkpoint", "method", "p", "K", "kl", "stderr", "wall_ms")

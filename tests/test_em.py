@@ -21,7 +21,6 @@ from lrvga import (
 )
 from lrvga.em import (
     _ROW_BLOCK,
-    DenseSymmetric,
     _absorb,
     _BlendTarget,
     _rank_k_rows,
@@ -45,20 +44,26 @@ def mle_step(fa, S):
     return FaPrecision(*mle_fixed_point_step(fa.W, fa.psi, S))
 
 
+def product_target(*blocks):
+    """S = L L^T for L = [blocks], as the product-form target the EM cycle
+    takes, and S formed densely for the oracles."""
+    L = np.hstack(blocks)
+    return _BlendTarget(None, L, 0.0, 1.0), L @ L.T
+
+
 def random_instance(rng, d=None, p=None):
     d = d or int(rng.integers(3, 13))
     p = p or int(rng.integers(1, max(2, d // 2)))
     fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.3, 2.0, d))
     A = rng.standard_normal((d, d + 2))
-    S = A @ A.T / (d + 2)
-    return fa, S
+    return fa, *product_target(A / np.sqrt(d + 2))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_em_step_matches_textbook_moments(seed):
     rng = np.random.default_rng(seed)
-    fa, S = random_instance(rng)
-    out = em_fixed_point_step(fa, S)
+    fa, target, S = random_instance(rng)
+    out = em_fixed_point_step(fa, target)
     W_ref, psi_ref = em_reference_step(fa.W, fa.psi, S)
     assert np.allclose(out.W, W_ref, rtol=1e-9, atol=1e-11)
     assert np.allclose(out.psi, psi_ref, rtol=1e-9, atol=1e-11)
@@ -67,10 +72,9 @@ def test_em_step_matches_textbook_moments(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_exact_fit_is_stationary_for_both_maps(seed):
     rng = np.random.default_rng(50 + seed)
-    fa, _ = random_instance(rng)
-    S = fa_dense_matrix(fa)
-    for step in (em_fixed_point_step, mle_step):
-        out = step(fa, S)
+    fa, _, _ = random_instance(rng)
+    target, S = product_target(fa.W, np.diag(np.sqrt(fa.psi)))
+    for out in (em_fixed_point_step(fa, target), mle_step(fa, S)):
         assert np.allclose(out.W, fa.W, rtol=1e-10, atol=1e-12)
         assert np.allclose(out.psi, fa.psi, rtol=1e-10, atol=1e-12)
 
@@ -85,8 +89,8 @@ def test_maps_agree_at_fixed_points_but_not_elsewhere():
     limit is covered by the convergence test below.
     """
     fa = FaPrecision(np.array([[1.0], [0.0]]), np.ones(2))
-    S = np.diag([3.0, 1.0])
-    em = em_fixed_point_step(fa, S)
+    target, S = product_target(np.diag(np.sqrt([3.0, 1.0])))
+    em = em_fixed_point_step(fa, target)
     mle = mle_step(fa, S)
     assert np.allclose(mle.W.ravel(), [1.5, 0.0], atol=1e-12)
     assert np.allclose(em.W.ravel(), [1.2, 0.0], atol=1e-12)
@@ -101,10 +105,10 @@ def test_em_limit_is_stationary_for_the_likelihood_map(seed):
     rng = np.random.default_rng(300 + seed)
     d, p = 8, 2
     L = rng.standard_normal((d, p))
-    S = L @ L.T + np.diag(rng.uniform(0.5, 1.5, d))
+    target, S = product_target(L, np.diag(np.sqrt(rng.uniform(0.5, 1.5, d))))
     fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.3, 2.0, d))
     for _ in range(4000):
-        nxt = em_fixed_point_step(fa, S)
+        nxt = em_fixed_point_step(fa, target)
         if np.max(np.abs(nxt.W - fa.W)) < 1e-14:
             fa = nxt
             break
@@ -117,10 +121,10 @@ def test_em_limit_is_stationary_for_the_likelihood_map(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_em_cycles_never_decrease_the_likelihood(seed):
     rng = np.random.default_rng(700 + seed)
-    fa, S = random_instance(rng)
+    fa, target, S = random_instance(rng)
     score = avg_loglik(fa.W, fa.psi, S)
     for _ in range(20):
-        fa = em_fixed_point_step(fa, S)
+        fa = em_fixed_point_step(fa, target)
         nxt = avg_loglik(fa.W, fa.psi, S)
         assert nxt >= score - 1e-10
         score = nxt
@@ -130,14 +134,12 @@ def test_tiny_diagonal_limit_follows_the_power_method():
     """With psi -> 0 and one factor, both maps step along S w."""
     rng = np.random.default_rng(17)
     d = 6
-    A = rng.standard_normal((d, d + 3))
-    S = A @ A.T / (d + 3)
+    target, S = product_target(rng.standard_normal((d, d + 3)) / np.sqrt(d + 3))
     w = rng.standard_normal((d, 1))
     fa = FaPrecision(w, np.full(d, 1e-8))
     direction = (S @ w).ravel()
     direction /= np.linalg.norm(direction)
-    for step in (em_fixed_point_step, mle_step):
-        out = step(fa, S)
+    for out in (em_fixed_point_step(fa, target), mle_step(fa, S)):
         got = out.W.ravel() / np.linalg.norm(out.W)
         cos = abs(got @ direction)
         assert cos > 1.0 - 1e-6
@@ -167,18 +169,19 @@ def _signed_like(W, ref):
 
 def test_recursive_update_matches_explicit_dense_target():
     """At alpha < 1 the first pass is the closed-form fit, the other three
-    are EM cycles against the target held densely."""
+    are EM cycles against the target held densely, here by the
+    solve-based oracle."""
     rng = np.random.default_rng(23)
     prev = FaPrecision(rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8))
     X = rng.standard_normal((8, 4))
     weights = RecursionWeights(0.7, 0.3)
     got = recursive_em_update(prev, X, weights, inner_loops=4)
     target = 0.7 * fa_dense_matrix(prev) + 0.3 * (X @ X.T)
-    expected = FaPrecision(*closed_form_fit_one_shot(prev.W, prev.psi, X, 0.7, 0.3))
+    W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, 0.7, 0.3)
     for _ in range(3):
-        expected = em_fixed_point_step(expected, target)
-    assert np.allclose(got.W, _signed_like(got.W, expected.W), rtol=1e-10, atol=1e-12)
-    assert np.allclose(got.psi, expected.psi, rtol=1e-10, atol=1e-12)
+        W, psi = em_solve_step(W, psi, target)
+    assert np.allclose(got.W, _signed_like(got.W, W), rtol=1e-10, atol=1e-12)
+    assert np.allclose(got.psi, psi, rtol=1e-10, atol=1e-12)
 
 
 def _relerr(got, ref):
@@ -192,14 +195,14 @@ def _relerr(got, ref):
 )
 def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
     """Twenty cycles of the p-space kernel against the solve-based oracle,
-    on a well-conditioned dense target and on the blended recursion
+    on a well-conditioned target L L^T + diag and on the blended recursion
     target with a d x k block, at p = d and with k >= p too. Through
     recursive_em_update, whose first pass at alpha < 1 is the closed-form
     fit, twenty passes match the dense fit followed by nineteen
     solve-based cycles."""
     rng = np.random.default_rng(1000 * d + p + (k - 2))
     L = rng.standard_normal((d, p)) / np.sqrt(d)
-    dense = L @ L.T + np.diag(rng.uniform(0.5, 1.5, d))
+    dense, _ = product_target(L, np.diag(np.sqrt(rng.uniform(0.5, 1.5, d))))
     prev = FaPrecision(rng.standard_normal((d, p)) / np.sqrt(d), rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k)) / np.sqrt(d)
     blend = _BlendTarget(prev, X, 0.8, 0.6)
@@ -224,17 +227,16 @@ def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_warm_started_cycle_matches_one_step_against_the_dense_target(alpha, beta, k, d, p):
     """The first pass of an update, at K < p and K >= p (p = 3, K = 4)
-    and at p = d too: at alpha = 1 it must equal a general cycle against
-    alpha (W W^T + Psi) + beta X X^T held densely, and at alpha < 1 the
+    and at p = d too: at alpha = 1 it must equal the solve-based cycle
+    against alpha (W W^T + Psi) + beta X X^T held densely, and at alpha < 1 the
     closed-form fit by a dense SVD, up to the signs of W's columns."""
     rng = np.random.default_rng(int(100 * alpha + 10 * beta) + 7 * k + d)
     prev = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k))
     got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
     if alpha == 1.0:
-        dense = DenseSymmetric(alpha * fa_dense_matrix(prev) + beta * (X @ X.T))
-        expected = em_fixed_point_step(FaPrecision(prev.W, prev.psi), dense)
-        W, psi = expected.W, expected.psi
+        dense = alpha * fa_dense_matrix(prev) + beta * (X @ X.T)
+        W, psi = em_solve_step(prev.W, prev.psi, dense)
     else:
         W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, alpha, beta)
         W = _signed_like(got.W, W)
@@ -517,9 +519,9 @@ def _unpatched_and_patched(monkeypatch, name, fake, run):
 
 
 def test_general_cycle_warns_when_its_cholesky_fails(monkeypatch):
-    fa, S = random_instance(np.random.default_rng(41), d=8, p=3)
+    fa, target, _ = random_instance(np.random.default_rng(41), d=8, p=3)
     _unpatched_and_patched(monkeypatch, "dpotrf", lambda a, lower: (a, 1),
-                           lambda: em_fixed_point_step(fa, S))
+                           lambda: em_fixed_point_step(fa, target))
 
 
 def test_warm_started_cycle_warns_when_its_cholesky_fails(monkeypatch):
@@ -595,28 +597,13 @@ def test_recursive_update_input_validation():
         RecursionWeights(0.0, 0.0)
 
 
-def test_dense_targets_must_be_finite_and_symmetric():
-    """The cycle factors only the lower triangle of M B, so a non-symmetric
-    S would be fitted by half of it; rounding-level asymmetry passes."""
-    fa, S = random_instance(np.random.default_rng(44), d=6, p=2)
-    DenseSymmetric(S + 1e-10 * np.triu(np.ones((6, 6)), 1))
-    S[0, 1] += 1e-3
-    for make in (DenseSymmetric, lambda S: em_fixed_point_step(fa, S)):
-        with pytest.raises(ValueError, match="symmetric"):
-            make(S)
-    with pytest.raises(ValueError, match="square"):
-        DenseSymmetric(S[:, :5])
-    with pytest.raises(ValueError, match="finite"):
-        DenseSymmetric(np.full((3, 3), np.nan))
-
-
 def test_psi_floor_keeps_rank_deficient_targets_usable():
     rng = np.random.default_rng(77)
-    x = rng.standard_normal(5)
-    S = np.outer(x, x)  # rank one, so the diagonal residual collapses
+    # S = x x^T is rank one, so the diagonal residual collapses
+    target, _ = product_target(rng.standard_normal((5, 1)))
     fa = FaPrecision(rng.standard_normal((5, 1)), np.ones(5))
     for _ in range(200):
-        fa = em_fixed_point_step(fa, S)
+        fa = em_fixed_point_step(fa, target)
     assert np.all(fa.psi >= 1e-12)
     assert np.all(np.isfinite(fa.W))
     assert np.min(fa.psi) == pytest.approx(1e-12, rel=1e-6)
@@ -626,11 +613,11 @@ def test_em_fit_quality_improves_toward_random_target():
     rng = np.random.default_rng(5)
     d, p_true = 12, 3
     L = rng.standard_normal((d, p_true))
-    S = L @ L.T + np.diag(rng.uniform(0.5, 1.5, d))
+    target, S = product_target(L, np.diag(np.sqrt(rng.uniform(0.5, 1.5, d))))
     fa = init_isotropic_prior(d, p_true, 1.0, eps=0.5, rng=9)
     start = covariance_fit_kl(fa, S)
     for _ in range(400):
-        fa = em_fixed_point_step(fa, S)
+        fa = em_fixed_point_step(fa, target)
     end = covariance_fit_kl(fa, S)
     assert end < start
     assert end < 1e-8

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lrvga.experiments
-from lrvga import DivergenceError
+from lrvga import DivergenceError, FaPrecision, covariance_fit_kl, init_isotropic_prior
 from lrvga.cli import build_parser, config_from_args, main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_regression_inputs
 from lrvga.experiments import (
@@ -28,6 +28,8 @@ from lrvga.experiments import (
     read_results_csv,
     run_experiment,
 )
+
+from oracles import em_reference_step
 
 
 def test_default_linear_run_converges():
@@ -237,28 +239,16 @@ import hashlib, json, sys
 from pathlib import Path
 from lrvga.experiments import emit_report, make_config, run_experiment
 digests = {}
-for kind, kwargs in json.loads(sys.argv[1]).items():
-    out = Path(sys.argv[2]) / kind
+for name, (kind, kwargs) in json.loads(sys.argv[1]).items():
+    out = Path(sys.argv[2]) / name
     emit_report(run_experiment(make_config(kind, **kwargs)), out)
-    digests[kind] = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    digests[name] = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
 print(json.dumps(digests))
 """
 
 
-def test_golden_digests_hold_at_two_blas_threads(tmp_path):
-    """The TINY runs again with two BLAS threads, which may split a
-    product's reductions differently: the goldens must not change. The
-    thread count is read when numpy loads, so the runs go to a fresh
-    interpreter with the count pinned in its environment."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pins = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", _GOLDEN_RUNNER, json.dumps(TINY), str(tmp_path)],
-        env={**os.environ, **pins, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=600, check=True,
-    )
-    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN
+WIDER_COV = dict(d=20, p=3, n=200, checkpoints=20, batch_passes=2, seed=3)
+WIDER_COV_GOLDEN = "ec9cf4bbd3338be95dd8339c6962cf998c721a5f3387e32c64d09965ec4ff1d2"
 
 
 def test_wider_cov_run_matches_the_golden_digest(tmp_path):
@@ -266,11 +256,10 @@ def test_wider_cov_run_matches_the_golden_digest(tmp_path):
     span 100 iterates. The TINY cov config averages only 20, and misses a
     change of array layout in the average that moves its KLs by about
     1e-12 relative; this one catches it. The digest is the same at one
-    and two BLAS threads."""
-    cfg = make_config("cov", d=20, p=3, n=200, checkpoints=20, batch_passes=2, seed=3)
-    emit_report(run_experiment(cfg), tmp_path)
+    and two BLAS threads (``test_golden_digests_hold_at_two_blas_threads``)."""
+    emit_report(run_experiment(make_config("cov", **WIDER_COV)), tmp_path)
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-    assert digest == "567b40da88c60a7f3ac2fe6d2f709ba092585eeace9785078ea1751ada09491f"
+    assert digest == WIDER_COV_GOLDEN
 
 
 def test_cov_recursive_em_final_kl_does_not_depend_on_rounding(monkeypatch):
@@ -296,10 +285,11 @@ def test_cov_recursive_em_final_kl_does_not_depend_on_rounding(monkeypatch):
 
 
 def test_cov_recursive_em_discards_its_prior(monkeypatch):
-    """The first recursive-em update has alpha = (t - 1) / t = 0, so its
-    rows do not move when the prior's eps goes from 0.01 to 0.3, sigma0
-    is scaled by 100 and the random columns are redrawn. The online-em
-    and batch-em rows move: their EM recursions start from the prior."""
+    """Recursive-em builds no prior: it starts from W = 0, psi = 1, which
+    its first update, at alpha = (t - 1) / t = 0, discards. So its rows do
+    not move when the prior's eps goes from 0.01 to 0.3, sigma0 is scaled
+    by 100 and the random columns are redrawn. The online-em and batch-em
+    rows move: their EM recursions start from the prior."""
     original = lrvga.experiments.init_isotropic_prior
 
     def other_prior(d, p, sigma0, eps=0.01, rng=None):
@@ -387,25 +377,85 @@ def _write_dataset(path):
             fh.write(f"{label:+d} {feats}\n")
 
 
-# SHA-256 of results.csv for a covariance run on the file above, under
-# each normalization mode.
+# The options of a covariance run on the file above, besides the file and
+# the normalization mode, and the SHA-256 of its results.csv under each mode.
+DATASET_RUN = dict(n=60, p=3, checkpoints=5, batch_passes=2)
 DATASET_GOLDEN = {
-    "mean-norm": "f3aa96fabc111a7a3eaad2f3ec6edafd1cbc4f693cc153125d9ba89f3130f079",
-    "none": "f0376ea53c18ec2376a0cbb54f17c3fa82709ca07557cf46cdc9f7b7d9713223",
+    "mean-norm": "0448bb99502ddf387102e139110cd527af2c9529af14290297e43567d1962826",
+    "none": "e5c4daaaf8eebe36207ed9655773f3ddcabf9d3fbd304334c5bccbffd6be956e",
 }
 
 
 @pytest.mark.parametrize("mode", sorted(DATASET_GOLDEN))
 def test_dataset_runs_match_the_golden_digest(mode, tmp_path):
+    """Through the CLI; the digests are the same at one and two BLAS
+    threads (``test_golden_digests_hold_at_two_blas_threads``)."""
     data = tmp_path / "data.txt"
     _write_dataset(data)
     out = tmp_path / "run"
-    argv = ["--experiment", "cov", "--dataset", str(data), "--n", "60", "--p", "3",
-            "--checkpoints", "5", "--batch-passes", "2", "--normalize", mode,
-            "--out", str(out)]
+    argv = ["--experiment", "cov", "--dataset", str(data), "--normalize", mode, "--out", str(out)]
+    for key, value in DATASET_RUN.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
     assert main(argv) == 0
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert digest == DATASET_GOLDEN[mode]
+
+
+def test_golden_digests_hold_at_two_blas_threads(tmp_path):
+    """The TINY runs, the wider cov run and the dataset runs again with two
+    BLAS threads, which may split a product's reductions differently: the
+    goldens must not change. The thread count is read when numpy loads, so
+    the runs go to a fresh interpreter with the count pinned in its
+    environment."""
+    data = tmp_path / "data.txt"
+    _write_dataset(data)
+    runs = {kind: (kind, kwargs) for kind, kwargs in TINY.items()}
+    runs["wider-cov"] = ("cov", WIDER_COV)
+    expected = {**GOLDEN, "wider-cov": WIDER_COV_GOLDEN}
+    for mode, digest in DATASET_GOLDEN.items():
+        runs[f"dataset-{mode}"] = ("cov", dict(DATASET_RUN, dataset=str(data), normalize=mode))
+        expected[f"dataset-{mode}"] = digest
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pins = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_RUNNER, json.dumps(runs), str(tmp_path)],
+        env={**os.environ, **pins, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == expected
+
+
+def _textbook_batch_em_kls(cfg):
+    """The KLs of a cov run's batch-em rows replayed by ``em_reference_step``,
+    the dense textbook EM, on S = V^T V / n from the run's own prior."""
+    ex = lrvga.experiments
+    V, S_ref, _ = ex._cov_data(cfg)
+    n, d = V.shape
+    prior = init_isotropic_prior(d, cfg.p[0], ex._s0_guess(V, d),
+                                 rng=ex._rng(cfg, ex._SEED_FILTER, 2))
+    S, W, psi, kls = V.T @ V / n, prior.W, prior.psi, []
+    for _ in range(cfg.batch_passes):
+        W, psi = em_reference_step(W, psi, S)
+        kls.append(covariance_fit_kl(FaPrecision(W, psi), S_ref))
+    return kls
+
+
+@pytest.mark.parametrize("seed, dataset", [(1, False), (3, False), (5, False), (1, True)],
+                         ids=["tiny-1", "tiny-3", "tiny-5", "dataset"])
+def test_batch_em_rows_match_the_textbook_dense_em(seed, dataset, tmp_path):
+    """Every batch-em KL is within 1e-10 relative of the dense textbook EM's,
+    which shares no code with ``lrvga.em``, on the TINY cov config and on
+    a dataset run."""
+    kwargs = dict(TINY["cov"], seed=seed)
+    if dataset:
+        _write_dataset(tmp_path / "data.txt")
+        kwargs = dict(DATASET_RUN, dataset=str(tmp_path / "data.txt"), seed=seed)
+    cfg = make_config("cov", methods=["batch-em"], **kwargs)
+    got = [r.kl for r in run_experiment(cfg).rows]
+    expected = _textbook_batch_em_kls(cfg)
+    assert len(got) == cfg.batch_passes
+    assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 def _rows_with_nan(n, row):
@@ -614,6 +664,29 @@ def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_pa
         assert main(argv) == 0
     kl = [r.kl for r in read_results_csv(tmp_path / "results.csv") if r.method == "lrvga"]
     assert len(kl) == 8 and kl[-1] < kl[0]
+
+
+@pytest.mark.filterwarnings("ignore:positive-definite solve failed:RuntimeWarning")
+@pytest.mark.parametrize("sigma0, code, message", [
+    ("1000", 2, "run diverged: "),
+    ("1e7", 1, "the exact posterior at sigma0 = 1e+07, n = 50 < d = 100 is too "
+               "ill-conditioned to score against"),
+], ids=["1000", "1e7"])
+def test_linear_runs_below_n_equals_d_under_a_vague_prior_report_their_error(
+        sigma0, code, message, tmp_path, capsys):
+    """At n = 50 < d = 100 the exact posterior's precision has 50
+    eigenvalues of 1 / sigma0^2, so its inverse is ill-conditioned. At
+    sigma0 = 1000 the filter diverges; at 1e7 the inverse is not positive
+    definite and the run is refused before it starts. Both end in one
+    error line, and neither writes a results.csv."""
+    out = tmp_path / "run"
+    argv = ["--experiment", "linear", "--n", "50", "--sigma0", sigma0, "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        line for line in err.splitlines() if message in line]
+    assert message in err and "Traceback" not in err
+    assert not (out / "results.csv").exists()
 
 
 def test_config_counts_accept_integral_floats_only():

@@ -16,22 +16,23 @@ Three layers, all sharing one step kernel:
   running sufficient statistics instead of re-fitting per sample;
   ``polyak_ruppert_average`` is the running mean of its iterates.
 
-Each EM cycle solves in p-space by one Cholesky factorization of the SPD
-p x p matrix M B of ``em_fixed_point_step`` and hands its output the
-latent Gram matrix of the new factors, so the next Woodbury gain or cycle
-reads it without another pass over W; within one update a general cycle
-also leaves Psi^-1 W of its output on the target for the next. An
-update's first pass never applies the target. At alpha = 1 it is the
-warm-started rank-K cycle ``_rank_k_rows``, which for the GLM step at
-K = 1 also writes the new mean from the same column; at alpha != 1 it is
-the closed-form fit. Either solves small matrices, then makes one pass
-over the rows of W and X in cache-sized blocks that writes the new
-factors column-major, so that each block is p contiguous column
-segments, and accumulates their gram; when general cycles follow, it
-also writes Psi^-1 W of its output, column-major, and hands it to the
-first of them. Every routine accepts either order. Inputs are validated
-once per update; each pass checks its output once, by the sum of psi
-before the floor and of its gram, floors psi and builds it unvalidated.
+Each EM cycle solves in p-space by one LAPACK call, ``dposv``, which
+factors the SPD p x p matrix M B of ``em_fixed_point_step`` by Cholesky
+and solves with it, and hands its output the latent Gram matrix of the
+new factors, so the next Woodbury gain or cycle reads it without another
+pass over W; within one update a general cycle also leaves Psi^-1 W of
+its output on the target for the next. An update's first pass never
+applies the target. At alpha = 1 it is the warm-started rank-K cycle
+``_rank_k_rows``, which for the GLM step at K = 1 also writes the new
+mean from the same column; at alpha != 1 it is the closed-form fit.
+Either solves small matrices, then makes one pass over the rows of W and
+X in cache-sized blocks that writes the new factors column-major, so
+that each block is p contiguous column segments, and accumulates their
+gram; when general cycles follow, it also writes Psi^-1 W of its output,
+column-major, and hands it to the first of them. Every routine accepts
+either order. Inputs are validated once per update; each pass checks its
+output once, by the sum of psi before the floor and of its gram, floors
+psi and builds it unvalidated.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ class _BlendTarget:
         self.X = X
         self.alpha = alpha
         self.beta = beta
+        self._psi_col = prev.psi[:, None] if alpha > 0.0 else None
         self._diag = None
         self.handed = None, None  # the last pass's output and its Psi^-1 W
 
@@ -125,7 +127,7 @@ class _BlendTarget:
         if self.alpha > 0.0:
             W = self.prev.W
             out = np.dot(W, np.dot(W.T, A))
-            out += self.prev.psi[:, None] * A
+            out += self._psi_col * A
             if self.alpha != 1.0:
                 out *= self.alpha
         if self.beta > 0.0:
@@ -184,13 +186,14 @@ def em_fixed_point_step(fa: FaPrecision, S: _BlendTarget) -> FaPrecision:
     if owner is not fa:
         psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
-    MB = M + np.dot(psi_inv_w.T, G)
+    MB = np.dot(psi_inv_w.T, G)
+    MB += M
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
     T = np.dot(G, _cholesky_solve(MB, identity(fa.p)))  # G (M B)^-1 = W_new M^-1
     W_new = np.dot(T, M)
     psi_new = S.diag() - np.einsum("ij,ij->i", T, G)  # star(T, G)
     del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
-    psi_sum = psi_new.sum()
+    psi_sum = np.add.reduce(psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     psi_inv_w = W_new / psi_new[:, None]
     out = _trusted_precision(W_new, psi_new, _checked_gram(np.dot(W_new.T, psi_inv_w), psi_sum))
@@ -223,7 +226,7 @@ def _checked_gram(G: np.ndarray, psi_sum: float) -> np.ndarray:
     M = G + G.T
     M *= 0.5
     M += identity(G.shape[0])
-    if not math.isfinite(psi_sum + M.sum()):
+    if not math.isfinite(psi_sum + np.add.reduce(M, axis=None)):
         raise DivergenceError("EM step produced non-finite factors")
     return M
 
@@ -305,27 +308,27 @@ def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
     of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block,
     whose psi is then summed and floored at ``PSI_FLOOR``. W_new is
     column-major, so ``w_new`` is p contiguous column segments, which
-    ``fill`` must write in place. The output carries its gram,
-    accumulated block by block; with a single block (d <= _ROW_BLOCK) it
-    equals ``latent_gram``'s, bit for bit, and is checked once, at the
+    ``fill`` must write in place. The output carries its gram, summed
+    into the first block's product; with a single block (d <= _ROW_BLOCK)
+    it equals ``latent_gram``'s, bit for bit, and is checked once, at the
     end. Given the update's ``target``, the pass keeps the Psi^-1 W_new
     it forms in one column-major array and hands it on there."""
     d, p = shape
     W_new = np.empty((d, p), order="F")
     psi_new = np.empty(d)
     psi_inv_w = None if target is None else np.empty((d, p), order="F")
-    G = np.zeros((p, p))
     psi_sum = 0.0
     for start in range(0, d, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         w_new, psi_block = W_new[rows], psi_new[rows]
         fill(rows, w_new, psi_block)
-        psi_sum += psi_block.sum()
+        psi_sum += np.add.reduce(psi_block)
         np.maximum(psi_block, PSI_FLOOR, out=psi_block)
         out = None if psi_inv_w is None else psi_inv_w[rows]
         # Block products here and in the fills keep @: past one block, a row
         # block of an F-ordered array is not contiguous, and np.dot copies it
-        G += w_new.T @ np.divide(w_new, psi_block[:, None], out=out)
+        block_gram = w_new.T @ np.divide(w_new, psi_block[:, None], out=out)
+        G = np.add(G, block_gram, out=G) if start else block_gram
     fa = _trusted_precision(W_new, psi_new, _checked_gram(G, psi_sum))
     if target is not None:
         target.handed = fa, psi_inv_w

@@ -28,12 +28,15 @@ class DivergenceError(RuntimeError):
 def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B for a small symmetric positive-definite A.
 
-    Uses a Cholesky factorization, called through LAPACK directly because
-    A is p x p and the wrappers of ``scipy.linalg.cho_solve`` cost several
+    Checks A for finiteness, then factors the symmetric part (A + A^T) / 2
+    by LAPACK's dpotrf and solves by dpotrs, called directly because A is
+    p x p and the wrappers of ``scipy.linalg.cho_solve`` cost several
     times the arithmetic; if the factorization fails because A drifted
     away from positive definiteness through rounding, falls back to the
-    pseudo-inverse and warns. Meant for few right-hand sides: to apply
-    A^-1 to a d x p block, solve against the identity once and multiply.
+    pseudo-inverse and warns. It is also the fallback of the passes'
+    one-call solve, ``_cholesky_solve``. Meant for few right-hand sides:
+    to apply A^-1 to a d x p block, solve against the identity once and
+    multiply.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -49,11 +52,10 @@ def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^-1 B for a small finite SPD A by one Cholesky factorization of its
-    lower triangle; a failure goes to ``spd_solve``, which warns."""
-    factor, info = lapack.dpotrf(A, lower=True)
-    if info == 0:
-        X, info = lapack.dpotrs(factor, B, lower=True)
+    """A^-1 B for a small finite SPD A by one LAPACK ``dposv`` call, which
+    factors A's lower triangle and solves as dpotrf then dpotrs would, bit
+    for bit, at one call's fixed cost; a failure goes to ``spd_solve``."""
+    _, X, info = lapack.dposv(A, B, lower=1)
     return X if info == 0 else spd_solve(A, B)
 
 
@@ -151,7 +153,7 @@ class FaPrecision:
         minv = self.__dict__.get("latent_inverse")
         if minv is None:
             minv = _cholesky_solve(self.gram, identity(self.p))
-            minv.flags.writeable = False
+            minv.setflags(write=False)
             self.__dict__["latent_inverse"] = minv
         return minv
 
@@ -163,7 +165,7 @@ class FaPrecision:
             M = latent_gram(self)
             if not np.isfinite(M).all():
                 raise ValueError("matrix contains non-finite entries")
-            M.flags.writeable = False
+            M.setflags(write=False)
             object.__setattr__(self, "_gram", M)
         return M
 
@@ -180,7 +182,7 @@ def _trusted_precision(
     object.__setattr__(fa, "W", W)
     object.__setattr__(fa, "psi", psi)
     if gram is not None:
-        gram.flags.writeable = False
+        gram.setflags(write=False)
         object.__setattr__(fa, "_gram", gram)
     return fa
 
@@ -207,7 +209,7 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != fa.d:
         raise ValueError(f"vector has length {v.shape[0]}, expected {fa.d}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("input contains non-finite entries")
     psi = fa.psi if v.ndim == 1 else fa.psi[:, None]
     u = v / psi

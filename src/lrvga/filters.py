@@ -409,7 +409,7 @@ class LogisticModel:
         if y not in (0.0, 1.0):
             raise ValueError("logistic labels must be 0 or 1")
         s = expit(z)
-        return float(np.dot(s, 1.0 - s)) / s.size, y - float(s.sum()) / s.size
+        return float(np.dot(s, 1.0 - s)) / s.size, y - float(np.add.reduce(s)) / s.size
 
     def ggn_root(self, thetas, x):
         return (x * math.sqrt(self.index_moments(x @ thetas, 0.0)[0]))[:, None]

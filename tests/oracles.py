@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.optimize import brentq
 
 from lrvga import (
@@ -44,6 +44,16 @@ def dense_precision(W: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def dense_covariance(W: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.linalg.inv(dense_precision(W, psi))
+
+
+def cholesky_solve_two_calls(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B for an SPD A by LAPACK's dpotrf on A's lower triangle, then
+    dpotrs: the two steps that LAPACK's one-call ``dposv`` makes."""
+    factor, info = lapack.dpotrf(A, lower=1)
+    assert info == 0, "not positive definite"
+    X, info = lapack.dpotrs(factor, B, lower=1)
+    assert info == 0
+    return X
 
 
 def avg_loglik(W: np.ndarray, psi: np.ndarray, S: np.ndarray) -> float:

@@ -506,11 +506,15 @@ def test_rank_k_row_pass_raises_on_a_gram_overflow_in_its_last_block():
         _rank_k_rows(fa, X, A, 1.0)
 
 
-def _unpatched_and_patched(monkeypatch, name, fake, run):
-    """run() before and after replacing the LAPACK routine ``name``, which
-    the em and factor modules share, by ``fake``."""
+def _unpatched_and_patched(monkeypatch, run):
+    """run() before and after a failed Cholesky factorization: LAPACK's
+    ``dposv``, the passes' one-call solve, and ``dpotrf``, the one that
+    ``spd_solve`` retries with, both report info = 1, as for a matrix
+    that lost positive definiteness. The em and factor modules share the
+    ``lapack`` module that is patched."""
     expected = run()
-    monkeypatch.setattr(lapack, name, fake)
+    monkeypatch.setattr(lapack, "dposv", lambda a, b, lower: (a, b, 1))
+    monkeypatch.setattr(lapack, "dpotrf", lambda a, lower: (a, 1))
     with pytest.warns(RuntimeWarning, match="falling back to pseudo-inverse"):
         got = run()
     assert np.isfinite(got.W).all() and np.isfinite(got.psi).all()
@@ -520,8 +524,7 @@ def _unpatched_and_patched(monkeypatch, name, fake, run):
 
 def test_general_cycle_warns_when_its_cholesky_fails(monkeypatch):
     fa, target, _ = random_instance(np.random.default_rng(41), d=8, p=3)
-    _unpatched_and_patched(monkeypatch, "dpotrf", lambda a, lower: (a, 1),
-                           lambda: em_fixed_point_step(fa, target))
+    _unpatched_and_patched(monkeypatch, lambda: em_fixed_point_step(fa, target))
 
 
 def test_warm_started_cycle_warns_when_its_cholesky_fails(monkeypatch):
@@ -529,8 +532,7 @@ def test_warm_started_cycle_warns_when_its_cholesky_fails(monkeypatch):
     prev = FaPrecision(rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8))
     prev.latent_inverse
     X = rng.standard_normal((8, 2))
-    _unpatched_and_patched(monkeypatch, "dpotrf", lambda a, lower: (a, 1),
-                           lambda: recursive_em_update(prev, X, inner_loops=1))
+    _unpatched_and_patched(monkeypatch, lambda: recursive_em_update(prev, X, inner_loops=1))
 
 
 def test_closed_form_fit_raises_when_its_eigendecomposition_fails(monkeypatch):

@@ -276,7 +276,8 @@ def test_cov_recursive_em_final_kl_does_not_depend_on_rounding(monkeypatch):
         return np.array([run_experiment(cfg).rows[-1].kl for cfg in cfgs])
 
     lower = final_kls()
-    potrf, potrs = lapack.dpotrf, lapack.dpotrs
+    posv, potrf, potrs = lapack.dposv, lapack.dpotrf, lapack.dpotrs
+    monkeypatch.setattr(lapack, "dposv", lambda a, b, lower=0, **kw: posv(a, b, lower=0))
     monkeypatch.setattr(lapack, "dpotrf", lambda a, lower=0, **kw: potrf(a, lower=0))
     monkeypatch.setattr(lapack, "dpotrs", lambda c, b, lower=0, **kw: potrs(c, b, lower=0))
     upper = final_kls()
@@ -424,6 +425,35 @@ def test_golden_digests_hold_at_two_blas_threads(tmp_path):
         capture_output=True, text=True, timeout=600, check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == expected
+
+
+# The shapes the benchmark runs: linear at its defaults (d = 100, p = 5,
+# n = 1000) and the nonlinear-cli workload's run, both at seed 3, with
+# the SHA-256 of their results.csv at one BLAS thread.
+BENCH_SHAPED_RUNS = {
+    "linear-defaults": ("linear", dict(seed=3)),
+    "nonlinear-bench": ("nonlinear", dict(sigma0=2.0, k_hess=[1, 10, 100], seed=3)),
+}
+BENCH_SHAPED_GOLDEN = {
+    "linear-defaults": "243eeaa676149c8459bb8681b9cd8ff3a7a113b7218c8a045162fc9e3987eea4",
+    "nonlinear-bench": "d8de2db73e29c1fba5fe7624faccb73cd54f59072095cc7a7cf73be4cfa22fe2",
+}
+
+
+def test_benchmark_shaped_runs_match_their_golden_digests(tmp_path):
+    """The TINY goldens stop at d = 8, n = 40; these pin the bytes at the
+    benchmark's shapes, where a step runs its general cycles at d = 100
+    and the nonlinear filters their K = 100 draws. The runs go to a fresh
+    interpreter with one BLAS thread, as the benchmark pins it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pins = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_RUNNER, json.dumps(BENCH_SHAPED_RUNS), str(tmp_path)],
+        env={**os.environ, **pins, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == BENCH_SHAPED_GOLDEN
 
 
 def _textbook_batch_em_kls(cfg):
@@ -669,16 +699,20 @@ def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_pa
 @pytest.mark.filterwarnings("ignore:positive-definite solve failed:RuntimeWarning")
 @pytest.mark.parametrize("sigma0, code, message", [
     ("1000", 2, "run diverged: "),
+    ("1e5", 1, "the exact posterior at sigma0 = 100000, n = 50 < d = 100 is too "
+               "ill-conditioned to score against: max|P Sigma - I| = "),
     ("1e7", 1, "the exact posterior at sigma0 = 1e+07, n = 50 < d = 100 is too "
                "ill-conditioned to score against"),
-], ids=["1000", "1e7"])
+], ids=["1000", "1e5", "1e7"])
 def test_linear_runs_below_n_equals_d_under_a_vague_prior_report_their_error(
         sigma0, code, message, tmp_path, capsys):
     """At n = 50 < d = 100 the exact posterior's precision has 50
     eigenvalues of 1 / sigma0^2, so its inverse is ill-conditioned. At
-    sigma0 = 1000 the filter diverges; at 1e7 the inverse is not positive
-    definite and the run is refused before it starts. Both end in one
-    error line, and neither writes a results.csv."""
+    sigma0 = 1000 the filter diverges. At 1e5 the inverse misses the
+    identity by more than ``EXACT_RESIDUAL_LIMIT``, and its Kalman row
+    used to end at a KL near 1e6; at 1e7 the inverse is not positive
+    definite. Both are refused before the run starts. Each case ends in
+    one error line, and none writes a results.csv."""
     out = tmp_path / "run"
     argv = ["--experiment", "linear", "--n", "50", "--sigma0", sigma0, "--out", str(out)]
     assert main(argv) == code

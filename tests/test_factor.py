@@ -13,9 +13,9 @@ from lrvga import (
     trace_inverse,
     woodbury_apply,
 )
-from lrvga.factor import spd_solve
+from lrvga.factor import _cholesky_solve, spd_solve
 
-from oracles import dense_covariance, dense_precision, precision_matvec
+from oracles import cholesky_solve_two_calls, dense_covariance, dense_precision, precision_matvec
 
 
 def random_fa(rng, d=None, p=None):
@@ -96,6 +96,22 @@ def test_latent_inverse_is_the_inverse_of_the_latent_gram():
         expected = np.linalg.inv(latent_gram(fa))
         assert np.allclose(fa.latent_inverse, expected, rtol=1e-12, atol=1e-12)
         assert not fa.latent_inverse.flags.writeable
+
+
+@pytest.mark.parametrize("p", [1, 5, 10, 20])
+def test_one_call_cholesky_solve_matches_factor_then_solve_bit_for_bit(p):
+    """The passes' one ``dposv`` call gives the bits of dpotrf followed by
+    dpotrs, for the identity as right-hand side and for a p x 3 block, on
+    SPD matrices whose upper triangle differs from the lower by rounding."""
+    rng = np.random.default_rng(100 + p)
+    for _ in range(20):
+        R = rng.standard_normal((p, p + 2))
+        A = np.eye(p) + R @ R.T * np.exp(rng.uniform(-3.0, 3.0))
+        A += 1e-15 * np.abs(A) * np.triu(rng.standard_normal((p, p)), 1)
+        for B in (np.eye(p), rng.standard_normal((p, 3))):
+            expected = cholesky_solve_two_calls(A, B)
+            got = _cholesky_solve(A, B)
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_latent_inverse_is_formed_once_per_instance(monkeypatch):

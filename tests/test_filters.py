@@ -157,8 +157,8 @@ def test_default_linear_step_runs_no_validation_and_forms_one_gram(monkeypatch):
 
 def test_default_linear_step_makes_no_spd_solve_and_no_lu(monkeypatch):
     """Same step as above: it calls no ``spd_solve``, since the gain's
-    M^-1 and every EM cycle's solve take one raw Cholesky factorization,
-    and no cycle inverts by LU."""
+    M^-1 and every EM cycle's solve take one raw Cholesky solve, and no
+    cycle inverts by LU."""
     belief = belief_from_prior(100, 5, eps=0.01, seed=4)
     x = np.random.default_rng(4).standard_normal(100) / 10.0
     dgesv_calls = []
@@ -167,6 +167,29 @@ def test_default_linear_step_makes_no_spd_solve_and_no_lu(monkeypatch):
     counts = _count_step_calls(monkeypatch, lambda: lrvga_linear_step(belief, Observation(x, 0.5)))
     assert counts["spd_solve"] == 0
     assert dgesv_calls == []
+
+
+def test_default_linear_step_makes_one_lapack_call_per_solve(monkeypatch):
+    """A default step at d = 100, p = 5 from a belief fresh from a previous
+    step, whose M^-1 is not yet formed, solves three times: once for that
+    M^-1 and once in each of its two general cycles. Each solve is one
+    ``dposv`` call, and no step makes a dpotrf or dpotrs call."""
+    belief = belief_from_prior(100, 5, eps=0.01, seed=4)
+    xs = np.random.default_rng(4).standard_normal((2, 100)) / 10.0
+    belief = lrvga_linear_step(belief, Observation(xs[0], 0.5))
+    assert "latent_inverse" not in belief.prec.__dict__
+    calls = {name: 0 for name in ("dposv", "dpotrf", "dpotrs")}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(lapack, name, counting(name, getattr(lapack, name)))
+    lrvga_linear_step(belief, Observation(xs[1], -0.3))
+    assert calls == {"dposv": 3, "dpotrf": 0, "dpotrs": 0}
 
 
 def test_default_step_at_scale_reads_no_gain_gram_or_cycle(monkeypatch):

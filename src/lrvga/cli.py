@@ -57,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lrvga",
         description="Streaming low-rank-plus-diagonal Gaussian estimation experiments.",
     )
-    parser.add_argument("--experiment", choices=list(EXPERIMENT_KINDS) + ["covariance"],
-                        help="which experiment to run")
+    parser.add_argument("--experiment", choices=EXPERIMENT_KINDS, help="which experiment to run")
     parser.add_argument("--config", help="JSON file with config values (flags override it)")
     for option in fields(ExperimentConfig)[1:]:  # every field but kind
         meta, kind = option.metadata, declared_type(option.name)

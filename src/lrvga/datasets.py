@@ -27,7 +27,9 @@ if TYPE_CHECKING:
 def _chunk_rows(d: int) -> int:
     """Rows drawn per generator chunk: at most 256 and at most 65536 // d,
     so one chunk array of float64 rows is at most 0.5 MB unless a single
-    row is larger, and streaming stays inside the d x (p + 2) contract."""
+    row is larger. Two such arrays alive at once, about 1 MB, outgrow the
+    64 d (p + 2) byte budget of a metered run at p = 5 below d of about
+    2300, so ``gen_regression_inputs`` draws its c = 0 rows singly."""
     return max(1, min(256, 65536 // max(d, 1)))
 
 
@@ -129,7 +131,10 @@ def gen_regression_inputs(
     rng = np.random.default_rng(rng)
     lam_root = np.sqrt(spec.input_spectrum())
     M = spec.rotation()
-    chunk = _chunk_rows(spec.d)
+    # The normal stream does not depend on the chunking, so at c = 0 the
+    # rows come one at a time, inside any memory budget. A rotated block's
+    # rounding depends on its row count: rotated inputs keep the chunks.
+    chunk = _chunk_rows(spec.d) if M is not None else 1
     remaining = spec.n
     while remaining > 0:
         m = min(chunk, remaining)

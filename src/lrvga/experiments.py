@@ -118,8 +118,7 @@ class ExperimentConfig:
     kind: str
     d: int = _option(100, "parameter dimension", least=1)
     p: list[int] = _option(
-        [5], "factor rank(s), comma separated and distinct; linear runs above "
-        f"d = {DENSE_EVAL_LIMIT} take one", lists=("linear", "logistic"), least=1)
+        [5], "factor rank(s), comma separated and distinct", lists=("linear", "logistic"), least=1)
     n: int = _option(1000, "number of streamed observations", least=1)
     k_hess: list[int] = _option(
         [10], "parameter draws per stage of the sampled filter, feeding both "
@@ -159,7 +158,6 @@ class ExperimentConfig:
 def make_config(kind: str, **overrides) -> ExperimentConfig:
     """Build a validated config: the field defaults, then the run kind's
     own (``_KINDS``), then the overrides that are not None."""
-    kind = "cov" if kind == "covariance" else kind
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}, expected one of {EXPERIMENT_KINDS}")
     values = {**_KINDS[kind][1], **{k: v for k, v in overrides.items() if v is not None}}
@@ -206,11 +204,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     """Check each option against its declaration (``_option``), then the
     rules that relate two options or depend on d."""
     default = ExperimentConfig(cfg.kind, **_KINDS[cfg.kind][1])
+    # A dataset run takes its dimension and rank from the file.
+    from_file = ("d", "p_true") if cfg.kind == "cov" and cfg.dataset is not None else ()
     unread = []
     for option in fields(cfg)[1:]:
         key, meta, value = option.name, option.metadata, getattr(cfg, option.name)
         values = value if isinstance(value, list) else [value]
-        reads = meta["kinds"] is None or cfg.kind in meta["kinds"]
+        reads = (meta["kinds"] is None or cfg.kind in meta["kinds"]) and key not in from_file
         if not reads and value != getattr(default, key):
             unread.append(key)
         if not values:
@@ -238,9 +238,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                           "1 / sigma0^2 positive finite floats")
     if cfg.track_memory and not (cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT):
         raise ConfigError(f"track_memory meters only linear runs above d = {DENSE_EVAL_LIMIT}")
-    if cfg.kind == "linear" and cfg.d > DENSE_EVAL_LIMIT and len(cfg.p) > 1:
-        raise ConfigError(f"linear runs above d = {DENSE_EVAL_LIMIT} take one p value, "
-                          f"got {cfg.p}")
     if cfg.kind == "nonlinear" and cfg.d > DENSE_EVAL_LIMIT:
         raise ConfigError(
             f"nonlinear runs diverge above d = {DENSE_EVAL_LIMIT}: the sampled filter's KL "
@@ -253,7 +250,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             "unavailable; use c = 0"
         )
     if unread:
-        raise ConfigError(f"{cfg.kind} runs never read {', '.join(unread)}: leave unset")
+        who = f"{cfg.kind} runs" + (" on a dataset" if from_file else "")
+        raise ConfigError(f"{who} never read {', '.join(unread)}: leave unset")
 
 
 @dataclass
@@ -460,104 +458,94 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
 # linear regression
 
 
-def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Stream ridge-style linear regression.
+def _regression_data(cfg: ExperimentConfig, sigma0: float, labels, s_idx: int = 0):
+    """Inputs X, labels y and the observation list of the regression
+    problem at prior scale sigma0, labelled by ``labels`` (a ``datasets``
+    label generator); s_idx keys its data and label streams."""
+    spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
+    X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))))
+    obs = list(labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx)))
+    return X, np.array([o.y for o in obs]), obs
 
-    At baseline dimensions the run is scored by the exact Gaussian KL
-    against the full-data posterior, with a dense Kalman trajectory
-    included for reference; it is refused before it starts when that
-    posterior is too ill-conditioned to trust (``EXACT_RESIDUAL_LIMIT``).
-    Above the dense limit the run executes without evaluation (optionally
-    under the memory meter) and reports wall time and the auxiliary
-    allocation peak.
+
+def _exact_linear_scorer(cfg: ExperimentConfig, X, y, sigma0: float):
+    """(KL, None) of a belief to the exact Gaussian posterior of (X, y);
+    refused before the run starts when that posterior is too
+    ill-conditioned to trust (``EXACT_RESIDUAL_LIMIT``)."""
+    prec_star = np.eye(cfg.d) / sigma0**2 + X.T @ X
+    cov_star = np.linalg.inv(prec_star)
+    target = DenseGaussian(cov_star @ (X.T @ y), (cov_star + cov_star.T) / 2)
+    try:
+        np.linalg.cholesky(target.cov)
+    except np.linalg.LinAlgError:
+        residual, fault = np.inf, "its covariance is not positive definite"
+    else:
+        residual = np.abs(prec_star @ target.cov - np.eye(cfg.d)).max()
+        fault = f"max|P Sigma - I| = {residual:.1e} exceeds {EXACT_RESIDUAL_LIMIT:g}"
+    if not residual <= EXACT_RESIDUAL_LIMIT:
+        raise ConfigError(
+            f"the exact posterior at sigma0 = {sigma0:g}, n = {cfg.n} "
+            f"{'<' if cfg.n < cfg.d else '>='} d = {cfg.d} is too ill-conditioned to score "
+            f"against: {fault}; lower sigma0 or raise n"
+        )
+    return lambda q: (gaussian_kl(q, target), None)
+
+
+def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
+    """Stream ridge-style linear regression, one filter run per p.
+
+    The dimension alone decides, before the runs, where their observations
+    come from and how they are scored. Up to the dense limit the
+    observations are materialised, and each run is scored by the exact
+    Gaussian KL against the full-data posterior (``_exact_linear_scorer``),
+    with a dense Kalman trajectory for reference. Above it each run draws
+    a fresh seeded stream and is unscored: it reports its final mean norm
+    and wall time. Under ``track_memory`` the meter wraps the filter runs
+    only, and their peak is held to the budget of the largest p.
     """
     sigma0 = cfg.sigma0[0]
-    spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
     report = RunReport(cfg, [], {})
-
-    def step(belief, t, o):
-        return lrvga_linear_step(belief, o, cfg.inner_loops)
-
     if cfg.d <= DENSE_EVAL_LIMIT:
-        X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))))
-        obs = list(gen_linear_labels(X, spec.truth(), _rng(cfg, _SEED_LABELS)))
-        y = np.array([o.y for o in obs])
-        prec_star = np.eye(cfg.d) / sigma0**2 + X.T @ X
-        cov_star = np.linalg.inv(prec_star)
-        target = DenseGaussian(cov_star @ (X.T @ y), (cov_star + cov_star.T) / 2)
-        try:
-            np.linalg.cholesky(target.cov)
-        except np.linalg.LinAlgError:
-            residual, fault = np.inf, "its covariance is not positive definite"
-        else:
-            residual = np.abs(prec_star @ target.cov - np.eye(cfg.d)).max()
-            fault = f"max|P Sigma - I| = {residual:.1e} exceeds {EXACT_RESIDUAL_LIMIT:g}"
-        if not residual <= EXACT_RESIDUAL_LIMIT:
-            raise ConfigError(
-                f"the exact posterior at sigma0 = {sigma0:g}, n = {cfg.n} "
-                f"{'<' if cfg.n < cfg.d else '>='} d = {cfg.d} is too ill-conditioned to score "
-                f"against: {fault}; lower sigma0 or raise n"
-            )
-
-        def score(q):
-            return gaussian_kl(q, target), None
-
+        X, y, obs = _regression_data(cfg, sigma0, gen_linear_labels)
+        score, stream = _exact_linear_scorer(cfg, X, y, sigma0), lambda: obs
+    else:
+        # Inputs are rescaled to unit mean squared norm; the raw spectrum has
+        # E||x||^2 = d. The scaling sets the signal-to-noise ratio, and so
+        # the outputs. The spectrum trace is known, so the scale is exact.
+        spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
+        scale = report.summary["input_scale"] = 1.0 / np.sqrt(cfg.d)
+        score, stream = None, lambda: gen_linear_labels(
+            (x * scale for x in gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))),
+            spec.truth(), _rng(cfg, _SEED_LABELS),
+        )
+    meter = MemoryMeter() if cfg.track_memory else nullcontext()
+    with meter:
         for p_idx, p in enumerate(cfg.p):
-            _fold(
+            # Only the mean outlives the fold, so no belief is metered twice.
+            mu = _fold(
                 report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
                 lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
-                enumerate(obs, 1), step, score,
-            )
+                enumerate(stream(), 1),
+                lambda belief, t, o: lrvga_linear_step(belief, o, cfg.inner_loops), score,
+            ).mu
+            if score is None:
+                report.summary[f"final_mu_norm[lrvga,p={p}]"] = float(np.linalg.norm(mu))
+    if cfg.track_memory:
+        budget = contract_budget_bytes(cfg.d, max(cfg.p))
+        report.summary.update(peak_aux_bytes=meter.peak_bytes, aux_budget_bytes=budget,
+                              aux_within_budget=meter.peak_bytes <= budget)
+    if score is not None:
         _fold(
             report, marks, "kalman", ("kalman", cfg.d, 0),
             lambda: DenseGaussian(np.zeros(cfg.d), sigma0**2 * np.eye(cfg.d)),
-            enumerate(obs, 1), lambda dense, t, o: kalman_step_dense(dense, o), score,
+            enumerate(stream(), 1), lambda dense, t, o: kalman_step_dense(dense, o), score,
         )
-        return report
-
-    # Large-scale mode: single pass, no dense anything, optional metering.
-    # Inputs are rescaled to unit mean squared norm; the raw spectrum has
-    # E||x||^2 = d. The filter runs at either scale; the scaling sets the
-    # signal-to-noise ratio, and so the outputs, of large-scale runs. The
-    # spectrum trace is known, so the scale is exact rather than estimated
-    # from a leading batch.
-    p = cfg.p[0]
-    scale = 1.0 / np.sqrt(cfg.d)
-    report.summary["input_scale"] = scale
-
-    meter = MemoryMeter() if cfg.track_memory else nullcontext()
-    with meter:
-        stream = gen_linear_labels(
-            (x * scale for x in gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))),
-            spec.truth(),
-            _rng(cfg, _SEED_LABELS),
-        )
-        belief = _fold(
-            report, marks, "lrvga", ("lrvga", p, 0),
-            lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, 0)),
-            enumerate(stream, 1), step, None,
-        )
-    if cfg.track_memory:
-        budget = contract_budget_bytes(cfg.d, p)
-        report.summary["peak_aux_bytes"] = meter.peak_bytes
-        report.summary["aux_budget_bytes"] = budget
-        report.summary["aux_within_budget"] = meter.peak_bytes <= budget
-    report.summary["final_mu_norm"] = float(np.linalg.norm(belief.mu))
     return report
 
 
 # ---------------------------------------------------------------------------
 # logistic regression
-
-
-def _logistic_data(cfg: ExperimentConfig, sigma0: float, s_idx: int):
-    """Inputs X, labels y and the observation list of the logistic
-    problem at prior scale sigma0; s_idx keys its data and label streams."""
-    spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
-    X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))))
-    obs = list(gen_logistic_labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx)))
-    return X, np.array([o.y for o in obs]), obs
 
 
 def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -566,7 +554,7 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
     posterior, up to its log evidence, and its stderr the quadrature's
     error bound."""
     sigma0 = cfg.sigma0[0]
-    X, y, obs = _logistic_data(cfg, sigma0, 0)
+    X, y, obs = _regression_data(cfg, sigma0, gen_logistic_labels)
     score = _kl_scorer(X, y, sigma0)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
     report = RunReport(cfg, [], {"label_balance": float(np.mean(y))})
@@ -609,7 +597,7 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
     model = LogisticModel()
 
     for s_idx, sigma0 in enumerate(cfg.sigma0):
-        X, y, obs = _logistic_data(cfg, sigma0, s_idx)
+        X, y, obs = _regression_data(cfg, sigma0, gen_logistic_labels, s_idx)
         tag = f"s0={sigma0:g}"
         score = _kl_scorer(X, y, sigma0)
         _fold(

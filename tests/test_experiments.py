@@ -28,6 +28,7 @@ from lrvga.experiments import (
     read_results_csv,
     run_experiment,
 )
+from lrvga.memory import contract_budget_bytes
 
 from oracles import em_reference_step
 
@@ -552,7 +553,6 @@ _DROPPED_OR_REPEATED = [
     ("cov --p 3,5", "cov runs take one p value, got [3, 5]"),
     ("logistic --sigma0 1,4", "logistic runs take one sigma0 value, got [1.0, 4.0]"),
     ("nonlinear --p 3,5", "nonlinear runs take one p value, got [3, 5]"),
-    ("linear --d 1000 --c 0 --p 5,10", "linear runs above d = 600 take one p value, got [5, 10]"),
     ("linear --p 3,3", "p values name the rows, so they must be distinct; got [3, 3]"),
     ("nonlinear --sigma0 2,2.0000001",
      "sigma0 values name the rows, so they must be distinct; got ['2', '2']"),
@@ -586,6 +586,59 @@ def test_options_a_run_kind_never_reads_are_refused(kind, key, value):
     reads would be echoed in config.json as if the run had used it."""
     with pytest.raises(lrvga.experiments.ConfigError, match=f"{kind} runs never read {key}"):
         make_config(kind, **{key: value})
+
+
+def test_unknown_run_kinds_are_refused(tmp_path, capsys):
+    """Each run kind has one spelling; ``covariance`` is not one of them."""
+    out = tmp_path / "run"
+    assert main(["--experiment", "covariance", "--out", str(out)]) == 1
+    assert "invalid choice: 'covariance'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(lrvga.experiments.ConfigError, match="unknown experiment kind 'bogus'"):
+        make_config("bogus")
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "50"), ("--p-true", "3")])
+def test_dataset_runs_refuse_the_options_the_file_sets(flag, value, tmp_path, capsys):
+    """A dataset run takes its dimension and rank from the file: a value
+    of ``--d`` or ``--p-true`` would change nothing but the config echo."""
+    data = tmp_path / "data.txt"
+    _write_dataset(data)
+    out = tmp_path / "run"
+    argv = ["--experiment", "cov", "--dataset", str(data), "--n", "40", "--p", "3",
+            flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    key = flag[2:].replace("-", "_")
+    assert f"cov runs on a dataset never read {key}: leave unset" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_linear_run_past_the_dense_limit_runs_each_p_unscored(tmp_path):
+    """Above the dense limit each p gets its own unscored block of rows,
+    wall time and final mean norm, from the stream a one-p run draws; the
+    meter holds the filter runs to the budget of the largest p."""
+    argv = ["--experiment", "linear", "--d", "700", "--c", "0", "--n", "50",
+            "--checkpoints", "4", "--track-memory"]
+    assert main(argv + ["--p", "3,4", "--out", str(tmp_path / "both")]) == 0
+    rows = read_results_csv(tmp_path / "both" / "results.csv")
+    assert [(r.method, r.p) for r in rows] == [("lrvga", 3)] * 4 + [("lrvga", 4)] * 4
+    assert all(r.kl is None and r.stderr is None for r in rows)
+    summary = dict(line.split(": ", 1)
+                   for line in (tmp_path / "both" / "summary.txt").read_text().splitlines())
+    for p in (3, 4):
+        assert float(summary[f"wall_seconds[lrvga,p={p}]"]) > 0
+        assert float(summary[f"final_mu_norm[lrvga,p={p}]"]) > 0
+    assert summary["aux_budget_bytes"] == str(contract_budget_bytes(700, 4))
+    assert summary["aux_within_budget"] == "True"
+    single = run_experiment(make_config("linear", d=700, c=0.0, n=50, p=[3])).summary
+    assert summary["final_mu_norm[lrvga,p=3]"] == repr(single["final_mu_norm[lrvga,p=3]"])
+
+
+def test_linear_run_past_the_dense_limit_keeps_its_final_mean():
+    """No row above the dense limit carries a number, so no digest covers
+    that path: this pins its final mean norm, bit for bit, at d = 700."""
+    cfg = make_config("linear", d=700, c=0.0, n=200, p=[5], seed=3)
+    assert repr(run_experiment(cfg).summary["final_mu_norm[lrvga,p=5]"]) == "8.822113423333233"
 
 
 def test_logistic_run_past_the_dense_limit_scores_its_filter_without_laplace(tmp_path):

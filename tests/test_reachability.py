@@ -84,7 +84,7 @@ def test_every_function_is_reached_by_a_cli_run_or_listed(tmp_path):
     small = ["--n", "20", "--checkpoints", "2"]
     runs = [
         ["linear", "--d", "10", "--p", "2,3"],
-        ["linear", "--d", "700", "--c", "0", "--track-memory"],
+        ["linear", "--d", "700", "--c", "0", "--p", "2,3", "--track-memory"],
         ["logistic"],
         *(["nonlinear", "--scheme", scheme, "--sigma0", "1", "--k-hess", "1,2"]
           for scheme in ("explicit", "mirror-prox-full", "mirror-prox-skip-cov")),

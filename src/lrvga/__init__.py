@@ -54,7 +54,7 @@ from .filters import (
     lrvga_nonlinear_step,
     solve_glm_scalars,
 )
-from .sampler import EnsembleSampler, draw_dense_reference
+from .sampler import EnsembleSampler
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -90,7 +90,6 @@ __all__ = [
     "covariance_fit_kl",
     "covariance_mode_weights",
     "default_inner_loops",
-    "draw_dense_reference",
     "em_fixed_point_step",
     "emit_report",
     "expected_kl_logistic",

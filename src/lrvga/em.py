@@ -50,10 +50,10 @@ from .factor import (
     _cholesky_solve,
     _trusted_precision,
     identity,
-    latent_gram,
-    spd_solve,
     star,
 )
+# Module attributes that perfbench/trace.py wraps by name.
+from .factor import latent_gram, spd_solve  # noqa: F401
 
 # Rows per block of the warm-started cycle's row passes: a block's rows
 # of W and X, its products and its output rows, at most about 1.4 MB at
@@ -436,11 +436,12 @@ def online_em_update(
     psi = s1 - diag(W s2). Everything is O(d p^2) per step. Returns the
     updated state and the refreshed factors.
 
-    The solves are kept in this form, one Cholesky factorization of M
-    for m and M^-1 and an LU solve for W, rather than as products with
-    cached inverses: the stochastic recursion amplifies rounding, and
-    the two swaps together move the KL of a 1000-step covariance
-    tracking run by about 1e-8 relative.
+    M and M^-1 are the precision's cached ``gram`` and ``latent_inverse``,
+    as in every other recursion, but m and W stay solves, m by one
+    Cholesky solve with M and W by an LU solve with s3, rather than
+    products with inverses: the stochastic recursion amplifies rounding,
+    and the product forms move the KL of a 1000-step covariance tracking
+    run by about 1e-8 relative.
     """
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != fa.d:
@@ -450,12 +451,11 @@ def online_em_update(
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
 
-    M = latent_gram(fa)
-    m = spd_solve(M, fa.W.T @ (v / fa.psi))
+    m = _cholesky_solve(fa.gram, fa.W.T @ (v / fa.psi))
     keep = 1.0 - gamma
     s1 = keep * state.s1_diag + gamma * (v * v)
     s2 = keep * state.s2 + gamma * np.outer(m, v)
-    s3 = keep * state.s3 + gamma * (spd_solve(M, identity(fa.p)) + np.outer(m, m))
+    s3 = keep * state.s3 + gamma * (fa.latent_inverse + np.outer(m, m))
 
     try:
         W = np.linalg.solve((s3 + s3.T) / 2.0, s2).T
@@ -482,6 +482,6 @@ def polyak_ruppert_average(avg: FaPrecision | None, fa: FaPrecision, k: int) -> 
     if k < 1:
         raise ValueError("the average needs at least one iterate")
     if k == 1:
-        return FaPrecision(fa.W.copy(), fa.psi.copy())
+        return _trusted_precision(fa.W.copy(), fa.psi.copy())
     w = 1.0 / k
-    return FaPrecision((1.0 - w) * avg.W + w * fa.W, (1.0 - w) * avg.psi + w * fa.psi)
+    return _trusted_precision((1.0 - w) * avg.W + w * fa.W, (1.0 - w) * avg.psi + w * fa.psi)

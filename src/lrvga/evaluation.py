@@ -20,7 +20,7 @@ from scipy.special import expit
 from .dense import DenseGaussian, fa_dense_inverse
 from .factor import FaPrecision, log_det, star, trace_inverse
 from .filters import GaussianBelief
-from .sampler import EnsembleSampler, draw_dense_reference
+from .sampler import EnsembleSampler
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -125,8 +125,9 @@ def mc_kl_to_posterior(
     """
     if k < 2:
         raise ValueError("need at least two draws for a standard error")
-    if isinstance(q, DenseGaussian):
-        draws = draw_dense_reference(q.mu, q.cov, k, rng)
+    if isinstance(q, DenseGaussian):  # cholesky raises LinAlgError unless q.cov is SPD
+        normals = np.random.default_rng(rng).standard_normal((q.d, k))
+        draws = q.mu[:, None] + np.linalg.cholesky(q.cov) @ normals
     else:
         draws = EnsembleSampler(q.prec, rng).draw(q.mu, k)
     values = np.asarray(logpost(draws), dtype=float).ravel()

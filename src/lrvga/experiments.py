@@ -244,6 +244,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             "rises at K = 1 and ends far above the closed form's at K = 100; "
             f"keep d <= {DENSE_EVAL_LIMIT}"
         )
+    if cfg.kind == "cov" and not from_file and cfg.d > 2000:
+        raise ConfigError("covariance runs need dense evaluation; keep d <= 2000")
     if cfg.kind in ("linear", "logistic") and cfg.d > DENSE_EVAL_LIMIT and cfg.c != 0.0:
         raise ConfigError(
             "above the dense limit the input rotation (a d x d matrix) is "
@@ -355,8 +357,6 @@ def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
         info["source"] = f"libsvm:{cfg.dataset}"
     else:
         d = cfg.d
-        if d > 2000:
-            raise ConfigError("covariance runs need dense evaluation; keep d <= 2000")
         spec = SyntheticCovSpec(d, cfg.p[0] if cfg.p_true is None else cfg.p_true, cfg.seed)
         raw = np.array(list(gen_fa_covariance_samples(spec, cfg.n, _rng(cfg, _SEED_DATA))))
         info["source"] = f"synthetic(p_true={spec.p_true})"

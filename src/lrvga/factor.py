@@ -101,12 +101,12 @@ class FaPrecision:
     accepts W in either order.
 
     ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W that every EM
-    cycle reads, and its inverse ``latent_inverse``, read only by the
-    Woodbury gain, the sampler and evaluation, are cached on the
-    instance; immutability keeps them valid. Every EM cycle hands over
-    the symmetric, checked gram of the precision it builds, each pass
-    checking its output once; otherwise the gram is formed and checked on
-    first use. The inverse is formed on first use, from the gram by one
+    cycle and online EM read, and its inverse ``latent_inverse``, read
+    only by the Woodbury gain, online EM, the sampler and evaluation, are
+    cached on the instance; immutability keeps them valid. Every EM cycle
+    hands over the symmetric, checked gram of the precision it builds,
+    each pass checking its output once; otherwise the gram is formed and
+    checked on first use. The inverse is formed on first use, from the gram by one
     raw p x p Cholesky solve. Only these p x p matrices are cached: the
     d x p Psi^-1 W that an update's first pass, and then each general
     cycle, hands the next cycle lives on the update's target. So an

@@ -35,11 +35,7 @@ class EnsembleSampler:
     def __init__(self, fa: FaPrecision, rng: np.random.Generator | int | None = None):
         self.fa = fa
         self.rng = np.random.default_rng(rng)
-        self._L = (fa.W / fa.psi[:, None]) @ fa.latent_inverse
-
-    @property
-    def L(self) -> np.ndarray:
-        return self._L
+        self.L = (fa.W / fa.psi[:, None]) @ fa.latent_inverse
 
     def draw(self, mu: np.ndarray, k: int) -> np.ndarray:
         """Return a d x k matrix of draws from N(mu, (W W^T + Psi)^-1)."""
@@ -52,24 +48,6 @@ class EnsembleSampler:
         X = self.rng.standard_normal((fa.d, k))
         X /= np.sqrt(fa.psi)[:, None]
         eps = self.rng.standard_normal((fa.p, k))
-        X += self._L @ (eps - fa.W.T @ X)
+        X += self.L @ (eps - fa.W.T @ X)
         X += mu[:, None]
         return X
-
-
-def draw_dense_reference(
-    mu: np.ndarray,
-    cov: np.ndarray,
-    k: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Reference sampler: Cholesky of a dense covariance, small d only."""
-    mu = np.asarray(mu, dtype=float).ravel()
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (mu.shape[0], mu.shape[0]):
-        raise ValueError("covariance shape does not match the mean")
-    if k < 1:
-        raise ValueError("need at least one draw")
-    rng = np.random.default_rng(rng)
-    L = np.linalg.cholesky(cov)  # raises LinAlgError if not positive definite
-    return mu[:, None] + L @ rng.standard_normal((mu.shape[0], k))

@@ -419,21 +419,21 @@ class LinearGaussianModel:
 
 
 class DrawBlockModel:
-    """A nonlinear model seen through ``ggn_root`` and ``mean_loglik_grad``
-    alone, so that ``lrvga_nonlinear_step`` takes the path of (d, K)
-    parameter blocks even for a model with a single-index form. Each
-    gradient call records the index draws x.theta of its block in
+    """A single-index model seen through ``ggn_root`` and
+    ``mean_loglik_grad`` alone, built from its ``index_moments``, so that
+    ``lrvga_nonlinear_step`` takes the path of (d, K) parameter blocks.
+    Each gradient call records the index draws x.theta of its block in
     ``indices``, one array per stage."""
 
     def __init__(self, model):
         self.model, self.indices = model, []
 
     def ggn_root(self, thetas, x):
-        return self.model.ggn_root(thetas, x)
+        return (x * math.sqrt(self.model.index_moments(x @ thetas, 0.0)[0]))[:, None]
 
     def mean_loglik_grad(self, thetas, x, y):
         self.indices.append(x @ thetas)
-        return self.model.mean_loglik_grad(thetas, x, y)
+        return x * self.model.index_moments(self.indices[-1], y)[1]
 
 
 class PerDrawLogisticModel:

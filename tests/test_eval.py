@@ -141,10 +141,11 @@ def test_mc_kl_to_matching_gaussian_is_near_zero():
         delta = thetas - bel.mu[:, None]
         return const - 0.5 * np.einsum("dk,dj,jk->k", delta, inv, delta)
 
-    est = mc_kl_to_posterior(bel, logq, k=4000, rng=7)
-    assert est.n_samples == 4000
-    assert est.std_error > 0
-    assert abs(est.value) < 4.0 * est.std_error + 1e-3
+    for q in (bel, DenseGaussian(bel.mu, cov)):
+        est = mc_kl_to_posterior(q, logq, k=4000, rng=7)
+        assert est.n_samples == 4000
+        assert est.std_error > 0
+        assert abs(est.value) < 4.0 * est.std_error + 1e-3
 
 
 def test_mc_kl_validates_inputs():
@@ -157,6 +158,8 @@ def test_mc_kl_validates_inputs():
         mc_kl_to_posterior(
             bel, lambda t: np.full(t.shape[1], np.nan), k=10, rng=0
         )
+    with pytest.raises(np.linalg.LinAlgError):  # a covariance that is not positive definite
+        mc_kl_to_posterior(DenseGaussian(bel.mu, -np.eye(4)), lambda t: np.zeros(t.shape[1]), k=10)
 
 
 def test_mc_kl_shrinks_with_distance():

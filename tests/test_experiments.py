@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lrvga.experiments
+import lrvga.filters
 from lrvga import DivergenceError, FaPrecision, covariance_fit_kl, init_isotropic_prior
 from lrvga.cli import build_parser, config_from_args, main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_regression_inputs
@@ -549,6 +550,14 @@ def test_dimensions_past_the_dense_limits_exit_with_code_1(argv, message, tmp_pa
     assert not out.exists()
 
 
+def test_cov_dimension_past_its_limit_is_refused_when_the_config_is_built():
+    """A synthetic covariance run's d is known before the run starts, so
+    ``make_config`` refuses it; a dataset's d is checked once it is read."""
+    with pytest.raises(lrvga.experiments.ConfigError, match="keep d <= 2000"):
+        make_config("cov", d=2001)
+    make_config("cov", d=2000)
+
+
 _DROPPED_OR_REPEATED = [
     ("cov --p 3,5", "cov runs take one p value, got [3, 5]"),
     ("logistic --sigma0 1,4", "logistic runs take one sigma0 value, got [1.0, 4.0]"),
@@ -736,11 +745,12 @@ def test_sigma0_whose_square_or_its_inverse_is_not_a_finite_float_exits_with_cod
     assert not out.exists()
 
 
-def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_path):
-    """At sigma0 = 100 Newton stops short on some steps of this run. The
-    one Picard sweep that followed took its KL from 34 452 at the first
-    checkpoint to 218 233 at the last; the bracketed fallback ends it
-    near 237."""
+def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_path, monkeypatch):
+    """At sigma0 = 100 and a cap of 50 iterations, Newton stops short on
+    a step of this run. The one Picard sweep that followed took its KL
+    from 34 452 at the first checkpoint to 218 233 at the last; the
+    bracketed fallback ends it near 237."""
+    monkeypatch.setattr(lrvga.filters, "SCALAR_MAX_ITER", 50)
     argv = ["--experiment", "logistic", "--d", "20", "--n", "200", "--p", "20", "--c", "0",
             "--sigma0", "100", "--checkpoints", "8", "--seed", "3", "--out", str(tmp_path)]
     with pytest.warns(RuntimeWarning, match="solving by bracketing"):

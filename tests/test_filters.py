@@ -586,12 +586,13 @@ def test_scalar_expit_is_scipy_s_bit_for_bit():
     assert np.array_equal(got.view(np.int64), expit(z).view(np.int64))
 
 
-def test_glm_scalars_fallback_warns_but_stays_usable():
-    """Newton hits its 50-iteration cap 78% away from the root on this
-    triple, recorded from the logistic run at sigma0 = 100 (d = p = 20,
-    n = 200, c = 0, seed 3)."""
+def test_glm_scalars_fallback_warns_but_stays_usable(monkeypatch):
+    """At a cap of 50 iterations Newton stops 78% away from the root on
+    this triple, recorded from the logistic run at sigma0 = 100 (d = p =
+    20, n = 200, c = 0, seed 3); it converges in 63."""
     from lrvga.filters import _solve_scalar_system
 
+    monkeypatch.setattr(lrvga.filters, "SCALAR_MAX_ITER", 50)
     with pytest.warns(RuntimeWarning):
         sol = _solve_scalar_system(674.4950645795873, 16866.254001405436, 0.0)
     assert np.isfinite(sol.a) and np.isfinite(sol.nu)
@@ -604,17 +605,18 @@ def test_glm_scalars_fallback_warns_but_stays_usable():
     (-5.0, 1e8, 1.0, True),
     (674.4950645795873, 16866.254001405436, 0.0, False),
 ], ids=["short-at-the-root", "short-at-the-root-at-1e8", "capped-far-from-it"])
-def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y, at_the_root):
-    """Triples on which Newton stops short, two recorded from the logistic
-    run at sigma0 = 100 (d = p = 20, n = 200, c = 0, seed 3): one where
-    damping stalls within 1e-14 of the root after 9 iterations, and one
-    where the 50-iteration cap leaves a 78% error. At (-5, 1e8, 1) damping
-    stalls at a residual of 4.9e-5, which the rounding of
-    a - a0 - nu0 (y - sigma) allows at nu0 = 1e8. A stall at the root
-    counts as converged, with no warning; after a cap the bracketed
-    fallback must land on the oracle's root."""
+def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y, at_the_root, monkeypatch):
+    """Triples on which Newton stops short at a cap of 50 iterations, two
+    recorded from the logistic run at sigma0 = 100 (d = p = 20, n = 200,
+    c = 0, seed 3): one where damping stalls within 1e-14 of the root
+    after 9 iterations, and one where the cap leaves a 78% error. At
+    (-5, 1e8, 1) damping stalls at a residual of 4.9e-5, which the
+    rounding of a - a0 - nu0 (y - sigma) allows at nu0 = 1e8. A stall at
+    the root counts as converged, with no warning; after a cap the
+    bracketed fallback must land on the oracle's root."""
     from lrvga.filters import _solve_scalar_system
 
+    monkeypatch.setattr(lrvga.filters, "SCALAR_MAX_ITER", 50)
     if at_the_root:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -624,6 +626,24 @@ def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y, at_the_r
             sol = _solve_scalar_system(a0, nu0, y)
     a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
     assert sol.newton_converged == at_the_root
+    assert sol.a == pytest.approx(a_ref, rel=1e-10)
+    assert sol.nu == pytest.approx(nu_ref, rel=1e-10)
+    assert sol.k == pytest.approx(k_ref, rel=1e-10)
+
+
+def test_glm_scalars_converge_by_newton_past_fifty_iterations():
+    """A triple from the logistic run at d = 10^4 (c = 0, n = 1000,
+    p = 5, seed 3), far from the root at nu0 near 1e5: damped Newton
+    needs more than 50 iterations, within ``SCALAR_MAX_ITER``, and lands
+    on the oracle's root with no warning and no bracketing."""
+    from lrvga.filters import SCALAR_MAX_ITER, _solve_scalar_system
+
+    a0, nu0, y = -106.42678732591637, 106066.79903776475, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = _solve_scalar_system(a0, nu0, y)
+    assert sol.newton_converged and 50 < sol.iterations < SCALAR_MAX_ITER
+    a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
     assert sol.a == pytest.approx(a_ref, rel=1e-10)
     assert sol.nu == pytest.approx(nu_ref, rel=1e-10)
     assert sol.k == pytest.approx(k_ref, rel=1e-10)
@@ -744,7 +764,7 @@ def test_ggn_outer_product_is_sampled_fisher():
     d, k = 6, 40
     x = rng.standard_normal(d)
     thetas = rng.standard_normal((d, k))
-    block = ggn_block(LogisticModel(), x, thetas)
+    block = ggn_block(DrawBlockModel(LogisticModel()), x, thetas)
     fisher = np.zeros((d, d))
     for i in range(k):
         s = expit(float(x @ thetas[:, i]))
@@ -760,7 +780,7 @@ def test_ggn_exact_for_logistic_at_fixed_parameter():
     d = 8
     x = rng.standard_normal(d)
     theta = rng.standard_normal(d)
-    block = ggn_block(LogisticModel(), x, theta[:, None])
+    block = ggn_block(DrawBlockModel(LogisticModel()), x, theta[:, None])
     s = expit(float(x @ theta))
     assert np.allclose(block @ block.T, s * (1 - s) * np.outer(x, x), rtol=1e-12)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lrvga.em
 from lrvga import (
     FaPrecision,
     covariance_fit_kl,
@@ -57,6 +58,22 @@ def test_single_update_matches_hand_computation():
     assert np.allclose(new_state.s3, s3, rtol=1e-12)
     assert np.allclose(new_fa.W, W, rtol=1e-10)
     assert np.allclose(new_fa.psi, psi, rtol=1e-10)
+
+
+def test_update_reads_the_cached_gram_and_inverse(monkeypatch):
+    """One step takes M and M^-1 from the precision's caches, as every
+    other recursion does: it forms no gram and calls no ``spd_solve``
+    of its own."""
+    calls = {"latent_gram": 0, "spd_solve": 0}
+    for name in calls:
+        def count(*args, _name=name, _f=getattr(lrvga.em, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(lrvga.em, name, count)
+    fa = init_isotropic_prior(6, 2, 1.0, eps=0.4, rng=1)
+    v = np.random.default_rng(2).standard_normal(6)
+    online_em_update(OnlineEmState.zeros(6, 2), fa, v, 0.5)
+    assert calls == {"latent_gram": 0, "spd_solve": 0}
 
 
 def test_update_validation():

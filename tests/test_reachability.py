@@ -14,18 +14,15 @@ UNREACHED = {
     "cli._Parser.error": "error path: a flag argparse refuses exits 1",
     "evaluation.mc_kl_to_posterior": "perfbench trap: trace.py wraps it in lrvga.experiments",
     "experiments.read_results_csv": "public API kept on purpose: reads back emit_report",
-    "filters.LogisticModel.ggn_root": "test reference: the (d, K) sampled path",
-    "filters.LogisticModel.mean_loglik_grad": "test reference: the (d, K) sampled path",
+    "factor.spd_solve": "error path: the fallback of `_cholesky_solve`",
     "filters.NonlinearModel.ggn_root": "public API kept on purpose: the model protocol",
     "filters.NonlinearModel.mean_loglik_grad": "public API kept on purpose: the model protocol",
     "filters._bisect": "error path: Newton stops short under a vague prior",
     "filters._bracketed_scalars": "error path: Newton stops short under a vague prior",
     "filters.ggn_block": "perfbench trap: trace.py wraps it in lrvga.filters",
     "filters.solve_glm_scalars": "public API kept on purpose: the scalar solve alone",
-    "sampler.EnsembleSampler.L": "test reference: oracles check the sampler's factor",
     "sampler.EnsembleSampler.__init__": "perfbench trap: trace.py wraps it",
     "sampler.EnsembleSampler.draw": "perfbench trap: trace.py wraps it",
-    "sampler.draw_dense_reference": "test reference: the sampler's dense reference",
 }
 
 # Records every lrvga code object called from the first import on, so

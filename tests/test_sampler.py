@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrvga import EnsembleSampler, FaPrecision, draw_dense_reference, fa_dense_inverse
+from lrvga import EnsembleSampler, FaPrecision
 
 from oracles import dense_covariance, sampler_consistency_error
 
@@ -70,17 +70,3 @@ def test_draw_validation():
         sampler.draw(np.zeros(5), 4)
     with pytest.raises(ValueError):
         sampler.draw(np.zeros(6), 0)
-
-
-def test_dense_reference_moments():
-    rng = np.random.default_rng(31)
-    fa = random_fa(rng, d=6, p=2)
-    cov = fa_dense_inverse(fa)
-    mu = rng.standard_normal(6)
-    draws = draw_dense_reference(mu, cov, 40_000, rng=7)
-    emp = np.cov(draws)
-    assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
-    with pytest.raises(ValueError):
-        draw_dense_reference(mu, cov[:5, :5], 4)
-    with pytest.raises(np.linalg.LinAlgError):
-        draw_dense_reference(mu, -np.eye(6), 4)

@@ -3,9 +3,9 @@
 The precision of a d-dimensional Gaussian belief is kept as W @ W.T +
 diag(psi) with a small factor rank p, so one pass over the data costs
 O(d p^2) per observation in time and O(d p) in memory. Linear, logistic,
-and sampled nonlinear observation models are supported, along with dense
-reference baselines, an ensemble sampler that never forms a d x d
-matrix, and KL-based evaluation utilities.
+and sampled single-index nonlinear observation models are supported,
+along with dense reference baselines, an ensemble sampler that never
+forms a d x d matrix, and KL-based evaluation utilities.
 """
 
 from .dense import DenseGaussian, fa_dense_inverse, fa_dense_matrix

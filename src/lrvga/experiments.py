@@ -121,8 +121,8 @@ class ExperimentConfig:
         [5], "factor rank(s), comma separated and distinct", lists=("linear", "logistic"), least=1)
     n: int = _option(1000, "number of streamed observations", least=1)
     k_hess: list[int] = _option(
-        [10], "parameter draws per stage of the sampled filter, feeding both "
-        "the curvature and the gradient; comma separated and distinct",
+        [10], "index draws z = x.theta per stage of the sampled filter, feeding both "
+        "its curvature and its gradient; comma separated and distinct",
         kinds=("nonlinear",), least=1)
     inner_loops: int | None = _option(
         None, "EM passes per observation; in cov recursive-em the first is the "
@@ -137,7 +137,7 @@ class ExperimentConfig:
                           kinds=("nonlinear",), choices=NONLINEAR_SCHEMES)
     dataset: str | None = _option(None, "libsvm-format file", kinds=("cov",))
     out_dir: str = _option("runs/latest", "output directory", flag="--out")
-    checkpoints: int = _option(50, "number of log-spaced checkpoints", least=0)
+    checkpoints: int = _option(50, "number of log-spaced checkpoints", least=1)
     methods: list[str] = _option(list(COV_METHODS), "covariance methods to run, comma separated",
                                  kinds=("cov",), choices=COV_METHODS)
     p_true: int | None = _option(None, "generator rank", kinds=("cov",), least=1)

@@ -8,13 +8,11 @@ The step reads W twice: once for W^T Psi^-1 x, which gives nu0 and
 A = M^-1 W^T Psi^-1 x, and once in the row pass of ``em._absorb``'s first
 cycle, a rank-one update by the column g = x - W A = Psi P_{t-1} x, from
 which it also writes the new mean.
-General nonlinear likelihoods are handled by sampled expectations with an
-optional extragradient (mirror-prox) correction. Each stage of a
-single-index model (``index_moments``) draws K scalars z ~ N(x.mu,
-x^T P x), exactly the law of x.theta under the belief, and the precision
-absorbs s x x^T as in the GLM step; any other model gets a (d, K) block
-of parameter draws, which it turns into a square-root curvature block
-and a mean gradient in one call.
+Nonlinear single-index likelihoods, which read theta only through
+z = x.theta, are handled by sampled expectations with an optional
+extragradient (mirror-prox) correction: each stage draws K scalars
+z ~ N(x.mu, x^T P x), exactly the law of x.theta under the belief, and
+the precision absorbs s x x^T as in the GLM step.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from scipy.special import expit
 
 from . import em
 from .dense import DenseGaussian
-from .em import recursive_em_update
+from .em import recursive_em_update  # noqa: F401 - perfbench/trace.py wraps it here by name
 from .factor import PSI_FLOOR, DivergenceError, FaPrecision, woodbury_apply
-from .sampler import EnsembleSampler
 
 # Moment-matching constant for the logistic sigmoid: sigma(z) ~ Phi(z / beta).
 BETA_PROBIT = float(np.sqrt(8.0 / np.pi))
@@ -374,35 +371,18 @@ def lrvga_logistic_step(
 
 
 class NonlinearModel(Protocol):
-    """Observation model for the sampled filter, evaluated once per stage
-    on the whole (d, K) block of parameter draws.
-
-    ``ggn_root`` returns a (d, m) block B with
-    B B^T = (1/K) sum_k J_k R_k J_k^T, the sampled Gauss-Newton curvature,
-    where J_k is the Jacobian of the prediction and R_k the conditional
-    observation covariance at draw k. The model owns the root, so it
-    picks m: a scalar-link GLM folds every draw into one column, a model
-    with vector outputs or per-draw Jacobians returns more.
-    ``mean_loglik_grad`` returns the (d,) mean over the draws of the
-    log-likelihood gradient in theta.
-
-    A single-index model, which reads theta only through z = x.theta,
-    defines ``index_moments(z, y)`` in place of these block methods: the
+    """Observation model of the sampled filter, single-index: it reads
+    theta only through z = x.theta, and ``index_moments(z, y)`` gives the
     means over (K,) index draws of s = -d^2/dz^2 log p(y|z) and
-    r = d/dz log p(y|z). The sampled step then draws z alone.
-    """
+    r = d/dz log p(y|z)."""
 
-    def ggn_root(self, thetas: np.ndarray, x: np.ndarray) -> np.ndarray: ...
-
-    def mean_loglik_grad(self, thetas: np.ndarray, x: np.ndarray, y: float) -> np.ndarray: ...
+    def index_moments(self, z: np.ndarray, y: float) -> tuple[float, float]: ...
 
 
 class LogisticModel:
-    """Bernoulli likelihood with log-odds x.theta: a single-index model,
-    so it defines ``index_moments`` in place of the block methods of
-    :class:`NonlinearModel`. Every draw has Jacobian x, so with
-    z_k = x.theta_k the sampled curvature is mean(sigma'(z)) x x^T and
-    the mean gradient x (y - mean sigma(z)).
+    """Bernoulli likelihood with log-odds x.theta. At index draws
+    z_k = x.theta_k the sampled curvature is mean(sigma'(z)) x x^T and the
+    mean gradient x (y - mean sigma(z)).
     """
 
     def index_moments(self, z, y):
@@ -412,15 +392,11 @@ class LogisticModel:
         return float(np.dot(s, 1.0 - s)) / s.size, y - float(np.add.reduce(s)) / s.size
 
 
-def ggn_block(model: NonlinearModel, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:
-    """Square-root Gauss-Newton block from an ensemble of parameter draws.
-
-    Checks that the draws are a (d, K) block, K >= 1, and returns
-    ``model.ggn_root``: a (d, m) block B with B B^T the sampled expected
-    Gauss-Newton curvature. For a model whose log-likelihood
-    Hessian equals the Gauss-Newton term (any natural-parameter GLM, e.g.
-    logistic), the reconstruction is exact at each draw.
-    """
+def ggn_block(model, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:
+    """Square-root Gauss-Newton block ``model.ggn_root(thetas, x)`` of a
+    checked (d, K >= 1) block of parameter draws: a (d, m) block B with
+    B B^T the sampled expected Gauss-Newton curvature. No filter step
+    calls it; perfbench/trace.py wraps it here by name."""
     theta_samples = np.asarray(theta_samples, dtype=float)
     if theta_samples.ndim != 2 or theta_samples.shape[1] < 1:
         raise ValueError(f"need a (d, K >= 1) block of draws, got {theta_samples.shape}")
@@ -439,72 +415,37 @@ def lrvga_nonlinear_step(
     scheme: str = "mirror-prox-skip-cov",
     rng: np.random.Generator | int | None = None,
 ) -> GaussianBelief:
-    """Sampled-expectation update for a general observation model.
+    """Sampled-expectation update for a single-index observation model.
 
-    Stage one draws k parameters from the current belief and evaluates
-    the model once on the block: the precision absorbs the Gauss-Newton
-    block, and the mean moves by the mean log-likelihood gradient through
-    the refreshed gain.
-
-    Schemes:
-
-    * ``explicit`` stops there.
-    * ``mirror-prox-full`` repeats both updates with expectations taken
-      at the extrapolated belief, each re-applied on top of the
-      pre-update state.
-    * ``mirror-prox-skip-cov`` (default) keeps the stage-one precision
-      and only re-evaluates the mean update at the extrapolated belief.
-
-    Stage two draws k fresh samples at the extrapolated belief. Within a
-    stage, the curvature and the gradient share the one block of draws.
-    A model with ``index_moments`` draws k index scalars per stage instead.
+    Stage one draws k indices x.theta ~ N(a0, nu0), a0 = x.mu and
+    nu0 = x^T P x, and absorbs s1 x x^T into P_hat as the GLM step does;
+    with h = P_hat x, ``explicit`` stops at mu + r1 h. The mirror-prox
+    schemes draw k fresh indices at the extrapolated mean mu + r1 h,
+    N(a0 + r1 nu_hat, nu_hat) with nu_hat = x^T h, and move the mean to
+    mu + r2 h: ``mirror-prox-skip-cov`` (default) keeps P_hat, and
+    ``mirror-prox-full`` first re-absorbs s2 into the pre-update precision
+    and recomputes h.
     """
     if scheme not in NONLINEAR_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {NONLINEAR_SCHEMES}")
     if k < 1:
         raise ValueError("sample count must be at least 1")
+    index_moments = getattr(model, "index_moments", None)
+    if not callable(index_moments):
+        raise TypeError(f"{type(model).__name__} defines no index_moments(z, y): "
+                        "the sampled filter takes single-index models only")
     rng = np.random.default_rng(rng)
-    if hasattr(model, "index_moments"):
-        return _index_step(belief, obs, model, k, inner_loops, scheme, rng)
-    x, y = _input(obs, belief.d), obs.y
-
-    thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
-    prec_hat = recursive_em_update(belief.prec, ggn_block(model, x, thetas),
-                                   inner_loops=inner_loops)
-    mu_hat = belief.mu + woodbury_apply(prec_hat, model.mean_loglik_grad(thetas, x, y))
-    if scheme == "explicit":
-        return _new_belief(mu_hat, prec_hat)
-
-    # Stage two: mirror-prox-skip-cov keeps prec_hat and redoes only the mean.
-    thetas = EnsembleSampler(prec_hat, rng).draw(mu_hat, k)
-    prec = prec_hat
-    if scheme == "mirror-prox-full":
-        prec = recursive_em_update(belief.prec, ggn_block(model, x, thetas),
-                                   inner_loops=inner_loops)
-    mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
-    return _new_belief(mu, prec)
-
-
-def _index_step(belief, obs, model, k, inner_loops, scheme, rng) -> GaussianBelief:
-    """``lrvga_nonlinear_step`` for a single-index model, whose draws cost
-    O(k) in place of O(d k p).
-
-    Stage one draws the index x.theta ~ N(a0, nu0) and absorbs s1 x x^T
-    into P_hat as the GLM step does. With h = P_hat x, stage two draws at
-    the extrapolated mean mu + r1 h: index a0 + r1 nu_hat, variance
-    nu_hat = x^T h. Its mean is mu + r2 h, after ``mirror-prox-full``
-    re-absorbs s2 into the pre-update precision and recomputes h."""
     x, y, _, minv_c, nu0, a0 = _prior_scalars(belief, obs)
 
     def absorb(s):
         prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops, minv_c[:, None])
         return prec, woodbury_apply(prec, x)
 
-    s, r = model.index_moments(a0 + math.sqrt(nu0) * rng.standard_normal(k), y)
+    s, r = index_moments(a0 + math.sqrt(nu0) * rng.standard_normal(k), y)
     prec, h = absorb(s)
     if scheme != "explicit":
         nu_hat = max(float(np.dot(x, h)), 0.0)
-        s, r = model.index_moments(a0 + r * nu_hat + math.sqrt(nu_hat) * rng.standard_normal(k), y)
+        s, r = index_moments(a0 + r * nu_hat + math.sqrt(nu_hat) * rng.standard_normal(k), y)
         if scheme == "mirror-prox-full":
             prec, h = absorb(s)
     return _new_belief(belief.mu + r * h, prec)

@@ -4,12 +4,15 @@ Everything here recomputes quantities from first principles with plain
 dense linear algebra (and brute-force root bracketing for the scalar
 systems), deliberately sharing no code paths with the package. Tests
 compare package output against these, so keep this module boring and
-obviously correct rather than fast. The one exception,
-``two_route_glm_step``, takes the GLM filter step's gain from the
-package's Woodbury product; its EM cycles are this module's own
-``warm_cycle_one_shot`` and ``em_solve_step``, so no fused path of the
-step is on both sides of the comparison. ``test_oracles.py`` fails if
-this module imports a routine of ``lrvga.em`` or ``lrvga.filters``.
+obviously correct rather than fast. The two exceptions take the gain
+from the package's Woodbury product: ``two_route_glm_step``, the GLM
+filter step, and ``block_nonlinear_step``, the sampled filter step on
+(d, K) blocks of parameter draws from the package's ensemble sampler,
+the reference for the index draws of ``lrvga_nonlinear_step``. Their EM
+cycles are this module's own ``warm_cycle_one_shot`` and
+``em_solve_step``, so no fused path of a step is on both sides of the
+comparison. ``test_oracles.py`` fails if this module imports a routine
+of ``lrvga.em`` or ``lrvga.filters``.
 
 The last section holds helpers only the tests use: observation models
 for the sampled filter, a Monte Carlo expectation over the ensemble
@@ -303,19 +306,30 @@ def closed_form_fit_one_shot(
     return U[:, :p] * s[:p], np.maximum(psi_new, 1e-12)
 
 
-class RankOneBlend:
-    """The GLM step's EM target W W^T + Psi + s x x^T, applied from its
-    parts so nothing d x d is formed: ``matmat`` and ``diag`` as
-    ``em_solve_step`` reads them."""
+class BlockBlend:
+    """A step's EM target W W^T + Psi + s X X^T for a (d, K) block X,
+    applied from its parts so nothing d x d is formed: ``matmat`` and
+    ``diag`` as ``em_solve_step`` reads them."""
 
-    def __init__(self, W: np.ndarray, psi: np.ndarray, x: np.ndarray, s: float):
-        self.W, self.psi, self.x, self.s = W, psi, x, s
+    def __init__(self, W: np.ndarray, psi: np.ndarray, X: np.ndarray, s: float):
+        self.W, self.psi, self.X, self.s = W, psi, X, s
 
     def matmat(self, A: np.ndarray) -> np.ndarray:
-        return self.W @ (self.W.T @ A) + self.psi[:, None] * A + self.s * np.outer(self.x, self.x @ A)
+        return self.W @ (self.W.T @ A) + self.psi[:, None] * A + self.s * self.X @ (self.X.T @ A)
 
     def diag(self) -> np.ndarray:
-        return np.sum(self.W * self.W, axis=1) + self.psi + self.s * self.x * self.x
+        return np.sum(self.W * self.W, axis=1) + self.psi + self.s * np.sum(self.X * self.X, axis=1)
+
+
+def _absorbed(prec: FaPrecision, X: np.ndarray, s: float, inner_loops: int) -> FaPrecision:
+    """``inner_loops`` EM cycles toward W W^T + Psi + s X X^T, the first by
+    ``warm_cycle_one_shot``, the rest by ``em_solve_step``."""
+    W, psi = prec.W, prec.psi
+    target = BlockBlend(W, psi, X, s)
+    W_new, psi_new = warm_cycle_one_shot(W, psi, X, 1.0, s)
+    for _ in range(inner_loops - 1):
+        W_new, psi_new = em_solve_step(W_new, psi_new, target)
+    return FaPrecision(W_new, psi_new)
 
 
 def two_route_glm_step(belief, obs, rule, inner_loops) -> GaussianBelief:
@@ -327,14 +341,43 @@ def two_route_glm_step(belief, obs, rule, inner_loops) -> GaussianBelief:
     ``warm_cycle_one_shot``, the rest by ``em_solve_step``, ``inner_loops``
     in all. The new belief goes through the public constructor, which
     rejects a non-finite mean."""
-    x, W, psi = obs.x, belief.prec.W, belief.prec.psi
+    x = obs.x
     gain = woodbury_apply(belief.prec, x)
     s, r = rule(float(x @ belief.mu), max(float(x @ gain), 0.0), obs.y)
-    target = RankOneBlend(W, psi, x, s)
-    W_new, psi_new = warm_cycle_one_shot(W, psi, x[:, None], 1.0, s)
-    for _ in range(inner_loops - 1):
-        W_new, psi_new = em_solve_step(W_new, psi_new, target)
-    return GaussianBelief(belief.mu + r * gain, FaPrecision(W_new, psi_new))
+    return GaussianBelief(belief.mu + r * gain, _absorbed(belief.prec, x[:, None], s, inner_loops))
+
+
+def block_nonlinear_step(belief, obs, model, k=10, inner_loops=3,
+                         scheme="mirror-prox-skip-cov", rng=None) -> GaussianBelief:
+    """The sampled filter step on (d, K) blocks of parameter draws, which
+    ``lrvga_nonlinear_step`` takes in index space. ``model`` gives
+    ``ggn_root(thetas, x)``, a root B of the sampled Gauss-Newton
+    curvature, and ``mean_loglik_grad(thetas, x, y)``, the mean gradient g.
+
+    Stage one draws K parameters from the belief by ``EnsembleSampler``,
+    absorbs B B^T into the precision by ``inner_loops`` EM cycles (3, the
+    package's default at d <= 1000), and moves the mean to
+    mu_hat = mu + P_hat g, with P_hat the new covariance, applied by
+    ``woodbury_apply``; ``explicit`` stops there. Stage two draws K fresh
+    parameters from N(mu_hat, P_hat); ``mirror-prox-full`` re-absorbs
+    their root into the pre-update precision, and the mean moves from mu
+    by the stage-two gradient through the covariance kept. The new belief
+    goes through the public constructor."""
+    rng = np.random.default_rng(rng)
+    x, y = obs.x, obs.y
+
+    def absorb(thetas):
+        return _absorbed(belief.prec, model.ggn_root(thetas, x), 1.0, inner_loops)
+
+    thetas = EnsembleSampler(belief.prec, rng).draw(belief.mu, k)
+    prec = absorb(thetas)
+    mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
+    if scheme != "explicit":
+        thetas = EnsembleSampler(prec, rng).draw(mu, k)
+        if scheme == "mirror-prox-full":
+            prec = absorb(thetas)
+        mu = belief.mu + woodbury_apply(prec, model.mean_loglik_grad(thetas, x, y))
+    return GaussianBelief(mu, prec)
 
 
 def quadrature_kl_logistic(q, X: np.ndarray, y: np.ndarray, sigma0: float) -> tuple[float, float]:
@@ -409,7 +452,11 @@ def expectation_by_sampling(f, belief, k: int, rng=None) -> float:
 
 class LinearGaussianModel:
     """Gaussian likelihood y ~ N(x.theta, 1): the curvature x x^T does not
-    depend on the draws."""
+    depend on the draws. Both forms: the (d, K) block methods, and the
+    single-index ``index_moments`` with s = 1 and r = y - mean z."""
+
+    def index_moments(self, z, y):
+        return 1.0, y - float(np.mean(z))
 
     def ggn_root(self, thetas, x):
         return x[:, None]
@@ -421,7 +468,7 @@ class LinearGaussianModel:
 class DrawBlockModel:
     """A single-index model seen through ``ggn_root`` and
     ``mean_loglik_grad`` alone, built from its ``index_moments``, so that
-    ``lrvga_nonlinear_step`` takes the path of (d, K) parameter blocks.
+    ``block_nonlinear_step`` runs it on (d, K) parameter blocks.
     Each gradient call records the index draws x.theta of its block in
     ``indices``, one array per stage."""
 
@@ -441,8 +488,8 @@ class PerDrawLogisticModel:
 
     The curvature root has one column per draw,
     x sqrt(s_k (1 - s_k)) / sqrt(K) with s_k = sigma(x.theta_k), and the
-    gradient is the loop mean of (y - s_k) x: the general path, against
-    which the one-column root of the package's model is checked.
+    gradient is the loop mean of (y - s_k) x: the general form, against
+    which the one-column root of ``DrawBlockModel`` is checked.
     """
 
     def ggn_root(self, thetas, x):

@@ -430,15 +430,23 @@ def test_golden_digests_hold_at_two_blas_threads(tmp_path):
 
 
 # The shapes the benchmark runs: linear at its defaults (d = 100, p = 5,
-# n = 1000) and the nonlinear-cli workload's run, both at seed 3, with
-# the SHA-256 of their results.csv at one BLAS thread.
+# n = 1000) and the nonlinear-cli workload's run, the latter also under
+# the two other schemes, all at seed 3, with the SHA-256 of their
+# results.csv at one BLAS thread.
 BENCH_SHAPED_RUNS = {
     "linear-defaults": ("linear", dict(seed=3)),
     "nonlinear-bench": ("nonlinear", dict(sigma0=2.0, k_hess=[1, 10, 100], seed=3)),
+    **{f"nonlinear-bench-{scheme}": (
+        "nonlinear", dict(sigma0=2.0, k_hess=[1, 10, 100], seed=3, scheme=scheme))
+       for scheme in ("explicit", "mirror-prox-full")},
 }
 BENCH_SHAPED_GOLDEN = {
     "linear-defaults": "243eeaa676149c8459bb8681b9cd8ff3a7a113b7218c8a045162fc9e3987eea4",
     "nonlinear-bench": "d8de2db73e29c1fba5fe7624faccb73cd54f59072095cc7a7cf73be4cfa22fe2",
+    "nonlinear-bench-explicit":
+        "8dcc926c35d186096c11e896060321518a5f3c82b2ff07c42b8c761e082cf751",
+    "nonlinear-bench-mirror-prox-full":
+        "c2a076aeec4f61905883faaae6977ca8732f0a29e0438b2ccc3b9614523e7512",
 }
 
 
@@ -710,15 +718,17 @@ def test_dataset_of_dependent_rows_is_refused(tmp_path):
     ([], {"n": "ten"}),
     ([], {"d": 20.5}),
     ([], {"sigma0": float("nan")}),
+    (["--checkpoints", "0"], None),
 ], ids=["p_true-above-d", "p_true-zero", "seed-negative", "p-string", "n-string",
-        "d-fraction", "sigma0-nan"])
+        "d-fraction", "sigma0-nan", "checkpoints-zero"])
 def test_config_values_of_the_wrong_range_or_type_exit_with_code_1(
     flags, config, tmp_path, capsys
 ):
     """Each case raised out of ``main`` or ran with other values: a
     generator rank above d, a zero one (read as "unset"), a negative seed,
-    and config-file
-    values of the wrong type, a non-integral count or a non-finite real."""
+    config-file values of the wrong type, a non-integral count or a
+    non-finite real, and zero checkpoints, which ran and wrote a final KL
+    of None into the summary."""
     argv = ["--experiment", "cov", "--checkpoints", "2", "--out", str(tmp_path / "run"), *flags]
     if config is not None:
         path = tmp_path / "config.json"
@@ -800,7 +810,7 @@ def test_config_counts_accept_integral_floats_only():
 def test_cov_inputs_are_scaled_to_mean_squared_norm_d():
     """Under "mean-norm" the first 100 samples have mean squared norm d,
     and the reference covariance is scaled to match; "none" leaves both."""
-    base = dict(d=6, p=2, n=150, checkpoints=0, methods=["batch-em"])
+    base = dict(d=6, p=2, n=150, checkpoints=1, methods=["batch-em"])
     V, S_ref, info = lrvga.experiments._cov_data(make_config("cov", **base))
     raw, S_raw, info_raw = lrvga.experiments._cov_data(
         make_config("cov", normalize="none", **base))

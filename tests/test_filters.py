@@ -42,6 +42,7 @@ from oracles import (
     DrawBlockModel,
     LinearGaussianModel,
     PerDrawLogisticModel,
+    block_nonlinear_step,
     dense_implicit_logistic_vga,
     dense_logistic_step,
     exact_linear_posterior,
@@ -261,9 +262,7 @@ def test_warmed_up_default_steps_form_no_gram_solve_or_validation(monkeypatch):
     twice, where the benchmark's tracer sees them. A default sampled
     logistic step at d = 20, p = 10 with K = 10 draws in index space: it
     builds no ``EnsembleSampler`` and calls no ``ggn_block``, and otherwise
-    counts as the linear step does. The same step on a model without the
-    single-index form still builds its two samplers, and calls ``ggn_block``
-    once, for stage one's curvature."""
+    counts as the linear step does."""
     belief = belief_from_prior(100, 5, eps=0.01, seed=4)
     xs = np.random.default_rng(4).standard_normal((2, 100)) / 10.0
     belief = lrvga_linear_step(belief, Observation(xs[0], 0.5))
@@ -276,31 +275,24 @@ def test_warmed_up_default_steps_form_no_gram_solve_or_validation(monkeypatch):
     x = np.random.default_rng(5).standard_normal(20) / np.sqrt(20)
     belief = lrvga_nonlinear_step(belief, Observation(x, 1.0), LogisticModel(), k=10, rng=6)
     calls = (*_STEP_CALLS, (lrvga.sampler.EnsembleSampler, "__init__"), (lrvga.filters, "ggn_block"))
-
-    def step(model):
-        return lambda: lrvga_nonlinear_step(belief, Observation(x, 0.0), model, k=10, rng=7)
-
-    counts = _count_step_calls(monkeypatch, step(LogisticModel()), calls)
+    counts = _count_step_calls(
+        monkeypatch,
+        lambda: lrvga_nonlinear_step(belief, Observation(x, 0.0), LogisticModel(), k=10, rng=7),
+        calls)
     assert counts == {"FaPrecision.__post_init__": 0, "GaussianBelief.__post_init__": 0,
                       "em_fixed_point_step": 2, "latent_gram": 0, "spd_solve": 0,
                       "EnsembleSampler.__init__": 0, "ggn_block": 0}
-    monkeypatch.undo()
-    counts = _count_step_calls(monkeypatch, step(PerDrawLogisticModel()), calls)
-    assert (counts["EnsembleSampler.__init__"], counts["ggn_block"]) == (2, 1)
 
 
-class _ConstantGradient:
-    """A nonlinear model with no curvature and the mean gradient g at any
-    draws."""
+class _ConstantResidual:
+    """A single-index model with no curvature and the residual r at any
+    index draws."""
 
-    def __init__(self, g):
-        self.g = g
+    def __init__(self, r):
+        self.r = r
 
-    def ggn_root(self, thetas, x):
-        return np.zeros((x.shape[0], 1))
-
-    def mean_loglik_grad(self, thetas, x, y):
-        return self.g
+    def index_moments(self, z, y):
+        return 0.0, self.r
 
 
 def _overflowing_step(kind, d):
@@ -312,8 +304,9 @@ def _overflowing_step(kind, d):
       largest float on coordinate 0, where psi = 1e-300 makes
       Psi^-1 x = 1e293, and coordinate 1 drives x.mu far below 0 so that
       r = 1. At this scale the scalar solve warns that it hit its cap;
-    * nonlinear: a model with no curvature whose mean gradient is 1e300 on
-      coordinate 0, where the mean starts at the largest float.
+    * nonlinear: a model with no curvature whose residual is 1e308, so
+      that the mean's step r P_{t-1} x is near 5e306 on coordinate 0, where
+      the mean starts at the largest float.
     """
     rng = np.random.default_rng(30)
     W, psi, mu, x = rng.standard_normal((d, 2)) / 10.0, np.ones(d), np.zeros(d), np.zeros(d)
@@ -324,11 +317,10 @@ def _overflowing_step(kind, d):
     if kind == "logistic":
         W[0], psi[0], mu[:2], x[:2] = 0.0, 1e-300, (top, -1e303), (1e-7, 1.0)
         return lambda: lrvga_logistic_step(GaussianBelief(mu, FaPrecision(W, psi)), Observation(x, 1.0))
-    g = np.zeros(d)
-    g[0], mu[0] = 1e300, top
+    mu[0] = top
     return lambda: lrvga_nonlinear_step(
         GaussianBelief(mu, FaPrecision(W, psi)), Observation(np.ones(d) / d, 1.0),
-        _ConstantGradient(g), k=3, rng=0)
+        _ConstantResidual(1e308), k=3, rng=0)
 
 
 def _step_from_mean(kind, mu):
@@ -703,12 +695,14 @@ def test_logistic_label_validation():
 @pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
 @pytest.mark.parametrize("route", ["index", "parameter-block"])
 def test_sampled_logistic_step_validates_the_label(route, scheme):
-    """A label of 0.5 ran silently through the sampled step on both routes,
-    while the closed-form logistic step refused it."""
-    model = LogisticModel() if route == "index" else DrawBlockModel(LogisticModel())
+    """A label of 0.5 ran silently through the sampled step, while the
+    closed-form logistic step refused it. The parameter-block route is the
+    oracle step on the logistic model with its index form hidden."""
+    step, model = ((lrvga_nonlinear_step, LogisticModel()) if route == "index"
+                   else (block_nonlinear_step, DrawBlockModel(LogisticModel())))
     bel = belief_from_prior(3, 1)
     with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
-        lrvga_nonlinear_step(bel, Observation(np.ones(3), 0.5), model, k=4, scheme=scheme, rng=0)
+        step(bel, Observation(np.ones(3), 0.5), model, k=4, scheme=scheme, rng=0)
 
 
 @pytest.mark.parametrize("step_kind", ["linear", "logistic"])
@@ -800,16 +794,16 @@ def test_ggn_linear_model_ignores_samples():
 @pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
 @pytest.mark.parametrize("k", [1, 10])
 def test_one_column_logistic_root_matches_the_per_draw_path(scheme, k):
-    """On the path of (d, K) parameter blocks, the logistic model folds the
-    K draws into one curvature column; a model with one column per draw
-    and a per-draw gradient loop gives the same step to rounding. The
-    logistic model is wrapped so that it shows no single-index form."""
+    """On the oracle's path of (d, K) parameter blocks, the logistic model
+    folds the K draws into one curvature column; a model with one column
+    per draw and a per-draw gradient loop gives the same step to rounding.
+    The logistic model is wrapped so that it shows no single-index form."""
     d = 8
     rng = np.random.default_rng(25)
     bel = belief_from_prior(d, 3, seed=12, mu=0.3 * rng.standard_normal(d))
     obs = Observation(rng.standard_normal(d), 1.0)
     a, b = (
-        lrvga_nonlinear_step(bel, obs, model, k=k, inner_loops=3, scheme=scheme, rng=4)
+        block_nonlinear_step(bel, obs, model, k=k, inner_loops=3, scheme=scheme, rng=4)
         for model in (DrawBlockModel(LogisticModel()), PerDrawLogisticModel())
     )
     for u, v in ((a.mu, b.mu), (a.prec.W, b.prec.W), (a.prec.psi, b.prec.psi)):
@@ -834,8 +828,8 @@ class _ReplayedNormals(np.random.Generator):
 @pytest.mark.parametrize("k", [1, 10])
 def test_index_draws_replay_the_parameter_block_path(scheme, k):
     """The single-index route is the (d, K) path with the draws taken in
-    index space. The parameter-block path runs on the logistic model
-    with its index form hidden and records z = x.theta at each stage;
+    index space. The oracle's parameter-block step runs on the logistic
+    model with its index form hidden and records z = x.theta at each stage;
     fed the normals that map to those z under the index route's scalars,
     here from dense inverses, the index route gives the same step. Stage
     one's index is N(a0, nu0) with a0 = x.mu and nu0 = x^T P x; stage
@@ -847,7 +841,7 @@ def test_index_draws_replay_the_parameter_block_path(scheme, k):
     x = rng.standard_normal(d)
     obs = Observation(x, 1.0)
     blocks = DrawBlockModel(LogisticModel())
-    ref = lrvga_nonlinear_step(bel, obs, blocks, k=k, scheme=scheme, rng=5)
+    ref = block_nonlinear_step(bel, obs, blocks, k=k, scheme=scheme, rng=5)
 
     z1 = blocks.indices[0]
     cov = fa_dense_inverse(bel.prec)
@@ -909,6 +903,10 @@ def test_nonlinear_rejects_bad_arguments():
         lrvga_nonlinear_step(bel, obs, LogisticModel(), k=0)
     with pytest.raises(ValueError, match="length 4, expected 3"):
         lrvga_nonlinear_step(bel, Observation(np.ones(4), 1.0), LogisticModel())
+    # A model with only the (d, K) block methods is refused before any draw.
+    no_draws = _ReplayedNormals([])
+    with pytest.raises(TypeError, match="index_moments"):
+        lrvga_nonlinear_step(bel, obs, PerDrawLogisticModel(), rng=no_draws)
 
 
 def test_nonlinear_step_is_reproducible_under_a_seed():

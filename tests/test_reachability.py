@@ -15,8 +15,7 @@ UNREACHED = {
     "evaluation.mc_kl_to_posterior": "perfbench trap: trace.py wraps it in lrvga.experiments",
     "experiments.read_results_csv": "public API kept on purpose: reads back emit_report",
     "factor.spd_solve": "error path: the fallback of `_cholesky_solve`",
-    "filters.NonlinearModel.ggn_root": "public API kept on purpose: the model protocol",
-    "filters.NonlinearModel.mean_loglik_grad": "public API kept on purpose: the model protocol",
+    "filters.NonlinearModel.index_moments": "public API kept on purpose: the model protocol",
     "filters._bisect": "error path: Newton stops short under a vague prior",
     "filters._bracketed_scalars": "error path: Newton stops short under a vague prior",
     "filters.ggn_block": "perfbench trap: trace.py wraps it in lrvga.filters",

@@ -49,6 +49,7 @@ from .factor import (
     FaPrecision,
     _cholesky_solve,
     _trusted_precision,
+    c_einsum,
     identity,
     star,
 )
@@ -126,16 +127,16 @@ class _BlendTarget:
         out = None
         if self.alpha > 0.0:
             W = self.prev.W
-            out = np.dot(W, np.dot(W.T, A))
+            out = W.dot(W.T.dot(A))
             out += self._psi_col * A
             if self.alpha != 1.0:
                 out *= self.alpha
         if self.beta > 0.0:
-            block = np.dot(self.X.T, A)
+            block = self.X.T.dot(A)
             if self.beta != 1.0:
                 block *= self.beta
-            # np.dot: for a one-column X, matmul takes a slow loop here
-            block = np.dot(self.X, block)
+            # .dot: for a one-column X, matmul takes a slow loop here
+            block = self.X.dot(block)
             if out is None:
                 return block
             out += block
@@ -143,12 +144,12 @@ class _BlendTarget:
 
     def diag(self) -> np.ndarray:
         if self._diag is None:
-            self._diag = np.einsum("ij,ij->i", self.X, self.X)
+            self._diag = c_einsum("ij,ij->i", self.X, self.X)
             if self.beta != 1.0:
                 self._diag *= self.beta
             if self.alpha > 0.0:
                 W = self.prev.W
-                carried = np.einsum("ij,ij->i", W, W) + self.prev.psi
+                carried = c_einsum("ij,ij->i", W, W) + self.prev.psi
                 if self.alpha != 1.0:
                     carried *= self.alpha
                 self._diag += carried
@@ -186,17 +187,17 @@ def em_fixed_point_step(fa: FaPrecision, S: _BlendTarget) -> FaPrecision:
     if owner is not fa:
         psi_inv_w = fa.W / fa.psi[:, None]
     G = S.matmat(psi_inv_w)  # S Psi^-1 W, d x p
-    MB = np.dot(psi_inv_w.T, G)
+    MB = psi_inv_w.T.dot(G)
     MB += M
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
-    T = np.dot(G, _cholesky_solve(MB, identity(fa.p)))  # G (M B)^-1 = W_new M^-1
-    W_new = np.dot(T, M)
-    psi_new = S.diag() - np.einsum("ij,ij->i", T, G)  # star(T, G)
+    T = G.dot(_cholesky_solve(MB, identity(fa.p)))  # G (M B)^-1 = W_new M^-1
+    W_new = T.dot(M)
+    psi_new = S.diag() - c_einsum("ij,ij->i", T, G)  # star(T, G)
     del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
     psi_sum = np.add.reduce(psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
     psi_inv_w = W_new / psi_new[:, None]
-    out = _trusted_precision(W_new, psi_new, _checked_gram(np.dot(W_new.T, psi_inv_w), psi_sum))
+    out = _trusted_precision(W_new, psi_new, _checked_gram(W_new.T.dot(psi_inv_w), psi_sum))
     S.handed = out, psi_inv_w
     return out
 
@@ -242,8 +243,8 @@ def _warm_rows(
     def fill(rows, w_new, psi_block):
         z = np.concatenate((fa.W[rows], X[rows]), axis=1)
         np.matmul(z, H, out=w_new)
-        zc = np.dot(z, C)  # np.dot: at K = 1 matmul takes a slow loop
-        np.einsum("ij,ij->i", zc, zc, out=psi_block)
+        zc = z.dot(C)  # .dot: at K = 1 matmul takes a slow loop
+        c_einsum("ij,ij->i", zc, zc, out=psi_block)
         psi_block += alpha * fa.psi[rows]
 
     return _row_pass(fa.W.shape, fill, target)
@@ -282,7 +283,7 @@ def _rank_k_rows(
         w_new += w
         # G Q is a scalar product at K = 1. The einsum, unlike np.multiply,
         # stays silent where psi overflows, which the pass's check reports.
-        np.einsum("ij,ij->i", g * Q if k == 1 else np.dot(g, Q), g, out=psi_block)
+        c_einsum("ij,ij->i", g * Q if k == 1 else g.dot(Q), g, out=psi_block)
         psi_block += fa.psi[rows]
         if shift is not None:
             r, mu, out = shift
@@ -298,7 +299,7 @@ def _rank_k_weight(A: np.ndarray, beta: float):
     OpenBLAS rounds the 1 x 1 Cholesky solve."""
     k = A.shape[1]
     if k == 1:
-        ell = 1.0 / math.sqrt(1.0 + beta * np.dot(A[:, 0], A[:, 0]))
+        ell = 1.0 / math.sqrt(1.0 + beta * A[:, 0].dot(A[:, 0]))
         return (beta * ell) * ell
     return _cholesky_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
 
@@ -326,7 +327,7 @@ def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
         np.maximum(psi_block, PSI_FLOOR, out=psi_block)
         out = None if psi_inv_w is None else psi_inv_w[rows]
         # Block products here and in the fills keep @: past one block, a row
-        # block of an F-ordered array is not contiguous, and np.dot copies it
+        # block of an F-ordered array is not contiguous, and .dot copies it
         block_gram = w_new.T @ np.divide(w_new, psi_block[:, None], out=out)
         G = np.add(G, block_gram, out=G) if start else block_gram
     fa = _trusted_precision(W_new, psi_new, _checked_gram(G, psi_sum))

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .dense import DenseGaussian, fa_dense_inverse
-from .factor import FaPrecision, log_det, star, trace_inverse
+from .factor import FaPrecision, c_einsum, log_det, trace_inverse
 from .filters import GaussianBelief
 from .sampler import EnsembleSampler
 
@@ -27,6 +27,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Probabilists' Gauss-Hermite rules (nodes, weights) of the logistic KL:
 # 32 nodes, and the 16 its error is read against.
 _GH_FINE, _GH_COARSE = (hermegauss(k) for k in (32, 16))
+# Each rule as the (2, k) matrix [1; nodes], which maps a row (m, sd) to
+# m + sd nodes, and its weights normalised to sum to 1: fine, then coarse.
+_GH_RULES = tuple((np.vstack((np.ones_like(x), x)), w / w.sum()) for x, w in (_GH_FINE, _GH_COARSE))
 # Rows of nodes the logistic KL evaluates at once.
 _GH_ROWS = 256
 
@@ -175,19 +178,19 @@ def expected_kl_logistic(
     if X.shape != (y.shape[0], q.d):
         raise ValueError("X must hold one length-d row per label")
     if isinstance(q, GaussianBelief):
-        mu_u = np.dot(X, np.column_stack((q.mu, q.prec.W / q.prec.psi[:, None])))
+        mu_u = X.dot(np.column_stack((q.mu, q.prec.W / q.prec.psi[:, None])))
         m, u = mu_u[:, 0], mu_u[:, 1:]
-        nu = np.einsum("ij,ij,j->i", X, X, 1.0 / q.prec.psi) - star(u @ q.prec.latent_inverse, u)
+        nu = c_einsum("ij,ij,j->i", X, X, 1.0 / q.prec.psi)
+        nu -= c_einsum("ij,ij->i", u @ q.prec.latent_inverse, u)
         trace = trace_inverse(q.prec)
     else:
         m = X @ q.mu
-        nu, trace = star(X @ q.cov, X), float(np.trace(q.cov))
+        nu, trace = c_einsum("ij,ij->i", X @ q.cov, X), float(np.trace(q.cov))
     mean_sd = np.column_stack((m, np.sqrt(np.maximum(nu, 0.0))))
-    rules = [(np.vstack((np.ones_like(xi), xi)), w / w.sum()) for xi, w in (_GH_FINE, _GH_COARSE)]
     fine, coarse = np.empty_like(nu), np.empty_like(nu)
     for i in range(0, nu.size, _GH_ROWS):
-        for out, (nodes, weights) in zip((fine, coarse), rules):
-            out[i:i + _GH_ROWS] = np.dot(_softplus(np.dot(mean_sd[i:i + _GH_ROWS], nodes)), weights)
+        for out, (nodes, weights) in zip((fine, coarse), _GH_RULES):
+            out[i:i + _GH_ROWS] = _softplus(mean_sd[i:i + _GH_ROWS].dot(nodes)).dot(weights)
     prior = [-0.5 * (q.mu @ q.mu + trace) / sigma0**2, -0.5 * q.d * (_LOG_2PI + 2 * np.log(sigma0))]
     terms = np.concatenate([y * m, -fine, prior, [gaussian_entropy(q)]])
     rounding = np.finfo(float).eps * terms.size * np.sum(np.abs(terms))

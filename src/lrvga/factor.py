@@ -16,6 +16,11 @@ from functools import cache
 import numpy as np
 from scipy.linalg import lapack
 
+try:  # what np.einsum calls at optimize=False, without its Python wrapper
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    c_einsum = np.einsum
+
 # Floor applied to fitted diagonal entries. Keeps the factorization usable
 # when an update would push a psi entry to zero or below.
 PSI_FLOOR = 1e-12
@@ -76,7 +81,7 @@ def star(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or X.shape != Y.shape:
         raise ValueError(f"star needs two matrices of one shape, got {X.shape} and {Y.shape}")
-    return np.einsum("ij,ij->i", X, Y)
+    return c_einsum("ij,ij->i", X, Y)
 
 
 @dataclass(frozen=True)
@@ -209,12 +214,12 @@ def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != fa.d:
         raise ValueError(f"vector has length {v.shape[0]}, expected {fa.d}")
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise ValueError("input contains non-finite entries")
     psi = fa.psi if v.ndim == 1 else fa.psi[:, None]
     u = v / psi
-    z = np.dot(fa.latent_inverse, np.dot(fa.W.T, u))
-    return (v - np.dot(fa.W, z)) / psi
+    z = fa.latent_inverse.dot(fa.W.T.dot(u))
+    return (v - fa.W.dot(z)) / psi
 
 
 def log_det(fa: FaPrecision) -> float:
@@ -232,7 +237,7 @@ def log_det(fa: FaPrecision) -> float:
 def inverse_diag(fa: FaPrecision) -> np.ndarray:
     """Diagonal of (W W^T + diag(psi))^-1 without forming the inverse."""
     psi_inv_w = fa.W / fa.psi[:, None]
-    return 1.0 / fa.psi - star(np.dot(psi_inv_w, fa.latent_inverse), psi_inv_w)
+    return 1.0 / fa.psi - star(psi_inv_w.dot(fa.latent_inverse), psi_inv_w)
 
 
 def trace_inverse(fa: FaPrecision) -> float:

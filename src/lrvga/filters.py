@@ -97,12 +97,12 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
     found by a scan made only when the norm check fails; DivergenceError if
     the finite mean's norm sqrt(mu @ mu), as ``np.linalg.norm`` forms it, is
     not finite or over ``MU_NORM_LIMIT``, or too much of psi is floored."""
-    mu_norm = math.sqrt(np.dot(belief.mu, belief.mu))
+    mu_norm = math.sqrt(belief.mu.dot(belief.mu))
     if not mu_norm <= MU_NORM_LIMIT:
         if not np.isfinite(belief.mu).all():
             raise ValueError("non-finite mean")
         raise DivergenceError(f"mean norm {mu_norm:.3e} exceeds {MU_NORM_LIMIT:.0e}")
-    floored = np.count_nonzero(belief.prec.psi <= PSI_FLOOR) / belief.d
+    floored = np.add.reduce(belief.prec.psi <= PSI_FLOOR) / belief.d
     if floored > PSI_FLOOR_FRACTION:
         raise DivergenceError(
             f"{floored:.0%} of the diagonal hit the floor {PSI_FLOOR:g}"
@@ -149,11 +149,11 @@ def _prior_scalars(
         raise ValueError("logistic labels must be 0 or 1")
     prec = belief.prec
     u = x / prec.psi
-    # np.dot: on whole arrays it costs less than matmul, with the same bits
-    c = np.dot(prec.W.T, u)
-    minv_c = np.dot(prec.latent_inverse, c)
-    nu0 = max(float(np.dot(x, u)) - float(np.dot(c, minv_c)), 0.0)
-    return x, y, u, minv_c, nu0, float(np.dot(x, belief.mu))
+    # .dot: on whole arrays it costs less than matmul, with the same bits
+    c = prec.W.T.dot(u)
+    minv_c = prec.latent_inverse.dot(c)
+    nu0 = max(float(x.dot(u)) - float(c.dot(minv_c)), 0.0)
+    return x, y, u, minv_c, nu0, float(x.dot(belief.mu))
 
 
 def _glm_step(
@@ -389,7 +389,7 @@ class LogisticModel:
         if y not in (0.0, 1.0):
             raise ValueError("logistic labels must be 0 or 1")
         s = expit(z)
-        return float(np.dot(s, 1.0 - s)) / s.size, y - float(np.add.reduce(s)) / s.size
+        return float(s.dot(1.0 - s)) / s.size, y - float(np.add.reduce(s)) / s.size
 
 
 def ggn_block(model, x: np.ndarray, theta_samples: np.ndarray) -> np.ndarray:
@@ -444,7 +444,7 @@ def lrvga_nonlinear_step(
     s, r = index_moments(a0 + math.sqrt(nu0) * rng.standard_normal(k), y)
     prec, h = absorb(s)
     if scheme != "explicit":
-        nu_hat = max(float(np.dot(x, h)), 0.0)
+        nu_hat = max(float(x.dot(h)), 0.0)
         s, r = index_moments(a0 + r * nu_hat + math.sqrt(nu_hat) * rng.standard_normal(k), y)
         if scheme == "mirror-prox-full":
             prec, h = absorb(s)

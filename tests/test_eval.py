@@ -268,7 +268,8 @@ def test_quadrature_kl_error_stays_positive_when_the_rules_agree(monkeypatch):
     point = GaussianBelief(rng.standard_normal(4), FaPrecision(np.ones((4, 1)), np.full(4, 1e30)))
     est = expected_kl_logistic(point, X, y, 2.0)
     assert 0.0 < est.std_error < 1e-10 * abs(est.value)
-    monkeypatch.setattr(lrvga.evaluation, "_GH_COARSE", lrvga.evaluation._GH_FINE)
+    fine_rule = lrvga.evaluation._GH_RULES[0]
+    monkeypatch.setattr(lrvga.evaluation, "_GH_RULES", (fine_rule, fine_rule))
     assert expected_kl_logistic(point, X, y, 2.0).std_error > 0.0
 
 

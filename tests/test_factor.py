@@ -13,7 +13,7 @@ from lrvga import (
     trace_inverse,
     woodbury_apply,
 )
-from lrvga.factor import _cholesky_solve, spd_solve
+from lrvga.factor import _cholesky_solve, c_einsum, spd_solve
 
 from oracles import cholesky_solve_two_calls, dense_covariance, dense_precision, precision_matvec
 
@@ -50,6 +50,8 @@ def test_woodbury_apply_rejects_bad_input():
         woodbury_apply(fa, np.zeros(4))
     with pytest.raises(ValueError):
         woodbury_apply(fa, np.full(5, np.nan))
+    with pytest.raises(ValueError):
+        woodbury_apply(fa, np.full((5, 2), np.nan))
 
 
 def test_precision_matvec_matches_dense():
@@ -196,6 +198,28 @@ def test_star_matches_row_dots():
         star(x, x)
     with pytest.raises(ValueError):
         star(X, Y[:, :2])
+
+
+def test_c_einsum_is_the_c_entry_point_with_np_einsum_bits():
+    """Under numpy 2 ``c_einsum`` is numpy's C einsum, not the Python
+    wrapper ``np.einsum``, so a renamed private path shows here rather than
+    as a silently slower step. It gives ``np.einsum``'s bits on C- and
+    F-ordered d x p arrays, with a per-column weight, and on the row blocks
+    of an F-ordered array written with ``out=``, as the row passes do."""
+    assert (c_einsum is not np.einsum) == (np.lib.NumpyVersion(np.__version__) >= "2.0.0")
+    rng = np.random.default_rng(21)
+    d, p = 300, 7
+    A, B, w = rng.standard_normal((d, p)), rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, p)
+    for X, Y in ((A, B), (np.asfortranarray(A), np.asfortranarray(B)), (A, np.asfortranarray(B))):
+        assert c_einsum("ij,ij->i", X, Y).tobytes() == np.einsum("ij,ij->i", X, Y).tobytes()
+        assert c_einsum("ij,ij,j->i", X, Y, w).tobytes() == np.einsum("ij,ij,j->i", X, Y, w).tobytes()
+    F = np.asfortranarray(A)
+    ours, numpys = np.empty(d), np.empty(d)
+    for start in range(0, d, 128):
+        rows = slice(start, start + 128)
+        c_einsum("ij,ij->i", F[rows], F[rows], out=ours[rows])
+        np.einsum("ij,ij->i", F[rows], F[rows], out=numpys[rows])
+    assert ours.tobytes() == numpys.tobytes()
 
 
 def test_fa_precision_validation():

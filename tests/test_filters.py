@@ -1,5 +1,7 @@
 """Streaming filters: conjugate baseline, linear, logistic, nonlinear."""
 
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -282,6 +284,51 @@ def test_warmed_up_default_steps_form_no_gram_solve_or_validation(monkeypatch):
     assert counts == {"FaPrecision.__post_init__": 0, "GaussianBelief.__post_init__": 0,
                       "em_fixed_point_step": 2, "latent_gram": 0, "spd_solve": 0,
                       "EnsembleSampler.__init__": 0, "ggn_block": 0}
+
+
+def _numpy_frames_entered(step):
+    """Run ``step()`` under ``sys.setprofile``; return (file, function) of
+    every Python frame it enters whose file lies under numpy's package
+    directory."""
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            entered.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        step()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+def test_warmed_up_default_steps_enter_no_numpy_python_frame():
+    """After a warm-up step, a default linear step at d = 100, p = 5, a
+    logistic step at d = 20, p = 10 and a sampled logistic step at K = 10
+    call numpy only through C entry points: whole-array products by
+    ``ndarray.dot``, row dots by the C einsum and reductions by ufuncs.
+    ``np.dot``'s dispatch, ``np.einsum``'s wrapper, ``np.count_nonzero``
+    or ``ndarray.all`` would each enter a numpy Python frame. The
+    observations and the generator are built before the profiled step."""
+    belief = belief_from_prior(100, 5, eps=0.01, seed=4)
+    xs = np.random.default_rng(4).standard_normal((2, 100)) / 10.0
+    belief = lrvga_linear_step(belief, Observation(xs[0], 0.5))
+    obs = Observation(xs[1], -0.3)
+    assert _numpy_frames_entered(lambda: lrvga_linear_step(belief, obs)) == []
+
+    x = np.random.default_rng(5).standard_normal(20) / np.sqrt(20)
+    first, second = Observation(x, 1.0), Observation(x, 0.0)
+    belief = lrvga_logistic_step(belief_from_prior(20, 10, seed=5), first)
+    assert _numpy_frames_entered(lambda: lrvga_logistic_step(belief, second)) == []
+
+    belief = lrvga_nonlinear_step(belief_from_prior(20, 10, seed=5), first, LogisticModel(), k=10, rng=6)
+    rng = np.random.default_rng(7)
+    step = lambda: lrvga_nonlinear_step(belief, second, LogisticModel(), k=10, rng=rng)  # noqa: E731
+    assert _numpy_frames_entered(step) == []
 
 
 class _ConstantResidual:

@@ -6,7 +6,8 @@ and the run kinds that read it.
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, invalid values), 2 when a run diverges, 3 for I/O failures
-while writing outputs.
+while writing outputs, 4 when a ``--track-memory`` run's metered peak
+exceeds its budget (its outputs are still written).
 """
 
 from __future__ import annotations
@@ -120,6 +121,11 @@ def main(argv=None) -> int:
         return 3
     for name in ("results", "config", "summary"):
         print(f"wrote {paths[name]}")
+    if report.summary.get("aux_within_budget") is False:
+        peak, budget = report.summary["peak_aux_bytes"], report.summary["aux_budget_bytes"]
+        print(f"error: peak auxiliary memory {peak} bytes exceeds the budget of {budget} bytes",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -27,10 +27,12 @@ class DenseGaussian:
             raise ValueError("cov must be a square matrix")
         if cov.shape[0] != mu.shape[0]:
             raise ValueError("mu and cov dimensions disagree")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
+        if not (np.logical_and.reduce(np.isfinite(mu))
+                and np.logical_and.reduce(np.isfinite(cov), axis=None)):
             raise ValueError("non-finite entries")
         # to within 1e-8 of its largest entry (or of 1, if larger)
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(cov).max())):
+        tol = 1e-8 * max(1.0, np.maximum.reduce(np.abs(cov), axis=None))
+        if not np.maximum.reduce(np.abs(cov - cov.T), axis=None) <= tol:
             raise ValueError("cov must be symmetric")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", (cov + cov.T) / 2.0)

@@ -99,7 +99,7 @@ def guess_s0_scale(batch: np.ndarray, d: int) -> float:
     if batch.shape[1] != d:
         raise ValueError(f"batch rows have length {batch.shape[1]}, expected {d}")
     mean_sq = float(np.mean(np.sum(batch * batch, axis=1)))
-    if not np.isfinite(mean_sq) or mean_sq <= 0.0:
+    if not math.isfinite(mean_sq) or mean_sq <= 0.0:
         raise ValueError("leading batch has no usable scale (zero or non-finite norms)")
     return float(np.sqrt(d / mean_sq))
 
@@ -363,7 +363,7 @@ def recursive_em_update(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != prev.d:
         raise ValueError(f"block has shape {X.shape}, expected ({prev.d}, K)")
-    if not np.all(np.isfinite(X)):
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):
         raise ValueError("observation block contains non-finite entries")
     return _absorb(prev, X, weights.alpha, weights.beta, inner_loops)
 
@@ -447,7 +447,7 @@ def online_em_update(
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != fa.d:
         raise ValueError(f"observation has length {v.shape[0]}, expected {fa.d}")
-    if not np.all(np.isfinite(v)):
+    if not np.logical_and.reduce(np.isfinite(v)):
         raise ValueError("observation contains non-finite entries")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -463,7 +463,8 @@ def online_em_update(
     except np.linalg.LinAlgError as exc:
         raise DivergenceError("singular latent second moment in online EM") from exc
     psi = s1 - star(W, s2.T)
-    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(psi))):
+    if not (np.logical_and.reduce(np.isfinite(W), axis=None)
+            and np.logical_and.reduce(np.isfinite(psi))):
         raise DivergenceError("online EM produced non-finite factors")
     psi = np.maximum(psi, PSI_FLOOR)
     return OnlineEmState(s1, s2, s3), _trusted_precision(W, psi)

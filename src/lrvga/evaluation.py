@@ -136,7 +136,7 @@ def mc_kl_to_posterior(
     values = np.asarray(logpost(draws), dtype=float).ravel()
     if values.shape[0] != k:
         raise ValueError("logpost must return one value per sample column")
-    if not np.all(np.isfinite(values)):
+    if not np.logical_and.reduce(np.isfinite(values)):
         raise ValueError("logpost returned non-finite values")
     estimate = -gaussian_entropy(q) - float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(k))

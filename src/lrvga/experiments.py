@@ -480,7 +480,7 @@ def _exact_linear_scorer(cfg: ExperimentConfig, X, y, sigma0: float):
     except np.linalg.LinAlgError:
         residual, fault = np.inf, "its covariance is not positive definite"
     else:
-        residual = np.abs(prec_star @ target.cov - np.eye(cfg.d)).max()
+        residual = np.maximum.reduce(np.abs(prec_star @ target.cov - np.eye(cfg.d)), axis=None)
         fault = f"max|P Sigma - I| = {residual:.1e} exceeds {EXACT_RESIDUAL_LIMIT:g}"
     if not residual <= EXACT_RESIDUAL_LIMIT:
         raise ConfigError(

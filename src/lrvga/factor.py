@@ -44,7 +44,7 @@ def spd_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     multiply.
     """
     A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
         raise ValueError("matrix contains non-finite entries")
     factor, info = lapack.dpotrf((A + A.T) / 2.0, lower=True)
     if info == 0:
@@ -134,11 +134,11 @@ class FaPrecision:
             raise ValueError("rank p cannot exceed the dimension d")
         if W.shape[1] < 1:
             raise ValueError("W needs at least one column")
-        if not np.all(np.isfinite(W)):
+        if not np.logical_and.reduce(np.isfinite(W), axis=None):
             raise ValueError("W contains non-finite entries")
-        if not np.all(np.isfinite(psi)):
+        if not np.logical_and.reduce(np.isfinite(psi)):
             raise ValueError("psi contains non-finite entries")
-        if np.any(psi <= 0.0):
+        if np.logical_or.reduce(psi <= 0.0):
             raise ValueError("psi must be strictly positive")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "psi", psi)
@@ -168,7 +168,7 @@ class FaPrecision:
         M = self.__dict__.get("_gram")
         if M is None:
             M = latent_gram(self)
-            if not np.isfinite(M).all():
+            if not np.logical_and.reduce(np.isfinite(M), axis=None):
                 raise ValueError("matrix contains non-finite entries")
             M.setflags(write=False)
             object.__setattr__(self, "_gram", M)

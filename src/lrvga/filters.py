@@ -43,22 +43,22 @@ SCALAR_TOL = 1e-10
 SCALAR_MAX_ITER = 200
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Observation:
     """One labelled sample: a dense (d,) input ``x`` and a finite label
-    ``y``, both checked here once so the filters need only match the
-    input's length to the belief. Slotted, since a run keeps one per row
-    of its data: no per-instance dict."""
+    ``y``, each converted, checked through numpy's C entry points and set
+    once here, so the filters need only match the input's length to the
+    belief. Slotted, since a run keeps one per row: no per-instance dict."""
 
     x: np.ndarray
     y: float
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).ravel()
-        if not np.all(np.isfinite(x)):
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float).ravel()
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise ValueError("non-finite input entries")
-        y = float(self.y)
-        if not np.isfinite(y):
+        y = float(y)
+        if not math.isfinite(y):
             raise ValueError("non-finite label")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -82,7 +82,7 @@ class GaussianBelief:
         mu = np.asarray(self.mu, dtype=float).ravel()
         if mu.shape[0] != self.prec.d:
             raise ValueError("mean and precision dimensions disagree")
-        if not np.all(np.isfinite(mu)):
+        if not np.logical_and.reduce(np.isfinite(mu)):
             raise ValueError("non-finite mean")
         object.__setattr__(self, "mu", mu)
 
@@ -99,7 +99,7 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
     not finite or over ``MU_NORM_LIMIT``, or too much of psi is floored."""
     mu_norm = math.sqrt(belief.mu.dot(belief.mu))
     if not mu_norm <= MU_NORM_LIMIT:
-        if not np.isfinite(belief.mu).all():
+        if not np.logical_and.reduce(np.isfinite(belief.mu)):
             raise ValueError("non-finite mean")
         raise DivergenceError(f"mean norm {mu_norm:.3e} exceeds {MU_NORM_LIMIT:.0e}")
     floored = np.add.reduce(belief.prec.psi <= PSI_FLOOR) / belief.d
@@ -127,7 +127,7 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
     x, y = _input(obs, belief.d), obs.y
     Px = belief.cov @ x
     denom = 1.0 + float(x @ Px)
-    if denom <= 0.0 or not np.isfinite(denom):
+    if denom <= 0.0 or not math.isfinite(denom):
         raise np.linalg.LinAlgError("covariance downdate lost positive definiteness")
     cov = belief.cov - np.outer(Px, Px) / denom
     gain = Px / denom  # equals P_t x

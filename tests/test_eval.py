@@ -259,18 +259,29 @@ def test_quadrature_kl_of_several_row_blocks_matches_the_plain_oracle():
 
 
 def test_quadrature_kl_error_stays_positive_when_the_rules_agree(monkeypatch):
-    """A near-point-mass q: every node sits on its mean to rounding, so
-    the 16- and 32-node rules agree and only the rounding bound is left.
-    Swapping in the 32-node rule for the coarse one makes the agreement
-    exact."""
+    """The error is the larger of the 16- to 32-node change and the sum's
+    rounding bound, which the oracle gives alone when its rules agree. For
+    a q of unit scale the rules differ by far more than that bound; for a
+    near-point-mass q, whose nodes all sit on the mean to rounding, they
+    do not. Swapping in the 32-node rule for the coarse one leaves each
+    KL as it is and its error at the bound, still above 0."""
     rng = np.random.default_rng(14)
     X, y = _logistic_problem(rng, 50, 4)
+    wide = random_belief(rng, 4, 2)
     point = GaussianBelief(rng.standard_normal(4), FaPrecision(np.ones((4, 1)), np.full(4, 1e30)))
-    est = expected_kl_logistic(point, X, y, 2.0)
-    assert 0.0 < est.std_error < 1e-10 * abs(est.value)
+    beliefs = (wide, point)
+    before = [expected_kl_logistic(q, X, y, 2.0) for q in beliefs]
+    bounds = [quadrature_kl_logistic(q, X, y, 2.0, coarse=32)[1] for q in beliefs]
+    assert before[0].std_error > 1e3 * bounds[0]
+    assert before[1].std_error == pytest.approx(bounds[1], rel=1e-9, abs=0.0)
+    assert 0.0 < before[1].std_error < 1e-10 * abs(before[1].value)
     fine_rule = lrvga.evaluation._GH_RULES[0]
     monkeypatch.setattr(lrvga.evaluation, "_GH_RULES", (fine_rule, fine_rule))
-    assert expected_kl_logistic(point, X, y, 2.0).std_error > 0.0
+    for q, est, bound in zip(beliefs, before, bounds):
+        after = expected_kl_logistic(q, X, y, 2.0)
+        assert after.value == est.value
+        assert after.std_error == pytest.approx(bound, rel=1e-9, abs=0.0)
+        assert after.std_error > 0.0
 
 
 def test_quadrature_kl_validates_shapes():

@@ -651,6 +651,23 @@ def test_linear_run_past_the_dense_limit_runs_each_p_unscored(tmp_path):
     assert summary["final_mu_norm[lrvga,p=3]"] == repr(single["final_mu_norm[lrvga,p=3]"])
 
 
+def test_linear_run_over_its_memory_budget_writes_outputs_and_exits_4(tmp_path, monkeypatch,
+                                                                        capsys):
+    """The run above at a budget of 1 KB: its outputs are all written, one
+    stderr line names the peak and the budget, and the exit code is 4."""
+    monkeypatch.setattr(lrvga.experiments, "contract_budget_bytes", lambda d, p: 1024)
+    argv = ["--experiment", "linear", "--d", "700", "--c", "0", "--n", "50",
+            "--checkpoints", "4", "--track-memory", "--p", "3,4", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    summary = dict(line.split(": ", 1) for line in (tmp_path / "summary.txt").read_text().splitlines())
+    assert summary["aux_budget_bytes"] == "1024" and summary["aux_within_budget"] == "False"
+    assert len(read_results_csv(tmp_path / "results.csv")) == 8
+    assert (tmp_path / "config.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: peak auxiliary memory {summary['peak_aux_bytes']} bytes exceeds "
+                   "the budget of 1024 bytes"]
+
+
 def test_linear_run_past_the_dense_limit_keeps_its_final_mean():
     """No row above the dense limit carries a number, so no digest covers
     that path: this pins its final mean norm, bit for bit, at d = 700."""

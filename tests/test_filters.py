@@ -29,6 +29,7 @@ from lrvga import (
     lrvga_logistic_step,
     lrvga_nonlinear_step,
     solve_glm_scalars,
+    woodbury_apply,
 )
 from lrvga.em import _ROW_BLOCK
 from lrvga.factor import latent_gram
@@ -329,6 +330,47 @@ def test_warmed_up_default_steps_enter_no_numpy_python_frame():
     rng = np.random.default_rng(7)
     step = lambda: lrvga_nonlinear_step(belief, second, LogisticModel(), k=10, rng=rng)  # noqa: E731
     assert _numpy_frames_entered(step) == []
+
+
+def test_boundary_checks_enter_no_numpy_python_frame():
+    """At d = 100, p = 5, building an ``Observation``, a ``FaPrecision``
+    with its first ``gram``, a ``GaussianBelief`` and a ``DenseGaussian``,
+    and a first ``woodbury_apply`` on a new precision, which forms its
+    latent inverse, check their inputs by ufunc reductions only:
+    ``np.all``, ``np.any``, ``ndarray.all`` or ``np.allclose`` would each
+    enter a numpy Python frame."""
+    rng = np.random.default_rng(8)
+    x, mu = rng.standard_normal(100), rng.standard_normal(100)
+    W, psi = rng.standard_normal((100, 5)), rng.uniform(0.5, 2.0, 100)
+    fa = FaPrecision(W, psi)
+    fa.gram  # builds the cached identity(5), by np.eye, outside the profile
+    cov = fa_dense_inverse(fa)
+    builds = {
+        "Observation": lambda: Observation(x, 0.3),
+        "FaPrecision": lambda: FaPrecision(W, psi).gram,
+        "GaussianBelief": lambda: GaussianBelief(mu, fa),
+        "DenseGaussian": lambda: DenseGaussian(mu, cov),
+        "woodbury_apply": lambda: woodbury_apply(FaPrecision(W, psi), x),
+    }
+    assert {name: _numpy_frames_entered(build) for name, build in builds.items()} == dict.fromkeys(
+        builds, [])
+
+
+@pytest.mark.parametrize("scale", [0.5, 4.0])
+def test_dense_gaussian_symmetry_tolerance_edge(scale):
+    """``cov`` is accepted while |cov - cov^T| is at most 1e-8 times its
+    largest entry, or 1e-8 if that entry is below 1, and is symmetrised;
+    the next float above that tolerance is rejected."""
+    tol = 1e-8 * max(1.0, scale)
+    cov = np.diag([scale, scale / 2.0])
+    cov[1, 0] = tol
+    inside = DenseGaussian(np.zeros(2), cov)
+    assert inside.cov[0, 1] == inside.cov[1, 0] == tol / 2.0
+    cov[1, 0] = np.nextafter(tol, np.inf)
+    with pytest.raises(ValueError, match="cov must be symmetric"):
+        DenseGaussian(np.zeros(2), cov)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        DenseGaussian(np.zeros(2), np.diag([scale, np.nan]))
 
 
 class _ConstantResidual:

@@ -212,12 +212,12 @@ def test_metered_run_at_the_default_rank_stays_within_its_budget():
 
 
 def test_track_memory_reports_an_over_budget_run(tmp_path, monkeypatch):
-    """summary.txt compares the metered peak with the budget; a budget of
-    one byte stands in for a run that exceeds it."""
+    """summary.txt compares the metered peak with the budget, and the run
+    exits 4; a budget of one byte stands in for a run that exceeds it."""
     monkeypatch.setattr(lrvga.experiments, "contract_budget_bytes", lambda d, p: 1)
     argv = ["--experiment", "linear", "--d", "2000", "--c", "0", "--n", "60", "--p", "10",
             "--track-memory", "--out", str(tmp_path)]
-    assert main(argv) == 0
+    assert main(argv) == 4
     lines = (tmp_path / "summary.txt").read_text().splitlines()
     assert "aux_budget_bytes: 1" in lines and "aux_within_budget: False" in lines
 

@@ -37,8 +37,6 @@ from .factor import (
     inverse_diag,
     latent_gram,
     log_det,
-    star,
-    trace_inverse,
     woodbury_apply,
 )
 from .filters import (
@@ -118,7 +116,5 @@ __all__ = [
     "recursive_em_update",
     "run_experiment",
     "solve_glm_scalars",
-    "star",
-    "trace_inverse",
     "woodbury_apply",
 ]

@@ -48,10 +48,10 @@ from .factor import (
     DivergenceError,
     FaPrecision,
     _cholesky_solve,
+    _gram_from,
     _trusted_precision,
     c_einsum,
     identity,
-    star,
 )
 # Module attributes that perfbench/trace.py wraps by name.
 from .factor import latent_gram, spd_solve  # noqa: F401
@@ -192,7 +192,7 @@ def em_fixed_point_step(fa: FaPrecision, S: _BlendTarget) -> FaPrecision:
     del psi_inv_w  # freed before the two d x p products below, to lower the peak
     T = G.dot(_cholesky_solve(MB, identity(fa.p)))  # G (M B)^-1 = W_new M^-1
     W_new = T.dot(M)
-    psi_new = S.diag() - c_einsum("ij,ij->i", T, G)  # star(T, G)
+    psi_new = S.diag() - c_einsum("ij,ij->i", T, G)
     del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
     psi_sum = np.add.reduce(psi_new)
     np.maximum(psi_new, PSI_FLOOR, out=psi_new)
@@ -221,12 +221,9 @@ def _closed_form(fa: FaPrecision, X: np.ndarray, alpha: float, beta: float) -> t
 
 
 def _checked_gram(G: np.ndarray, psi_sum: float) -> np.ndarray:
-    """M = (G + G^T) / 2 + I_p from G = W^T Psi^-1 W, bit for bit as
-    ``latent_gram`` forms it, and a pass's one check of its output: that
-    psi_sum, psi's sum before the floor, plus M's sum is finite."""
-    M = G + G.T
-    M *= 0.5
-    M += identity(G.shape[0])
+    """M of G = W^T Psi^-1 W, by ``_gram_from``, and a pass's one check of its
+    output: that psi_sum, psi's sum before the floor, plus M's sum is finite."""
+    M = _gram_from(G)
     if not math.isfinite(psi_sum + np.add.reduce(M, axis=None)):
         raise DivergenceError("EM step produced non-finite factors")
     return M
@@ -462,7 +459,7 @@ def online_em_update(
         W = np.linalg.solve((s3 + s3.T) / 2.0, s2).T
     except np.linalg.LinAlgError as exc:
         raise DivergenceError("singular latent second moment in online EM") from exc
-    psi = s1 - star(W, s2.T)
+    psi = s1 - c_einsum("ij,ij->i", W, s2.T)
     if not (np.logical_and.reduce(np.isfinite(W), axis=None)
             and np.logical_and.reduce(np.isfinite(psi))):
         raise DivergenceError("online EM produced non-finite factors")

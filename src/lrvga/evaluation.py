@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .dense import DenseGaussian, fa_dense_inverse
-from .factor import FaPrecision, c_einsum, log_det, trace_inverse
+from .factor import FaPrecision, c_einsum, inverse_diag, log_det
 from .filters import GaussianBelief
 from .sampler import EnsembleSampler
 
@@ -182,7 +182,7 @@ def expected_kl_logistic(
         m, u = mu_u[:, 0], mu_u[:, 1:]
         nu = c_einsum("ij,ij,j->i", X, X, 1.0 / q.prec.psi)
         nu -= c_einsum("ij,ij->i", u @ q.prec.latent_inverse, u)
-        trace = trace_inverse(q.prec)
+        trace = float(np.sum(inverse_diag(q.prec)))
     else:
         m = X @ q.mu
         nu, trace = c_einsum("ij,ij->i", X @ q.cov, X), float(np.trace(q.cov))
@@ -204,7 +204,8 @@ def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussi
     Damped Newton ascent to the MAP of the l2-regularized logistic
     objective, stopped at a gradient norm of ``LAPLACE_TOL`` or after
     ``LAPLACE_MAX_ITER`` steps; the covariance is the inverse Hessian there:
-    H = I / sigma0^2 + sum_i sigma'(x_i.theta) x_i x_i^T.
+    H = I / sigma0^2 + sum_i sigma'(x_i.theta) x_i x_i^T, formed once per
+    iterate, the last at the returned mean.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -220,13 +221,12 @@ def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussi
         return float(np.sum(y * z - _softplus(z)) - 0.5 * t @ t / sigma0**2)
 
     obj = objective(theta)
-    for _ in range(LAPLACE_MAX_ITER):
-        z = X @ theta
-        s = expit(z)
-        grad = X.T @ (y - s) - theta / sigma0**2
-        if np.linalg.norm(grad) <= LAPLACE_TOL:
-            break
+    for it in range(LAPLACE_MAX_ITER + 1):
+        s = expit(X @ theta)
         H = X.T @ (X * (s * (1.0 - s))[:, None]) + np.eye(d) / sigma0**2
+        grad = X.T @ (y - s) - theta / sigma0**2
+        if it == LAPLACE_MAX_ITER or np.linalg.norm(grad) <= LAPLACE_TOL:
+            break
         direction = np.linalg.solve(H, grad)
         step = 1.0
         for _ in range(40):
@@ -238,7 +238,4 @@ def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussi
             step *= 0.5
         else:  # no ascent possible, already numerically stationary
             break
-    z = X @ theta
-    s = expit(z)
-    H = X.T @ (X * (s * (1.0 - s))[:, None]) + np.eye(d) / sigma0**2
     return DenseGaussian(theta, np.linalg.inv(H))

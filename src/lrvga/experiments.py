@@ -16,6 +16,7 @@ byte-level reproducibility.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -645,14 +646,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 CSV_HEADER = ("checkpoint", "method", "p", "K", "kl", "stderr", "wall_ms")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, str]:
     """Write results.csv, config.json, and summary.txt.
 
@@ -667,10 +660,9 @@ def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = out / "results.csv"
-    with open(results, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for r in report.rows:
-            fh.write(",".join(map(_fmt, astuple(r))) + "\n")
+    with open(results, "w", encoding="utf-8", newline="") as fh:
+        # None is written as an empty field
+        csv.writer(fh, lineterminator="\n").writerows([CSV_HEADER, *map(astuple, report.rows)])
     config_path = out / "config.json"
     with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(asdict(report.config), fh, sort_keys=True, indent=2)
@@ -689,17 +681,13 @@ def emit_report(report: RunReport, out_dir: str | Path) -> dict[str, str]:
 
 
 def read_results_csv(path) -> list[CheckpointRow]:
-    """Parse a results.csv back into rows (round-trips emit_report)."""
-    rows: list[CheckpointRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    """Parse a results.csv back into rows (round-trips emit_report),
+    skipping blank lines; a wrong header, field count or number raises ValueError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = csv.reader(fh)
+        header = next(lines, [])
         if tuple(header) != CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            ck, method, p, k, kl, stderr, wall = line.split(",")
-            floats = (float(v) if v else None for v in (kl, stderr, wall))
-            rows.append(CheckpointRow(int(ck), method, int(p), int(k), *floats))
-    return rows
+        return [CheckpointRow(int(ck), method, int(p), int(k),
+                              *(float(v) if v else None for v in (kl, stderr, wall)))
+                for ck, method, p, k, kl, stderr, wall in filter(None, lines)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -73,17 +73,6 @@ def identity(p: int) -> np.ndarray:
     return eye
 
 
-def star(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two matrices of one shape:
-    diag(X @ Y.T) = sum_k X[:, k] * Y[:, k], without the d x d product.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape != Y.shape:
-        raise ValueError(f"star needs two matrices of one shape, got {X.shape} and {Y.shape}")
-    return c_einsum("ij,ij->i", X, Y)
-
-
 @dataclass(frozen=True)
 class FaPrecision:
     """Precision matrix W W^T + diag(psi) stored by its factors.
@@ -108,14 +97,14 @@ class FaPrecision:
     ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W that every EM
     cycle and online EM read, and its inverse ``latent_inverse``, read
     only by the Woodbury gain, online EM, the sampler and evaluation, are
-    cached on the instance; immutability keeps them valid. Every EM cycle
+    ``cached_property``s; immutability keeps them valid. Every EM cycle
     hands over the symmetric, checked gram of the precision it builds,
     each pass checking its output once; otherwise the gram is formed and
-    checked on first use. The inverse is formed on first use, from the gram by one
-    raw p x p Cholesky solve. Only these p x p matrices are cached: the
-    d x p Psi^-1 W that an update's first pass, and then each general
-    cycle, hands the next cycle lives on the update's target. So an
-    instance holds the factors plus 2 p^2 floats.
+    checked on first use. The inverse is formed on first use, from the
+    gram by one raw p x p Cholesky solve. Only these p x p matrices are
+    cached: the d x p Psi^-1 W that an update's first pass, and then each
+    general cycle, hands the next cycle lives on the update's target. So
+    an instance holds the factors plus 2 p^2 floats.
     """
 
     W: np.ndarray
@@ -151,27 +140,21 @@ class FaPrecision:
     def p(self) -> int:
         return self.W.shape[1]
 
-    @property
+    @cached_property
     def latent_inverse(self) -> np.ndarray:
         """M^-1 = (I_p + W^T Psi^-1 W)^-1, read-only, formed once per
-        instance by one Cholesky solve of ``gram``, cached as ``gram`` is."""
-        minv = self.__dict__.get("latent_inverse")
-        if minv is None:
-            minv = _cholesky_solve(self.gram, identity(self.p))
-            minv.setflags(write=False)
-            self.__dict__["latent_inverse"] = minv
+        instance by one Cholesky solve of ``gram``."""
+        minv = _cholesky_solve(self.gram, identity(self.p))
+        minv.setflags(write=False)
         return minv
 
-    @property
+    @cached_property
     def gram(self) -> np.ndarray:
-        """M = I_p + W^T Psi^-1 W, read-only, cached as ``_gram``."""
-        M = self.__dict__.get("_gram")
-        if M is None:
-            M = latent_gram(self)
-            if not np.logical_and.reduce(np.isfinite(M), axis=None):
-                raise ValueError("matrix contains non-finite entries")
-            M.setflags(write=False)
-            object.__setattr__(self, "_gram", M)
+        """M = I_p + W^T Psi^-1 W, read-only, formed once per instance."""
+        M = latent_gram(self)
+        if not np.logical_and.reduce(np.isfinite(M), axis=None):
+            raise ValueError("matrix contains non-finite entries")
+        M.setflags(write=False)
         return M
 
 
@@ -188,7 +171,7 @@ def _trusted_precision(
     object.__setattr__(fa, "psi", psi)
     if gram is not None:
         gram.setflags(write=False)
-        object.__setattr__(fa, "_gram", gram)
+        vars(fa)["gram"] = gram  # the cached_property's slot
     return fa
 
 
@@ -198,8 +181,15 @@ def latent_gram(fa: FaPrecision) -> np.ndarray:
     M is symmetric positive definite and M - I_p is positive semidefinite,
     since the second term is a Gram matrix.
     """
-    M = identity(fa.p) + fa.W.T @ (fa.W / fa.psi[:, None])
-    return (M + M.T) / 2.0
+    return _gram_from(fa.W.T @ (fa.W / fa.psi[:, None]))
+
+
+def _gram_from(G: np.ndarray) -> np.ndarray:
+    """M = (G + G^T) / 2 + I_p, exactly symmetric, from G = W^T Psi^-1 W."""
+    M = G + G.T
+    M *= 0.5
+    M += identity(G.shape[0])
+    return M
 
 
 def woodbury_apply(fa: FaPrecision, v: np.ndarray) -> np.ndarray:
@@ -237,12 +227,7 @@ def log_det(fa: FaPrecision) -> float:
 def inverse_diag(fa: FaPrecision) -> np.ndarray:
     """Diagonal of (W W^T + diag(psi))^-1 without forming the inverse."""
     psi_inv_w = fa.W / fa.psi[:, None]
-    return 1.0 / fa.psi - star(psi_inv_w.dot(fa.latent_inverse), psi_inv_w)
-
-
-def trace_inverse(fa: FaPrecision) -> float:
-    """Trace of the covariance (W W^T + diag(psi))^-1."""
-    return float(np.sum(inverse_diag(fa)))
+    return 1.0 / fa.psi - c_einsum("ij,ij->i", psi_inv_w.dot(fa.latent_inverse), psi_inv_w)
 
 
 def init_isotropic_prior(

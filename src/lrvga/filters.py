@@ -123,6 +123,8 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
 
     Information form P_t^-1 = P_{t-1}^-1 + x x^T realized through a
     rank-one covariance downdate, then mu_t = mu_{t-1} + P_t x (y - x.mu).
+    The output is checked once, by the sum of mu and cov; the downdate keeps
+    cov exactly symmetric, so the constructor's scans would change nothing.
     """
     x, y = _input(obs, belief.d), obs.y
     Px = belief.cov @ x
@@ -132,7 +134,12 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
     cov = belief.cov - np.outer(Px, Px) / denom
     gain = Px / denom  # equals P_t x
     mu = belief.mu + gain * (y - float(x @ belief.mu))
-    return DenseGaussian(mu, cov)
+    if not math.isfinite(np.add.reduce(mu) + np.add.reduce(cov, axis=None)):
+        raise ValueError("non-finite entries")
+    out = object.__new__(DenseGaussian)
+    object.__setattr__(out, "mu", mu)
+    object.__setattr__(out, "cov", cov)
+    return out
 
 
 def _prior_scalars(

@@ -322,7 +322,7 @@ def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
     assert out.W.flags.f_contiguous
     assert _relerr(out.W, W) <= 1e-12
     assert _relerr(out.psi, psi) <= 1e-12
-    assert "_gram" in vars(out) and not out.gram.flags.writeable
+    assert "gram" in vars(out) and not out.gram.flags.writeable
     fresh = latent_gram(out)
     assert _relerr(out.gram, fresh) <= 1e-12
     if d <= _ROW_BLOCK:
@@ -357,7 +357,7 @@ def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k
         fresh = em_fixed_point_step(FaPrecision(fresh.W.copy(order="K"), fresh.psi.copy()), target)
         assert np.array_equal(chain[-1].W, fresh.W)
         assert np.array_equal(chain[-1].psi, fresh.psi)
-        assert "_gram" in vars(chain[-1])
+        assert "gram" in vars(chain[-1])
         assert np.array_equal(chain[-1].gram, latent_gram(chain[-1]))
         assert np.array_equal(chain[-1].gram, fresh.gram)
     for a, b in ((got.W, fresh.W), (got.psi, fresh.psi), (got.gram, fresh.gram)):

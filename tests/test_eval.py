@@ -353,6 +353,27 @@ def test_laplace_gradient_vanishes_at_the_mode():
     assert np.allclose(np.linalg.inv(H), lap.cov, rtol=1e-10)
 
 
+@pytest.mark.parametrize("cap", [None, 0, 1], ids=["tolerance", "cap-0", "cap-1"])
+def test_laplace_covariance_is_the_inverse_hessian_at_the_returned_mean(cap, monkeypatch):
+    """On each exit, at the gradient tolerance or at an iteration cap of 0
+    or 1, the covariance is the symmetrised inverse of the Hessian formed
+    at the returned mean, bit for bit."""
+    rng = np.random.default_rng(12)
+    n, d, sigma0 = 60, 4, 2.0
+    X = rng.standard_normal((n, d))
+    y = (rng.random(n) < expit(X @ rng.standard_normal(d))).astype(float)
+    if cap is not None:
+        monkeypatch.setattr(lrvga.evaluation, "LAPLACE_MAX_ITER", cap)
+    lap = laplace_logistic(X, y, sigma0)
+    s = expit(X @ lap.mu)
+    grad = X.T @ (y - s) - lap.mu / sigma0**2
+    assert (np.linalg.norm(grad) <= lrvga.evaluation.LAPLACE_TOL) == (cap is None)
+    assert lap.mu.any() == (cap != 0)
+    H = X.T @ (X * (s * (1.0 - s))[:, None]) + np.eye(d) / sigma0**2
+    inv = np.linalg.inv(H)
+    assert np.array_equal(lap.cov, (inv + inv.T) / 2.0)
+
+
 def test_laplace_validates_inputs():
     with pytest.raises(ValueError):
         laplace_logistic(np.ones((4, 2)), np.ones(3), 1.0)

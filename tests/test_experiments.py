@@ -324,6 +324,27 @@ def test_report_round_trips_through_results_csv(tmp_path):
     assert lines[2] == "7,sampled[s0=2],5,10,,,"
 
 
+_HEADER = "checkpoint,method,p,K,kl,stderr,wall_ms\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("checkpoint,method,p,K,kl,stderr\n1,lrvga,5,0,0.5,\n", "unexpected header"),
+    (_HEADER + "1,lrvga,5,0,0.5,\n", "not enough values"),
+    (_HEADER + "1,lrvga,5,0,0.5,,,\n", "too many values"),
+    (_HEADER + "1.5,lrvga,5,0,0.5,,\n", "invalid literal for int"),
+], ids=["header", "6-fields", "8-fields", "checkpoint"])
+def test_read_results_csv_refuses_a_malformed_file(text, message, tmp_path):
+    """A wrong header, a row of 6 or 8 fields and a non-integer checkpoint
+    each raise ValueError; blank lines between rows are skipped."""
+    path = tmp_path / "results.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_results_csv(path)
+    path.write_text(_HEADER + "\n1,lrvga,5,0,0.5,,\n\n\n2,lrvga,5,0,,,1.5\n\n")
+    assert read_results_csv(path) == [CheckpointRow(1, "lrvga", 5, 0, 0.5, None, None),
+                                      CheckpointRow(2, "lrvga", 5, 0, None, None, 1.5)]
+
+
 @pytest.mark.parametrize("key, value", [("k_grad", 10), ("eps_init", 0.2)],
                          ids=["k_grad", "eps_init"])
 def test_config_echo_reruns_and_rejects_a_removed_key(key, value, tmp_path, capsys):

@@ -103,6 +103,35 @@ def test_kalman_requires_label_and_positive_definiteness():
         kalman_step_dense(broken, Observation(np.ones(1), 0.0))
 
 
+def test_kalman_steps_skip_the_constructor_and_keep_its_bits(monkeypatch):
+    """50 steps at d = 100 run no ``DenseGaussian.__post_init__``, keep the
+    covariance exactly symmetric, and match, bit for bit, the steps with
+    every output rebuilt through the public constructor. A downdate that
+    overflows still raises."""
+    rng = np.random.default_rng(31)
+    d = 100
+    X, y = rng.standard_normal((50, d)), rng.standard_normal(50)
+    obs = [Observation(x, label) for x, label in zip(X, y)]
+    prior = DenseGaussian(np.zeros(d), 4.0 * np.eye(d))
+    rebuilt = [prior]
+    for o in obs:
+        out = kalman_step_dense(rebuilt[-1], o)
+        rebuilt.append(DenseGaussian(out.mu, out.cov))
+    calls = []
+    original = DenseGaussian.__post_init__
+    monkeypatch.setattr(DenseGaussian, "__post_init__",
+                        lambda self: calls.append(self) or original(self))
+    state = prior
+    for o, expected in zip(obs, rebuilt[1:]):
+        state = kalman_step_dense(state, o)
+        assert np.array_equal(state.cov, state.cov.T)
+        assert np.array_equal(state.mu, expected.mu) and np.array_equal(state.cov, expected.cov)
+    assert calls == []
+    huge = DenseGaussian(np.zeros(2), np.diag([1e300, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        kalman_step_dense(huge, Observation(np.array([1.0, 1e-200]), 0.0))
+
+
 # ---------------------------------------------------------- linear filter
 
 
@@ -500,7 +529,7 @@ def _check_fused_glm_step(kind, d, p, loops, order):
     assert _relerr(out.prec.W, ref.prec.W) <= 1e-12
     assert _relerr(out.prec.psi, ref.prec.psi) <= 1e-12
     if loops == 1:
-        assert "_gram" in vars(out.prec)
+        assert "gram" in vars(out.prec)
         fresh = latent_gram(out.prec)
         assert _relerr(out.prec.gram, fresh) <= 1e-12
         if d <= _ROW_BLOCK:

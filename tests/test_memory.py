@@ -142,7 +142,7 @@ def test_a_used_precision_caches_nothing_larger_than_p_squared():
     EnsembleSampler(belief.prec, 6).draw(belief.mu, 3)
     cached = {k: v for k, v in vars(belief.prec).items()
               if isinstance(v, np.ndarray) and k not in ("W", "psi")}
-    assert "latent_inverse" in cached and "_gram" in cached
+    assert "latent_inverse" in cached and "gram" in cached
     assert all(v.size <= p * p for v in cached.values()), {k: v.shape for k, v in cached.items()}
 
 

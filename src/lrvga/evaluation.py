@@ -168,8 +168,9 @@ def expected_kl_logistic(
     each expectation by 32-node Gauss-Hermite quadrature of softplus(t) =
     max(t, 0) + log1p(exp(-|t|)), evaluated in place. A factored q costs
     O(n d p) with no n x d temporary, nu coming from one reduction over X
-    and the cached M^-1, so its working set is O(n p) vectors and the
-    nodes of ``_GH_ROWS`` rows at a time, with no n x 32 array. The error
+    and the cached M^-1. Its n x (p + 1) products are freed once nu is
+    formed, so the quadrature holds O(n) vectors and the nodes of
+    ``_GH_ROWS`` rows at a time, with no n x 32 array. The error
     is the larger of the change from 16 nodes and the sum's rounding
     bound, never 0.
     """
@@ -179,9 +180,10 @@ def expected_kl_logistic(
         raise ValueError("X must hold one length-d row per label")
     if isinstance(q, GaussianBelief):
         mu_u = X.dot(np.column_stack((q.mu, q.prec.W / q.prec.psi[:, None])))
-        m, u = mu_u[:, 0], mu_u[:, 1:]
+        m, u = mu_u[:, 0].copy(), mu_u[:, 1:]
         nu = c_einsum("ij,ij,j->i", X, X, 1.0 / q.prec.psi)
         nu -= c_einsum("ij,ij->i", u @ q.prec.latent_inverse, u)
+        del mu_u, u  # the n x (p + 1) block goes before the node blocks come
         trace = float(np.sum(inverse_diag(q.prec)))
     else:
         m = X @ q.mu
@@ -217,12 +219,13 @@ def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussi
     theta = np.zeros(d)
 
     def objective(t):
+        """The objective at t, and z = X t, which the Newton step reuses."""
         z = X @ t
-        return float(np.sum(y * z - _softplus(z)) - 0.5 * t @ t / sigma0**2)
+        return float(np.sum(y * z - _softplus(z.copy())) - 0.5 * t @ t / sigma0**2), z
 
-    obj = objective(theta)
+    obj, z = objective(theta)
     for it in range(LAPLACE_MAX_ITER + 1):
-        s = expit(X @ theta)
+        s = expit(z)
         H = X.T @ (X * (s * (1.0 - s))[:, None]) + np.eye(d) / sigma0**2
         grad = X.T @ (y - s) - theta / sigma0**2
         if it == LAPLACE_MAX_ITER or np.linalg.norm(grad) <= LAPLACE_TOL:
@@ -231,9 +234,9 @@ def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussi
         step = 1.0
         for _ in range(40):
             cand = theta + step * direction
-            cand_obj = objective(cand)
+            cand_obj, cand_z = objective(cand)
             if cand_obj >= obj:
-                theta, obj = cand, cand_obj
+                theta, obj, z = cand, cand_obj, cand_z
                 break
             step *= 0.5
         else:  # no ascent possible, already numerically stationary

@@ -4,14 +4,15 @@ Four run kinds: covariance tracking, linear regression, logistic
 regression, and the sampled-nonlinear ablation. No run kind keeps its own
 loop: every method, batch EM's passes and the Laplace fit too, goes
 through one checkpoint fold, ``_fold``, the one writer of rows, final
-KLs and wall times. Every run is seeded; its results.csv is
-byte-identical across reruns of the same config and seed on the same
-BLAS build with the same BLAS thread count. The thread count changes how
-BLAS splits its sums, and so the rounding: pin it
-(``OPENBLAS_NUM_THREADS=1``) to compare runs across machines. Wall-clock
-numbers always go to summary.txt, and are written into results.csv only
-when ``record_timing`` is set, since timing jitter would break
-byte-level reproducibility.
+KLs and wall times. A regression run holds its data once, as inputs X
+and labels y, and each fold streams observations over their rows. Every
+run is seeded; its results.csv is byte-identical across reruns of the
+same config and seed on the same BLAS build with the same BLAS thread
+count. The thread count changes how BLAS splits its sums, and so the
+rounding: pin it (``OPENBLAS_NUM_THREADS=1``) to compare runs across
+machines. Wall-clock numbers always go to summary.txt, and are written
+into results.csv only when ``record_timing`` is set, since timing jitter
+would break byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .filters import (
     NONLINEAR_SCHEMES,
     GaussianBelief,
     LogisticModel,
+    Observation,
     kalman_step_dense,
     lrvga_linear_step,
     lrvga_logistic_step,
@@ -337,10 +339,10 @@ def _kl_scorer(X, y, sigma0: float):
 
 
 def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Materialize the sample matrix, scaled to mean squared norm d under
-    "mean-norm" (the scale is estimated from the first 100 rows), and the
-    dense reference covariance the KL is measured against. Desk scale
-    only."""
+    """Materialize the sample matrix, filled and then scaled in place, to
+    mean squared norm d under "mean-norm" (the scale is estimated from the
+    first 100 rows), and the dense reference covariance the KL is measured
+    against. Desk scale only."""
     info: dict = {}
     if cfg.dataset is not None:
         try:
@@ -354,15 +356,16 @@ def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
             raise ConfigError("dataset dimension too large for dense evaluation")
         if cfg.p[0] > d:
             raise ConfigError(f"factor rank {cfg.p[0]} exceeds the dataset dimension {d}")
-        raw = rows[: cfg.n].toarray()
+        V = rows[: cfg.n].toarray()
         info["source"] = f"libsvm:{cfg.dataset}"
     else:
         d = cfg.d
         spec = SyntheticCovSpec(d, cfg.p[0] if cfg.p_true is None else cfg.p_true, cfg.seed)
-        raw = np.array(list(gen_fa_covariance_samples(spec, cfg.n, _rng(cfg, _SEED_DATA))))
+        samples = gen_fa_covariance_samples(spec, cfg.n, _rng(cfg, _SEED_DATA))
+        V = np.fromiter(samples, (float, d), cfg.n)
         info["source"] = f"synthetic(p_true={spec.p_true})"
-    scale = _s0_guess(raw, d) if cfg.normalize == "mean-norm" else 1.0
-    V = raw * scale
+    scale = _s0_guess(V, d) if cfg.normalize == "mean-norm" else 1.0
+    V *= scale  # in place: the samples are held once
     info["normalization_scale"] = scale
     if cfg.dataset is None:
         S_ref = scale**2 * spec.dense_matrix()
@@ -460,13 +463,15 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def _regression_data(cfg: ExperimentConfig, sigma0: float, labels, s_idx: int = 0):
-    """Inputs X, labels y and the observation list of the regression
-    problem at prior scale sigma0, labelled by ``labels`` (a ``datasets``
-    label generator); s_idx keys its data and label streams."""
+    """Inputs X, filled row by row in place, and labels y, drawn once by
+    ``labels`` (a ``datasets`` label generator), of the regression problem
+    at prior scale sigma0; s_idx keys its data and label streams. No list
+    of observations is kept: each fold streams ``map(Observation, X, y)``."""
     spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
-    X = np.array(list(gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))))
-    obs = list(labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx)))
-    return X, np.array([o.y for o in obs]), obs
+    rows = gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))
+    X = np.fromiter(rows, (float, cfg.d), cfg.n)
+    obs = labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx))
+    return X, np.fromiter((o.y for o in obs), float, cfg.n)
 
 
 def _exact_linear_scorer(cfg: ExperimentConfig, X, y, sigma0: float):
@@ -496,9 +501,9 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
     """Stream ridge-style linear regression, one filter run per p.
 
     The dimension alone decides, before the runs, where their observations
-    come from and how they are scored. Up to the dense limit the
-    observations are materialised, and each run is scored by the exact
-    Gaussian KL against the full-data posterior (``_exact_linear_scorer``),
+    come from and how they are scored. Up to the dense limit the data are
+    held as X and y, and each run is scored by the exact Gaussian KL
+    against the full-data posterior (``_exact_linear_scorer``),
     with a dense Kalman trajectory for reference. Above it each run draws
     a fresh seeded stream and is unscored: it reports its final mean norm
     and wall time. Under ``track_memory`` the meter wraps the filter runs
@@ -508,8 +513,8 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
     report = RunReport(cfg, [], {})
     if cfg.d <= DENSE_EVAL_LIMIT:
-        X, y, obs = _regression_data(cfg, sigma0, gen_linear_labels)
-        score, stream = _exact_linear_scorer(cfg, X, y, sigma0), lambda: obs
+        X, y = _regression_data(cfg, sigma0, gen_linear_labels)
+        score, stream = _exact_linear_scorer(cfg, X, y, sigma0), lambda: map(Observation, X, y)
     else:
         # Inputs are rescaled to unit mean squared norm; the raw spectrum has
         # E||x||^2 = d. The scaling sets the signal-to-noise ratio, and so
@@ -555,7 +560,7 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
     posterior, up to its log evidence, and its stderr the quadrature's
     error bound."""
     sigma0 = cfg.sigma0[0]
-    X, y, obs = _regression_data(cfg, sigma0, gen_logistic_labels)
+    X, y = _regression_data(cfg, sigma0, gen_logistic_labels)
     score = _kl_scorer(X, y, sigma0)
     marks = log_spaced_checkpoints(cfg.n, cfg.checkpoints)
     report = RunReport(cfg, [], {"label_balance": float(np.mean(y))})
@@ -564,7 +569,7 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
         final_beliefs[p] = _fold(
             report, marks, f"lrvga,p={p}", ("lrvga", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, p_idx)),
-            enumerate(obs, 1),
+            enumerate(map(Observation, X, y), 1),
             lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             score,
         )
@@ -598,13 +603,13 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
     model = LogisticModel()
 
     for s_idx, sigma0 in enumerate(cfg.sigma0):
-        X, y, obs = _regression_data(cfg, sigma0, gen_logistic_labels, s_idx)
+        X, y = _regression_data(cfg, sigma0, gen_logistic_labels, s_idx)
         tag = f"s0={sigma0:g}"
         score = _kl_scorer(X, y, sigma0)
         _fold(
             report, marks, f"closed-form,{tag}", (f"closed-form[{tag}]", p, 0),
             lambda: _prior(cfg, p, sigma0, _rng(cfg, _SEED_FILTER, s_idx, 0)),
-            enumerate(obs, 1),
+            enumerate(map(Observation, X, y), 1),
             lambda belief, t, o: lrvga_logistic_step(belief, o, cfg.inner_loops),
             score,
         )
@@ -614,7 +619,7 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
             rng = _rng(cfg, _SEED_FILTER, s_idx, 1 + k_idx)
             _fold(
                 report, marks, f"sampled,{tag},K={k}", (f"sampled[{tag}]", p, k),
-                lambda: _prior(cfg, p, sigma0, rng), enumerate(obs, 1),
+                lambda: _prior(cfg, p, sigma0, rng), enumerate(map(Observation, X, y), 1),
                 lambda belief, t, o: lrvga_nonlinear_step(
                     belief, o, model, k=k, inner_loops=cfg.inner_loops,
                     scheme=cfg.scheme, rng=rng,

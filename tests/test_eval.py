@@ -374,6 +374,62 @@ def test_laplace_covariance_is_the_inverse_hessian_at_the_returned_mean(cap, mon
     assert np.array_equal(lap.cov, (inv + inv.T) / 2.0)
 
 
+def _plain(arrays):
+    return tuple(a.view(np.ndarray) if isinstance(a, _CountedVector) else a for a in arrays)
+
+
+class _CountedVector(np.ndarray):
+    """An array whose products with ``left`` on the left are counted. Every
+    ufunc result over one is one too, so an iterate started as one stays
+    one; ``@`` is np.matmul, so it reaches ``__array_ufunc__``."""
+
+    left, products = None, 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is _CountedVector.left:
+            _CountedVector.products += 1
+        if "out" in kwargs:
+            kwargs["out"] = _plain(kwargs["out"])
+        result = getattr(ufunc, method)(*_plain(inputs), **kwargs)
+        return result.view(_CountedVector) if isinstance(result, np.ndarray) else result
+
+
+def test_laplace_forms_x_theta_once_per_objective_evaluation(monkeypatch):
+    """The line search scores each candidate through X theta, and the
+    Newton step reuses the accepted candidate's product: one X @ v per
+    objective evaluation, counted with theta started as a counted vector.
+    The result is the plain call's, bit for bit."""
+    rng = np.random.default_rng(12)
+    n, d, sigma0 = 60, 4, 2.0
+    X = rng.standard_normal((n, d))
+    y = (rng.random(n) < expit(X @ rng.standard_normal(d))).astype(float)
+    plain = laplace_logistic(X, y, sigma0)
+
+    class Numpy(type(np)):
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(*args, **kwargs):
+            return np.zeros(*args, **kwargs).view(_CountedVector)
+
+    evaluations, softplus = 0, lrvga.evaluation._softplus
+
+    def counted_softplus(t):
+        nonlocal evaluations
+        evaluations += 1
+        return softplus(t)
+
+    monkeypatch.setattr(lrvga.evaluation, "np", Numpy("numpy"))
+    monkeypatch.setattr(lrvga.evaluation, "_softplus", counted_softplus)
+    monkeypatch.setattr(_CountedVector, "left", X)
+    monkeypatch.setattr(_CountedVector, "products", 0)
+    lap = laplace_logistic(X, y, sigma0)
+    assert evaluations > 2
+    assert _CountedVector.products == evaluations
+    assert np.array_equal(lap.mu, plain.mu) and np.array_equal(lap.cov, plain.cov)
+
+
 def test_laplace_validates_inputs():
     with pytest.raises(ValueError):
         laplace_logistic(np.ones((4, 2)), np.ones(3), 1.0)

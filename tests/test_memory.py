@@ -17,8 +17,9 @@ from lrvga import (
     run_experiment,
 )
 from lrvga.cli import main
-from lrvga.datasets import SyntheticCovSpec, gen_fa_covariance_samples
+from lrvga.datasets import SyntheticCovSpec, gen_fa_covariance_samples, gen_logistic_labels
 from lrvga.evaluation import expected_kl_logistic, mc_kl_to_posterior
+from lrvga.experiments import _cov_data, _regression_data
 from lrvga.memory import MemoryMeter, contract_budget_bytes
 from lrvga.sampler import EnsembleSampler
 
@@ -162,9 +163,10 @@ def test_factored_quadrature_kl_allocates_nothing_n_by_d():
 
 def test_quadrature_kl_scores_its_nodes_in_row_blocks():
     """One factored quadrature KL at n = 2 10^4, d = 5, p = 2 peaks under
-    16 doubles a row, 2.56 MB. Its O(n p) vectors take about 12 a row;
-    whole n x 32 and n x 16 node arrays with their softplus and sums
-    took it to 11.2 MB."""
+    12 doubles a row, 1.92 MB, at about 10. Whole n x 32 and n x 16 node
+    arrays with their softplus and sums took it to 11.2 MB, and keeping
+    the n x (p + 1) product X [mu, Psi^-1 W] alive through the node
+    blocks to 12.02 doubles a row."""
     n, d, p = 20_000, 5, 2
     rng = np.random.default_rng(3)
     belief = GaussianBelief(rng.standard_normal(d), init_isotropic_prior(d, p, 1.0, rng=3))
@@ -173,7 +175,7 @@ def test_quadrature_kl_scores_its_nodes_in_row_blocks():
     belief.prec.latent_inverse
     with MemoryMeter() as meter:
         expected_kl_logistic(belief, X, y, 2.0)
-    assert 0 < meter.peak_bytes < 16 * 8 * n
+    assert 0 < meter.peak_bytes < 12 * 8 * n
 
 
 def test_observations_carry_no_instance_dict():
@@ -187,6 +189,41 @@ def test_observations_carry_no_instance_dict():
         obs = [Observation(x, v) for x, v in zip(X, y)]
     assert len(obs) == 10_000
     assert 0 < meter.peak_bytes <= 210 * 10_000
+
+
+def test_regression_data_fills_its_inputs_in_place():
+    """The inputs and labels of a logistic run at d = 2000, n = 500, c = 0
+    peak within 1.1 times X's 8 MB: the rows go straight into X, one at
+    a time. A list of row copies beside X took it to 16.08 MB."""
+    cfg = make_config("logistic", d=2000, n=500, c=0.0)
+    with MemoryMeter() as meter:
+        X, y = _regression_data(cfg, cfg.sigma0[0], gen_logistic_labels)
+    assert X.shape == (500, 2000) and y.shape == (500,)
+    assert 0 < meter.peak_bytes <= 1.1 * X.nbytes
+
+
+def test_covariance_data_fills_its_samples_in_place():
+    """The samples of a cov run at d = 100, n = 2000 and their reference
+    covariance peak within 1.4 times the 1.6 MB sample matrix, at about
+    1.27: the generator's chunk arrays and the d x d reference add the
+    rest. A list of row copies beside the matrix, and a scaled copy of
+    it, took it to 2.19."""
+    with MemoryMeter() as meter:
+        V, _, _ = _cov_data(make_config("cov", d=100, n=2000))
+    assert V.shape == (2000, 100)
+    assert 0 < meter.peak_bytes <= 1.4 * V.nbytes
+
+
+def test_nonlinear_run_holds_its_data_once():
+    """A nonlinear run at the default d = 20, n = 1000, one sigma0 and
+    K = 1, 10, 100 peaks under 0.5 MB, at about 0.42: X, y, the filter
+    states and the quadrature scorer's vectors. A list of 1000
+    Observations (about 190 KB) with the scorer's n x (p + 1) product
+    alive through its node blocks took it to 0.68 MB."""
+    cfg = make_config("nonlinear", sigma0=[2.0], k_hess=[1, 10, 100], seed=3)
+    with MemoryMeter() as meter:
+        run_experiment(cfg)
+    assert 0 < meter.peak_bytes < 500_000
 
 
 def test_large_scale_cli_run_stays_within_its_own_budget():

@@ -118,7 +118,8 @@ class RegressionSpec:
     def truth(self) -> np.ndarray:
         rng = self._param_rng()
         if self.c != 0.0:
-            rng.standard_normal((self.d, self.d))  # skip past the rotation draw
+            for _ in range(self.d):  # skip past the rotation's draw, a row at a time
+                rng.standard_normal(self.d)
         return self.sigma0 * rng.standard_normal(self.d)
 
 

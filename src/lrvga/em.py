@@ -25,14 +25,18 @@ its output on the target for the next. An update's first pass never
 applies the target. At alpha = 1 it is the warm-started rank-K cycle
 ``_rank_k_rows``, which for the GLM step at K = 1 also writes the new
 mean from the same column; at alpha != 1 it is the closed-form fit.
-Either solves small matrices, then makes one pass over the rows of W and
-X in cache-sized blocks that writes the new factors column-major, so
-that each block is p contiguous column segments, and accumulates their
-gram; when general cycles follow, it also writes Psi^-1 W of its output,
-column-major, and hands it to the first of them. Every routine accepts
-either order. Inputs are validated once per update; each pass checks its
-output once, by the sum of psi before the floor and of its gram, floors
-psi and builds it unvalidated.
+Either solves small matrices, then writes the new factors column-major
+in ``_row_pass``, the one loop over cache-sized row blocks, each p
+contiguous column segments, which accumulates their gram; when general
+cycles follow, it also writes Psi^-1 W of its output, column-major, and
+hands it to the first of them. The rank-K cycle does its d-length work
+once, on whole arrays, around that loop: the column G = X - W A, by one
+product over W, and psi_new before it, the mean after it, so its blocks
+carry only d x p work. The closed-form fit forms psi in each block, from
+the block's Z C. Every routine accepts either order. Inputs are
+validated once per update; each pass checks its output once, by the sum
+of psi before the floor and of its gram, floors psi and builds it
+unvalidated.
 """
 
 from __future__ import annotations
@@ -194,8 +198,7 @@ def em_fixed_point_step(fa: FaPrecision, S: _BlendTarget) -> FaPrecision:
     W_new = T.dot(M)
     psi_new = S.diag() - c_einsum("ij,ij->i", T, G)
     del T, G  # freed before Psi_new^-1 W_new below, to lower the peak
-    psi_sum = np.add.reduce(psi_new)
-    np.maximum(psi_new, PSI_FLOOR, out=psi_new)
+    psi_sum = _floored(psi_new)
     psi_inv_w = W_new / psi_new[:, None]
     out = _trusted_precision(W_new, psi_new, _checked_gram(W_new.T.dot(psi_inv_w), psi_sum))
     S.handed = out, psi_inv_w
@@ -260,34 +263,36 @@ def _rank_k_rows(
 
         W_new = W + G Q A^T,  psi_new = psi + diag(G Q G^T),
 
-    written by ``_row_pass`` at O(d p K), plus O(d p^2) for the output's
-    gram: below the general cycle's cost at every K. Given
-    ``shift = (r, mu, out)`` and K = 1 it also writes
-    out = mu + r Psi^-1 G, the mean moved along the pre-update gain
-    P X = Psi^-1 G; ``out`` may be a buffer nothing else reads. Each
-    column-major block of W_new is G Q A^T written in place, an outer
-    product at K = 1, to which w is then added.
-    """
+    at O(d p K), plus O(d p^2) for the output's gram: below the general
+    cycle's cost at every K. Its d-length work is done once, on whole
+    arrays: G, by one product over W, psi_new and, given
+    ``shift = (r, mu, out)`` and K = 1, out = mu + r Psi^-1 G, the mean
+    moved along the pre-update gain P X = Psi^-1 G. ``out`` may be a
+    buffer nothing else reads; G is formed in it, so no further d-vector
+    is live. Only the d x p work goes through ``_row_pass``'s blocks:
+    each column-major block of W_new is G Q A^T written in place, an
+    outer product at K = 1, to which the block of W is added."""
     k = A.shape[1]
     Q = _rank_k_weight(A, beta)
     AQ = A * Q if k == 1 else A @ Q
+    g = np.matmul(fa.W, A, out=None if shift is None else shift[2][:, None])
+    np.subtract(X, g, out=g)
+    # G Q is a scalar product at K = 1. The einsum, unlike np.multiply,
+    # stays silent where psi overflows, which the pass's check reports.
+    psi_new = c_einsum("ij,ij->i", g * Q if k == 1 else g.dot(Q), g)
+    psi_new += fa.psi
 
     def fill(rows, w_new, psi_block):
-        w = fa.W[rows]
-        g = X[rows] - w @ A
         # At K = 1 matmul takes a slow loop; the product is then an outer one
-        (np.multiply if k == 1 else np.matmul)(g, AQ.T, out=w_new)
-        w_new += w
-        # G Q is a scalar product at K = 1. The einsum, unlike np.multiply,
-        # stays silent where psi overflows, which the pass's check reports.
-        c_einsum("ij,ij->i", g * Q if k == 1 else g.dot(Q), g, out=psi_block)
-        psi_block += fa.psi[rows]
-        if shift is not None:
-            r, mu, out = shift
-            np.divide(r * g[:, 0], fa.psi[rows], out=out[rows])
-            out[rows] += mu[rows]
+        (np.multiply if k == 1 else np.matmul)(g[rows], AQ.T, out=w_new)
+        w_new += fa.W[rows]
 
-    return _row_pass(fa.W.shape, fill, target)
+    out = _row_pass(fa.W.shape, fill, target, psi_new)
+    if shift is not None:
+        r, mu, mean = shift  # mean holds G: r G / psi + mu, in place
+        np.divide(np.multiply(mean, r, out=mean), fa.psi, out=mean)
+        mean += mu
+    return out
 
 
 def _rank_k_weight(A: np.ndarray, beta: float):
@@ -301,10 +306,11 @@ def _rank_k_weight(A: np.ndarray, beta: float):
     return _cholesky_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
 
 
-def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
+def _row_pass(shape: tuple[int, int], fill, target=None, psi_new=None) -> FaPrecision:
     """One pass over the rows of an update's first output, in blocks
-    of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block,
-    whose psi is then summed and floored at ``PSI_FLOOR``. W_new is
+    of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block of
+    W_new, and of psi unless ``psi_new`` comes whole. Psi is summed and
+    floored at ``PSI_FLOOR`` once if whole, else block by block. W_new is
     column-major, so ``w_new`` is p contiguous column segments, which
     ``fill`` must write in place. The output carries its gram, summed
     into the first block's product; with a single block (d <= _ROW_BLOCK)
@@ -313,15 +319,15 @@ def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
     it forms in one column-major array and hands it on there."""
     d, p = shape
     W_new = np.empty((d, p), order="F")
-    psi_new = np.empty(d)
+    blocked = psi_new is None
+    psi_new, psi_sum = (np.empty(d), 0.0) if blocked else (psi_new, _floored(psi_new))
     psi_inv_w = None if target is None else np.empty((d, p), order="F")
-    psi_sum = 0.0
     for start in range(0, d, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         w_new, psi_block = W_new[rows], psi_new[rows]
         fill(rows, w_new, psi_block)
-        psi_sum += np.add.reduce(psi_block)
-        np.maximum(psi_block, PSI_FLOOR, out=psi_block)
+        if blocked:
+            psi_sum += _floored(psi_block)
         out = None if psi_inv_w is None else psi_inv_w[rows]
         # Block products here and in the fills keep @: past one block, a row
         # block of an F-ordered array is not contiguous, and .dot copies it
@@ -331,6 +337,13 @@ def _row_pass(shape: tuple[int, int], fill, target=None) -> FaPrecision:
     if target is not None:
         target.handed = fa, psi_inv_w
     return fa
+
+
+def _floored(psi: np.ndarray) -> float:
+    """The sum of psi, for a pass's check; psi is then floored in place."""
+    psi_sum = np.add.reduce(psi)
+    np.maximum(psi, PSI_FLOOR, out=psi)
+    return psi_sum
 
 
 def default_inner_loops(d: int) -> int:

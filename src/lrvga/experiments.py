@@ -626,6 +626,7 @@ def run_nonlinear_ablation(cfg: ExperimentConfig) -> RunReport:
                 ),
                 score,
             )
+        del X, y, score  # freed before the next sigma0's data is built
     return report
 
 

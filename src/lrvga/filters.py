@@ -4,10 +4,10 @@ One observation in, one posterior out. The linear and logistic filters
 share one implicit GLM update: the link turns a0 = x.mu_{t-1} and
 nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
 pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
-The step reads W twice: once for W^T Psi^-1 x, which gives nu0 and
-A = M^-1 W^T Psi^-1 x, and once in the row pass of ``em._absorb``'s first
-cycle, a rank-one update by the column g = x - W A = Psi P_{t-1} x, from
-which it also writes the new mean.
+The step reads W three times: for W^T Psi^-1 x, which gives nu0 and
+A = M^-1 W^T Psi^-1 x; for W A in ``em._absorb``'s first cycle, a rank-one
+update by the column g = x - W A = Psi P_{t-1} x, which also gives the new
+mean; and in that cycle's row-block loop, which writes the new factors.
 Nonlinear single-index likelihoods, which read theta only through
 z = x.theta, are handled by sampled expectations with an optional
 extragradient (mirror-prox) correction: each stage draws K scalars
@@ -177,8 +177,8 @@ def _glm_step(
     weights (1, s), so no reweighted copy of x is made. Its first pass is
     the warm-started rank-one cycle, given the scalars' M^-1 c,
     c = W^T Psi^-1 x, as its A. By Woodbury, P_{t-1} x r = r Psi^-1 g
-    with g = x - W M^-1 c, the column that cycle is made of, so its row
-    pass writes mu_t from g, into the spent buffer of Psi^-1 x.
+    with g = x - W M^-1 c, the column that cycle is made of: it forms g
+    in the spent buffer of Psi^-1 x, then writes mu_t over it there.
     """
     x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
     s, r = rule(a0, nu0, y)

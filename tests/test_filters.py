@@ -536,6 +536,35 @@ def _check_fused_glm_step(kind, d, p, loops, order):
             assert np.array_equal(out.prec.gram, fresh)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("loops", [1, 3])
+@pytest.mark.parametrize("kind", sorted(GLM_STEPS))
+def test_glm_step_does_not_depend_on_the_row_block_split(monkeypatch, kind, loops, order):
+    """At d = 2 _ROW_BLOCK + 37 the rank-one pass walks three row blocks.
+    Its d-length work (g = x - W A, psi_new and the mean) is done on whole
+    arrays, and its d x p work block by block, so a one-pass step's mu, W
+    and psi equal, bit for bit, those of the same step made in one block.
+    Only the gram, summed block by block, may round differently: within
+    1e-12 relative. The general cycles of a three-pass step read that
+    gram, so there the mean stays bit-identical, as it is written by the
+    first pass, and W and psi agree within 1e-12 relative."""
+    step, _ = GLM_STEPS[kind]
+    d, p = 2 * _ROW_BLOCK + 37, 5
+    rng = np.random.default_rng(loops + (order == "F"))
+    W = np.asarray(rng.standard_normal((d, p)) / 3.0, order=order)
+    belief = GaussianBelief(rng.standard_normal(d) / np.sqrt(d),
+                            FaPrecision(W, rng.uniform(0.5, 2.0, d)))
+    y = 1.0 if kind == "logistic" else float(rng.standard_normal())
+    obs = Observation(2.0 * rng.standard_normal(d) / np.sqrt(d), y)
+    out = step(belief, obs, inner_loops=loops)
+    monkeypatch.setattr(lrvga.em, "_ROW_BLOCK", d)
+    ref = step(belief, obs, inner_loops=loops)
+    assert np.array_equal(out.mu, ref.mu)
+    for a, b in ((out.prec.W, ref.prec.W), (out.prec.psi, ref.prec.psi)):
+        assert np.array_equal(a, b) if loops == 1 else _relerr(a, b) <= 1e-12
+    assert _relerr(out.prec.gram, ref.prec.gram) <= 1e-12
+
+
 def test_mean_overflow_in_the_last_partial_block_raises_as_the_two_route_step():
     """x lives in the last, partial row block, where psi is small, so
     P_{t-1} x r overflows there and nowhere else. The fused step raises

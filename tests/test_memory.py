@@ -17,7 +17,7 @@ from lrvga import (
     run_experiment,
 )
 from lrvga.cli import main
-from lrvga.datasets import SyntheticCovSpec, gen_fa_covariance_samples, gen_logistic_labels
+from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_fa_covariance_samples, gen_logistic_labels
 from lrvga.evaluation import expected_kl_logistic, mc_kl_to_posterior
 from lrvga.experiments import _cov_data, _regression_data
 from lrvga.memory import MemoryMeter, contract_budget_bytes
@@ -224,6 +224,36 @@ def test_nonlinear_run_holds_its_data_once():
     with MemoryMeter() as meter:
         run_experiment(cfg)
     assert 0 < meter.peak_bytes < 500_000
+
+
+def test_nonlinear_run_frees_each_sigma0s_data_before_the_next():
+    """A nonlinear run at d = 400, n = 300, K = 1 peaks at the input
+    rotation, about 6.25 MB with one sigma0. With sigma0 = 1, 2 the first
+    sigma0's X, y and scorer are dropped before the second's data is
+    built: kept alive, they took the peak to 7.22 MB, one X (0.96 MB)
+    higher."""
+    peaks = []
+    for sigma0 in ([1.0], [1.0, 2.0]):
+        cfg = make_config("nonlinear", d=400, n=300, k_hess=[1], checkpoints=3, sigma0=sigma0)
+        with MemoryMeter() as meter:
+            run_experiment(cfg)
+        peaks.append(meter.peak_bytes)
+    assert 0 < peaks[1] <= peaks[0] + 200_000
+
+
+def test_regression_truth_skips_the_rotation_draw_a_row_at_a_time():
+    """At d = 400, c = 1 the truth follows the d x d normal draw of the
+    rotation in the same stream. It skips that draw one row of d at a
+    time, so it peaks far below one d x d array (1.28 MB), and gives the
+    draw that follows the whole block."""
+    d = 400
+    spec = RegressionSpec(d, 10, c=1.0, sigma0=2.0, seed=5)
+    with MemoryMeter() as meter:
+        theta = spec.truth()
+    assert 0 < meter.peak_bytes <= 0.05 * 8 * d * d
+    rng = np.random.default_rng(5)
+    rng.standard_normal((d, d))
+    assert np.array_equal(theta, 2.0 * rng.standard_normal(d))
 
 
 def test_large_scale_cli_run_stays_within_its_own_budget():

@@ -23,20 +23,19 @@ new factors, so the next Woodbury gain or cycle reads it without another
 pass over W; within one update a general cycle also leaves Psi^-1 W of
 its output on the target for the next. An update's first pass never
 applies the target. At alpha = 1 it is the warm-started rank-K cycle
-``_rank_k_rows``, which for the GLM step at K = 1 also writes the new
-mean from the same column; at alpha != 1 it is the closed-form fit.
-Either solves small matrices, then writes the new factors column-major
-in ``_row_pass``, the one loop over cache-sized row blocks, each p
-contiguous column segments, which accumulates their gram; when general
-cycles follow, it also writes Psi^-1 W of its output, column-major, and
-hands it to the first of them. The rank-K cycle does its d-length work
-once, on whole arrays, around that loop: the column G = X - W A, by one
-product over W, and psi_new before it, the mean after it, so its blocks
-carry only d x p work. The closed-form fit forms psi in each block, from
-the block's Z C. Every routine accepts either order. Inputs are
-validated once per update; each pass checks its output once, by the sum
-of psi before the floor and of its gram, floors psi and builds it
-unvalidated.
+``_rank_k_rows``, at alpha != 1 the closed-form fit ``_closed_form``.
+Both have one shape: each solves small matrices and forms psi_new whole,
+with its d-length work done once on whole arrays, then hands it to
+``_row_pass``, the one loop over cache-sized row blocks, which writes
+the new factors column-major, each block p contiguous column segments,
+and accumulates their gram; when general cycles follow, it also writes
+Psi^-1 W of its output, column-major, and hands it to the first of
+them. The rank-K cycle's column G = X - W A = Psi (W W^T + Psi)^-1 X
+goes into a caller's buffer if given, from which the GLM filter step
+moves its mean: nothing here reads a mean. Every routine accepts either
+order. Inputs are validated once per update; each pass checks its output
+once, by the sum of psi before the floor and of its gram, floors psi and
+builds it unvalidated.
 """
 
 from __future__ import annotations
@@ -60,9 +59,9 @@ from .factor import (
 # Module attributes that perfbench/trace.py wraps by name.
 from .factor import latent_gram, spd_solve  # noqa: F401
 
-# Rows per block of the warm-started cycle's row passes: a block's rows
-# of W and X, its products and its output rows, at most about 1.4 MB at
-# p = 10, K = 1, stay in a 2 MB L2 cache.
+# Rows per block of ``_row_pass``, the first passes' one row loop: a
+# block's rows of W and X, its products and its output rows, at most
+# about 1.4 MB at p = 10, K = 1, stay in a 2 MB L2 cache.
 _ROW_BLOCK = 4096
 
 
@@ -205,22 +204,36 @@ def em_fixed_point_step(fa: FaPrecision, S: _BlendTarget) -> FaPrecision:
     return out
 
 
-def _closed_form(fa: FaPrecision, X: np.ndarray, alpha: float, beta: float) -> tuple:
-    """(H, C) for ``_warm_rows``: the closed-form rank-p fit of the
-    recursion target. With D = diag(sqrt(alpha) I_p, sqrt(beta) I_K) and
-    the eigenvectors of the Gram matrix of [W X] D split into the top p,
-    V_p, and the rest, H = D V_p and C = D V_rest. A non-finite or
-    unconverged eigendecomposition raises."""
+def _closed_form(
+    fa: FaPrecision, X: np.ndarray, alpha: float, beta: float, target=None
+) -> FaPrecision:
+    """The closed-form rank-p fit of the recursion target. With
+    Z = [W X], D = diag(sqrt(alpha) I_p, sqrt(beta) I_K) and the
+    eigenvectors of the Gram matrix of Z D split into the top p, V_p, and
+    the rest, H = D V_p and C = D V_rest give W_new = Z H and psi_new =
+    alpha psi + diag(Z C C^T Z^T), the squared row norms of Z C, formed
+    whole; ``_row_pass`` writes W_new. A non-finite or unconverged
+    eigendecomposition raises."""
     p, k = fa.p, X.shape[1]
     scale = np.full(p + k, math.sqrt(beta))
     scale[:p] = math.sqrt(alpha)
     Z = np.concatenate((fa.W, X), axis=1)
-    Z *= scale  # [W X] D, formed whole so that its Gram matrix is one product
+    Z *= scale  # Z D, formed whole so that its Gram matrix is one product
     _, vecs, info = lapack.dsyevd(Z.T @ Z, lower=1, overwrite_a=1)
     if info != 0:
         raise DivergenceError("EM step produced non-finite factors")
+    np.concatenate((fa.W, X), axis=1, out=Z)  # Z again, unscaled, in place
     vecs *= scale[:, None]  # D V, eigenvalues ascending
-    return vecs[:, k:][:, ::-1], vecs[:, :k]  # W_new's columns go largest first
+    H = vecs[:, k:][:, ::-1]  # W_new's columns go largest first
+    zc = Z.dot(vecs[:, :k])
+    psi_new = c_einsum("ij,ij->i", zc, zc)
+    del zc  # freed before the pass's d x p arrays, to lower the peak
+    psi_new += alpha * fa.psi
+
+    def fill(rows, w_new):
+        np.matmul(Z[rows], H, out=w_new)
+
+    return _row_pass(fill, psi_new, p, target)
 
 
 def _checked_gram(G: np.ndarray, psi_sum: float) -> np.ndarray:
@@ -232,26 +245,8 @@ def _checked_gram(G: np.ndarray, psi_sum: float) -> np.ndarray:
     return M
 
 
-def _warm_rows(
-    fa: FaPrecision, X: np.ndarray, alpha: float, H: np.ndarray, C: np.ndarray, target=None
-) -> FaPrecision:
-    """The row pass of the closed-form fit, given (H, C) from
-    ``_closed_form``: with Z = [W X], W_new = Z H and psi_new = alpha psi
-    + diag(Z R Z^T) for R = C C^T, the squared row norms of Z C, by
-    ``_row_pass``. Each block's z and z C stay in cache."""
-
-    def fill(rows, w_new, psi_block):
-        z = np.concatenate((fa.W[rows], X[rows]), axis=1)
-        np.matmul(z, H, out=w_new)
-        zc = z.dot(C)  # .dot: at K = 1 matmul takes a slow loop
-        c_einsum("ij,ij->i", zc, zc, out=psi_block)
-        psi_block += alpha * fa.psi[rows]
-
-    return _row_pass(fa.W.shape, fill, target)
-
-
 def _rank_k_rows(
-    fa: FaPrecision, X: np.ndarray, A: np.ndarray, beta: float, shift=None, target=None
+    fa: FaPrecision, X: np.ndarray, A: np.ndarray, beta: float, out=None, target=None
 ) -> FaPrecision:
     """The EM cycle toward W W^T + Psi + beta X X^T started at ``fa``,
     given A = M^-1 V^T (p x K) with V = X^T Psi^-1 W.
@@ -265,34 +260,27 @@ def _rank_k_rows(
 
     at O(d p K), plus O(d p^2) for the output's gram: below the general
     cycle's cost at every K. Its d-length work is done once, on whole
-    arrays: G, by one product over W, psi_new and, given
-    ``shift = (r, mu, out)`` and K = 1, out = mu + r Psi^-1 G, the mean
-    moved along the pre-update gain P X = Psi^-1 G. ``out`` may be a
-    buffer nothing else reads; G is formed in it, so no further d-vector
-    is live. Only the d x p work goes through ``_row_pass``'s blocks:
-    each column-major block of W_new is G Q A^T written in place, an
-    outer product at K = 1, to which the block of W is added."""
+    arrays: G, by one product over W, written into the d x K buffer
+    ``out`` if given, and psi_new. Only the d x p work goes through
+    ``_row_pass``'s blocks: each column-major block of W_new is G Q A^T
+    written in place, an outer product at K = 1, to which the block of W
+    is added."""
     k = A.shape[1]
     Q = _rank_k_weight(A, beta)
     AQ = A * Q if k == 1 else A @ Q
-    g = np.matmul(fa.W, A, out=None if shift is None else shift[2][:, None])
+    g = np.matmul(fa.W, A, out=out)
     np.subtract(X, g, out=g)
     # G Q is a scalar product at K = 1. The einsum, unlike np.multiply,
     # stays silent where psi overflows, which the pass's check reports.
     psi_new = c_einsum("ij,ij->i", g * Q if k == 1 else g.dot(Q), g)
     psi_new += fa.psi
 
-    def fill(rows, w_new, psi_block):
+    def fill(rows, w_new):
         # At K = 1 matmul takes a slow loop; the product is then an outer one
         (np.multiply if k == 1 else np.matmul)(g[rows], AQ.T, out=w_new)
         w_new += fa.W[rows]
 
-    out = _row_pass(fa.W.shape, fill, target, psi_new)
-    if shift is not None:
-        r, mu, mean = shift  # mean holds G: r G / psi + mu, in place
-        np.divide(np.multiply(mean, r, out=mean), fa.psi, out=mean)
-        mean += mu
-    return out
+    return _row_pass(fill, psi_new, fa.p, target)
 
 
 def _rank_k_weight(A: np.ndarray, beta: float):
@@ -306,32 +294,29 @@ def _rank_k_weight(A: np.ndarray, beta: float):
     return _cholesky_solve(identity(k) + beta * (A.T @ A), beta * identity(k))
 
 
-def _row_pass(shape: tuple[int, int], fill, target=None, psi_new=None) -> FaPrecision:
-    """One pass over the rows of an update's first output, in blocks
-    of ``_ROW_BLOCK``: ``fill(rows, w_new, psi_block)`` writes a block of
-    W_new, and of psi unless ``psi_new`` comes whole. Psi is summed and
-    floored at ``PSI_FLOOR`` once if whole, else block by block. W_new is
-    column-major, so ``w_new`` is p contiguous column segments, which
-    ``fill`` must write in place. The output carries its gram, summed
-    into the first block's product; with a single block (d <= _ROW_BLOCK)
-    it equals ``latent_gram``'s, bit for bit, and is checked once, at the
-    end. Given the update's ``target``, the pass keeps the Psi^-1 W_new
-    it forms in one column-major array and hands it on there."""
-    d, p = shape
+def _row_pass(fill, psi_new: np.ndarray, p: int, target=None) -> FaPrecision:
+    """One pass over the rows of an update's first output, given its
+    whole psi_new, which is summed and floored at ``PSI_FLOOR`` once: in
+    blocks of ``_ROW_BLOCK``, ``fill(rows, w_new)`` writes a block of
+    W_new. W_new is column-major, so ``w_new`` is p contiguous column
+    segments, which ``fill`` must write in place. The output carries its
+    gram, summed into the first block's product; with a single block
+    (d <= _ROW_BLOCK) it equals ``latent_gram``'s, bit for bit, and is
+    checked once, at the end. Given the update's ``target``, the pass
+    keeps the Psi^-1 W_new it forms in one column-major array and hands
+    it on there."""
+    d = psi_new.shape[0]
     W_new = np.empty((d, p), order="F")
-    blocked = psi_new is None
-    psi_new, psi_sum = (np.empty(d), 0.0) if blocked else (psi_new, _floored(psi_new))
+    psi_sum = _floored(psi_new)
     psi_inv_w = None if target is None else np.empty((d, p), order="F")
     for start in range(0, d, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        w_new, psi_block = W_new[rows], psi_new[rows]
-        fill(rows, w_new, psi_block)
-        if blocked:
-            psi_sum += _floored(psi_block)
+        w_new = W_new[rows]
+        fill(rows, w_new)
         out = None if psi_inv_w is None else psi_inv_w[rows]
         # Block products here and in the fills keep @: past one block, a row
         # block of an F-ordered array is not contiguous, and .dot copies it
-        block_gram = w_new.T @ np.divide(w_new, psi_block[:, None], out=out)
+        block_gram = w_new.T @ np.divide(w_new, psi_new[rows, None], out=out)
         G = np.add(G, block_gram, out=G) if start else block_gram
     fa = _trusted_precision(W_new, psi_new, _checked_gram(G, psi_sum))
     if target is not None:
@@ -379,14 +364,15 @@ def recursive_em_update(
 
 
 def _absorb(prev: FaPrecision, X: np.ndarray, alpha: float, beta: float,
-            inner_loops: int | None, A=None, shift=None) -> FaPrecision:
+            inner_loops: int | None, A=None, out=None) -> FaPrecision:
     """The ``inner_loops`` passes of one update by a checked d x K block X,
     ``default_inner_loops(prev.d)`` when None. The first is
     ``_rank_k_rows`` at alpha = 1, from the caller's A = M^-1 V^T if
-    given, with ``shift`` passed on; at alpha != 1 the closed-form fit.
-    The rest are general cycles, through the module's
-    ``em_fixed_point_step``, where the benchmark tracer wraps it; the
-    first pass hands the first of them its Psi^-1 W through the target."""
+    given, which writes G = Psi P_prev X into the d x K buffer ``out`` if
+    given; at alpha != 1 the closed-form fit, which writes no G. The rest
+    are general cycles, through the module's ``em_fixed_point_step``,
+    where the benchmark tracer wraps it; the first pass hands the first
+    of them its Psi^-1 W through the target."""
     if inner_loops is None:
         inner_loops = default_inner_loops(prev.d)
     elif inner_loops < 1:
@@ -394,11 +380,11 @@ def _absorb(prev: FaPrecision, X: np.ndarray, alpha: float, beta: float,
     target = _BlendTarget(prev, X, alpha, beta)
     hand = target if inner_loops > 1 else None
     if alpha != 1.0:
-        fa = _warm_rows(prev, X, alpha, *_closed_form(prev, X, alpha, beta), hand)
+        fa = _closed_form(prev, X, alpha, beta, hand)
     else:
         if A is None:
             A = prev.latent_inverse @ ((X.T / prev.psi) @ prev.W).T
-        fa = _rank_k_rows(prev, X, A, beta, shift, hand)
+        fa = _rank_k_rows(prev, X, A, beta, out, hand)
     for _ in range(inner_loops - 1):
         fa = em_fixed_point_step(fa, target)
     return fa

@@ -6,8 +6,10 @@ nu0 = x^T P_{t-1} x into a weight s and a residual r, the mean moves by the
 pre-update gain P_{t-1} x r, and the factored precision absorbs s x x^T.
 The step reads W three times: for W^T Psi^-1 x, which gives nu0 and
 A = M^-1 W^T Psi^-1 x; for W A in ``em._absorb``'s first cycle, a rank-one
-update by the column g = x - W A = Psi P_{t-1} x, which also gives the new
-mean; and in that cycle's row-block loop, which writes the new factors.
+update by the column g = x - W A = Psi P_{t-1} x, which that cycle hands
+back; and in its row-block loop, which writes the new factors. The new
+mean mu_t = mu_{t-1} + r Psi^-1 g is formed here, in ``_glm_step``: the
+EM layer fits the precision and never reads a mean.
 Nonlinear single-index likelihoods, which read theta only through
 z = x.theta, are handled by sampled expectations with an optional
 extragradient (mirror-prox) correction: each stage draws K scalars
@@ -96,17 +98,20 @@ def _checked(belief: GaussianBelief) -> GaussianBelief:
     mean"), as the constructor raises, if an entry of the mean is not finite,
     found by a scan made only when the norm check fails; DivergenceError if
     the finite mean's norm sqrt(mu @ mu), as ``np.linalg.norm`` forms it, is
-    not finite or over ``MU_NORM_LIMIT``, or too much of psi is floored."""
+    not finite or over ``MU_NORM_LIMIT``, or too much of psi is floored,
+    counted only when psi's least entry is at the floor."""
     mu_norm = math.sqrt(belief.mu.dot(belief.mu))
     if not mu_norm <= MU_NORM_LIMIT:
         if not np.logical_and.reduce(np.isfinite(belief.mu)):
             raise ValueError("non-finite mean")
         raise DivergenceError(f"mean norm {mu_norm:.3e} exceeds {MU_NORM_LIMIT:.0e}")
-    floored = np.add.reduce(belief.prec.psi <= PSI_FLOOR) / belief.d
-    if floored > PSI_FLOOR_FRACTION:
-        raise DivergenceError(
-            f"{floored:.0%} of the diagonal hit the floor {PSI_FLOOR:g}"
-        )
+    psi = belief.prec.psi
+    if np.minimum.reduce(psi) <= PSI_FLOOR:
+        floored = np.add.reduce(psi <= PSI_FLOOR) / belief.d
+        if floored > PSI_FLOOR_FRACTION:
+            raise DivergenceError(
+                f"{floored:.0%} of the diagonal hit the floor {PSI_FLOOR:g}"
+            )
     return belief
 
 
@@ -178,12 +183,15 @@ def _glm_step(
     the warm-started rank-one cycle, given the scalars' M^-1 c,
     c = W^T Psi^-1 x, as its A. By Woodbury, P_{t-1} x r = r Psi^-1 g
     with g = x - W M^-1 c, the column that cycle is made of: it forms g
-    in the spent buffer of Psi^-1 x, then writes mu_t over it there.
+    in the spent buffer of Psi^-1 x, and mu_t is formed here, over g in
+    that buffer.
     """
     x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
     s, r = rule(a0, nu0, y)
-    prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops,
-                      minv_c[:, None], (r, belief.mu, u))
+    prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops, minv_c[:, None], u[:, None])
+    # u holds g: mu_t = r g / psi + mu, in place
+    np.divide(np.multiply(u, r, out=u), belief.prec.psi, out=u)
+    u += belief.mu
     return _new_belief(u, prec)
 
 

@@ -306,6 +306,46 @@ def closed_form_fit_one_shot(
     return U[:, :p] * s[:p], np.maximum(psi_new, 1e-12)
 
 
+def closed_form_fit_blockwise(
+    W: np.ndarray, psi: np.ndarray, X: np.ndarray, alpha: float, beta: float, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-form fit's first pass with everything d-length taken
+    block by block, in ``block`` rows: (W_new, psi_new, gram). The
+    eigenvectors V of the Gram matrix of [W X] D, D = diag(sqrt(alpha) I_p,
+    sqrt(beta) I_K), give H = D V_p, the top p largest first, and
+    C = D V_rest; each block's z = [W X][rows] gives W_new = z H,
+    psi_new = alpha psi + the squared row norms of z C, floored at 1e-12,
+    and the block's term of the gram W_new^T Psi_new^-1 W_new, summed
+    into the first block's, which is then symmetrised and shifted by I_p.
+    It calls the same BLAS and LAPACK routines on the same operands as the
+    package's pass, so the two must agree bit for bit."""
+    d, p = W.shape
+    k = X.shape[1]
+    scale = np.full(p + k, math.sqrt(beta))
+    scale[:p] = math.sqrt(alpha)
+    Z = np.concatenate((W, X), axis=1)
+    Z *= scale
+    _, vecs, info = lapack.dsyevd(Z.T @ Z, lower=1, overwrite_a=1)
+    assert info == 0
+    vecs *= scale[:, None]
+    H, C = vecs[:, k:][:, ::-1], vecs[:, :k]
+    W_new = np.empty((d, p), order="F")
+    psi_new = np.empty(d)
+    for start in range(0, d, block):
+        rows = slice(start, start + block)
+        z = np.concatenate((W[rows], X[rows]), axis=1)
+        np.matmul(z, H, out=W_new[rows])
+        zc = z.dot(C)
+        np.einsum("ij,ij->i", zc, zc, out=psi_new[rows])
+        psi_new[rows] += alpha * psi[rows]
+        np.maximum(psi_new[rows], 1e-12, out=psi_new[rows])
+        term = W_new[rows].T @ (W_new[rows] / psi_new[rows][:, None])
+        G = G + term if start else term
+    gram = G + G.T
+    gram *= 0.5
+    return W_new, psi_new, gram + np.eye(p)
+
+
 class BlockBlend:
     """A step's EM target W W^T + Psi + s X X^T for a (d, K) block X,
     applied from its parts so nothing d x d is formed: ``matmat`` and

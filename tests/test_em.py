@@ -23,15 +23,17 @@ from lrvga.em import (
     _ROW_BLOCK,
     _absorb,
     _BlendTarget,
+    _closed_form,
     _rank_k_rows,
     _rank_k_weight,
-    _warm_rows,
+    _row_pass,
 )
 from lrvga.factor import DivergenceError, _cholesky_solve, latent_gram
 from lrvga.memory import MemoryMeter
 
 from oracles import (
     avg_loglik,
+    closed_form_fit_blockwise,
     closed_form_fit_one_shot,
     em_reference_step,
     em_solve_step,
@@ -329,6 +331,24 @@ def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
         assert np.array_equal(out.gram, fresh)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_closed_form_fit_keeps_the_bits_of_its_blockwise_pass(k, order):
+    """At d = 2 _ROW_BLOCK + 37 the closed-form fit forms psi_new whole,
+    from the whole Z C, and W_new and the gram in three row blocks: W_new,
+    psi_new and the gram equal, bit for bit, those of the pass that forms
+    everything d-length block by block (``closed_form_fit_blockwise``)."""
+    d, p, alpha, beta = 2 * _ROW_BLOCK + 37, 6, 0.9, 0.7
+    rng = np.random.default_rng(k)
+    W = np.asarray(rng.standard_normal((d, p)) / 10.0, order=order)
+    prev = FaPrecision(W, rng.uniform(0.5, 2.0, d))
+    X = rng.standard_normal((d, k)) / np.sqrt(d)
+    out = _closed_form(prev, X, alpha, beta)
+    for got, expected in zip((out.W, out.psi, out.gram),
+                             closed_form_fit_blockwise(W, prev.psi, X, alpha, beta, _ROW_BLOCK)):
+        assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 0.5)])
 @pytest.mark.parametrize("p", [5, 10])
@@ -477,14 +497,15 @@ def test_row_pass_raises_on_a_non_finite_factor_row_in_its_last_block():
     """W_new overflows in the last row only, while psi_new stays finite:
     the row pass checks W_new through the gram it accumulates."""
     d, p = 2 * _ROW_BLOCK + 37, 4
-    rng = np.random.default_rng(6)
-    fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
-    X = np.zeros((d, 1))
-    X[-1] = 1e10
-    H = np.zeros((p + 1, p))
-    H[p] = 1e300  # W_new = X H: zero except its last row, which overflows
+    W = np.zeros((d, p))
+    W[-1] = 1e300  # its square over psi overflows the gram
+
+    def fill(rows, w_new):
+        w_new[...] = W[rows]
+
+    psi = np.random.default_rng(6).uniform(0.5, 2.0, d)
     with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
-        _warm_rows(fa, X, 1.0, H, np.zeros((p + 1, p + 1)))
+        _row_pass(fill, psi, p)
 
 
 def test_rank_k_row_pass_raises_on_a_gram_overflow_in_its_last_block():

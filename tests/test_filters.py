@@ -32,7 +32,7 @@ from lrvga import (
     woodbury_apply,
 )
 from lrvga.em import _ROW_BLOCK
-from lrvga.factor import latent_gram
+from lrvga.factor import PSI_FLOOR, latent_gram
 from lrvga.filters import (
     NONLINEAR_SCHEMES,
     _checked,
@@ -702,13 +702,16 @@ def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
     belief = GaussianBelief(0.3 * rng.standard_normal(d), fa)
     obs = Observation(rng.standard_normal(d), 1.0)
     used = {}
-    rank_k_rows = lrvga.em._rank_k_rows
+    glm_step = lrvga.filters._glm_step
 
-    def spy(fa, X, A, beta, shift, target):
-        used["s"], used["r"] = beta, shift[0]  # shift = (r, mu, out)
-        return rank_k_rows(fa, X, A, beta, shift, target)
+    def spy(belief, obs, inner_loops, rule, binary=False):
+        def spied_rule(a0, nu0, y):
+            used["s"], used["r"] = rule(a0, nu0, y)
+            return used["s"], used["r"]
 
-    monkeypatch.setattr(lrvga.em, "_rank_k_rows", spy)
+        return glm_step(belief, obs, inner_loops, spied_rule, binary)
+
+    monkeypatch.setattr(lrvga.filters, "_glm_step", spy)
     lrvga_logistic_step(belief, obs)
     sol = solve_glm_scalars(belief, obs)
     assert used == {"s": _sigmoid_weight(sol.a, sol.nu), "r": 1.0 - float(expit(sol.k * sol.a))}
@@ -893,6 +896,14 @@ def test_psi_floor_guard_raises():
     # One floored entry out of ten stays under the 10% threshold.
     psi = np.full(10, 1.0)
     psi[0] = 1e-12
+    ok = _checked(GaussianBelief(np.zeros(10), FaPrecision(np.ones((10, 1)), psi)))
+    assert ok is not None
+    # Two out of ten are over it, and the message names the share.
+    psi[1] = PSI_FLOOR
+    with pytest.raises(DivergenceError, match="20% of the diagonal"):
+        _checked(GaussianBelief(np.zeros(10), FaPrecision(np.ones((10, 1)), psi)))
+    # A least entry just above the floor is no floored entry at all.
+    psi = np.full(10, np.nextafter(PSI_FLOOR, 1.0))
     ok = _checked(GaussianBelief(np.zeros(10), FaPrecision(np.ones((10, 1)), psi)))
     assert ok is not None
 

@@ -1,8 +1,8 @@
 """Synthetic streams and LIBSVM-format files.
 
 The generators are single-pass iterators: the input generators yield
-dense (d,) vectors, and the label generators turn a stream of inputs
-into a stream of Observations. Generation is chunked internally for
+dense (d,) vectors, and the label generators pair each input with its
+label, yielding (x, y) tuples. Generation is chunked internally for
 speed, but the chunk size shrinks with the dimension so no large buffers
 appear at scale. ``parse_libsvm`` reads a whole file into a sparse row
 matrix and a label vector.
@@ -17,8 +17,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 from scipy.special import expit
-
-from .filters import Observation
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -152,25 +150,25 @@ def gen_linear_labels(
     xs: Iterable[np.ndarray],
     theta_star: np.ndarray,
     rng: np.random.Generator | int | None = None,
-) -> Iterator[Observation]:
-    """Attach y = x.theta_star + N(0, 1) labels to a stream."""
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Pair each input x of a stream with its label y = x.theta_star + N(0, 1)."""
     rng = np.random.default_rng(rng)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     for x in xs:
-        yield Observation(x, float(x @ theta_star) + rng.standard_normal())
+        yield x, float(x @ theta_star) + rng.standard_normal()
 
 
 def gen_logistic_labels(
     xs: Iterable[np.ndarray],
     theta_star: np.ndarray,
     rng: np.random.Generator | int | None = None,
-) -> Iterator[Observation]:
-    """Attach Bernoulli(sigma(x.theta_star)) labels in {0, 1} to a stream."""
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Pair each input x of a stream with a Bernoulli(sigma(x.theta_star)) label y in {0, 1}."""
     rng = np.random.default_rng(rng)
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     for x in xs:
         prob = float(expit(x @ theta_star))
-        yield Observation(x, float(rng.random() < prob))
+        yield x, float(rng.random() < prob)
 
 
 def parse_libsvm(path) -> tuple[csr_matrix, np.ndarray]:

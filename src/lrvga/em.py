@@ -212,8 +212,8 @@ def _closed_form(
     eigenvectors of the Gram matrix of Z D split into the top p, V_p, and
     the rest, H = D V_p and C = D V_rest give W_new = Z H and psi_new =
     alpha psi + diag(Z C C^T Z^T), the squared row norms of Z C, formed
-    whole; ``_row_pass`` writes W_new. A non-finite or unconverged
-    eigendecomposition raises."""
+    whole; ``_row_pass`` writes W_new from each block's rows of Z, formed
+    anew. A non-finite or unconverged eigendecomposition raises."""
     p, k = fa.p, X.shape[1]
     scale = np.full(p + k, math.sqrt(beta))
     scale[:p] = math.sqrt(alpha)
@@ -227,11 +227,11 @@ def _closed_form(
     H = vecs[:, k:][:, ::-1]  # W_new's columns go largest first
     zc = Z.dot(vecs[:, :k])
     psi_new = c_einsum("ij,ij->i", zc, zc)
-    del zc  # freed before the pass's d x p arrays, to lower the peak
+    del Z, zc  # freed before the pass's d x p arrays, to lower the peak
     psi_new += alpha * fa.psi
 
     def fill(rows, w_new):
-        np.matmul(Z[rows], H, out=w_new)
+        np.matmul(np.concatenate((fa.W[rows], X[rows]), axis=1), H, out=w_new)
 
     return _row_pass(fill, psi_new, p, target)
 

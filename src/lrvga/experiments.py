@@ -18,6 +18,7 @@ would break byte-level reproducibility.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -463,15 +464,15 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def _regression_data(cfg: ExperimentConfig, sigma0: float, labels, s_idx: int = 0):
-    """Inputs X, filled row by row in place, and labels y, drawn once by
-    ``labels`` (a ``datasets`` label generator), of the regression problem
-    at prior scale sigma0; s_idx keys its data and label streams. No list
-    of observations is kept: each fold streams ``map(Observation, X, y)``."""
+    """Inputs X, filled row by row in place, and labels y, read once from
+    the (x, y) pairs of ``labels``, a ``datasets`` label generator, for the
+    regression problem at prior scale sigma0; s_idx keys its data and label
+    streams. Each fold builds its own ``map(Observation, X, y)``."""
     spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
     rows = gen_regression_inputs(spec, _rng(cfg, _SEED_DATA, s_idx))
     X = np.fromiter(rows, (float, cfg.d), cfg.n)
-    obs = labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx))
-    return X, np.fromiter((o.y for o in obs), float, cfg.n)
+    pairs = labels(X, spec.truth(), _rng(cfg, _SEED_LABELS, s_idx))
+    return X, np.fromiter((y for _, y in pairs), float, cfg.n)
 
 
 def _exact_linear_scorer(cfg: ExperimentConfig, X, y, sigma0: float):
@@ -521,10 +522,10 @@ def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:
         # the outputs. The spectrum trace is known, so the scale is exact.
         spec = RegressionSpec(cfg.d, cfg.n, c=cfg.c, sigma0=sigma0, seed=cfg.seed)
         scale = report.summary["input_scale"] = 1.0 / np.sqrt(cfg.d)
-        score, stream = None, lambda: gen_linear_labels(
+        score, stream = None, lambda: itertools.starmap(Observation, gen_linear_labels(
             (x * scale for x in gen_regression_inputs(spec, _rng(cfg, _SEED_DATA))),
             spec.truth(), _rng(cfg, _SEED_LABELS),
-        )
+        ))
     meter = MemoryMeter() if cfg.track_memory else nullcontext()
     with meter:
         for p_idx, p in enumerate(cfg.p):

@@ -1,5 +1,6 @@
 """Synthetic generators and LIBSVM file I/O."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from lrvga.datasets import (
     gen_regression_inputs,
     parse_libsvm,
 )
+from lrvga.experiments import _regression_data, make_config
 
 from oracles import read_metadata, regression_input_covariance, write_libsvm, write_metadata
 
@@ -100,12 +102,40 @@ def test_label_generators():
     noisy = list(gen_linear_labels(iter(xs), theta, rng=0))
     # The labels are x.theta plus unit normal draws from the given generator.
     noise = np.random.default_rng(0).standard_normal(2)
-    assert [o.y for o in noisy] == [3.0 + noise[0], -2.0 + noise[1]]
-    assert np.array_equal(noisy[1].x, xs[1])
+    assert [y for _, y in noisy] == [3.0 + noise[0], -2.0 + noise[1]]
+    assert np.array_equal(noisy[1][0], xs[1])
 
-    labels = [o.y for o in gen_logistic_labels(iter(xs * 50), theta, rng=1)]
+    labels = [y for _, y in gen_logistic_labels(iter(xs * 50), theta, rng=1)]
     assert set(labels) <= {0.0, 1.0}
     assert 0 < sum(labels) < len(labels)
+
+
+def test_the_data_layer_imports_nothing_from_the_package():
+    """``datasets`` depends on numpy and scipy alone: its label generators
+    pair inputs with labels, and only the experiments' folds build
+    Observations from them."""
+    tree = ast.parse(Path(lrvga.datasets.__file__).read_text(encoding="utf-8"))
+    own = [node.module for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("lrvga"))]
+    own += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.startswith("lrvga")]
+    assert own == []
+
+
+@pytest.mark.parametrize("labels", [gen_linear_labels, gen_logistic_labels])
+def test_regression_data_builds_no_observation(labels, monkeypatch):
+    """``_regression_data`` reads y straight from the label generator's
+    (x, y) pairs, so it calls ``Observation.__init__`` no time at all;
+    wrapping each row in an Observation called it n times. A fold's
+    ``map(Observation, X, y)`` is counted, n calls, by the same patch."""
+    calls = []
+    init = Observation.__init__
+    monkeypatch.setattr(Observation, "__init__",
+                        lambda self, x, y: calls.append(1) or init(self, x, y))
+    cfg = make_config("logistic", d=20, n=100)
+    X, y = _regression_data(cfg, cfg.sigma0[0], labels)
+    assert len(calls) == 0 and X.shape == (100, 20) and y.shape == (100,)
+    assert [o.y for o in map(Observation, X, y)] == list(y) and len(calls) == 100
 
 
 def test_libsvm_round_trip(tmp_path):

@@ -293,6 +293,19 @@ def test_closed_form_fit_peaks_within_four_blocks_of_its_width(k):
     assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
 
 
+def test_one_loop_closed_form_fit_frees_z_before_its_row_pass():
+    """A one-loop alpha < 1 update at d = 10^4, p = 10, K = 1 frees
+    Z = [W X] once psi_new is formed, and its row pass builds each block's
+    rows of Z anew: it peaks at about 1.42 blocks of 8 d (p + K) bytes.
+    Holding Z through the row pass peaked at 2.38."""
+    d, p, k = 10_000, 10, 1
+    prev = init_isotropic_prior(d, p, 1.0, rng=3)
+    X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
+    with MemoryMeter() as meter:
+        recursive_em_update(prev, X, RecursionWeights(0.9, 0.1), inner_loops=1)
+    assert 0 < meter.peak_bytes <= 1.6 * 8 * d * (p + k)
+
+
 @pytest.mark.parametrize(
     "alpha, k, d, order",
     [pytest.param(alpha, k, d, order, id=f"{k}-{d}" + ("-alpha-1" if alpha == 1.0 else "")

@@ -41,7 +41,6 @@ from .factor import (
 )
 from .filters import (
     GaussianBelief,
-    GlmScalarSolution,
     LogisticModel,
     NonlinearModel,
     Observation,
@@ -50,7 +49,6 @@ from .filters import (
     lrvga_linear_step,
     lrvga_logistic_step,
     lrvga_nonlinear_step,
-    solve_glm_scalars,
 )
 from .sampler import EnsembleSampler
 from .experiments import (
@@ -75,7 +73,6 @@ __all__ = [
     "ExperimentConfig",
     "FaPrecision",
     "GaussianBelief",
-    "GlmScalarSolution",
     "KlEstimate",
     "LogisticModel",
     "MemoryMeter",
@@ -115,6 +112,5 @@ __all__ = [
     "read_results_csv",
     "recursive_em_update",
     "run_experiment",
-    "solve_glm_scalars",
     "woodbury_apply",
 ]

@@ -255,6 +255,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             "above the dense limit the input rotation (a d x d matrix) is "
             "unavailable; use c = 0"
         )
+    if cfg.kind != "cov" and cfg.c != 0.0:  # at c = 0 the spectrum is all ones
+        with np.errstate(all="ignore"):
+            lam = RegressionSpec(cfg.d, cfg.n, c=cfg.c).input_spectrum()
+        if not 0.0 < lam.min() <= lam.max() < math.inf:
+            raise ConfigError(f"c = {cfg.c:g} at d = {cfg.d} gives an input spectrum "
+                              "with zero or non-finite entries")
     if unread:
         who = f"{cfg.kind} runs" + (" on a dataset" if from_file else "")
         raise ConfigError(f"{who} never read {', '.join(unread)}: leave unset")

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum at optimize=False, unwrapped
 from scipy.linalg import lapack
-
-try:  # what np.einsum calls at optimize=False, without its Python wrapper
-    from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy < 2
-    c_einsum = np.einsum
 
 # Floor applied to fitted diagonal entries. Keeps the factorization usable
 # when an update would push a psi entry to zero or below.

@@ -148,17 +148,15 @@ def kalman_step_dense(belief: DenseGaussian, obs: Observation) -> DenseGaussian:
 
 
 def _prior_scalars(
-    belief: GaussianBelief, obs: Observation, binary: bool = False
+    belief: GaussianBelief, obs: Observation
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, float]:
     """The prior scalars of one observation, (x, y, u, M^-1 c, nu0, a0),
     from one pass over W: u = Psi^-1 x, c = W^T u and, by Woodbury,
     nu0 = x^T P_{t-1} x = x.u - c^T M^-1 c, clamped at 0, with M^-1 the
     cached ``latent_inverse``, and a0 = x.mu_{t-1}. ``Observation`` has
-    checked x and y for finiteness; only the input's length and, when
-    ``binary``, the label are checked here."""
+    checked x and y for finiteness; only the input's length is checked
+    here."""
     x, y = _input(obs, belief.d), obs.y
-    if binary and y not in (0.0, 1.0):
-        raise ValueError("logistic labels must be 0 or 1")
     prec = belief.prec
     u = x / prec.psi
     # .dot: on whole arrays it costs less than matmul, with the same bits
@@ -173,7 +171,6 @@ def _glm_step(
     obs: Observation,
     inner_loops: int | None,
     rule: Callable[[float, float, float], tuple[float, float]],
-    binary: bool = False,
 ) -> GaussianBelief:
     """One implicit GLM update; ``rule(a0, nu0, y)`` gives the link's (s, r).
 
@@ -186,7 +183,7 @@ def _glm_step(
     in the spent buffer of Psi^-1 x, and mu_t is formed here, over g in
     that buffer.
     """
-    x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs, binary)
+    x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs)
     s, r = rule(a0, nu0, y)
     prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops, minv_c[:, None], u[:, None])
     # u holds g: mu_t = r g / psi + mu, in place
@@ -213,24 +210,6 @@ def lrvga_linear_step(
     return _glm_step(
         belief, obs, inner_loops, lambda a0, nu0, y: (1.0, (y - a0) / (1.0 + nu0))
     )
-
-
-@dataclass(frozen=True)
-class GlmScalarSolution:
-    """Solution of the two implicit scalars in a logistic update.
-
-    ``a`` and ``nu`` are the posterior values x.mu_t and x^T P_t x;
-    ``k`` is the moment-matching slope beta / sqrt(nu + beta^2). The
-    residuals of the two defining equations are kept for auditing.
-    """
-
-    a: float
-    nu: float
-    k: float
-    residual_a: float
-    residual_nu: float
-    iterations: int
-    newton_converged: bool
 
 
 def _expit(z: float) -> float:
@@ -279,18 +258,33 @@ def _bracketed_scalars(a0: float, nu0: float, y: float) -> tuple[float, float]:
     return a, nu_of(a)
 
 
-def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
+def _solve_scalar_system(a0: float, nu0: float, y: float) -> tuple[float, float]:
+    """The implicit pair (a, nu) of a logistic update.
+
+    With nu0 = x^T P_{t-1} x and a0 = x.mu_{t-1}, the posterior scalars
+    a = x.mu_t and nu = x^T P_t x satisfy
+
+        nu = nu0 / (1 + s(a, nu) nu0)
+        a  = a0 + nu0 (y - sigma(k a))
+
+    where s(a, nu) = k sigma'(k a) and k = beta / sqrt(nu + beta^2), which
+    is exactly 1.0 at nu = 0. At nu0 <= 0 the pair is (a0, 0). Otherwise it
+    is solved by damped Newton to a residual of ``SCALAR_TOL``, or of
+    ``SCALAR_TOL (1 + nu0)`` where no damped step shrinks it, since the
+    rounding of a - a0 - nu0 (y - sigma) grows with nu0. If Newton stops
+    short otherwise within ``SCALAR_MAX_ITER`` iterations, a warning is
+    raised and the pair is found by nested bisection instead. A bisection
+    that finds no finite root raises ``DivergenceError``.
+    """
     beta2 = BETA_PROBIT**2
     if nu0 <= 0.0:
-        # Deterministic direction: the update degenerates to a0 and k = 1.
-        return GlmScalarSolution(a0, 0.0, 1.0, 0.0, 0.0, 0, True)
+        return a0, 0.0  # a deterministic direction
 
     a, nu = a0, nu0
-    it = 0
     tol = SCALAR_TOL
     r_a, r_nu = _scalar_residuals(a, nu, a0, nu0, y)
     norm = max(abs(r_a), abs(r_nu))
-    for it in range(1, SCALAR_MAX_ITER + 1):
+    for _ in range(SCALAR_MAX_ITER):
         if norm <= SCALAR_TOL:
             break
         k = BETA_PROBIT / math.sqrt(nu + beta2)
@@ -328,8 +322,7 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
             tol = SCALAR_TOL * (1.0 + nu0)  # a stall: r_a rounds at about nu0 eps
             break
 
-    converged = norm <= tol
-    if not converged:
+    if not norm <= tol:
         warnings.warn(
             "implicit scalar solve: Newton stopped short within its iteration "
             "cap, solving by bracketing instead",
@@ -340,30 +333,7 @@ def _solve_scalar_system(a0: float, nu0: float, y: float) -> GlmScalarSolution:
         if not math.isfinite(r_a + r_nu):
             raise DivergenceError(
                 f"implicit scalar solve found no finite root at a0 = {a0:g}, nu0 = {nu0:g}")
-    k = BETA_PROBIT / math.sqrt(nu + beta2)
-    return GlmScalarSolution(float(a), float(nu), k, float(r_a), float(r_nu), it, converged)
-
-
-def solve_glm_scalars(belief: GaussianBelief, obs: Observation) -> GlmScalarSolution:
-    """Solve the implicit pair (a, nu) of a logistic update.
-
-    With nu0 = x^T P_{t-1} x and a0 = x.mu_{t-1}, the posterior scalars
-    satisfy
-
-        nu = nu0 / (1 + s(a, nu) nu0)
-        a  = a0 + nu0 (y - sigma(k a))
-
-    where s(a, nu) = k sigma'(k a) and k = beta / sqrt(nu + beta^2).
-    Solved by damped Newton to a residual of ``SCALAR_TOL``, or of
-    ``SCALAR_TOL (1 + nu0)`` where no damped step shrinks it, since the
-    rounding of a - a0 - nu0 (y - sigma) grows with nu0: both count as
-    ``newton_converged``. If Newton stops short otherwise within
-    ``SCALAR_MAX_ITER`` iterations, a warning is raised and the pair is
-    found by nested bisection instead. A bisection that finds no finite
-    root raises ``DivergenceError``.
-    """
-    _, y, _, _, nu0, a0 = _prior_scalars(belief, obs, binary=True)
-    return _solve_scalar_system(a0, nu0, y)
+    return a, nu
 
 
 def lrvga_logistic_step(
@@ -371,18 +341,22 @@ def lrvga_logistic_step(
 ) -> GaussianBelief:
     """Limited-memory update for a Bernoulli observation with logistic link.
 
-    The GLM step with the implicit scalars of ``solve_glm_scalars``:
-    s = k sigma'(k a) and r = y - sigma(k a), so
+    The GLM step with the implicit scalars (a, nu) of
+    ``_solve_scalar_system``: s = k sigma'(k a) and r = y - sigma(k a), so
 
         mu_t  = mu_{t-1} + P_{t-1} x (y - sigma(k a))
         P_t^-1 ~ W_t W_t^T + Psi_t fitted to P_{t-1}^-1 + s x x^T
     """
+    if obs.y not in (0.0, 1.0):
+        raise ValueError("logistic labels must be 0 or 1")
 
     def rule(a0: float, nu0: float, y: float) -> tuple[float, float]:
-        sol = _solve_scalar_system(a0, nu0, y)
-        return _sigmoid_weight(sol.a, sol.nu), y - _expit(sol.k * sol.a)
+        a, nu = _solve_scalar_system(a0, nu0, y)
+        k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
+        sig = _expit(k * a)
+        return k * sig * (1.0 - sig), y - sig
 
-    return _glm_step(belief, obs, inner_loops, rule, binary=True)
+    return _glm_step(belief, obs, inner_loops, rule)
 
 
 class NonlinearModel(Protocol):
@@ -439,7 +413,8 @@ def lrvga_nonlinear_step(
     N(a0 + r1 nu_hat, nu_hat) with nu_hat = x^T h, and move the mean to
     mu + r2 h: ``mirror-prox-skip-cov`` (default) keeps P_hat, and
     ``mirror-prox-full`` first re-absorbs s2 into the pre-update precision
-    and recomputes h.
+    and recomputes h. Pass one ``Generator`` as ``rng`` for a whole stream:
+    an int seed gives the same draws at every step.
     """
     if scheme not in NONLINEAR_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {NONLINEAR_SCHEMES}")

@@ -793,6 +793,31 @@ def test_sigma0_whose_square_or_its_inverse_is_not_a_finite_float_exits_with_cod
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "linear --c -400", "logistic --d 100 --c -400", "nonlinear --d 100 --k-hess 1 --c -400",
+    "linear --c -154.5", "linear --c 400",
+])
+def test_c_whose_input_spectrum_has_zero_or_non_finite_entries_exits_with_code_1(
+    argv, tmp_path, capsys
+):
+    """At d = 100 the spectrum 1 / i^c, scaled to sum to d, overflows at
+    c = -400 and c = -154.5, which raised a ValueError out of ``main``,
+    and underflows to zeros at c = 400, which ran on rank-one inputs with
+    an overflow RuntimeWarning."""
+    out = tmp_path / "run"
+    assert main(["--experiment", *argv.split(), "--n", "20", "--checkpoints", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: c = {float(argv.split()[-1]):g} at d = 100 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, d, c", [("linear", 100, 153.0), ("linear", 100, -153.0),
+                                        ("logistic", 20, -236.0)])
+def test_c_whose_input_spectrum_is_finite_and_positive_is_accepted(kind, d, c):
+    assert make_config(kind, d=d, c=c).c == c
+
+
 def test_logistic_run_under_a_vague_prior_ends_below_its_first_checkpoint(tmp_path, monkeypatch):
     """At sigma0 = 100 and a cap of 50 iterations, Newton stops short on
     a step of this run. The one Picard sweep that followed took its KL

@@ -1,5 +1,6 @@
 """Streaming filters: conjugate baseline, linear, logistic, nonlinear."""
 
+import math
 import os
 import sys
 import warnings
@@ -28,15 +29,17 @@ from lrvga import (
     lrvga_linear_step,
     lrvga_logistic_step,
     lrvga_nonlinear_step,
-    solve_glm_scalars,
     woodbury_apply,
 )
 from lrvga.em import _ROW_BLOCK
 from lrvga.factor import PSI_FLOOR, latent_gram
 from lrvga.filters import (
+    BETA_PROBIT,
     NONLINEAR_SCHEMES,
     _checked,
     _expit,
+    _prior_scalars,
+    _scalar_residuals,
     _sigmoid_weight,
     _solve_scalar_system,
 )
@@ -480,9 +483,14 @@ def _linear_rule(a0, nu0, y):
     return 1.0, (y - a0) / (1.0 + nu0)
 
 
+def _slope(nu):
+    """The moment-matching slope k = beta / sqrt(nu + beta^2)."""
+    return BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
+
+
 def _logistic_rule(a0, nu0, y):
-    sol = _solve_scalar_system(a0, nu0, y)
-    return _sigmoid_weight(sol.a, sol.nu), y - float(expit(sol.k * sol.a))
+    a, nu = _solve_scalar_system(a0, nu0, y)
+    return _sigmoid_weight(a, nu), y - float(expit(_slope(nu) * a))
 
 
 GLM_STEPS = {"linear": (lrvga_linear_step, _linear_rule),
@@ -629,7 +637,7 @@ def test_observation_dense_materialization():
     assert isinstance(obs.y, float) and obs.y == 0.0
     assert Observation(np.ones((1, 3)), 1.0).x.shape == (3,)
     with pytest.raises(ValueError, match="length 2, expected 3"):
-        solve_glm_scalars(belief_from_prior(3, 1), obs)
+        lrvga_logistic_step(belief_from_prior(3, 1), obs)
 
 
 def test_observation_sparse_validation():
@@ -648,13 +656,22 @@ def test_observation_sparse_validation():
 # --------------------------------------------------------- scalar system
 
 
+def _dense_prior_scalars(bel, x):
+    """(a0, nu0) = (x.mu, x^T P x), P from the dense covariance."""
+    return float(x @ bel.mu), float(x @ fa_dense_inverse(bel.prec) @ x)
+
+
 def test_glm_scalars_zero_input():
+    """A zero input is a deterministic direction: (a, nu) = (a0, 0) and
+    k = 1 exactly, with no warning."""
     bel = belief_from_prior(4, 2, seed=2, mu=np.array([1.0, -1.0, 0.5, 0.0]))
-    sol = solve_glm_scalars(bel, Observation(np.zeros(4), 1.0))
-    assert sol.a == 0.0
-    assert sol.nu == 0.0
-    assert sol.k == 1.0
-    assert sol.newton_converged
+    a0, nu0 = _dense_prior_scalars(bel, np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, nu = _solve_scalar_system(a0, nu0, 1.0)
+    assert a == 0.0
+    assert nu == 0.0
+    assert _slope(nu) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -668,34 +685,34 @@ def test_glm_scalars_match_bracketing_oracle(seed):
     )
     x = rng.standard_normal(d) * float(rng.uniform(0.3, 3.0))
     y = float(rng.integers(0, 2))
-    sol = solve_glm_scalars(bel, Observation(x, y))
-
-    cov = fa_dense_inverse(bel.prec)
-    a0 = float(x @ bel.mu)
-    nu0 = float(x @ cov @ x)
+    a0, nu0 = _dense_prior_scalars(bel, x)
+    with warnings.catch_warnings():  # Newton converges: no fallback warning
+        warnings.simplefilter("error")
+        a, nu = _solve_scalar_system(a0, nu0, y)
     a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
 
-    assert sol.a == pytest.approx(a_ref, rel=1e-8, abs=1e-10)
-    assert sol.nu == pytest.approx(nu_ref, rel=1e-8, abs=1e-10)
-    assert sol.k == pytest.approx(k_ref, rel=1e-8)
-    assert 0.0 < sol.k <= 1.0
-    assert abs(sol.residual_a) < 1e-10
-    assert abs(sol.residual_nu) < 1e-10
-    assert sol.newton_converged
+    k = _slope(nu)
+    assert a == pytest.approx(a_ref, rel=1e-8, abs=1e-10)
+    assert nu == pytest.approx(nu_ref, rel=1e-8, abs=1e-10)
+    assert k == pytest.approx(k_ref, rel=1e-8)
+    assert 0.0 < k <= 1.0
+    r_a, r_nu = _scalar_residuals(a, nu, a0, nu0, y)
+    assert abs(r_a) < 1e-10
+    assert abs(r_nu) < 1e-10
     # The posterior spread never exceeds the prior spread.
-    assert 0.0 <= sol.nu <= nu0
+    assert 0.0 <= nu <= nu0
 
 
 def test_glm_scalars_label_validation():
     bel = belief_from_prior(3, 1)
-    with pytest.raises(ValueError):
-        solve_glm_scalars(bel, Observation(np.ones(3), 0.5))
+    with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
+        lrvga_logistic_step(bel, Observation(np.ones(3), 0.5))
 
 
 def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
-    """``solve_glm_scalars`` and ``lrvga_logistic_step`` take (a0, nu0)
-    from one owner, so the (s, r) the step absorbs and moves by follow
-    from the public solution bit for bit."""
+    """``lrvga_logistic_step`` solves for (a, nu) from the (a0, nu0) of
+    ``_prior_scalars``, so the (s, r) the step absorbs and moves by follow
+    from ``_solve_scalar_system`` on those scalars bit for bit."""
     d, p = 40, 4
     rng = np.random.default_rng(31)
     fa = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
@@ -704,17 +721,18 @@ def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
     used = {}
     glm_step = lrvga.filters._glm_step
 
-    def spy(belief, obs, inner_loops, rule, binary=False):
+    def spy(belief, obs, inner_loops, rule):
         def spied_rule(a0, nu0, y):
             used["s"], used["r"] = rule(a0, nu0, y)
             return used["s"], used["r"]
 
-        return glm_step(belief, obs, inner_loops, spied_rule, binary)
+        return glm_step(belief, obs, inner_loops, spied_rule)
 
     monkeypatch.setattr(lrvga.filters, "_glm_step", spy)
     lrvga_logistic_step(belief, obs)
-    sol = solve_glm_scalars(belief, obs)
-    assert used == {"s": _sigmoid_weight(sol.a, sol.nu), "r": 1.0 - float(expit(sol.k * sol.a))}
+    _, y, _, _, nu0, a0 = _prior_scalars(belief, obs)
+    a, nu = _solve_scalar_system(a0, nu0, y)
+    assert used == {"s": _sigmoid_weight(a, nu), "r": 1.0 - float(expit(_slope(nu) * a))}
 
 
 def test_scalar_expit_is_scipy_s_bit_for_bit():
@@ -732,14 +750,11 @@ def test_glm_scalars_fallback_warns_but_stays_usable(monkeypatch):
     """At a cap of 50 iterations Newton stops 78% away from the root on
     this triple, recorded from the logistic run at sigma0 = 100 (d = p =
     20, n = 200, c = 0, seed 3); it converges in 63."""
-    from lrvga.filters import _solve_scalar_system
-
     monkeypatch.setattr(lrvga.filters, "SCALAR_MAX_ITER", 50)
-    with pytest.warns(RuntimeWarning):
-        sol = _solve_scalar_system(674.4950645795873, 16866.254001405436, 0.0)
-    assert np.isfinite(sol.a) and np.isfinite(sol.nu)
-    assert 0.0 < sol.k <= 1.0
-    assert not sol.newton_converged
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        a, nu = _solve_scalar_system(674.4950645795873, 16866.254001405436, 0.0)
+    assert np.isfinite(a) and np.isfinite(nu)
+    assert 0.0 < _slope(nu) <= 1.0
 
 
 @pytest.mark.parametrize("a0, nu0, y, at_the_root", [
@@ -756,45 +771,41 @@ def test_glm_scalars_fallback_matches_the_bracketing_oracle(a0, nu0, y, at_the_r
     rounding of a - a0 - nu0 (y - sigma) allows at nu0 = 1e8. A stall at
     the root counts as converged, with no warning; after a cap the
     bracketed fallback must land on the oracle's root."""
-    from lrvga.filters import _solve_scalar_system
-
     monkeypatch.setattr(lrvga.filters, "SCALAR_MAX_ITER", 50)
     if at_the_root:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = _solve_scalar_system(a0, nu0, y)
+            a, nu = _solve_scalar_system(a0, nu0, y)
     else:
         with pytest.warns(RuntimeWarning, match="bracketing"):
-            sol = _solve_scalar_system(a0, nu0, y)
+            a, nu = _solve_scalar_system(a0, nu0, y)
     a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
-    assert sol.newton_converged == at_the_root
-    assert sol.a == pytest.approx(a_ref, rel=1e-10)
-    assert sol.nu == pytest.approx(nu_ref, rel=1e-10)
-    assert sol.k == pytest.approx(k_ref, rel=1e-10)
+    assert a == pytest.approx(a_ref, rel=1e-10)
+    assert nu == pytest.approx(nu_ref, rel=1e-10)
+    assert _slope(nu) == pytest.approx(k_ref, rel=1e-10)
 
 
-def test_glm_scalars_converge_by_newton_past_fifty_iterations():
+def test_glm_scalars_converge_by_newton_past_fifty_iterations(monkeypatch):
     """A triple from the logistic run at d = 10^4 (c = 0, n = 1000,
     p = 5, seed 3), far from the root at nu0 near 1e5: damped Newton
-    needs more than 50 iterations, within ``SCALAR_MAX_ITER``, and lands
-    on the oracle's root with no warning and no bracketing."""
-    from lrvga.filters import SCALAR_MAX_ITER, _solve_scalar_system
-
+    needs more than 50 iterations, so at a cap of 50 it warns of its
+    iteration cap, and within ``SCALAR_MAX_ITER`` it lands on the
+    oracle's root with no warning and no bracketing."""
     a0, nu0, y = -106.42678732591637, 106066.79903776475, 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = _solve_scalar_system(a0, nu0, y)
-    assert sol.newton_converged and 50 < sol.iterations < SCALAR_MAX_ITER
+        a, nu = _solve_scalar_system(a0, nu0, y)
     a_ref, nu_ref, k_ref = solve_scalars_bisect(a0, nu0, y)
-    assert sol.a == pytest.approx(a_ref, rel=1e-10)
-    assert sol.nu == pytest.approx(nu_ref, rel=1e-10)
-    assert sol.k == pytest.approx(k_ref, rel=1e-10)
+    assert a == pytest.approx(a_ref, rel=1e-10)
+    assert nu == pytest.approx(nu_ref, rel=1e-10)
+    assert _slope(nu) == pytest.approx(k_ref, rel=1e-10)
+    monkeypatch.setattr(lrvga.filters, "SCALAR_MAX_ITER", 50)
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        _solve_scalar_system(a0, nu0, y)
 
 
 @pytest.mark.parametrize("a0, nu0", [(np.nan, 1e8), (0.0, np.inf)])
 def test_glm_scalars_without_a_finite_root_raise_divergence(a0, nu0):
-    from lrvga.filters import _solve_scalar_system
-
     with pytest.warns(RuntimeWarning, match="bracketing"), pytest.raises(DivergenceError):
         _solve_scalar_system(a0, nu0, 1.0)
 

@@ -19,7 +19,6 @@ UNREACHED = {
     "filters._bisect": "error path: Newton stops short under a vague prior",
     "filters._bracketed_scalars": "error path: Newton stops short under a vague prior",
     "filters.ggn_block": "perfbench trap: trace.py wraps it in lrvga.filters",
-    "filters.solve_glm_scalars": "public API kept on purpose: the scalar solve alone",
     "sampler.EnsembleSampler.__init__": "perfbench trap: trace.py wraps it",
     "sampler.EnsembleSampler.draw": "perfbench trap: trace.py wraps it",
 }

@@ -11,11 +11,7 @@ forms a d x d matrix, and KL-based evaluation utilities.
 from .dense import DenseGaussian, fa_dense_inverse, fa_dense_matrix
 from .em import (
     OnlineEmState,
-    RecursionWeights,
-    covariance_mode_weights,
     default_inner_loops,
-    em_fixed_point_step,
-    guess_s0_scale,
     online_em_gamma,
     online_em_update,
     polyak_ruppert_average,
@@ -79,13 +75,10 @@ __all__ = [
     "NonlinearModel",
     "Observation",
     "OnlineEmState",
-    "RecursionWeights",
     "RunReport",
     "contract_budget_bytes",
     "covariance_fit_kl",
-    "covariance_mode_weights",
     "default_inner_loops",
-    "em_fixed_point_step",
     "emit_report",
     "expected_kl_logistic",
     "fa_dense_inverse",
@@ -93,7 +86,6 @@ __all__ = [
     "gaussian_entropy",
     "gaussian_kl",
     "ggn_block",
-    "guess_s0_scale",
     "init_isotropic_prior",
     "inverse_diag",
     "kalman_step_dense",

@@ -65,48 +65,6 @@ from .factor import latent_gram, spd_solve  # noqa: F401
 _ROW_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class RecursionWeights:
-    """Blend weights for one streaming update: alpha on the carried state,
-    beta on the incoming block."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("weights must be non-negative")
-        if self.alpha + self.beta <= 0.0:
-            raise ValueError("at least one weight must be positive")
-
-
-def covariance_mode_weights(t: int) -> RecursionWeights:
-    """Moving-average weights for covariance tracking at step t >= 1.
-
-    alpha = (t - 1) / t and beta = 1 / t, so the implicit target is the
-    running mean of the outer products seen so far.
-    """
-    if t < 1:
-        raise ValueError("step index starts at 1")
-    return RecursionWeights((t - 1.0) / t, 1.0 / t)
-
-
-def guess_s0_scale(batch: np.ndarray, d: int) -> float:
-    """Scale guess sigma0 = sqrt(d / mean ||x||^2) from a leading batch.
-
-    Chosen so the isotropic guess (1/sigma0^2) I_d has the same trace as
-    the mean squared norm of the inputs. ``batch`` is an (m, d) array of
-    rows.
-    """
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[1] != d:
-        raise ValueError(f"batch rows have length {batch.shape[1]}, expected {d}")
-    mean_sq = float(np.mean(np.sum(batch * batch, axis=1)))
-    if not math.isfinite(mean_sq) or mean_sq <= 0.0:
-        raise ValueError("leading batch has no usable scale (zero or non-finite norms)")
-    return float(np.sqrt(d / mean_sq))
-
-
 class _BlendTarget:
     """EM target alpha (W_prev W_prev^T + Psi_prev) + beta X X^T in product
     form: the recursion's, or at alpha = 0, where ``prev`` is never read
@@ -339,7 +297,8 @@ def default_inner_loops(d: int) -> int:
 def recursive_em_update(
     prev: FaPrecision,
     X: np.ndarray,
-    weights: RecursionWeights = RecursionWeights(1.0, 1.0),
+    alpha: float = 1.0,
+    beta: float = 1.0,
     inner_loops: int | None = None,
 ) -> FaPrecision:
     """Absorb a (d, K) observation block into the factored state; a
@@ -352,15 +311,20 @@ def recursive_em_update(
     alpha != 1 the first is the closed-form rank-p fit of
     [sqrt(alpha) W_prev, sqrt(beta) X] (LoFi; Chang et al., arXiv
     2305.19535), the rest EM cycles, so ``inner_loops=1`` is the fit
-    alone. The block is validated here, once; each pass checks its own
-    output. The count is fixed so that cost per step is predictable.
+    alone. The block and the weights are validated here, once: both
+    weights finite and non-negative, at least one positive. Each pass
+    checks its own output. The count is fixed so that cost per step is
+    predictable.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != prev.d:
         raise ValueError(f"block has shape {X.shape}, expected ({prev.d}, K)")
     if not np.logical_and.reduce(np.isfinite(X), axis=None):
         raise ValueError("observation block contains non-finite entries")
-    return _absorb(prev, X, weights.alpha, weights.beta, inner_loops)
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf and alpha + beta > 0.0):
+        raise ValueError("weights must be finite and non-negative, at least one "
+                         f"positive; got alpha = {alpha}, beta = {beta}")
+    return _absorb(prev, X, alpha, beta, inner_loops)
 
 
 def _absorb(prev: FaPrecision, X: np.ndarray, alpha: float, beta: float,

@@ -33,9 +33,7 @@ from .dense import DenseGaussian
 from .em import (
     OnlineEmState,
     _BlendTarget,
-    covariance_mode_weights,
     em_fixed_point_step,
-    guess_s0_scale,
     online_em_gamma,
     online_em_update,
     polyak_ruppert_average,
@@ -141,7 +139,7 @@ class ExperimentConfig:
                           kinds=("nonlinear",), choices=NONLINEAR_SCHEMES)
     dataset: str | None = _option(None, "libsvm-format file", kinds=("cov",))
     out_dir: str = _option("runs/latest", "output directory", flag="--out")
-    checkpoints: int = _option(50, "number of log-spaced checkpoints", least=1)
+    checkpoints: int = _option(50, "number of log-spaced checkpoints, the last at n", least=1)
     methods: list[str] = _option(list(COV_METHODS), "covariance methods to run, comma separated",
                                  kinds=("cov",), choices=COV_METHODS)
     p_true: int | None = _option(None, "generator rank", kinds=("cov",), least=1)
@@ -285,10 +283,12 @@ class RunReport:
 
 
 def log_spaced_checkpoints(n: int, count: int) -> list[int]:
-    """Log-spaced step indices in [1, n], deduplicated and sorted."""
+    """Log-spaced step indices in [1, n], deduplicated and sorted; the
+    last is always n, the only one at count = 1."""
     if count <= 0 or n < 1:
         return []
-    pts = np.unique(np.round(np.geomspace(1.0, float(n), min(count, n))).astype(int))
+    start = 1.0 if count > 1 else float(n)
+    pts = np.unique(np.round(np.geomspace(start, float(n), min(count, n))).astype(int))
     return [int(t) for t in pts]
 
 
@@ -377,15 +377,20 @@ def _cov_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     if cfg.dataset is None:
         S_ref = scale**2 * spec.dense_matrix()
     else:
-        S_ref = (V.T @ V) / V.shape[0]
+        with np.errstate(over="ignore"):  # an overflow is named below
+            S_ref = (V.T @ V) / V.shape[0]
         _require_full_rank(V, S_ref)
     return V, S_ref, info
 
 
 def _require_full_rank(V: np.ndarray, S_ref: np.ndarray) -> None:
     """The KL is measured against S_ref, the second moment of the rows
-    read, so they must span R^d; name the cause when they do not."""
+    read, so it must be finite and they must span R^d; name the cause
+    when it is not or they do not."""
     n, d = V.shape
+    if not np.logical_and.reduce(np.isfinite(S_ref), axis=None):
+        raise ConfigError(f"the second moment of the first {n} rows overflows; "
+                          "the KL against it is undefined")
     rank = np.linalg.matrix_rank(S_ref, hermitian=True)
     if rank == d:
         return
@@ -404,12 +409,16 @@ def _require_full_rank(V: np.ndarray, S_ref: np.ndarray) -> None:
 
 
 def _s0_guess(V: np.ndarray, d: int) -> float:
-    """``guess_s0_scale`` of the first 100 rows; a leading batch without
-    a usable norm is a configuration error."""
-    try:
-        return guess_s0_scale(V[:100], d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """Scale guess sigma0 = sqrt(d / mean ||x||^2) from the first 100 rows,
+    so that the isotropic guess (1/sigma0^2) I_d has the trace of their
+    mean squared norm; a batch without a usable norm is a configuration
+    error."""
+    batch = V[:100]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        mean_sq = float(np.mean(np.sum(batch * batch, axis=1)))
+    if not (0.0 < mean_sq < math.inf and d / mean_sq < math.inf):
+        raise ConfigError("leading batch has no usable scale (zero or non-finite norms)")
+    return float(np.sqrt(d / mean_sq))
 
 
 def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -443,7 +452,7 @@ def run_covariance_experiment(cfg: ExperimentConfig) -> RunReport:
                 report, marks, method, (method, p, 0),
                 lambda: FaPrecision(np.zeros((d, p)), np.ones(d)), enumerate(V, 1),
                 lambda fa, t, v: recursive_em_update(
-                    fa, v[:, None], covariance_mode_weights(t), cfg.inner_loops
+                    fa, v[:, None], (t - 1.0) / t, 1.0 / t, cfg.inner_loops
                 ),
                 score,
             )
@@ -589,9 +598,9 @@ def run_logistic_experiment(cfg: ExperimentConfig) -> RunReport:
         lambda _, t, __: laplace_logistic(X, y, sigma0), score,
     )
     for p, belief in final_beliefs.items():
-        cos = float(
-            belief.mu @ lap.mu / (np.linalg.norm(belief.mu) * np.linalg.norm(lap.mu))
-        )
+        # Each mean over its largest |entry|, so no squared norm underflows.
+        u, v = (mu / np.abs(mu).max() for mu in (belief.mu, lap.mu))
+        cos = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
         report.summary[f"cosine_mean_vs_map[p={p}]"] = cos
     return report
 

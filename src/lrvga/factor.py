@@ -92,11 +92,13 @@ class FaPrecision:
 
     ``gram``, the latent Gram matrix M = I_p + W^T Psi^-1 W that every EM
     cycle and online EM read, and its inverse ``latent_inverse``, read
-    only by the Woodbury gain, online EM, the sampler and evaluation, are
-    ``cached_property``s; immutability keeps them valid. Every EM cycle
-    hands over the symmetric, checked gram of the precision it builds,
-    each pass checking its output once; otherwise the gram is formed and
-    checked on first use. The inverse is formed on first use, from the
+    by every filter step's prior scalars (``filters._prior_scalars``), an
+    update's rank-K pass (the A of ``em._absorb``), the Woodbury gain,
+    online EM, the sampler and evaluation, are ``cached_property``s;
+    immutability keeps them valid. Every EM cycle hands over the
+    symmetric, checked gram of the precision it builds, each pass
+    checking its output once; otherwise the gram is formed and checked on
+    first use. The inverse is formed on first use, from the
     gram by one raw p x p Cholesky solve. Only these p x p matrices are
     cached: the d x p Psi^-1 W that an update's first pass, and then each
     general cycle, hands the next cycle lives on the update's target. So

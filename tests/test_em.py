@@ -7,17 +7,17 @@ import pytest
 from scipy.linalg import lapack
 
 import lrvga.em
+import lrvga.experiments
 from lrvga import (
+    ConfigError,
     FaPrecision,
-    RecursionWeights,
     covariance_fit_kl,
-    covariance_mode_weights,
     default_inner_loops,
-    em_fixed_point_step,
     fa_dense_matrix,
-    guess_s0_scale,
     init_isotropic_prior,
+    make_config,
     recursive_em_update,
+    run_experiment,
 )
 from lrvga.em import (
     _ROW_BLOCK,
@@ -27,7 +27,9 @@ from lrvga.em import (
     _rank_k_rows,
     _rank_k_weight,
     _row_pass,
+    em_fixed_point_step,
 )
+from lrvga.experiments import _s0_guess
 from lrvga.factor import DivergenceError, _cholesky_solve, latent_gram
 from lrvga.memory import MemoryMeter
 
@@ -157,7 +159,7 @@ def test_tiny_diagonal_limit_follows_the_power_method():
 
 def test_recursive_update_zero_block_is_stationary():
     prev = init_isotropic_prior(9, 3, 1.5, eps=0.3, rng=1)
-    out = recursive_em_update(prev, np.zeros((9, 4)), RecursionWeights(1.0, 1.0), 5)
+    out = recursive_em_update(prev, np.zeros((9, 4)), 1.0, 1.0, 5)
     assert np.allclose(out.W, prev.W, rtol=1e-10, atol=1e-12)
     assert np.allclose(out.psi, prev.psi, rtol=1e-10, atol=1e-12)
 
@@ -176,8 +178,7 @@ def test_recursive_update_matches_explicit_dense_target():
     rng = np.random.default_rng(23)
     prev = FaPrecision(rng.standard_normal((8, 3)), rng.uniform(0.5, 2.0, 8))
     X = rng.standard_normal((8, 4))
-    weights = RecursionWeights(0.7, 0.3)
-    got = recursive_em_update(prev, X, weights, inner_loops=4)
+    got = recursive_em_update(prev, X, 0.7, 0.3, inner_loops=4)
     target = 0.7 * fa_dense_matrix(prev) + 0.3 * (X @ X.T)
     W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, 0.7, 0.3)
     for _ in range(3):
@@ -215,7 +216,7 @@ def test_p_space_kernel_matches_the_solve_based_cycle(d, p, k):
             W, psi = em_solve_step(W, psi, S)
         assert _relerr(fa.W, W) <= 1e-10
         assert _relerr(fa.psi, psi) <= 1e-10
-    got = recursive_em_update(prev, X, RecursionWeights(0.8, 0.6), inner_loops=20)
+    got = recursive_em_update(prev, X, 0.8, 0.6, inner_loops=20)
     W, psi = closed_form_fit_one_shot(prev.W, prev.psi, X, 0.8, 0.6)
     for _ in range(19):
         W, psi = em_solve_step(W, psi, blend)
@@ -235,7 +236,7 @@ def test_warm_started_cycle_matches_one_step_against_the_dense_target(alpha, bet
     rng = np.random.default_rng(int(100 * alpha + 10 * beta) + 7 * k + d)
     prev = FaPrecision(rng.standard_normal((d, p)), rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k))
-    got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
+    got = recursive_em_update(prev, X, alpha, beta, inner_loops=1)
     if alpha == 1.0:
         dense = alpha * fa_dense_matrix(prev) + beta * (X @ X.T)
         W, psi = em_solve_step(prev.W, prev.psi, dense)
@@ -264,7 +265,7 @@ def test_one_pass_update_never_reads_the_target(k, alpha, monkeypatch):
         monkeypatch.setattr(_BlendTarget, name,
                             lambda self, *a, _f=original, _n=name: reads.append(_n) or _f(self, *a))
     prev = init_isotropic_prior(9, 3, 1.0, rng=2)
-    recursive_em_update(prev, np.ones((9, k)), RecursionWeights(alpha, 1.0), inner_loops=1)
+    recursive_em_update(prev, np.ones((9, k)), alpha, 1.0, inner_loops=1)
     assert reads == []
 
 
@@ -289,7 +290,7 @@ def test_closed_form_fit_peaks_within_four_blocks_of_its_width(k):
     prev = init_isotropic_prior(d, p, 1.0, rng=3)
     X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
     with MemoryMeter() as meter:
-        recursive_em_update(prev, X, RecursionWeights(0.9, 0.1), inner_loops=1)
+        recursive_em_update(prev, X, 0.9, 0.1, inner_loops=1)
     assert 0 < meter.peak_bytes <= 4 * 8 * d * (p + k)
 
 
@@ -302,7 +303,7 @@ def test_one_loop_closed_form_fit_frees_z_before_its_row_pass():
     prev = init_isotropic_prior(d, p, 1.0, rng=3)
     X = np.random.default_rng(4).standard_normal((d, k)) / np.sqrt(d)
     with MemoryMeter() as meter:
-        recursive_em_update(prev, X, RecursionWeights(0.9, 0.1), inner_loops=1)
+        recursive_em_update(prev, X, 0.9, 0.1, inner_loops=1)
     assert 0 < meter.peak_bytes <= 1.6 * 8 * d * (p + k)
 
 
@@ -328,7 +329,7 @@ def test_warm_started_row_pass_matches_the_one_shot_cycle(alpha, k, d, order):
     prev = FaPrecision(W0, rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k)) / np.sqrt(d)
     beta = 0.7
-    out = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)
+    out = recursive_em_update(prev, X, alpha, beta, inner_loops=1)
     if alpha == 1.0:
         W, psi = warm_cycle_one_shot(prev.W, prev.psi, X, alpha, beta)
     else:
@@ -381,9 +382,9 @@ def test_general_cycles_hand_forward_without_changing_a_bit(d, p, alpha, beta, k
     rng = np.random.default_rng(100 * d + 10 * p + k)
     prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, k)) / np.sqrt(d)
-    got = recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=3)
+    got = recursive_em_update(prev, X, alpha, beta, inner_loops=3)
     target = _BlendTarget(prev, X, alpha, beta)
-    chain = [recursive_em_update(prev, X, RecursionWeights(alpha, beta), inner_loops=1)]
+    chain = [recursive_em_update(prev, X, alpha, beta, inner_loops=1)]
     fresh = chain[0]
     for _ in range(2):
         chain.append(em_fixed_point_step(chain[-1], target))
@@ -426,13 +427,13 @@ def test_first_general_cycle_starts_from_the_first_pass_s_psi_inverse_w(alpha, d
     p = 4
     prev = FaPrecision(rng.standard_normal((d, p)) / 10.0, rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, 1)) / np.sqrt(d)
-    recursive_em_update(prev, X, RecursionWeights(alpha, 0.7), inner_loops=3)
+    recursive_em_update(prev, X, alpha, 0.7, inner_loops=3)
     (first, owner, handed), (second, owner2, _) = cycles
     assert owner is first and owner2 is second
     assert handed.flags.f_contiguous
     assert np.array_equal(handed, first.W / first.psi[:, None])
     assert products[0] is handed
-    recursive_em_update(prev, X, RecursionWeights(alpha, 0.7), inner_loops=1)
+    recursive_em_update(prev, X, alpha, 0.7, inner_loops=1)
     assert len(cycles) == 2 and targets[-1].handed == (None, None)
 
 
@@ -463,7 +464,7 @@ def test_the_first_pass_takes_the_caller_s_a(loops):
     prev = FaPrecision(rng.standard_normal((d, p)) / 5.0, rng.uniform(0.5, 2.0, d))
     X = rng.standard_normal((d, 2)) / np.sqrt(d)
     A = prev.latent_inverse @ ((X.T / prev.psi) @ prev.W).T
-    own = recursive_em_update(prev, X, RecursionWeights(1.0, beta), inner_loops=loops)
+    own = recursive_em_update(prev, X, 1.0, beta, inner_loops=loops)
     given = _absorb(prev, X, 1.0, beta, loops, A)
     expected = _rank_k_rows(prev, X, 0.5 * A, beta)
     target = _BlendTarget(prev, X, 1.0, beta)
@@ -578,7 +579,7 @@ def test_closed_form_fit_raises_when_its_eigendecomposition_fails(monkeypatch):
     X = rng.standard_normal((8, 2))
     monkeypatch.setattr(lapack, "dsyevd", lambda a, **kw: (np.zeros(5), np.eye(5), 2))
     with pytest.raises(DivergenceError):
-        recursive_em_update(prev, X, RecursionWeights(0.5, 0.5), inner_loops=1)
+        recursive_em_update(prev, X, 0.5, 0.5, inner_loops=1)
 
 
 def test_recursive_update_single_column_equals_block_form():
@@ -587,11 +588,11 @@ def test_recursive_update_single_column_equals_block_form():
     x = rng.standard_normal(7)
     # A single observation is a (d, 1) block; a bare (d,) vector is refused.
     with pytest.raises(ValueError):
-        recursive_em_update(prev, x, RecursionWeights(1.0, 1.0), 3)
-    as_block = recursive_em_update(prev, x[:, None], RecursionWeights(1.0, 1.0), 3)
+        recursive_em_update(prev, x, 1.0, 1.0, 3)
+    as_block = recursive_em_update(prev, x[:, None], 1.0, 1.0, 3)
     # Padding with an all-zero column leaves the target unchanged.
     padded = recursive_em_update(
-        prev, np.column_stack([x, np.zeros(7)]), RecursionWeights(1.0, 1.0), 3
+        prev, np.column_stack([x, np.zeros(7)]), 1.0, 1.0, 3
     )
     assert np.allclose(padded.W, as_block.W, rtol=1e-12, atol=1e-14)
     assert np.allclose(padded.psi, as_block.psi, rtol=1e-12, atol=1e-14)
@@ -612,14 +613,14 @@ def test_recursive_full_rank_update_recovers_dense_accumulation():
     target = fa_dense_matrix(prev) + X @ X.T
 
     def relerr(loops):
-        out = recursive_em_update(prev, X, RecursionWeights(1.0, 1.0), loops)
+        out = recursive_em_update(prev, X, 1.0, 1.0, loops)
         return np.linalg.norm(fa_dense_matrix(out) - target) / np.linalg.norm(target)
 
     assert relerr(10) > 1e-4
     assert relerr(500) < 1e-6
 
 
-def test_recursive_update_input_validation():
+def test_recursive_update_input_validation(monkeypatch):
     prev = init_isotropic_prior(5, 2, 1.0, rng=0)
     with pytest.raises(ValueError):
         recursive_em_update(prev, np.zeros((4, 1)))
@@ -627,10 +628,13 @@ def test_recursive_update_input_validation():
         recursive_em_update(prev, np.full((5, 1), np.nan))
     with pytest.raises(ValueError):
         recursive_em_update(prev, np.zeros((5, 1)), inner_loops=0)
-    with pytest.raises(ValueError):
-        RecursionWeights(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        RecursionWeights(0.0, 0.0)
+    # A weight must be finite and non-negative, and one of them positive;
+    # a refused pair is refused before any pass runs.
+    monkeypatch.setattr(lrvga.em, "_absorb", lambda *args: pytest.fail("a pass ran"))
+    refused = [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (-0.1, 1.0), (0.0, 0.0)]
+    for alpha, beta in refused + [(b, a) for a, b in refused[:-1]]:
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            recursive_em_update(prev, np.ones((5, 1)), alpha, beta)
 
 
 def test_psi_floor_keeps_rank_deficient_targets_usable():
@@ -659,30 +663,34 @@ def test_em_fit_quality_improves_toward_random_target():
     assert end < 1e-8
 
 
-def test_covariance_mode_weights_schedule():
-    assert covariance_mode_weights(1) == RecursionWeights(0.0, 1.0)
-    assert covariance_mode_weights(2) == RecursionWeights(0.5, 0.5)
-    w = covariance_mode_weights(10)
-    assert w.alpha == pytest.approx(0.9)
-    assert w.beta == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        covariance_mode_weights(0)
+def test_covariance_mode_weights_schedule(monkeypatch):
+    """The cov driver's recursive-em blends its t-th sample with
+    alpha = (t - 1) / t and beta = 1 / t, exactly, so the target is the
+    running mean of the outer products seen so far."""
+    update, calls = lrvga.experiments.recursive_em_update, []
+
+    def spy(prev, X, alpha=1.0, beta=1.0, inner_loops=None):
+        calls.append((alpha, beta))
+        return update(prev, X, alpha, beta, inner_loops)
+
+    monkeypatch.setattr(lrvga.experiments, "recursive_em_update", spy)
+    run_experiment(make_config("cov", d=6, p=2, n=12, checkpoints=2, methods=["recursive-em"]))
+    assert calls == [((t - 1) / t, 1 / t) for t in range(1, 13)]
 
 
 def test_guess_s0_scale_formula():
+    """``experiments._s0_guess``: sigma0 = sqrt(d / mean ||x||^2)."""
     d = 8
     batch = np.eye(d)[:4]  # unit vectors
-    assert guess_s0_scale(batch, d) == pytest.approx(np.sqrt(d))
+    assert _s0_guess(batch, d) == pytest.approx(np.sqrt(d))
     batch = np.full((3, d), 1.0)  # squared norm d for every row
-    assert guess_s0_scale(batch, d) == pytest.approx(1.0)
+    assert _s0_guess(batch, d) == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     batch = rng.standard_normal((5, d))
     expected = np.sqrt(d / np.mean(np.sum(batch**2, axis=1)))
-    assert guess_s0_scale(batch, d) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        guess_s0_scale(np.zeros((3, d)), d)
-    with pytest.raises(ValueError):
-        guess_s0_scale(np.ones((3, d - 1)), d)
+    assert _s0_guess(batch, d) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ConfigError):
+        _s0_guess(np.zeros((3, d)), d)
 
 
 def test_default_inner_loops_switches_at_scale():

@@ -14,7 +14,7 @@ import pytest
 
 import lrvga.experiments
 import lrvga.filters
-from lrvga import DivergenceError, FaPrecision, covariance_fit_kl, init_isotropic_prior
+from lrvga import DivergenceError, FaPrecision, Observation, covariance_fit_kl, init_isotropic_prior
 from lrvga.cli import build_parser, config_from_args, main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_regression_inputs
 from lrvga.experiments import (
@@ -31,7 +31,7 @@ from lrvga.experiments import (
 )
 from lrvga.memory import contract_budget_bytes
 
-from oracles import em_reference_step
+from oracles import em_reference_step, write_libsvm
 
 
 def test_default_linear_run_converges():
@@ -196,6 +196,18 @@ def test_cov_logistic_and_nonlinear_smoke_runs():
         for s in (1, 2) for name, k in (("closed-form", 0), ("sampled", 1), ("sampled", 3))
     }
     assert np.isfinite(nonlinear.summary["final_kl[sampled,s0=2,K=3]"])
+
+
+def test_the_last_checkpoint_is_always_the_last_step(tmp_path):
+    """One checkpoint was t = 1, so a logistic run's filter row was
+    scored at the prior's first step next to a Laplace row at t = n."""
+    assert log_spaced_checkpoints(200, 1) == [200]
+    assert all(log_spaced_checkpoints(n, k)[-1] == n for n in (1, 2, 7, 200) for k in (1, 2, 5))
+    argv = ["--experiment", "logistic", "--d", "10", "--n", "200", "--checkpoints", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = read_results_csv(tmp_path / "results.csv")
+    assert [(r.checkpoint, r.method) for r in rows] == [(200, "lrvga"), (200, "laplace")]
 
 
 def test_record_timing_fills_wall_ms_and_changes_no_other_column():
@@ -553,6 +565,34 @@ def test_bad_datasets_exit_with_code_1(content, message, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("scale, normalize, message", [
+    (1e200, "none", "the second moment of the first 60 rows overflows"),
+    (1e200, "mean-norm", "leading batch has no usable scale"),
+    (1e-160, "none", "leading batch has no usable scale"),
+    (1e-160, "mean-norm", "leading batch has no usable scale"),
+])
+def test_dataset_at_an_extreme_scale_exits_with_code_1(
+    scale, normalize, message, tmp_path, capsys
+):
+    """60 rows at d = 6 with entries near ``scale``. Near 1e200,
+    unnormalized, V^T V overflowed and the rank check raised a
+    LinAlgError out of ``main``; under mean-norm the scale guess warned
+    of the overflow before it refused the batch. Near 1e-160 the guess
+    d / mean ||x||^2 overflowed: unnormalized, the prior's psi = 0 raised
+    a ValueError out of ``main``; under mean-norm the samples were scaled
+    by inf. Each exits 1 and names the cause, with no RuntimeWarning (the
+    pytest config makes one an error)."""
+    rng = np.random.default_rng(7)
+    data = tmp_path / "data.txt"
+    write_libsvm(data, (Observation(scale * rng.standard_normal(6), 1.0) for _ in range(60)))
+    argv = ["--experiment", "cov", "--dataset", str(data), "--p", "2",
+            "--normalize", normalize, "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["logistic", "--d", "601"], "above the dense limit the input rotation (a d x d matrix) "
                                  "is unavailable; use c = 0"),
@@ -791,6 +831,27 @@ def test_sigma0_whose_square_or_its_inverse_is_not_a_finite_float_exits_with_cod
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sigma0" in err
     assert not out.exists()
+
+
+def test_cosine_to_the_map_is_scale_free_under_a_tiny_prior(tmp_path):
+    """As sigma0 -> 0 both means tend to the direction of X^T (y - 1/2),
+    so the cosine tends to a limit, reached to rounding at 1e-60. At
+    1e-80 the means' squared norms were subnormal and the cosine off by
+    8e-7; at 1e-100 they underflowed to 0 and it was nan, with a
+    RuntimeWarning (an error under the pytest config). At the default
+    sigma0 it does not move."""
+
+    def cosine(sigma0="4"):
+        out = tmp_path / sigma0
+        assert main(["--experiment", "logistic", "--n", "100", "--checkpoints", "3",
+                     "--sigma0", sigma0, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        return float(re.search(r"cosine_mean_vs_map\[p=5\]: (\S+)", summary).group(1))
+
+    assert cosine() == pytest.approx(0.9724550565628628, rel=1e-12)
+    limit = cosine("1e-60")
+    assert cosine("1e-80") == pytest.approx(limit, rel=1e-12)
+    assert cosine("1e-100") == pytest.approx(limit, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,6 @@ import lrvga.experiments
 from lrvga import (
     GaussianBelief,
     LogisticModel,
-    RecursionWeights,
     Observation,
     init_isotropic_prior,
     lrvga_linear_step,
@@ -68,7 +67,7 @@ def test_warm_started_update_peaks_near_its_output_and_hands_over_its_gram():
     x = np.random.default_rng(9).standard_normal((d, 1)) / np.sqrt(d)
     prev.latent_inverse
     with MemoryMeter() as meter:
-        out = recursive_em_update(prev, x, RecursionWeights(1.0, 1.0), inner_loops=1)
+        out = recursive_em_update(prev, x, 1.0, 1.0, inner_loops=1)
     assert 0 < meter.peak_bytes <= 1.6 * unit
     with MemoryMeter() as meter:
         out.latent_inverse
@@ -88,7 +87,7 @@ def test_three_cycle_update_peaks_no_higher_than_before_the_hand_over(alpha):
     x = np.random.default_rng(13).standard_normal((d, 1)) / np.sqrt(d)
     prev.latent_inverse
     with MemoryMeter() as meter:
-        recursive_em_update(prev, x, RecursionWeights(alpha, alpha), inner_loops=3)
+        recursive_em_update(prev, x, alpha, alpha, inner_loops=3)
     assert 0 < meter.peak_bytes <= 4.43 * 8 * d * p
 
 

@@ -15,7 +15,6 @@ import pytest
 from lrvga import (
     FaPrecision,
     OnlineEmState,
-    RecursionWeights,
     GaussianBelief,
     LogisticModel,
     Observation,
@@ -112,12 +111,11 @@ def test_recursive_em_updates_are_scale_equivariant_bit_for_bit(d, alpha, k, loo
     rng = np.random.default_rng(d + k + loops)
     prior = FaPrecision(rng.standard_normal((d, 4)) / 3.0, rng.uniform(0.5, 2.0, d))
     blocks = [rng.standard_normal((d, k)) / np.sqrt(d) for _ in range(3)]
-    weights = RecursionWeights(alpha, 0.7)
     runs = []
     for scale in (1.0, a):
         fa = _scaled(prior, scale)
         for X in blocks:
-            fa = recursive_em_update(fa, X * scale, weights, inner_loops=loops)
+            fa = recursive_em_update(fa, X * scale, alpha, 0.7, inner_loops=loops)
         runs.append(fa)
     _assert_scaled_factors(runs[1], runs[0], a)
 

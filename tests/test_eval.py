@@ -244,13 +244,12 @@ def test_quadrature_kl_matches_the_plain_oracle_also_where_exp_overflows(form):
 
 
 def test_quadrature_kl_of_several_row_blocks_matches_the_plain_oracle():
-    """600 rows: two whole blocks of ``_GH_ROWS`` nodes and a partial
-    third, against the oracle's rules over the whole array, for a
-    factored q and its dense copy, within the bounds above."""
+    """Two whole blocks of ``_GH_ROWS`` rows and a partial third, against
+    the oracle's rules over the whole array, for a factored q and its
+    dense copy, within the bounds above."""
     rng = np.random.default_rng(18)
-    X, y = _logistic_problem(rng, 600, 6)
+    X, y = _logistic_problem(rng, 2 * lrvga.evaluation._GH_ROWS + lrvga.evaluation._GH_ROWS // 3, 6)
     bel = random_belief(rng, 6, 2)
-    assert 2 * lrvga.evaluation._GH_ROWS < 600 < 3 * lrvga.evaluation._GH_ROWS
     for q in (bel, DenseGaussian(bel.mu, fa_dense_inverse(bel.prec))):
         est = expected_kl_logistic(q, X, y, 2.0)
         kl, error = quadrature_kl_logistic(q, X, y, 2.0)
@@ -291,6 +290,12 @@ def test_quadrature_kl_validates_shapes():
         expected_kl_logistic(bel, X[:, :3], y, 1.0)
     with pytest.raises(ValueError):
         expected_kl_logistic(bel, X, y[:-1], 1.0)
+    for sigma0 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma0"):
+            expected_kl_logistic(bel, X, y, sigma0)
+    for labels in (2.0 * y - 1.0, np.full_like(y, 0.5), np.r_[np.nan, y[1:]]):
+        with pytest.raises(ValueError, match="labels"):
+            expected_kl_logistic(bel, X, labels, 1.0)
 
 
 def test_logposterior_linear_against_direct_formula():

@@ -17,6 +17,7 @@ from lrvga import (
 )
 from lrvga.cli import main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_fa_covariance_samples, gen_logistic_labels
+from lrvga.dense import DenseGaussian, fa_dense_inverse
 from lrvga.evaluation import expected_kl_logistic, mc_kl_to_posterior
 from lrvga.experiments import _cov_data, _regression_data
 from lrvga.memory import MemoryMeter, contract_budget_bytes
@@ -162,10 +163,11 @@ def test_factored_quadrature_kl_allocates_nothing_n_by_d():
 
 def test_quadrature_kl_scores_its_nodes_in_row_blocks():
     """One factored quadrature KL at n = 2 10^4, d = 5, p = 2 peaks under
-    12 doubles a row, 1.92 MB, at about 10. Whole n x 32 and n x 16 node
-    arrays with their softplus and sums took it to 11.2 MB, and keeping
-    the n x (p + 1) product X [mu, Psi^-1 W] alive through the node
-    blocks to 12.02 doubles a row."""
+    8 doubles a row, 1.28 MB, at about 7.04. Whole n x 32 and n x 16 node
+    arrays with their softplus and sums took it to 11.2 MB, keeping the
+    n x (p + 1) product X [mu, Psi^-1 W] alive through the node blocks
+    to 12.02 doubles a row, and forming it for all n rows before them
+    to 10.02."""
     n, d, p = 20_000, 5, 2
     rng = np.random.default_rng(3)
     belief = GaussianBelief(rng.standard_normal(d), init_isotropic_prior(d, p, 1.0, rng=3))
@@ -174,7 +176,27 @@ def test_quadrature_kl_scores_its_nodes_in_row_blocks():
     belief.prec.latent_inverse
     with MemoryMeter() as meter:
         expected_kl_logistic(belief, X, y, 2.0)
-    assert 0 < meter.peak_bytes < 12 * 8 * n
+    assert 0 < meter.peak_bytes < 8 * 8 * n
+
+
+@pytest.mark.parametrize("p", [2, 10, 20])
+def test_quadrature_kl_peaks_under_8_doubles_a_row_at_any_rank(p):
+    """A factored quadrature KL at n = 2 10^4, d = 25, and its dense copy,
+    each peak under 8 doubles a row, at 7.03 to 7.13 for every p: only
+    n-vectors outlive a block of ``_GH_ROWS`` rows. Forming X [mu, Psi^-1 W]
+    and u M^-1 for all n rows at once took the factored q to 10.0, 24.0
+    and 44.1 doubles a row at p = 2, 10 and 20, and X Sigma the dense
+    one to 27.0."""
+    n, d = 20_000, 25
+    rng = np.random.default_rng(p)
+    belief = GaussianBelief(rng.standard_normal(d), init_isotropic_prior(d, p, 1.0, rng=p))
+    X = rng.standard_normal((n, d))
+    y = rng.integers(0, 2, n).astype(float)
+    dense = DenseGaussian(belief.mu, fa_dense_inverse(belief.prec))
+    for q in (belief, dense):
+        with MemoryMeter() as meter:
+            expected_kl_logistic(q, X, y, 2.0)
+        assert 0 < meter.peak_bytes < 8 * 8 * n, type(q).__name__
 
 
 def test_observations_carry_no_instance_dict():

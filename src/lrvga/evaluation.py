@@ -226,14 +226,17 @@ def laplace_logistic(X: np.ndarray, y: np.ndarray, sigma0: float) -> DenseGaussi
     objective, stopped at a gradient norm of ``LAPLACE_TOL`` or after
     ``LAPLACE_MAX_ITER`` steps; the covariance is the inverse Hessian there:
     H = I / sigma0^2 + sum_i sigma'(x_i.theta) x_i x_i^T, formed once per
-    iterate, the last at the returned mean.
+    iterate, the last at the returned mean. Raises ValueError unless
+    sigma0 is positive and finite and every label is 0 or 1.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X rows must match y")
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be strictly positive")
+    if not 0.0 < sigma0 < np.inf:
+        raise ValueError("sigma0 must be positive and finite")
+    if not np.logical_and.reduce((y == 0.0) | (y == 1.0)):
+        raise ValueError("logistic labels must be 0 or 1")
     n, d = X.shape
     theta = np.zeros(d)
 

@@ -249,7 +249,7 @@ def init_isotropic_prior(
     d, p : int
         Dimension and factor rank, with 1 <= p <= d.
     sigma0 : float
-        Prior standard deviation, strictly positive.
+        Prior standard deviation, positive and finite.
     eps : float
         Fraction of the trace assigned to the factor part, in (0, 1).
     rng : numpy Generator, seed, or None
@@ -257,8 +257,8 @@ def init_isotropic_prior(
     """
     if not 1 <= p <= d:
         raise ValueError(f"need 1 <= p <= d, got p={p}, d={d}")
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be strictly positive")
+    if not 0.0 < sigma0 < np.inf:
+        raise ValueError("sigma0 must be positive and finite")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly inside (0, 1)")
     rng = np.random.default_rng(rng)

@@ -29,11 +29,11 @@ from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.optimize import brentq
 
 from lrvga import (
-    EnsembleSampler,
     FaPrecision,
     GaussianBelief,
     woodbury_apply,
 )
+from lrvga.sampler import EnsembleSampler
 
 BETA = math.sqrt(8.0 / math.pi)
 

@@ -9,15 +9,12 @@ from scipy.linalg import lapack
 import lrvga.em
 import lrvga.experiments
 from lrvga import (
-    ConfigError,
     FaPrecision,
     covariance_fit_kl,
     default_inner_loops,
     fa_dense_matrix,
     init_isotropic_prior,
-    make_config,
     recursive_em_update,
-    run_experiment,
 )
 from lrvga.em import (
     _ROW_BLOCK,
@@ -29,7 +26,7 @@ from lrvga.em import (
     _row_pass,
     em_fixed_point_step,
 )
-from lrvga.experiments import _s0_guess
+from lrvga.experiments import ConfigError, _s0_guess, make_config, run_experiment
 from lrvga.factor import DivergenceError, _cholesky_solve, latent_gram
 from lrvga.memory import MemoryMeter
 

@@ -18,10 +18,9 @@ from lrvga import (
     gaussian_kl,
     init_isotropic_prior,
     laplace_logistic,
-    make_config,
-    mc_kl_to_posterior,
-    run_experiment,
 )
+from lrvga.evaluation import mc_kl_to_posterior
+from lrvga.experiments import make_config, run_experiment
 
 from oracles import logposterior_linear, logposterior_logistic, quadrature_kl_logistic
 from test_experiments import TINY
@@ -440,6 +439,12 @@ def test_laplace_validates_inputs():
         laplace_logistic(np.ones((4, 2)), np.ones(3), 1.0)
     with pytest.raises(ValueError):
         laplace_logistic(np.ones((3, 2)), np.ones(3), 0.0)
+    for sigma0 in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+            laplace_logistic(np.ones((3, 2)), np.ones(3), sigma0)
+    for labels in ([1.0, -1.0, 1.0], [1.0, 0.5, 0.0], [1.0, 3.0, 0.0], [1.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="logistic labels must be 0 or 1"):
+            laplace_logistic(np.ones((3, 2)), np.array(labels), 1.0)
 
 
 def test_laplace_separable_problem_matches_scalar_solve():

@@ -249,6 +249,9 @@ def test_init_isotropic_prior_rejects_bad_arguments():
         init_isotropic_prior(3, 4, 1.0)
     with pytest.raises(ValueError):
         init_isotropic_prior(3, 2, -1.0)
+    for sigma0 in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+            init_isotropic_prior(3, 2, sigma0)
     with pytest.raises(ValueError):
         init_isotropic_prior(3, 2, 1.0, eps=0.0)
     with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from lrvga import (
     Observation,
     fa_dense_inverse,
     fa_dense_matrix,
-    ggn_block,
     init_isotropic_prior,
     kalman_step_dense,
     lrvga_linear_step,
@@ -42,6 +41,7 @@ from lrvga.filters import (
     _scalar_residuals,
     _sigmoid_weight,
     _solve_scalar_system,
+    ggn_block,
 )
 
 from oracles import (

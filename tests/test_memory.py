@@ -11,15 +11,13 @@ from lrvga import (
     init_isotropic_prior,
     lrvga_linear_step,
     lrvga_nonlinear_step,
-    make_config,
     recursive_em_update,
-    run_experiment,
 )
 from lrvga.cli import main
 from lrvga.datasets import RegressionSpec, SyntheticCovSpec, gen_fa_covariance_samples, gen_logistic_labels
 from lrvga.dense import DenseGaussian, fa_dense_inverse
 from lrvga.evaluation import expected_kl_logistic, mc_kl_to_posterior
-from lrvga.experiments import _cov_data, _regression_data
+from lrvga.experiments import _cov_data, _regression_data, make_config, run_experiment
 from lrvga.memory import MemoryMeter, contract_budget_bytes
 from lrvga.sampler import EnsembleSampler
 

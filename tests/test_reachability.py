@@ -1,5 +1,8 @@
 """Every ``lrvga`` function is reached by some CLI run, or is listed here
-with the reason it is kept. Dead code then shows as a failing test."""
+with the reason it is kept. Dead code then shows as a failing test. The
+package root holds the filter library alone: no name in ``lrvga.__all__``
+is kept only by the benchmark trap, and ``import lrvga`` loads no
+experiment module."""
 
 import json
 import os
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+import lrvga
 
 # The functions no run below calls, each with the reason it stays.
 UNREACHED = {
@@ -98,3 +103,29 @@ def test_every_function_is_reached_by_a_cli_run_or_listed(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(runs)
     assert result["unreached"] == sorted(UNREACHED)
+
+
+def test_no_root_name_is_kept_only_by_the_benchmark_trap():
+    """A name whose only listed reason, for itself or for every method
+    listed, is the perfbench trap is imported from its module, not from
+    the package root."""
+    trap_only = []
+    for name in lrvga.__all__:
+        obj = getattr(lrvga, name)
+        key = obj.__module__.rsplit(".", 1)[-1] + "." + obj.__qualname__
+        reasons = [r for k, r in UNREACHED.items() if k == key or k.startswith(key + ".")]
+        if reasons and all(r.startswith("perfbench trap") for r in reasons):
+            trap_only.append(name)
+    assert trap_only == []
+
+
+def test_importing_the_package_loads_no_experiment_module():
+    """The drivers, data generators, memory meter and CLI load only when
+    imported by name."""
+    code = "import json, sys, lrvga\nprint(json.dumps([m for m in sys.modules if m.startswith('lrvga.')]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert not loaded & {"lrvga.experiments", "lrvga.datasets", "lrvga.memory", "lrvga.cli"}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lrvga import EnsembleSampler, FaPrecision
+from lrvga import FaPrecision
+from lrvga.sampler import EnsembleSampler
 
 from oracles import dense_covariance, sampler_consistency_error
 

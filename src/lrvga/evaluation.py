@@ -20,7 +20,6 @@ from scipy.special import expit
 from .dense import DenseGaussian, fa_dense_inverse
 from .factor import FaPrecision, c_einsum, inverse_diag, log_det
 from .filters import GaussianBelief
-from .sampler import EnsembleSampler
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -68,23 +67,29 @@ def _logdet_cov(g) -> float:
 
 
 def gaussian_kl(q, target: DenseGaussian) -> float:
-    """KL(q || target) from q, a GaussianBelief or a DenseGaussian, to a
-    DenseGaussian target, through one Cholesky factorization of the
-    target covariance: dense algebra, for baseline dimensions.
-    """
-    if not isinstance(q, (GaussianBelief, DenseGaussian)):
-        raise TypeError("q must be a GaussianBelief or DenseGaussian")
+    """KL(q || target) of a GaussianBelief or DenseGaussian q to a DenseGaussian target."""
+    return _kl_to(target)(q)
+
+
+def _kl_to(target: DenseGaussian) -> Callable[[GaussianBelief | DenseGaussian], float]:
+    """q -> KL(q || target), dense, for baseline dimensions. The target covariance's
+    Cholesky factor and log-determinant are formed here, once for every q it scores."""
     if not isinstance(target, DenseGaussian):
         raise TypeError("target must be a DenseGaussian")
-    d = q.d
-    if target.d != d:
-        raise ValueError("dimension mismatch")
-    delta = q.mu - target.mu
-    factor = cho_factor(target.cov, lower=True)
-    quad = float(delta @ cho_solve(factor, delta))
-    cov_q = fa_dense_inverse(q.prec) if isinstance(q, GaussianBelief) else q.cov
-    trace = float(np.trace(cho_solve(factor, cov_q)))
-    return 0.5 * (trace + quad - d + _logdet_cov(target) - _logdet_cov(q))
+    factor, logdet_target = cho_factor(target.cov, lower=True), _logdet_cov(target)
+
+    def kl(q) -> float:
+        if not isinstance(q, (GaussianBelief, DenseGaussian)):
+            raise TypeError("q must be a GaussianBelief or DenseGaussian")
+        if q.d != target.d:
+            raise ValueError("dimension mismatch")
+        delta = q.mu - target.mu
+        quad = float(delta @ cho_solve(factor, delta))
+        cov_q = fa_dense_inverse(q.prec) if isinstance(q, GaussianBelief) else q.cov
+        trace = float(np.trace(cho_solve(factor, cov_q)))
+        return 0.5 * (trace + quad - q.d + logdet_target - _logdet_cov(q))
+
+    return kl
 
 
 def covariance_fit_kl(fa: FaPrecision, S: np.ndarray) -> float:
@@ -132,6 +137,7 @@ def mc_kl_to_posterior(
     q is drawn by the ensemble sampler, a dense one by the Cholesky of
     its covariance.
     """
+    from .sampler import EnsembleSampler  # here, so that `import lrvga` loads no sampler
     if k < 2:
         raise ValueError("need at least two draws for a standard error")
     if isinstance(q, DenseGaussian):  # cholesky raises LinAlgError unless q.cov is SPD

@@ -40,9 +40,9 @@ from .em import (
     recursive_em_update,
 )
 from .evaluation import (
+    _kl_to,
     covariance_fit_kl,
     expected_kl_logistic,
-    gaussian_kl,
     laplace_logistic,
     mc_kl_to_posterior,  # noqa: F401 - perfbench/trace.py wraps it here by name
 )
@@ -498,7 +498,7 @@ def _exact_linear_scorer(cfg: ExperimentConfig, X, y, sigma0: float):
     cov_star = np.linalg.inv(prec_star)
     target = DenseGaussian(cov_star @ (X.T @ y), (cov_star + cov_star.T) / 2)
     try:
-        np.linalg.cholesky(target.cov)
+        kl = _kl_to(target)  # its Cholesky factorization is the check
     except np.linalg.LinAlgError:
         residual, fault = np.inf, "its covariance is not positive definite"
     else:
@@ -510,7 +510,7 @@ def _exact_linear_scorer(cfg: ExperimentConfig, X, y, sigma0: float):
             f"{'<' if cfg.n < cfg.d else '>='} d = {cfg.d} is too ill-conditioned to score "
             f"against: {fault}; lower sigma0 or raise n"
         )
-    return lambda q: (gaussian_kl(q, target), None)
+    return lambda q: (kl(q), None)
 
 
 def run_linear_experiment(cfg: ExperimentConfig) -> RunReport:

@@ -221,19 +221,17 @@ def _expit(z: float) -> float:
         return 0.0
 
 
-def _sigmoid_weight(a: float, nu: float) -> float:
-    """s(a, nu) = k sigma'(k a) with k = beta / sqrt(nu + beta^2)."""
+def _link(a: float, nu: float) -> tuple[float, float]:
+    """(s, sigma(k a)) with s(a, nu) = k sigma'(k a) and k = beta / sqrt(nu + beta^2),
+    from one evaluation of k and of sigma(k a)."""
     k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
     sig = _expit(k * a)
-    return k * sig * (1.0 - sig)
+    return k * sig * (1.0 - sig), sig
 
 
 def _scalar_residuals(a: float, nu: float, a0: float, nu0: float, y: float) -> tuple[float, float]:
-    k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
-    s = _sigmoid_weight(a, nu)
-    r_nu = nu * (1.0 + s * nu0) - nu0
-    r_a = a - a0 - nu0 * (y - _expit(k * a))
-    return r_a, r_nu
+    s, sig = _link(a, nu)
+    return a - a0 - nu0 * (y - sig), nu * (1.0 + s * nu0) - nu0
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -249,10 +247,10 @@ def _bracketed_scalars(a0: float, nu0: float, y: float) -> tuple[float, float]:
     |y - sigma| < 1, |a - a0| < nu0 (widened by 1 against rounding), and
     for a fixed a, nu is the root in [0, nu0] of nu0 / (1 + s nu0) - nu."""
     def nu_of(a: float) -> float:
-        return _bisect(lambda nu: nu0 / (1.0 + _sigmoid_weight(a, nu) * nu0) - nu, 0.0, nu0)
+        return _bisect(lambda nu: nu0 / (1.0 + _link(a, nu)[0] * nu0) - nu, 0.0, nu0)
 
     def f(a: float) -> float:
-        return a0 + nu0 * (y - _expit(BETA_PROBIT / math.sqrt(nu_of(a) + BETA_PROBIT**2) * a)) - a
+        return a0 + nu0 * (y - _link(a, nu_of(a))[1]) - a
 
     a = _bisect(f, a0 - nu0 - 1.0, a0 + nu0 + 1.0)
     return a, nu_of(a)
@@ -351,10 +349,8 @@ def lrvga_logistic_step(
         raise ValueError("logistic labels must be 0 or 1")
 
     def rule(a0: float, nu0: float, y: float) -> tuple[float, float]:
-        a, nu = _solve_scalar_system(a0, nu0, y)
-        k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
-        sig = _expit(k * a)
-        return k * sig * (1.0 - sig), y - sig
+        s, sig = _link(*_solve_scalar_system(a0, nu0, y))
+        return s, y - sig
 
     return _glm_step(belief, obs, inner_loops, rule)
 
@@ -425,17 +421,17 @@ def lrvga_nonlinear_step(
         raise TypeError(f"{type(model).__name__} defines no index_moments(z, y): "
                         "the sampled filter takes single-index models only")
     rng = np.random.default_rng(rng)
-    x, y, _, minv_c, nu0, a0 = _prior_scalars(belief, obs)
+    x, y, u, minv_c, nu0, a0 = _prior_scalars(belief, obs)
 
-    def absorb(s):
-        prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops, minv_c[:, None])
+    def absorb(s):  # its rank-one column g goes into u, spent after nu0
+        prec = em._absorb(belief.prec, x[:, None], 1.0, s, inner_loops, minv_c[:, None], u[:, None])
         return prec, woodbury_apply(prec, x)
 
-    s, r = index_moments(a0 + math.sqrt(nu0) * rng.standard_normal(k), y)
+    s, r = index_moments(rng.normal(a0, math.sqrt(nu0), k), y)
     prec, h = absorb(s)
     if scheme != "explicit":
-        nu_hat = max(float(x.dot(h)), 0.0)
-        s, r = index_moments(a0 + r * nu_hat + math.sqrt(nu_hat) * rng.standard_normal(k), y)
+        nu_hat = max(float(x.dot(h)), 0.0) + 0.0  # + 0.0: normal() refuses a -0.0 scale
+        s, r = index_moments(rng.normal(a0 + r * nu_hat, math.sqrt(nu_hat), k), y)
         if scheme == "mirror-prox-full":
             prec, h = absorb(s)
     return _new_belief(belief.mu + r * h, prec)

@@ -73,6 +73,24 @@ def test_gaussian_kl_matches_dense_formula_in_every_mix(seed):
             gaussian_kl(a, t)
 
 
+def test_exact_linear_scorer_factors_its_target_once(monkeypatch):
+    """A dense ``linear`` run scores every checkpoint of every fold and of
+    the Kalman row against one exact posterior. Its covariance is factored
+    once, by the Cholesky factorization that is also the scorer's
+    positive-definiteness check, and its log-determinant is taken once."""
+    factored, logdets = [], []
+    cho_factor, logdet_cov = lrvga.evaluation.cho_factor, lrvga.evaluation._logdet_cov
+    monkeypatch.setattr(lrvga.evaluation, "cho_factor",
+                        lambda a, **kw: factored.append(a) or cho_factor(a, **kw))
+    monkeypatch.setattr(lrvga.evaluation, "_logdet_cov",
+                        lambda g: logdets.append(g) or logdet_cov(g))
+    report = run_experiment(make_config("linear", **TINY["linear"]))
+    assert len(report.rows) > 3
+    assert len(factored) == 1
+    dense = [g for g in logdets if isinstance(g, DenseGaussian)]  # the target and Kalman rows
+    assert len({id(g) for g in dense}) == len(dense)
+
+
 def test_gaussian_kl_argument_validation():
     bel = random_belief(np.random.default_rng(1), 4, 2)
     other = random_belief(np.random.default_rng(2), 5, 2)

@@ -39,7 +39,6 @@ from lrvga.filters import (
     _expit,
     _prior_scalars,
     _scalar_residuals,
-    _sigmoid_weight,
     _solve_scalar_system,
     ggn_block,
 )
@@ -490,7 +489,9 @@ def _slope(nu):
 
 def _logistic_rule(a0, nu0, y):
     a, nu = _solve_scalar_system(a0, nu0, y)
-    return _sigmoid_weight(a, nu), y - float(expit(_slope(nu) * a))
+    k = _slope(nu)
+    sig = float(expit(k * a))
+    return k * sig * (1.0 - sig), y - sig
 
 
 GLM_STEPS = {"linear": (lrvga_linear_step, _linear_rule),
@@ -732,7 +733,42 @@ def test_public_scalar_solve_sees_the_logistic_step_s_scalars(monkeypatch):
     lrvga_logistic_step(belief, obs)
     _, y, _, _, nu0, a0 = _prior_scalars(belief, obs)
     a, nu = _solve_scalar_system(a0, nu0, y)
-    assert used == {"s": _sigmoid_weight(a, nu), "r": 1.0 - float(expit(_slope(nu) * a))}
+    k = _slope(nu)
+    sig = float(expit(k * a))
+    assert used == {"s": k * sig * (1.0 - sig), "r": 1.0 - sig}
+
+
+def _two_evaluation_residuals(a, nu, a0, nu0, y):
+    """The residuals (r_a, r_nu) as formed by evaluating k and sigma(k a)
+    twice: once inside the weight s = k sigma'(k a), and again for r_a."""
+
+    def weight(a, nu):
+        k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
+        sig = _expit(k * a)
+        return k * sig * (1.0 - sig)
+
+    k = BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2)
+    s = weight(a, nu)
+    r_nu = nu * (1.0 + s * nu0) - nu0
+    r_a = a - a0 - nu0 * (y - _expit(k * a))
+    return r_a, r_nu
+
+
+def test_scalar_residuals_match_the_two_evaluation_formula_bit_for_bit():
+    """Evaluating k and sigma(k a) once changes no bit of the residuals,
+    on a grid through nu = 0 (k = 1), signed zeros and the tail where
+    exp(-k a) overflows and ``_expit`` returns 0."""
+    grid = [(a, nu, a0, nu0, y)
+            for a in (-800.0, -710.0, -30.0, -1.5, -0.0, 0.0, 1e-300, 0.7, 12.0, 750.0)
+            for nu in (0.0, 1e-12, 0.3, 2.5, 1e3, 1e8)
+            for a0 in (-2.0, 0.0, 0.4)
+            for nu0 in (0.0, 1e-6, 1.0, 1e4)
+            for y in (0.0, 1.0)]
+    assert any(BETA_PROBIT / math.sqrt(nu + BETA_PROBIT**2) * a < -709.79
+               for a, nu, *_ in grid)  # the overflow branch is reached
+    got = np.array([_scalar_residuals(*args) for args in grid])
+    want = np.array([_two_evaluation_residuals(*args) for args in grid])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_scalar_expit_is_scipy_s_bit_for_bit():
@@ -980,17 +1016,17 @@ def test_one_column_logistic_root_matches_the_per_draw_path(scheme, k):
 
 
 class _ReplayedNormals(np.random.Generator):
-    """A generator whose ``standard_normal(k)`` returns the given (k,)
-    blocks in turn."""
+    """A generator whose ``normal(loc, scale, k)`` returns loc + scale
+    times the given (k,) blocks in turn."""
 
     def __init__(self, blocks):
         super().__init__(np.random.PCG64(0))
         self.blocks = list(blocks)
 
-    def standard_normal(self, size=None, dtype=np.float64, out=None):
+    def normal(self, loc=0.0, scale=1.0, size=None):
         block = self.blocks.pop(0)
         assert block.shape == (size,)
-        return block
+        return loc + scale * block
 
 
 @pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
@@ -1076,6 +1112,38 @@ def test_nonlinear_rejects_bad_arguments():
     no_draws = _ReplayedNormals([])
     with pytest.raises(TypeError, match="index_moments"):
         lrvga_nonlinear_step(bel, obs, PerDrawLogisticModel(), rng=no_draws)
+
+
+@pytest.mark.parametrize("k", [1, 10, 100])
+def test_normal_draws_are_loc_plus_scale_standard_normals_bit_for_bit(k):
+    """The sampled step draws each stage's indices by ``normal(m, s, k)``.
+    The golden digests were recorded from m + s * standard_normal(k), so
+    the two must agree bit for bit, and leave the generator in the same
+    state, at every (m, s), s = 0 among them. A numpy build or platform
+    that fuses m + s z into one multiply-add fails here first."""
+    pairs = [(0.0, 1.0), (0.3, 0.0), (-2.5, 0.0), (1e8, 1e-3), (-0.0, 2.0)]
+    pairs += [tuple(v) for v in np.random.default_rng(k).normal(0.0, 3.0, (40, 2)) ** [1, 2]]
+    fused, split = np.random.default_rng(2024), np.random.default_rng(2024)
+    for m, sd in pairs:
+        got = fused.normal(m, sd, k)
+        want = m + sd * split.standard_normal(k)
+        assert got.shape == (k,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, sd)
+
+
+@pytest.mark.parametrize("scheme", NONLINEAR_SCHEMES)
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_nonlinear_step_takes_a_zero_input(scheme, d, zero):
+    """A zero input carries no information: the mean stays put. At d = 1
+    an input of -0.0 makes nu_hat = x^T P_hat x a -0.0 that the clamp at
+    0 keeps, and ``normal`` refuses a scale with its sign bit set, so the
+    step must hand it +0.0."""
+    bel = belief_from_prior(d, 1, seed=4, mu=np.full(d, 0.3))
+    out = lrvga_nonlinear_step(bel, Observation(np.full(d, zero), 1.0), LogisticModel(),
+                               k=3, scheme=scheme, rng=1)
+    assert np.array_equal(out.mu, bel.mu)
+    assert np.all(np.isfinite(out.prec.W)) and np.all(out.prec.psi > 0.0)
 
 
 def test_nonlinear_step_is_reproducible_under_a_seed():

@@ -17,6 +17,7 @@ import lrvga
 # The functions no run below calls, each with the reason it stays.
 UNREACHED = {
     "cli._Parser.error": "error path: a flag argparse refuses exits 1",
+    "evaluation.gaussian_kl": "public API kept on purpose: the linear scorer calls its `_kl_to`",
     "evaluation.mc_kl_to_posterior": "perfbench trap: trace.py wraps it in lrvga.experiments",
     "experiments.read_results_csv": "public API kept on purpose: reads back emit_report",
     "factor.spd_solve": "error path: the fallback of `_cholesky_solve`",
@@ -24,6 +25,7 @@ UNREACHED = {
     "filters._bisect": "error path: Newton stops short under a vague prior",
     "filters._bracketed_scalars": "error path: Newton stops short under a vague prior",
     "filters.ggn_block": "perfbench trap: trace.py wraps it in lrvga.filters",
+    "sampler.EnsembleSampler": "perfbench trap: no run imports lrvga.sampler; trace.py wraps it",
     "sampler.EnsembleSampler.__init__": "perfbench trap: trace.py wraps it",
     "sampler.EnsembleSampler.draw": "perfbench trap: trace.py wraps it",
 }
@@ -120,12 +122,13 @@ def test_no_root_name_is_kept_only_by_the_benchmark_trap():
 
 
 def test_importing_the_package_loads_no_experiment_module():
-    """The drivers, data generators, memory meter and CLI load only when
-    imported by name."""
+    """The drivers, data generators, memory meter, CLI and ensemble
+    sampler load only when imported by name."""
     code = "import json, sys, lrvga\nprint(json.dumps([m for m in sys.modules if m.startswith('lrvga.')]))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120, check=True)
     loaded = set(json.loads(done.stdout))
-    assert not loaded & {"lrvga.experiments", "lrvga.datasets", "lrvga.memory", "lrvga.cli"}
+    assert not loaded & {"lrvga.experiments", "lrvga.datasets", "lrvga.memory", "lrvga.cli",
+                         "lrvga.sampler"}
